@@ -16,6 +16,7 @@ neighbors. The Monge-Ampere residual log rho_mu(x) - log rho_nu(T x)
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -359,10 +360,12 @@ def solve_entropic_grid(mu, nu, epsilon, box=None, box_nu=None, side=128,
     raw = solver.barycentric(Q)
     state = {"PQ": (P, Q), "log_a": log_a, "log_b": log_b,
              "marginal_error": err, "iterations": iters}
+    fallbacks = solver.fallbacks
     if debias:
         Ps, Qs, err_s, it_s = self_solver.run(P=Ps0, Q=Qs0, tol=tol,
                                               max_iter=max_iter)
         self_map = self_solver.barycentric(Qs)
+        fallbacks += self_solver.fallbacks
         state["PQ_self"] = (Ps, Qs)
         mesh = np.meshgrid(*axes_x, indexing="ij")
         nodes = np.stack(mesh, axis=-1) if mu.dim == 2 else mesh[0][:, None]
@@ -375,6 +378,7 @@ def solve_entropic_grid(mu, nu, epsilon, box=None, box_nu=None, side=128,
                         entropic_epsilon=float(epsilon),
                         details={"side": side, "marginal_error": err,
                                  "iterations": iters, "debias": debias,
+                                 "fallbacks": fallbacks,
                                  "box": box.to_dict(), "grid_map": gm})
     return (tmap, state) if return_state else tmap
 
@@ -451,7 +455,7 @@ def local_affine_jacobians(xs, ts, queries, k=None, cond_limit=1e3):
 
 
 def solve_entropic_sample(xs, ys, epsilon, schedule=None, tol=1e-5,
-                          max_iter=1500, debias=True, fit_k=None, block=4096):
+                          max_iter=1500, debias=True, fit_k=None):
     """Entropic map between uniform point clouds.
 
     The map is the debiased barycentric projection at the sample points,
@@ -459,6 +463,8 @@ def solve_entropic_sample(xs, ys, epsilon, schedule=None, tol=1e-5,
     local affine fits (rank-deficient neighborhoods raise FitError).
     The epsilon schedule warm starts the cross-transport potentials; the
     self-transport used for debiasing is only solved at the final epsilon.
+    Each stage holds one n x n float64 kernel (32 MB at 2000 points);
+    details count its exact-contraction fallbacks and absorptions.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -468,18 +474,27 @@ def solve_entropic_sample(xs, ys, epsilon, schedule=None, tol=1e-5,
     stages = sorted(set(stages), reverse=True)
     P = Q = None
     prev = None
+    counts = {"fallbacks": 0, "absorptions": 0}
+
+    def tally(solver):
+        counts["fallbacks"] += solver.fallbacks
+        counts["absorptions"] += solver.absorptions
+
     for eps in stages:
-        solver = entropic.SampleSinkhorn(xs, ys, eps, block=block)
         if prev is not None:
+            tally(solver)
             P, Q = entropic.rescale_potentials(P, Q, solver.log_a,
                                                solver.log_b, prev, eps)
+        solver = entropic.SampleSinkhorn(xs, ys, eps)
         P, Q, err, iters = solver.run(P=P, Q=Q, tol=tol, max_iter=max_iter)
         prev = eps
     raw = solver.barycentric(Q)
+    tally(solver)
     if debias:
-        self_solver = entropic.SampleSinkhorn(xs, xs, stages[-1], block=block)
+        self_solver = entropic.SampleSinkhorn(xs, xs, stages[-1])
         _, Qs, _, _ = self_solver.run(tol=tol, max_iter=max_iter)
         tvals = xs + raw - self_solver.barycentric(Qs)
+        tally(self_solver)
     else:
         tvals = raw
     tree = cKDTree(xs)
@@ -501,6 +516,7 @@ def solve_entropic_sample(xs, ys, epsilon, schedule=None, tol=1e-5,
                         details={"samples": xs.shape[0],
                                  "marginal_error": err, "iterations": iters,
                                  "debias": debias, "map_values": tvals,
+                                 **counts,
                                  "source_points": xs})
 
 
@@ -548,42 +564,63 @@ def monge_ampere_residual(transport_map, mu, nu, probes):
 
 
 def save_grid_map(path, transport_map):
-    """Write an entropic grid map as a flat text lattice."""
+    """Write an entropic grid map as a flat text lattice.
+
+    The lattice is written to a temporary file next to `path` and moved
+    into place, so a crash never leaves a truncated file under `path`.
+    """
     gm = transport_map.details.get("grid_map")
     if gm is None:
         raise DomainError("only grid-backed maps serialize to the lattice format")
-    with open(path, "w") as fh:
-        fh.write("transportlab-gridmap 1\n")
-        fh.write(f"dim {gm.dim}\n")
-        fh.write("shape " + " ".join(str(a.size) for a in gm.axes) + "\n")
-        for axis, a in enumerate(gm.axes):
-            fh.write(f"axis{axis} {float(a[0])!r} {float(a[-1])!r}\n")
-        fh.write(f"provenance {transport_map.provenance}\n")
-        eps = transport_map.entropic_epsilon
-        fh.write(f"epsilon {None if eps is None else float(eps)!r}\n")
-        fh.write("values\n")
-        flat = gm.values.reshape(-1, gm.dim)
-        for row in flat:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("transportlab-gridmap 1\n")
+            fh.write(f"dim {gm.dim}\n")
+            fh.write("shape " + " ".join(str(a.size) for a in gm.axes) + "\n")
+            for axis, a in enumerate(gm.axes):
+                fh.write(f"axis{axis} {float(a[0])!r} {float(a[-1])!r}\n")
+            fh.write(f"provenance {transport_map.provenance}\n")
+            eps = transport_map.entropic_epsilon
+            fh.write(f"epsilon {None if eps is None else float(eps)!r}\n")
+            fh.write("values\n")
+            flat = gm.values.reshape(-1, gm.dim)
+            for row in flat:
+                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_grid_map(path):
+    """Read a lattice written by save_grid_map; a malformed or truncated
+    file raises DomainError."""
     with open(path) as fh:
         header = fh.readline().split()
         if header[:1] != ["transportlab-gridmap"]:
             raise DomainError("not a grid-map lattice file")
-        dim = int(fh.readline().split()[1])
-        shape = [int(v) for v in fh.readline().split()[1:]]
-        axes = []
-        for axis in range(dim):
-            parts = fh.readline().split()
-            axes.append(np.linspace(float(parts[1]), float(parts[2]),
-                                    shape[axis]))
-        provenance = fh.readline().split()[1]
-        eps_txt = fh.readline().split()[1]
-        epsilon = None if eps_txt == "None" else float(eps_txt)
-        assert fh.readline().strip() == "values"
-        flat = np.loadtxt(fh).reshape(tuple(shape) + (dim,))
+        try:
+            dim = int(fh.readline().split()[1])
+            shape = [int(v) for v in fh.readline().split()[1:]]
+            axes = []
+            for axis in range(dim):
+                parts = fh.readline().split()
+                axes.append(np.linspace(float(parts[1]), float(parts[2]),
+                                        shape[axis]))
+            provenance = fh.readline().split()[1]
+            eps_txt = fh.readline().split()[1]
+            epsilon = None if eps_txt == "None" else float(eps_txt)
+            if fh.readline().strip() != "values":
+                raise DomainError(f"{path}: missing values header")
+            flat = np.loadtxt(fh, ndmin=2)
+        except (IndexError, ValueError) as exc:
+            raise DomainError(f"{path}: malformed lattice header or row "
+                              f"({exc})") from exc
+    if len(shape) != dim or flat.shape != (int(np.prod(shape)), dim):
+        raise DomainError(f"{path}: {flat.shape[0]} rows of width "
+                          f"{flat.shape[1]} disagree with shape {shape}, "
+                          f"dim {dim}")
     gm = GridMap(axes, flat)
     return TransportMap(dim, provenance, gm.eval, gm.jacobian,
                         entropic_epsilon=epsilon, details={"grid_map": gm})

@@ -244,7 +244,10 @@ def _entropic_stage_maps(cfg, mu, nu, box, box_nu=None):
         paths = [_cache_path(cfg.cache_dir, scenario_hash, eps, side)
                  for eps in schedule]
         if all(os.path.exists(p) for p in paths):
-            return [brenier.load_grid_map(p) for p in paths], schedule
+            try:
+                return [brenier.load_grid_map(p) for p in paths], schedule
+            except DomainError:
+                pass    # a damaged lattice is a miss: solve and rewrite
     maps = brenier.solve_entropic_schedule(mu, nu, schedule, box=box,
                                            box_nu=box_nu, side=side,
                                            debias=debias)

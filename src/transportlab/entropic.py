@@ -1,22 +1,30 @@
-"""Log-domain Sinkhorn solvers for quadratic-cost entropic transport.
-
-Grid route: measures live on tensor grids (dim <= 2); the quadratic cost
-separates per axis, so every logsumexp over the product index nests into
-two axis-wise logsumexp contractions. This keeps the 128 x 128 case inside
-a few (side)^3 tensors and never materializes the full cost matrix.
-
-Sample route: uniform weights on point clouds, blockwise logsumexp over
-cost rows computed on the fly.
+"""Sinkhorn solvers for quadratic-cost entropic transport.
 
 Conventions: cost c(x, y) = |x - y|^2 / 2, kernel exponent M = -c / eps.
 The plan is pi_ij = exp(M_ij + P_i + Q_j) where the scaled potentials P, Q
 absorb the log-weights; the true dual potentials are
 u = eps (P - log a), v = eps (Q - log b), which is how warm starts are
-carried across epsilon stages. Updates:
+carried across epsilon stages. One loop (`_Sinkhorn.run`) serves every
+kernel: P = log a - lse_q(Q), Q = log b - lse_p(P) with
+lse_q(Q)_i = LSE_j(M_ij + Q_j), lse_p(P)_j = LSE_i(M_ij + P_i), and the
+(exact) marginal identities give the convergence check.
 
-    P = log a - LSE_j(M + Q),   Q = log b - LSE_i(M + P),
+Kernels work in the scaling domain: a contraction is a BLAS product of
+max-shifted exponentials, log(exp(A - a_i) @ exp(H - h)) + a_i + h, so no
+factor exceeds 1. A shifted sum below TINY = exp(-600) may have lost its
+leading terms to underflow; each such entry is recomputed by the exact
+log-domain contraction and counted in `fallbacks`.
 
-and the (exact) marginal identities give the convergence check.
+Grid route: measures live on tensor grids (dim <= 2); the cost separates
+per axis, so a contraction runs axis by axis (last axis first) against
+side x side factors and never forms the full cost matrix.
+
+Sample route: uniform weights on point clouds. Per epsilon stage the
+stabilized kernel K = exp(M + P0 + Q0) is built once, an m x k float64
+array (32 MB at 2000 points each), and contractions are mat-vecs with
+exp(Q - Q0) or exp(P - P0). A potential that drifts more than DRIFT from
+its absorbed value is absorbed into P0 / Q0 and K is rebuilt, counted in
+`absorptions` (Schmitzer, arXiv:1610.06519).
 """
 
 from __future__ import annotations
@@ -25,14 +33,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-
-def _lse_matmul(A, H):
-    """R[i, r] = logsumexp_j (A[i, j] + H[j, r])."""
-    X = A[:, :, None] + H[None, :, :]
-    M = X.max(axis=1)
-    safe = np.where(np.isfinite(M), M, 0.0)
-    R = safe + np.log(np.exp(X - safe[:, None, :]).sum(axis=1))
-    return np.where(np.isfinite(M), R, -np.inf)
+TINY = np.exp(-600.0)
+DRIFT = 50.0
 
 
 def _lse_rows(X):
@@ -49,172 +51,170 @@ def _check_finite(S):
             "schedule ending at the target value")
 
 
-class GridSinkhorn2D:
-    """Separable log-domain Sinkhorn between two 2-d tensor-grid measures."""
-
-    def __init__(self, axes_x, axes_y, log_a, log_b, epsilon):
-        self.ax1, self.ax2 = axes_x
-        self.ay1, self.ay2 = axes_y
-        self.log_a = log_a          # (n1, n2)
-        self.log_b = log_b          # (k1, k2)
-        self.eps = float(epsilon)
-        self.M1 = -0.5 * (self.ax1[:, None] - self.ay1[None, :]) ** 2 / self.eps
-        self.M2 = -0.5 * (self.ax2[:, None] - self.ay2[None, :]) ** 2 / self.eps
-
-    def _lse_q(self, Q):
-        """S[i1, i2] = LSE_{j1, j2}(M1[i1,j1] + M2[i2,j2] + Q[j1,j2])."""
-        W = _lse_matmul(self.M2, Q.T).T        # (j1, i2)
-        return _lse_matmul(self.M1, W)
-
-    def _lse_p(self, P):
-        """T[j1, j2] = LSE_{i1, i2}(M1[i1,j1] + M2[i2,j2] + P[i1,i2])."""
-        Y = _lse_matmul(self.M2.T, P.T).T      # (i1, j2)
-        return _lse_matmul(self.M1.T, Y)
+class _Sinkhorn:
+    """The Sinkhorn loop shared by every kernel."""
 
     def run(self, P=None, Q=None, tol=1e-7, max_iter=2000, check_every=5):
         """Returns (P, Q, marginal_error, iterations)."""
-        if P is None:
-            P = self.log_a.copy()
-        if Q is None:
-            Q = self.log_b.copy()
+        P = self.log_a.copy() if P is None else P
+        Q = self.log_b.copy() if Q is None else Q
         err = np.inf
         for it in range(1, max_iter + 1):
-            S = self._lse_q(Q)
+            S = self.lse_q(Q)
             _check_finite(S)
             P = self.log_a - S
-            T = self._lse_p(P)
+            T = self.lse_p(P)
             _check_finite(T)
             err_b = np.abs(np.exp(T + Q) - np.exp(self.log_b)).sum()
             Q = self.log_b - T
             if it % check_every == 0 or err_b <= tol:
-                S2 = self._lse_q(Q)
+                S2 = self.lse_q(Q)
                 err_a = np.abs(np.exp(S2 + P) - np.exp(self.log_a)).sum()
                 err = max(err_a, err_b)
                 if err <= tol:
                     return P, Q, err, it
         raise ConvergenceError(
             f"Sinkhorn did not reach marginal error {tol} in {max_iter} "
-            f"iterations (last error {err:.3e})", residual=err)
-
-    def barycentric(self, Q):
-        """Row-normalized plan expectation of the target point.
-
-        Returns (n1, n2, 2) map values on the source grid; P cancels in the
-        normalization so only Q enters.
-        """
-        W = _lse_matmul(self.M2, Q.T).T                     # (j1, i2)
-        S = _lse_matmul(self.M1, W)                         # (i1, i2)
-        E1 = np.exp(self.M1[:, :, None] + W[None, :, :] - S[:, None, :])
-        T1 = np.einsum("ijr,j->ir", E1, self.ay1)
-        R = _lse_matmul(self.M1, Q)                         # (i1, j2)
-        E2 = np.exp(self.M2[None, :, :] + R[:, None, :] - S[:, :, None])
-        T2 = np.einsum("rij,j->ri", E2, self.ay2)
-        return np.stack([T1, T2], axis=-1)
+            f"iterations (last error {err:.3e})", residual=err,
+            epsilon=self.eps, iteration=max_iter)
 
 
-class GridSinkhorn1D:
-    def __init__(self, ax, ay, log_a, log_b, epsilon):
-        self.ax, self.ay = np.asarray(ax, float), np.asarray(ay, float)
+class _GridKernel(_Sinkhorn):
+    """Separable kernel on a tensor grid; one side x side factor per axis."""
+
+    def __init__(self, axes_x, axes_y, log_a, log_b, epsilon):
+        self.axes_y = [np.asarray(a, dtype=float) for a in axes_y]
         self.log_a, self.log_b = log_a, log_b
         self.eps = float(epsilon)
-        self.M = -0.5 * (self.ax[:, None] - self.ay[None, :]) ** 2 / self.eps
+        self.fallbacks = 0
+        Ms = [-0.5 * (np.asarray(x, dtype=float)[:, None] - y[None, :]) ** 2
+              / self.eps for x, y in zip(axes_x, self.axes_y)]
+        self._fwd = [self._factor(M) for M in Ms]
+        self._bwd = [self._factor(M.T) for M in Ms]
 
-    def run(self, P=None, Q=None, tol=1e-7, max_iter=2000, check_every=5):
-        if P is None:
-            P = self.log_a.copy()
-        if Q is None:
-            Q = self.log_b.copy()
-        err = np.inf
-        for it in range(1, max_iter + 1):
-            S = _lse_rows(self.M + Q[None, :])
-            _check_finite(S)
-            P = self.log_a - S
-            T = _lse_rows(self.M.T + P[None, :])
-            _check_finite(T)
-            err_b = np.abs(np.exp(T + Q) - np.exp(self.log_b)).sum()
-            Q = self.log_b - T
-            if it % check_every == 0 or err_b <= tol:
-                S2 = _lse_rows(self.M + Q[None, :])
-                err_a = np.abs(np.exp(S2 + P) - np.exp(self.log_a)).sum()
-                err = max(err_a, err_b)
-                if err <= tol:
-                    return P, Q, err, it
-        raise ConvergenceError(
-            f"Sinkhorn did not reach marginal error {tol} in {max_iter} "
-            f"iterations (last error {err:.3e})", residual=err)
+    @staticmethod
+    def _factor(A):
+        a = A.max(axis=1)
+        return A, np.exp(A - a[:, None]), a
+
+    def _contract(self, factor, H, axis, y=None):
+        """Contract `axis` of H against A: LSE_j(A_ij + H_j), or with y the
+        plan-weighted mean sum_j softmax_j(A_ij + H_j) y_j."""
+        A, E, a = factor
+        Hm = np.moveaxis(H, axis, 0)
+        H2 = Hm.reshape(Hm.shape[0], -1)
+        h = H2.max(axis=0)
+        h = np.where(np.isfinite(h), h, 0.0)
+        V = np.exp(H2 - h)
+        D = E @ V
+        with np.errstate(divide="ignore", invalid="ignore"):
+            R = np.log(D) + a[:, None] + h if y is None else (E * y) @ V / D
+        i, r = np.nonzero(~(D >= TINY))
+        if i.size:
+            L = A[i] + H2[:, r].T
+            S = _lse_rows(L)
+            R[i, r] = S if y is None else np.exp(L - S[:, None]) @ y
+            self.fallbacks += i.size
+        return np.moveaxis(R.reshape((-1,) + Hm.shape[1:]), 0, axis)
+
+    def _chain(self, factors, H, skip=None):
+        for axis in reversed(range(len(factors))):
+            if axis != skip:
+                H = self._contract(factors[axis], H, axis)
+        return H
+
+    def lse_q(self, Q):
+        return self._chain(self._fwd, Q)
+
+    def lse_p(self, P):
+        return self._chain(self._bwd, P)
 
     def barycentric(self, Q):
-        L = self.M + Q[None, :]
-        L = L - _lse_rows(L)[:, None]
-        return (np.exp(L) @ self.ay)[:, None]
+        """Row-normalized plan expectation of the target point, shape
+        source grid + (dim,); P cancels in the normalization."""
+        return np.stack([
+            self._contract(self._fwd[ax], self._chain(self._fwd, Q, skip=ax),
+                           ax, y=self.axes_y[ax])
+            for ax in range(len(self._fwd))], axis=-1)
 
 
-class SampleSinkhorn:
-    """Blockwise log-domain Sinkhorn between uniform point clouds."""
+class GridSinkhorn2D(_GridKernel):
+    """Separable Sinkhorn between two 2-d tensor-grid measures."""
 
-    def __init__(self, xs, ys, epsilon, block=4096):
+
+class GridSinkhorn1D(_GridKernel):
+    def __init__(self, ax, ay, log_a, log_b, epsilon):
+        super().__init__([ax], [ay], log_a, log_b, epsilon)
+
+
+class SampleSinkhorn(_Sinkhorn):
+    """Sinkhorn between uniform point clouds on a stabilized kernel."""
+
+    def __init__(self, xs, ys, epsilon):
         self.xs = np.asarray(xs, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
         self.eps = float(epsilon)
-        self.block = int(block)
-        self.log_a = -np.log(self.xs.shape[0])
-        self.log_b = -np.log(self.ys.shape[0])
+        self.log_a = np.full(self.xs.shape[0], -np.log(self.xs.shape[0]))
+        self.log_b = np.full(self.ys.shape[0], -np.log(self.ys.shape[0]))
         self._x2 = 0.5 * np.einsum("mi,mi->m", self.xs, self.xs) / self.eps
         self._y2 = 0.5 * np.einsum("mi,mi->m", self.ys, self.ys) / self.eps
-
-    def _lse_q(self, Q):
-        """S_i = LSE_j(M_ij + Q_j), M_ij = -c_ij / eps."""
-        out = np.empty(self.xs.shape[0])
-        q = Q - self._y2
-        for lo in range(0, self.xs.shape[0], self.block):
-            hi = min(lo + self.block, self.xs.shape[0])
-            G = (self.xs[lo:hi] @ self.ys.T) / self.eps
-            out[lo:hi] = _lse_rows(q[None, :] + G) - self._x2[lo:hi]
-        return out
-
-    def _lse_p(self, P):
-        out = np.empty(self.ys.shape[0])
-        p = P - self._x2
-        for lo in range(0, self.ys.shape[0], self.block):
-            hi = min(lo + self.block, self.ys.shape[0])
-            G = (self.ys[lo:hi] @ self.xs.T) / self.eps
-            out[lo:hi] = _lse_rows(p[None, :] + G) - self._y2[lo:hi]
-        return out
+        self.fallbacks = self.absorptions = 0
+        self._K = None
 
     def run(self, P=None, Q=None, tol=1e-5, max_iter=1500, check_every=8):
-        m, k = self.xs.shape[0], self.ys.shape[0]
-        if P is None:
-            P = np.full(m, self.log_a)
-        if Q is None:
-            Q = np.full(k, self.log_b)
-        err = np.inf
-        for it in range(1, max_iter + 1):
-            S = self._lse_q(Q)
-            _check_finite(S)
-            P = self.log_a - S
-            T = self._lse_p(P)
-            _check_finite(T)
-            err_b = np.abs(np.exp(T + Q) - np.exp(self.log_b)).sum()
-            Q = self.log_b - T
-            if it % check_every == 0 or err_b <= tol:
-                S2 = self._lse_q(Q)
-                err_a = np.abs(np.exp(S2 + P) - np.exp(self.log_a)).sum()
-                err = max(err_a, err_b)
-                if err <= tol:
-                    return P, Q, err, it
-        raise ConvergenceError(
-            f"Sinkhorn did not reach marginal error {tol} in {max_iter} "
-            f"iterations (last error {err:.3e})", residual=err)
+        return super().run(P, Q, tol, max_iter, check_every)
+
+    def _absorb(self, P0=None, Q0=None):
+        """K = exp(M + P0 + Q0), the side not given chosen so that each row
+        (column) of K peaks at exactly 1."""
+        self.absorptions += self._K is not None
+        G = self.xs @ self.ys.T
+        G /= self.eps
+        G -= self._x2[:, None]
+        G -= self._y2[None, :]
+        if Q0 is None:
+            G += P0[:, None]
+            Q0 = -G.max(axis=0)
+            G += Q0[None, :]
+        else:
+            G += Q0[None, :]
+            P0 = -G.max(axis=1)
+            G += P0[:, None]
+        self._K, self._P0, self._Q0 = np.exp(G, out=G), P0, Q0
+
+    def _contract(self, K, dH, R0, src, dst, h, src2, y=None):
+        """Rows of K = exp(M + R0 + H0) against exp(dH), dH = H - H0: the
+        contraction LSE_j(M_ij + H_j), or with y the plan-weighted mean of
+        the rows of y. h = H - |dst|^2 / 2 eps feeds the exact fallback."""
+        s = dH.max()
+        v = np.exp(dH - s)
+        D = K @ v
+        with np.errstate(divide="ignore", invalid="ignore"):
+            R = np.log(D) + s - R0 if y is None else \
+                K @ (v[:, None] * y) / D[:, None]
+        bad = np.flatnonzero(~(D >= TINY))
+        if bad.size:
+            L = h[None, :] + src[bad] @ dst.T / self.eps
+            S = _lse_rows(L)
+            R[bad] = S - src2[bad] if y is None else np.exp(L - S[:, None]) @ y
+            self.fallbacks += bad.size
+        return R
+
+    def lse_q(self, Q, y=None):
+        """LSE_j(M_ij + Q_j); with y, the plan-weighted mean of y's rows."""
+        if self._K is None or np.abs(Q - self._Q0).max() > DRIFT:
+            self._absorb(Q0=Q)
+        return self._contract(self._K, Q - self._Q0, self._P0, self.xs,
+                              self.ys, Q - self._y2, self._x2, y)
+
+    def lse_p(self, P):
+        if np.abs(P - self._P0).max() > DRIFT:
+            self._absorb(P0=P)
+        return self._contract(self._K.T, P - self._P0, self._Q0, self.ys,
+                              self.xs, P - self._x2, self._y2)
 
     def barycentric(self, Q):
-        out = np.empty_like(self.xs)
-        q = Q - self._y2
-        for lo in range(0, self.xs.shape[0], self.block):
-            hi = min(lo + self.block, self.xs.shape[0])
-            L = q[None, :] + (self.xs[lo:hi] @ self.ys.T) / self.eps
-            L = L - _lse_rows(L)[:, None]
-            out[lo:hi] = np.exp(L) @ self.ys
-        return out
+        return self.lse_q(Q, y=self.ys)
 
 
 def rescale_potentials(P, Q, log_a, log_b, eps_old, eps_new):

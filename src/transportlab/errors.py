@@ -18,11 +18,17 @@ class AccuracyError(TransportLabError):
 
 
 class ConvergenceError(TransportLabError):
-    """An iterative solver did not converge within its budget."""
+    """An iterative solver did not converge within its budget.
 
-    def __init__(self, message, residual=None):
+    `epsilon` is the regularization of the stage that failed and
+    `iteration` the last iteration it ran, where the solver knows them.
+    """
+
+    def __init__(self, message, residual=None, epsilon=None, iteration=None):
         super().__init__(message)
         self.residual = residual
+        self.epsilon = epsilon
+        self.iteration = iteration
 
 
 class DomainError(TransportLabError):

@@ -90,13 +90,6 @@ class FlowSchedule:
         return (self.t_max / self.steps) ** 4
 
 
-def flow_step_field(f, t, x, method="auto", order=64):
-    """Drift -grad log P_t f at the points x."""
-    ev = semigroup.apply(semigroup.SemigroupKind.ORNSTEIN_UHLENBECK, f, t, x,
-                         method=method, order=order)
-    return -ev.grad_log
-
-
 def _field_parts(f, t, x, method, order):
     ev = semigroup.apply(semigroup.SemigroupKind.ORNSTEIN_UHLENBECK, f, t, x,
                          method=method, order=order)

@@ -293,31 +293,6 @@ class Density:
             params={**self.params, "log_partition_folded": logz},
             family=None if self.family is None else self.family.shifted(-logz))
 
-    def spec_dict(self):
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "normalized": self.normalized,
-            "support_note": self.support_note,
-            "params": _jsonable(self.params),
-            "certificate": None if self.certificate is None
-            else self.certificate.to_dict(),
-        }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    return obj
-
 
 # ---------------------------------------------------------------------------
 # constructors

@@ -11,8 +11,6 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
-from .errors import AccuracyError
-
 
 def gauss_legendre_1d(a, b, order=32, panels=4):
     """Composite Gauss-Legendre nodes/weights on [a, b]."""
@@ -54,21 +52,6 @@ def integrate_box(fn, box, order=32, panels=4):
     """
     pts, w = box_gauss_legendre(box, order=order, panels=panels)
     return float(np.dot(w, fn(pts)))
-
-
-def integrate_box_checked(fn, box, order=32, panels=4, rtol=1e-8, atol=1e-12):
-    """Integrate with an order-doubling cross check.
-
-    Returns (value, error_estimate). Raises AccuracyError when the two
-    resolutions disagree beyond tolerance.
-    """
-    lo = integrate_box(fn, box, order=order, panels=panels)
-    hi = integrate_box(fn, box, order=order, panels=2 * panels)
-    err = abs(hi - lo)
-    if err > rtol * abs(hi) + atol:
-        raise AccuracyError(
-            f"quadrature cross-check failed: {lo!r} vs {hi!r}", estimate=err)
-    return hi, err
 
 
 def gauss_hermite(dim, order=64):

@@ -168,14 +168,6 @@ def _grid_multinomial(mu, box, count, rng, side=96):
 # pair bounds for a transport map between certified densities
 
 
-def _pair_rhs(alpha, kappa, dim, power):
-    if alpha is None or kappa is None:
-        raise DomainError("both alpha and kappa are needed for pair bounds")
-    if alpha <= 0 or kappa <= 0:
-        raise DomainError("alpha and kappa must be positive")
-    return float(dim ** power[0] * (alpha / kappa) ** power[1])
-
-
 def _map_provenance(transport_map):
     prov = {"solver": getattr(transport_map, "provenance", "unknown")}
     eps = getattr(transport_map, "entropic_epsilon", None)

@@ -139,6 +139,30 @@ def test_grid_map_roundtrip_through_lattice_file(tmp_path):
     assert np.allclose(loaded.jacobian(x), tmap.jacobian(x), atol=1e-12)
 
 
+def test_load_grid_map_rejects_damaged_lattices(tmp_path):
+    mu, nu = _pair()
+    box = TruncationBox.cube(2, 6.0)
+    tmap = brenier.solve_entropic_grid(mu, nu, 0.5, box=box, side=12)
+    path = tmp_path / "map.txt"
+    brenier.save_grid_map(path, tmap)
+    assert [p.name for p in tmp_path.iterdir()] == ["map.txt"]
+    lines = path.read_text().splitlines(keepends=True)
+    values_at = lines.index("values\n")
+    damaged = {
+        "no values header": lines[:values_at] + lines[values_at + 1:],
+        "truncated rows": lines[:values_at + 1 + 100],
+        "truncated header": lines[:3],
+        "cut mid-row": lines[:-1] + [lines[-1].split()[0] + "\n"],
+        "shape disagrees": [lines[0], lines[1], "shape 12 11\n"]
+        + lines[3:],
+    }
+    for name, text in damaged.items():
+        bad = tmp_path / "bad.txt"
+        bad.write_text("".join(text))
+        with pytest.raises(DomainError):
+            brenier.load_grid_map(bad)
+
+
 def test_save_grid_map_rejects_closed_form():
     mu, nu = _pair()
     tmap = brenier.solve_gaussian(mu, nu)

@@ -167,6 +167,25 @@ def test_entropic_cache_reuses_stage_maps(tmp_path):
     assert fresh == cached
 
 
+def test_damaged_cache_lattice_is_a_miss(tmp_path):
+    cache = tmp_path / "cache"
+    doc = _cfg(tmp_path, {"params": {"side": 32, "box_half": 2.4,
+                                     "box_half_nu": 2.4}})
+    args = ["scenario", "wehrl", "--config", doc,
+            "--epsilon-schedule", "0.5,0.12", "--cache", str(cache)]
+    assert main(args + ["--out", str(tmp_path / "fresh")]) == 0
+    victim = sorted(glob.glob(str(cache / "gridmap-*.txt")))[-1]
+    text = open(victim).read()
+    with open(victim, "w") as fh:
+        fh.write(text[:len(text) // 2])     # a crash mid-write, say
+    assert main(args + ["--out", str(tmp_path / "rerun")]) == 0
+    fresh = (tmp_path / "fresh" / "report.json").read_bytes()
+    assert (tmp_path / "rerun" / "report.json").read_bytes() == fresh
+    assert open(victim).read() == text      # the miss rewrote the lattice
+    assert glob.glob(str(cache / "*.tmp")) == []
+    assert b"fallbacks" not in fresh and b"absorptions" not in fresh
+
+
 def test_commands_registry_is_complete():
     assert set(cli._COMMAND_FNS) == set(cli.COMMANDS)
     assert cli.FORMATS == ("structured", "tabular", "plotdata")

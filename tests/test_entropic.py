@@ -1,0 +1,264 @@
+"""The scaling-domain Sinkhorn engine against an exact log-domain reference.
+
+The reference below is the plain log-domain solver: every contraction
+materializes the full logsumexp argument (a side^3 tensor on grids, cost
+rows in blocks on point clouds). It lives here only, as the oracle.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from transportlab import brenier, entropic
+from transportlab.errors import ConvergenceError
+from transportlab.measures import TruncationBox, gaussian
+
+ATOL = 1e-10
+
+
+def _lse_rows(X):
+    M = X.max(axis=1)
+    safe = np.where(np.isfinite(M), M, 0.0)
+    R = safe + np.log(np.exp(X - safe[:, None]).sum(axis=1))
+    return np.where(np.isfinite(M), R, -np.inf)
+
+
+def _lse_matmul(A, H):
+    """R[i, r] = logsumexp_j (A[i, j] + H[j, r]) over a full 3-d tensor."""
+    X = A[:, :, None] + H[None, :, :]
+    M = X.max(axis=1)
+    safe = np.where(np.isfinite(M), M, 0.0)
+    R = safe + np.log(np.exp(X - safe[:, None, :]).sum(axis=1))
+    return np.where(np.isfinite(M), R, -np.inf)
+
+
+def _kernel(ax, ay, eps):
+    return -0.5 * (ax[:, None] - ay[None, :]) ** 2 / eps
+
+
+class _RefGrid:
+    """Log-domain grid solver: axes_x, axes_y are lists of 1 or 2 axes."""
+
+    def __init__(self, axes_x, axes_y, log_a, log_b, eps):
+        self.Ms = [_kernel(x, y, eps) for x, y in zip(axes_x, axes_y)]
+        self.axes_y, self.log_a, self.log_b = axes_y, log_a, log_b
+
+    def lse_q(self, Q):
+        if len(self.Ms) == 1:
+            return _lse_matmul(self.Ms[0], Q[:, None])[:, 0]
+        M1, M2 = self.Ms
+        return _lse_matmul(M1, _lse_matmul(M2, Q.T).T)
+
+    def lse_p(self, P):
+        if len(self.Ms) == 1:
+            return _lse_matmul(self.Ms[0].T, P[:, None])[:, 0]
+        M1, M2 = self.Ms
+        return _lse_matmul(M1.T, _lse_matmul(M2.T, P.T).T)
+
+    def barycentric(self, Q):
+        if len(self.Ms) == 1:
+            L = self.Ms[0] + Q[None, :]
+            L = L - _lse_rows(L)[:, None]
+            return (np.exp(L) @ self.axes_y[0])[:, None]
+        (M1, M2), (ay1, ay2) = self.Ms, self.axes_y
+        W = _lse_matmul(M2, Q.T).T
+        S = _lse_matmul(M1, W)
+        E1 = np.exp(M1[:, :, None] + W[None, :, :] - S[:, None, :])
+        R = _lse_matmul(M1, Q)
+        E2 = np.exp(M2[None, :, :] + R[:, None, :] - S[:, :, None])
+        return np.stack([np.einsum("ijr,j->ir", E1, ay1),
+                         np.einsum("rij,j->ri", E2, ay2)], axis=-1)
+
+
+class _RefSample:
+    """Log-domain point-cloud solver with cost rows built in blocks."""
+
+    def __init__(self, xs, ys, eps, block=7):
+        self.xs, self.ys, self.eps, self.block = xs, ys, eps, block
+        self.log_a = np.full(xs.shape[0], -np.log(xs.shape[0]))
+        self.log_b = np.full(ys.shape[0], -np.log(ys.shape[0]))
+        self.x2 = 0.5 * (xs * xs).sum(axis=1) / eps
+        self.y2 = 0.5 * (ys * ys).sum(axis=1) / eps
+
+    def _rows(self, src, dst, h, src2, y=None):
+        out = np.empty((src.shape[0],) + (() if y is None else y.shape[1:]))
+        for lo in range(0, src.shape[0], self.block):
+            L = h[None, :] + src[lo:lo + self.block] @ dst.T / self.eps
+            S = _lse_rows(L)
+            out[lo:lo + self.block] = (S - src2[lo:lo + self.block]
+                                       if y is None
+                                       else np.exp(L - S[:, None]) @ y)
+        return out
+
+    def lse_q(self, Q):
+        return self._rows(self.xs, self.ys, Q - self.y2, self.x2)
+
+    def lse_p(self, P):
+        return self._rows(self.ys, self.xs, P - self.x2, self.y2)
+
+    def barycentric(self, Q):
+        return self._rows(self.xs, self.ys, Q - self.y2, self.x2, y=self.ys)
+
+
+def _ref_run(ref, P=None, Q=None, tol=1e-7, max_iter=2000, check_every=5):
+    P = ref.log_a.copy() if P is None else P
+    Q = ref.log_b.copy() if Q is None else Q
+    for it in range(1, max_iter + 1):
+        P = ref.log_a - ref.lse_q(Q)
+        T = ref.lse_p(P)
+        err_b = np.abs(np.exp(T + Q) - np.exp(ref.log_b)).sum()
+        Q = ref.log_b - T
+        if it % check_every == 0 or err_b <= tol:
+            S2 = ref.lse_q(Q)
+            err = max(np.abs(np.exp(S2 + P) - np.exp(ref.log_a)).sum(), err_b)
+            if err <= tol:
+                return P, Q, err, it
+    raise ConvergenceError("reference did not converge")
+
+
+def _log_weights(rng, shape):
+    w = rng.normal(size=shape) * 0.7
+    return w - np.log(np.exp(w).sum())
+
+
+def _assert_same(solver, ref, run_kwargs=None, ref_kwargs=None):
+    """Both solvers converge in the same number of iterations to the same
+    potentials, marginal error and barycentric map, or both fail to
+    converge. Returns the iteration count, None on a shared failure."""
+    kw = dict(run_kwargs or {})
+    try:
+        expect = _ref_run(ref, **{**kw, **(ref_kwargs or {})})
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            solver.run(**kw)
+        return None
+    P, Q, err, iters = solver.run(**kw)
+    assert iters == expect[3]
+    np.testing.assert_allclose(P, expect[0], rtol=0, atol=ATOL)
+    np.testing.assert_allclose(Q, expect[1], rtol=0, atol=ATOL)
+    assert abs(err - expect[2]) <= ATOL
+    np.testing.assert_allclose(solver.barycentric(Q),
+                               ref.barycentric(expect[1]), rtol=0, atol=ATOL)
+    return iters
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 40), st.integers(3, 40),
+       st.floats(0.05, 2.0), st.integers(0, 2**32 - 1))
+def test_grid_1d_matches_log_domain_reference(n, k, eps, seed):
+    rng = np.random.default_rng(seed)
+    ax = np.sort(rng.uniform(-2, 2, n))
+    ay = np.sort(rng.uniform(-2, 2, k))
+    la, lb = _log_weights(rng, n), _log_weights(rng, k)
+    _assert_same(entropic.GridSinkhorn1D(ax, ay, la, lb, eps),
+                 _RefGrid([ax], [ay], la, lb, eps), {"max_iter": 400})
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 9), st.integers(2, 9), st.integers(2, 9),
+       st.integers(2, 9), st.floats(0.05, 2.0), st.integers(0, 2**32 - 1))
+def test_grid_2d_matches_log_domain_reference(n1, n2, k1, k2, eps, seed):
+    rng = np.random.default_rng(seed)
+    axes_x = [np.linspace(-1.5, 1.0, n1), np.linspace(-1.0, 2.0, n2)]
+    axes_y = [np.linspace(-2.0, 1.2, k1), np.linspace(-0.5, 1.5, k2)]
+    la, lb = _log_weights(rng, (n1, n2)), _log_weights(rng, (k1, k2))
+    _assert_same(entropic.GridSinkhorn2D(axes_x, axes_y, la, lb, eps),
+                 _RefGrid(axes_x, axes_y, la, lb, eps), {"max_iter": 400})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 30), st.integers(2, 30), st.integers(1, 3),
+       st.floats(0.05, 2.0), st.integers(0, 2**32 - 1))
+def test_sample_matches_log_domain_reference(m, k, dim, eps, seed):
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(m, dim))
+    ys = rng.normal(size=(k, dim)) * 0.8 + 0.3
+    _assert_same(entropic.SampleSinkhorn(xs, ys, eps),
+                 _RefSample(xs, ys, eps),
+                 {"max_iter": 400},
+                 {"tol": 1e-5, "check_every": 8})
+
+
+def test_sample_warm_start_across_stages_matches_reference():
+    rng = np.random.default_rng(11)
+    xs = rng.normal(size=(60, 2)) * 1.5
+    ys = rng.normal(size=(50, 2))
+    P = Q = Pr = Qr = None
+    prev = None
+    for eps in (0.5, 0.2, 0.08):
+        solver, ref = entropic.SampleSinkhorn(xs, ys, eps), \
+            _RefSample(xs, ys, eps)
+        if prev is not None:
+            P, Q = entropic.rescale_potentials(P, Q, solver.log_a,
+                                               solver.log_b, prev, eps)
+            Pr, Qr = entropic.rescale_potentials(Pr, Qr, ref.log_a,
+                                                 ref.log_b, prev, eps)
+        P, Q, err, iters = solver.run(P=P, Q=Q)
+        Pr, Qr, err_r, iters_r = _ref_run(ref, P=Pr, Q=Qr, tol=1e-5,
+                                          max_iter=1500, check_every=8)
+        assert iters == iters_r
+        np.testing.assert_allclose(P, Pr, rtol=0, atol=ATOL)
+        np.testing.assert_allclose(Q, Qr, rtol=0, atol=ATOL)
+        prev = eps
+
+
+def test_grid_contraction_falls_back_when_peaks_are_far_apart():
+    # At eps 1e-3, A's row peak at x = -0.75 and H's column peak at
+    # y = +0.75 make every shifted product term underflow.
+    ax = np.linspace(-1.0, 1.0, 41)
+    Q = -500.0 * (ax - 0.75) ** 2
+    solver = entropic.GridSinkhorn1D(ax, ax, Q, Q, 1e-3)
+    got = solver.lse_q(Q)
+    assert solver.fallbacks > 0
+    expect = _lse_matmul(_kernel(ax, ax, 1e-3), Q[:, None])[:, 0]
+    np.testing.assert_allclose(got, expect, rtol=1e-14, atol=ATOL)
+
+
+def test_grid_solve_with_fallbacks_matches_reference():
+    ax = np.linspace(-1.0, 1.0, 41)
+    la = -40.0 * (ax + 0.75) ** 2
+    lb = -40.0 * (ax - 0.75) ** 2
+    la, lb = la - np.log(np.exp(la).sum()), lb - np.log(np.exp(lb).sum())
+    solver = entropic.GridSinkhorn1D(ax, ax, la, lb, 1e-3)
+    assert _assert_same(solver, _RefGrid([ax], [ax], la, lb, 1e-3))
+    assert solver.fallbacks > 0
+
+
+def test_sample_outlier_row_falls_back_and_matches_reference():
+    # K is built with its rows peaking at 1, so the far target point's row
+    # of the transposed kernel (a column of K) is what underflows.
+    rng = np.random.default_rng(2)
+    xs = rng.normal(size=(40, 2)) * 0.3
+    ys = rng.normal(size=(40, 2)) * 0.3
+    ys[0] = (6.0, -6.0)
+    solver = entropic.SampleSinkhorn(xs, ys, 0.02)
+    assert _assert_same(solver, _RefSample(xs, ys, 0.02), {"tol": 1e-3},
+                        {"max_iter": 1500, "check_every": 8})
+    assert solver.fallbacks > 0
+    assert solver.absorptions > 0
+
+
+def test_convergence_error_carries_epsilon_and_iteration():
+    rng = np.random.default_rng(0)
+    xs = rng.normal(size=(30, 2))
+    solver = entropic.SampleSinkhorn(xs, xs + 1.0, 0.05)
+    with pytest.raises(ConvergenceError) as info:
+        solver.run(max_iter=1)
+    assert info.value.epsilon == 0.05
+    assert info.value.iteration == 1
+    assert info.value.residual > 1e-5
+
+
+def test_solvers_report_fallback_counters_in_details():
+    mu = gaussian([0.0, 0.0], np.eye(2))
+    nu = gaussian([0.3, 0.0], 0.5 * np.eye(2))
+    grid = brenier.solve_entropic_grid(mu, nu, 0.3, box=TruncationBox.cube(
+        2, 4.0), side=24)
+    assert grid.details["fallbacks"] == 0
+    rng = np.random.default_rng(1)
+    sample = brenier.solve_entropic_sample(rng.normal(size=(80, 2)),
+                                           rng.normal(size=(80, 2)), 0.2,
+                                           schedule=(0.5,))
+    assert sample.details["fallbacks"] == 0
+    assert sample.details["absorptions"] == 0
