@@ -186,93 +186,61 @@ def _stats_or_raise(transport_map, probes):
     return stats
 
 
-def check_trace_bound(transport_map, alpha, kappa, probes, slack=None,
-                      epsilon_trend=None, extra_provenance=None):
+def _jacobian_check(bound_name, statistic, rhs, transport_map, alpha, kappa,
+                    probes, slack):
+    """sup over the probes of one Jacobian statistic against rhs(n)."""
+    probes = np.atleast_2d(np.asarray(probes, dtype=float))
+    stats = _stats_or_raise(transport_map, probes)
+    return make_certificate(
+        bound_name, rhs(probes.shape[1]),
+        float(getattr(stats, statistic).max()), slack,
+        _map_provenance(transport_map), probes.shape[0],
+        details={"alpha": alpha, "kappa": kappa,
+                 "max_asymmetry": float(stats.asymmetry.max())})
+
+
+def check_trace_bound(transport_map, alpha, kappa, probes, slack=None):
     """sup of the map's Jacobian trace against n sqrt(alpha/kappa)."""
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    n = probes.shape[1]
-    stats = _stats_or_raise(transport_map, probes)
-    rhs = n * np.sqrt(alpha / kappa)
-    prov = {**_map_provenance(transport_map), **(extra_provenance or {})}
-    if slack is None:
-        slack = slack_for(prov["solver"])
-    return make_certificate(
-        "trace", rhs, float(stats.trace.max()), slack, prov, probes.shape[0],
-        epsilon_trend=epsilon_trend,
-        details={"alpha": alpha, "kappa": kappa,
-                 "max_asymmetry": float(stats.asymmetry.max())})
+    return _jacobian_check("trace", "trace",
+                           lambda n: n * np.sqrt(alpha / kappa),
+                           transport_map, alpha, kappa, probes, slack)
 
 
-def check_lipschitz_bound(transport_map, alpha, kappa, probes, slack=None,
-                          epsilon_trend=None, extra_provenance=None):
+def check_lipschitz_bound(transport_map, alpha, kappa, probes, slack=None):
     """sup of the Jacobian operator norm against n sqrt(alpha/kappa)."""
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    n = probes.shape[1]
-    stats = _stats_or_raise(transport_map, probes)
-    rhs = n * np.sqrt(alpha / kappa)
-    prov = {**_map_provenance(transport_map), **(extra_provenance or {})}
-    if slack is None:
-        slack = slack_for(prov["solver"])
-    return make_certificate(
-        "lipschitz", rhs, float(stats.operator_norm.max()), slack, prov,
-        probes.shape[0], epsilon_trend=epsilon_trend,
-        details={"alpha": alpha, "kappa": kappa,
-                 "max_asymmetry": float(stats.asymmetry.max())})
+    return _jacobian_check("lipschitz", "operator_norm",
+                           lambda n: n * np.sqrt(alpha / kappa),
+                           transport_map, alpha, kappa, probes, slack)
 
 
-def check_determinant_bound(transport_map, alpha, kappa, probes, slack=None,
-                            epsilon_trend=None, extra_provenance=None):
+def check_determinant_bound(transport_map, alpha, kappa, probes, slack=None):
     """sup of the Jacobian determinant against (alpha/kappa)^(n/2)."""
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    n = probes.shape[1]
-    stats = _stats_or_raise(transport_map, probes)
-    rhs = (alpha / kappa) ** (n / 2.0)
-    prov = {**_map_provenance(transport_map), **(extra_provenance or {})}
-    if slack is None:
-        slack = slack_for(prov["solver"])
-    return make_certificate(
-        "determinant", rhs, float(stats.determinant.max()), slack, prov,
-        probes.shape[0], epsilon_trend=epsilon_trend,
-        details={"alpha": alpha, "kappa": kappa,
-                 "max_asymmetry": float(stats.asymmetry.max())})
+    return _jacobian_check("determinant", "determinant",
+                           lambda n: (alpha / kappa) ** (n / 2.0),
+                           transport_map, alpha, kappa, probes, slack)
 
 
-def check_lp_moment_bound(transport_map, alpha, kappa, p, mu, box=None,
-                          quad_points=None, quad_weights=None, order=32,
-                          panels=4, samples=None, slack=None,
-                          epsilon_trend=None, extra_provenance=None):
+def check_lp_moment_bound(transport_map, alpha, kappa, p, mu, box, order=32,
+                          panels=4, slack=None):
     """L^(p+1)(mu) norm of (trace J)^2 against n^2 alpha / kappa.
 
-    Integrates against mu with a tensor Gauss-Legendre rule on the box for
-    dim <= 2; above that the caller supplies mu-distributed samples and the
-    integral becomes a sample mean.
+    Integrates against mu with a tensor Gauss-Legendre rule on the box,
+    so mu must have dim <= 2.
     """
     if p <= 0:
         raise DomainError("p must be positive")
-    if quad_points is None:
-        if samples is not None:
-            quad_points = np.atleast_2d(np.asarray(samples, dtype=float))
-            quad_weights = np.full(quad_points.shape[0],
-                                   1.0 / quad_points.shape[0])
-        elif box is not None and mu.dim <= 2:
-            pts, w = quadrature.box_gauss_legendre(box, order=order,
-                                                   panels=panels)
-            dens = np.exp(mu.logpdf(pts))
-            quad_points, quad_weights = pts, w * dens
-        else:
-            raise DomainError("need a box (dim <= 2) or mu samples")
-    n = quad_points.shape[1]
-    stats = _stats_or_raise(transport_map, quad_points)
+    if mu.dim > 2:
+        raise DomainError("the moment quadrature needs a box of dim <= 2")
+    pts, w = quadrature.box_gauss_legendre(box, order=order, panels=panels)
+    weights = w * np.exp(mu.logpdf(pts))
+    stats = _stats_or_raise(transport_map, pts)
     integrand = stats.trace ** (2.0 * (p + 1.0))
-    total_mass = float(np.sum(quad_weights))
-    moment = float(np.dot(quad_weights, integrand)) / total_mass
+    total_mass = float(np.sum(weights))
+    moment = float(np.dot(weights, integrand)) / total_mass
     observed = moment ** (1.0 / (p + 1.0))
-    rhs = n ** 2 * alpha / kappa
-    prov = {**_map_provenance(transport_map), **(extra_provenance or {})}
-    if slack is None:
-        slack = slack_for(prov["solver"])
+    rhs = pts.shape[1] ** 2 * alpha / kappa
     return make_certificate(
-        "lp_moment", rhs, observed, slack, prov, quad_points.shape[0],
-        epsilon_trend=epsilon_trend,
+        "lp_moment", rhs, observed, slack, _map_provenance(transport_map),
+        pts.shape[0],
         details={"alpha": alpha, "kappa": kappa, "p": p,
                  "quadrature_mass": total_mass})

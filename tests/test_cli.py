@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from transportlab import cli
+from transportlab import cli, scenarios
 from transportlab.cli import (RunConfig, RunReport, _downgrade, _parse_args,
                               _resolve_config, main, run)
 from transportlab.errors import DomainError
@@ -98,15 +98,79 @@ def test_downgrade_only_touches_passing_certificates():
     assert kept["verdict"] == "fail"
 
 
+KINDS = ("gaussian", "anisotropic", "wehrl", "coulomb", "fock", "lsh",
+         "flow")
+
+# (command, scenario) -> the checks the table selects at default params
+SUITE_MATRIX = {
+    ("verify", "gaussian"): {"bounds"},
+    ("verify", "anisotropic"): {"lipschitz_limit"},
+    ("verify", "wehrl"): {"bounds"},
+    ("verify", "coulomb"): {"laplacian"},
+    ("verify", "fock"): {"growth_direct"},
+    ("verify", "lsh"): {"growth_direct"},
+    ("geodesic", "gaussian"): {"geodesic"},
+    ("geodesic", "wehrl"): {"geodesic"},
+    ("heatflow", "flow"): {"contraction"},
+    ("scenario", "gaussian"): {"bounds", "geodesic"},
+    ("scenario", "anisotropic"): {"lipschitz_limit"},
+    ("scenario", "wehrl"): {"bounds", "geodesic"},
+    ("scenario", "coulomb"): {"laplacian", "sample_route"},
+    ("scenario", "fock"): {"growth_direct"},
+    ("scenario", "lsh"): {"growth_direct"},
+    ("scenario", "flow"): {"contraction"},
+}
+
+REJECTED_PAIRS = [(command, name)
+                  for command in ("verify", "geodesic", "heatflow",
+                                  "scenario")
+                  for name in KINDS if (command, name) not in SUITE_MATRIX]
+
+
+def _selected(command, name, params=None, epsilon_schedule=None):
+    cfg = RunConfig(command=command, scenario=name, params=params or {},
+                    epsilon_schedule=epsilon_schedule)
+    built = scenarios.SCENARIO_BUILDERS[name](cfg.params)
+    return {check for check, _ in cli._checks_for(cfg, built)}
+
+
+def test_check_table_matrix():
+    assert len(SUITE_MATRIX) == 16 and len(REJECTED_PAIRS) == 12
+    for (command, name), expected in SUITE_MATRIX.items():
+        assert _selected(command, name) == expected, (command, name)
+    for command, name in REJECTED_PAIRS:
+        with pytest.raises(DomainError, match=f"has no {command} suite"):
+            _selected(command, name)
+    # the wehrl entropic route swaps the scenario's geodesic for the
+    # quadrature majorization; the geodesic command stays radial
+    for route in ({"params": {"solver": "entropic_grid"}},
+                  {"epsilon_schedule": (0.5, 0.1)}):
+        assert _selected("verify", "wehrl", **route) == {"bounds"}
+        assert _selected("geodesic", "wehrl", **route) == {"geodesic"}
+        assert _selected("scenario", "wehrl", **route) == {
+            "bounds", "majorization"}
+    # scenario runs the geodesic only when alpha <= kappa
+    narrow_source = {"sigma_source": 0.5, "sigma_target": 1.0}
+    assert _selected("scenario", "gaussian", narrow_source) == {"bounds"}
+    assert _selected("geodesic", "gaussian", narrow_source) == {"geodesic"}
+    assert _selected("scenario", "coulomb", {"sample_route": False}) == {
+        "laplacian"}
+
+
 def test_main_maps_usage_and_execution_errors_to_3(tmp_path, capsys):
     assert main(["verify", "no_such_scenario"]) == 3
     assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 3
     assert main(["verify", "--bogus-flag"]) == 3
     assert main([]) == 3
     assert main(["--help"]) == 0
-    # flow pairs have no transport verify suite; that is an execution error
-    assert main(["verify", "flow"]) == 3
     capsys.readouterr()
+    # a pair the check table has no suite for is a typed execution error
+    # raised before any check runs, so no report is written
+    for command, name in REJECTED_PAIRS:
+        out = tmp_path / f"{command}-{name}"
+        assert main([command, name, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: DomainError")
+        assert not (out / "report.json").exists()
 
 
 def test_verify_gaussian_report_is_deterministic(tmp_path):
@@ -189,3 +253,42 @@ def test_damaged_cache_lattice_is_a_miss(tmp_path):
 def test_commands_registry_is_complete():
     assert set(cli._COMMAND_FNS) == set(cli.COMMANDS)
     assert cli.FORMATS == ("structured", "tabular", "plotdata")
+
+
+def test_radial_solve_failure_is_each_checks_error(tmp_path):
+    # an off-centre state has no radial route; every command still writes
+    # a report naming the checks whose solve failed
+    doc = _cfg(tmp_path, {"params": {"center": [0.3, -0.2]}})
+    for command, failed in (("verify", ["bounds"]),
+                            ("geodesic", ["geodesic"]),
+                            ("scenario", ["bounds", "geodesic"])):
+        out = tmp_path / command
+        assert main([command, "wehrl", "--config", doc,
+                     "--out", str(out)]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert [e["check"] for e in report["errors"]] == failed
+        for err in report["errors"]:
+            assert err["error"].startswith(
+                "DomainError: no closed or radial route")
+        assert report["certificates"] == []
+        assert report["exit_code"] == 3
+
+
+def test_cache_key_ignores_command_and_seed(tmp_path):
+    cache = tmp_path / "cache"
+    doc = _cfg(tmp_path, {"params": {"side": 32, "box_half": 2.4,
+                                     "box_half_nu": 2.4}})
+    common = ["wehrl", "--config", doc, "--epsilon-schedule", "0.5,0.12"]
+    assert main(["scenario", *common, "--seed", "0",
+                 "--cache", str(cache)]) == 0
+    written = {p: os.path.getmtime(p)
+               for p in glob.glob(str(cache / "gridmap-*.txt"))}
+    assert len(written) == 2
+    assert main(["verify", *common, "--seed", "1", "--cache", str(cache),
+                 "--out", str(tmp_path / "cached")]) == 0
+    assert {p: os.path.getmtime(p)
+            for p in glob.glob(str(cache / "gridmap-*.txt"))} == written
+    assert main(["verify", *common, "--seed", "1",
+                 "--out", str(tmp_path / "fresh")]) == 0
+    assert (tmp_path / "cached" / "report.json").read_bytes() == \
+        (tmp_path / "fresh" / "report.json").read_bytes()
