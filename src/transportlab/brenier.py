@@ -16,6 +16,7 @@ neighbors. The Monge-Ampere residual log rho_mu(x) - log rho_nu(T x)
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -325,96 +326,62 @@ def _logsumexp(a):
     return m + np.log(np.exp(a - m).sum())
 
 
-def solve_entropic_grid(mu, nu, epsilon, box=None, box_nu=None, side=128,
-                        tol=1e-7, max_iter=2000, debias=True, warm=None,
-                        return_state=False):
-    """Entropic map between grid-discretized densities.
+def _check_schedule(schedule):
+    schedule = [float(e) for e in schedule]
+    if not schedule or any(b >= a for a, b in zip(schedule, schedule[1:])):
+        raise DomainError("epsilon schedule must strictly decrease")
+    return schedule
 
-    Densities are renormalized on their boxes; the barycentric projection
-    is debiased by the self-transport correction
-    T(x) := x + (T_{mu->nu}(x) - T_{mu->mu}(x)). Potentials can be warm
-    started (see solve_entropic_schedule).
-    """
-    if box is None:
-        raise DomainError("an explicit box is required")
-    if box_nu is None:
-        box_nu = box
-    if mu.dim not in (1, 2):
-        raise DomainError("grid route is limited to dim <= 2")
-    axes_x, log_a = grid_measure(mu, box, side)
-    axes_y, log_b = grid_measure(nu, box_nu, side)
-    if mu.dim == 2:
-        solver = entropic.GridSinkhorn2D(axes_x, axes_y, log_a, log_b, epsilon)
-        self_solver = entropic.GridSinkhorn2D(axes_x, axes_x, log_a, log_a,
-                                              epsilon) if debias else None
-    else:
-        solver = entropic.GridSinkhorn1D(axes_x[0], axes_y[0], log_a, log_b,
-                                         epsilon)
-        self_solver = entropic.GridSinkhorn1D(axes_x[0], axes_x[0], log_a,
-                                              log_a, epsilon) if debias else None
-    P0 = Q0 = Ps0 = Qs0 = None
-    if warm is not None:
-        P0, Q0 = warm.get("PQ", (None, None))
-        Ps0, Qs0 = warm.get("PQ_self", (None, None))
-    P, Q, err, iters = solver.run(P=P0, Q=Q0, tol=tol, max_iter=max_iter)
-    raw = solver.barycentric(Q)
-    state = {"PQ": (P, Q), "log_a": log_a, "log_b": log_b,
-             "marginal_error": err, "iterations": iters}
-    fallbacks = solver.fallbacks
-    if debias:
-        Ps, Qs, err_s, it_s = self_solver.run(P=Ps0, Q=Qs0, tol=tol,
-                                              max_iter=max_iter)
-        self_map = self_solver.barycentric(Qs)
-        fallbacks += self_solver.fallbacks
-        state["PQ_self"] = (Ps, Qs)
-        mesh = np.meshgrid(*axes_x, indexing="ij")
-        nodes = np.stack(mesh, axis=-1) if mu.dim == 2 else mesh[0][:, None]
-        values = nodes + (raw.reshape(nodes.shape)
-                          - self_map.reshape(nodes.shape))
-    else:
-        values = raw
-    gm = GridMap(axes_x, values)
-    tmap = TransportMap(mu.dim, "entropic_grid", gm.eval, gm.jacobian,
-                        entropic_epsilon=float(epsilon),
-                        details={"side": side, "marginal_error": err,
-                                 "iterations": iters, "debias": debias,
-                                 "fallbacks": fallbacks,
-                                 "box": box.to_dict(), "grid_map": gm})
-    return (tmap, state) if return_state else tmap
+
+def _grid_solver(axes_x, axes_y, log_a, log_b):
+    """epsilon -> the grid Sinkhorn between two measures of one dimension."""
+    if len(axes_x) == 2:
+        return lambda eps: entropic.GridSinkhorn2D(axes_x, axes_y, log_a,
+                                                   log_b, eps)
+    return lambda eps: entropic.GridSinkhorn1D(axes_x[0], axes_y[0], log_a,
+                                               log_b, eps)
 
 
 def solve_entropic_schedule(mu, nu, schedule, box=None, box_nu=None, side=128,
                             tol=1e-7, max_iter=2000, debias=True):
-    """Run a decreasing epsilon schedule with warm starts.
+    """Entropic maps between grid-discretized densities, one per epsilon.
 
-    Returns the list of per-stage TransportMaps (one per epsilon).
+    Densities are renormalized on their boxes. The schedule must strictly
+    decrease; each stage warm starts from the last (entropic.continuation).
+    With debias the self-transport runs along the same schedule and
+    corrects the barycentric projection:
+    T(x) := x + (T_{mu->nu}(x) - T_{mu->mu}(x)).
+    Returns the list of per-stage TransportMaps.
     """
-    schedule = [float(e) for e in schedule]
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise DomainError("epsilon schedule must strictly decrease")
+    schedule = _check_schedule(schedule)
+    if box is None:
+        raise DomainError("an explicit box is required")
+    if mu.dim not in (1, 2):
+        raise DomainError("grid route is limited to dim <= 2")
+    axes_x, log_a = grid_measure(mu, box, side)
+    axes_y, log_b = grid_measure(nu, box if box_nu is None else box_nu, side)
+    cross = entropic.continuation(_grid_solver(axes_x, axes_y, log_a, log_b),
+                                  schedule, tol, max_iter)
+    own = entropic.continuation(_grid_solver(axes_x, axes_x, log_a, log_a),
+                                schedule, tol, max_iter) if debias \
+        else itertools.repeat(None)
+    nodes = np.stack(np.meshgrid(*axes_x, indexing="ij"), axis=-1)
     maps = []
-    warm = None
-    prev_eps = None
-    for eps in schedule:
-        if warm is not None:
-            la, lb = warm["log_a"], warm["log_b"]
-            P, Q = entropic.rescale_potentials(*warm["PQ"], la, lb,
-                                               prev_eps, eps)
-            w = {"PQ": (P, Q)}
-            if "PQ_self" in warm:
-                Ps, Qs = entropic.rescale_potentials(*warm["PQ_self"], la, la,
-                                                     prev_eps, eps)
-                w["PQ_self"] = (Ps, Qs)
-            warm_arg = w
-        else:
-            warm_arg = None
-        tmap, state = solve_entropic_grid(mu, nu, eps, box=box, box_nu=box_nu,
-                                          side=side, tol=tol, max_iter=max_iter,
-                                          debias=debias, warm=warm_arg,
-                                          return_state=True)
-        maps.append(tmap)
-        warm = state
-        prev_eps = eps
+    for (solver, Q, err, iters), stage in zip(cross, own):
+        values = solver.barycentric(Q)
+        fallbacks = solver.fallbacks
+        if stage is not None:
+            self_solver, Qs, _, _ = stage
+            values = nodes + (values - self_solver.barycentric(Qs))
+            fallbacks += self_solver.fallbacks
+        gm = GridMap(axes_x, values)
+        maps.append(TransportMap(
+            mu.dim, "entropic_grid", gm.eval, gm.jacobian,
+            entropic_epsilon=solver.eps,
+            details={"side": side, "marginal_error": err,
+                     "iterations": iters, "debias": debias,
+                     "fallbacks": fallbacks, "box": box.to_dict(),
+                     "grid_map": gm}))
     return maps
 
 
@@ -454,49 +421,39 @@ def local_affine_jacobians(xs, ts, queries, k=None, cond_limit=1e3):
     return J, ok
 
 
-def solve_entropic_sample(xs, ys, epsilon, schedule=None, tol=1e-5,
-                          max_iter=1500, debias=True, fit_k=None):
+def solve_entropic_sample(xs, ys, schedule, tol=1e-5, max_iter=1500,
+                          debias=True):
     """Entropic map between uniform point clouds.
 
     The map is the debiased barycentric projection at the sample points,
     extended off-sample by nearest-neighbor lookup; Jacobians come from
     local affine fits (rank-deficient neighborhoods raise FitError).
-    The epsilon schedule warm starts the cross-transport potentials; the
-    self-transport used for debiasing is only solved at the final epsilon.
-    Each stage holds one n x n float64 kernel (32 MB at 2000 points);
-    details count its exact-contraction fallbacks and absorptions.
+    The cross-transport runs the strictly decreasing epsilon schedule with
+    warm starts; the self-transport used for debiasing is only solved at
+    the final epsilon. Each stage holds one n x n float64 kernel (32 MB at
+    2000 points); details count its exact-contraction fallbacks and
+    absorptions.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape[1] != ys.shape[1]:
         raise DomainError("sample clouds disagree in dimension")
-    stages = [float(e) for e in (schedule or [])] + [float(epsilon)]
-    stages = sorted(set(stages), reverse=True)
-    P = Q = None
-    prev = None
+    schedule = _check_schedule(schedule)
     counts = {"fallbacks": 0, "absorptions": 0}
 
-    def tally(solver):
-        counts["fallbacks"] += solver.fallbacks
-        counts["absorptions"] += solver.absorptions
+    def final_map(targets, stages):
+        """Barycentric map at the last stage; every stage adds its counters."""
+        for solver, Q, err, iters in entropic.continuation(
+                lambda eps: entropic.SampleSinkhorn(xs, targets, eps), stages,
+                tol, max_iter):
+            if solver.eps == stages[-1]:
+                values = solver.barycentric(Q)
+            counts["fallbacks"] += solver.fallbacks
+            counts["absorptions"] += solver.absorptions
+        return values, err, iters
 
-    for eps in stages:
-        if prev is not None:
-            tally(solver)
-            P, Q = entropic.rescale_potentials(P, Q, solver.log_a,
-                                               solver.log_b, prev, eps)
-        solver = entropic.SampleSinkhorn(xs, ys, eps)
-        P, Q, err, iters = solver.run(P=P, Q=Q, tol=tol, max_iter=max_iter)
-        prev = eps
-    raw = solver.barycentric(Q)
-    tally(solver)
-    if debias:
-        self_solver = entropic.SampleSinkhorn(xs, xs, stages[-1])
-        _, Qs, _, _ = self_solver.run(tol=tol, max_iter=max_iter)
-        tvals = xs + raw - self_solver.barycentric(Qs)
-        tally(self_solver)
-    else:
-        tvals = raw
+    raw, err, iters = final_map(ys, schedule)
+    tvals = xs + raw - final_map(xs, schedule[-1:])[0] if debias else raw
     tree = cKDTree(xs)
 
     def eval_fn(x):
@@ -504,15 +461,15 @@ def solve_entropic_sample(xs, ys, epsilon, schedule=None, tol=1e-5,
         return tvals[idx]
 
     def jacobian_fn(x):
-        J, ok = local_affine_jacobians(xs, tvals, x, k=fit_k)
+        J, ok = local_affine_jacobians(xs, tvals, x)
         if not np.all(ok):
             raise FitError(
                 f"{int((~ok).sum())} rank-deficient local fits; "
-                "exclude those probes or raise k")
+                "exclude those probes")
         return J
 
     return TransportMap(xs.shape[1], "entropic_sample", eval_fn, jacobian_fn,
-                        entropic_epsilon=float(stages[-1]),
+                        entropic_epsilon=schedule[-1],
                         details={"samples": xs.shape[0],
                                  "marginal_error": err, "iterations": iters,
                                  "debias": debias, "map_values": tvals,

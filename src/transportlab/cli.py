@@ -31,6 +31,7 @@ import json
 import math
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -287,6 +288,21 @@ def _solve_closed_or_radial(cfg, mu, nu):
                       f"on kinds {mu.kind}/{nu.kind}")
 
 
+def _shared_solve(cfg, mu, nu):
+    """One closed or radial solve for all checks of a run: the first call
+    solves under a lock and later calls reuse the map. A failed solve is
+    not kept, so every check that asks records its own error."""
+    lock = threading.Lock()
+    solved = []
+
+    def solve():
+        with lock:
+            if not solved:
+                solved.append(_solve_closed_or_radial(cfg, mu, nu))
+        return solved[0]
+    return solve
+
+
 # ---------------------------------------------------------------------------
 # checks
 
@@ -306,25 +322,30 @@ def _growth_direct(cfg, built):
     return {"certificates": [cert]}
 
 
-def _bound_suite(cfg, mu, nu, default_half, lp_power):
-    """Trace, Lipschitz, determinant and moment bounds on the exact map."""
+def _bound_suite(cfg, mu, nu, solve, default_half, lp_power):
+    """Trace, Lipschitz, determinant and moment bounds on the exact map.
+
+    The moment bound's tensor quadrature covers dim <= 2 only; above that
+    the suite carries the three pointwise certificates alone.
+    """
     alpha, kappa = _pair_constants(mu, nu)
-    tmap = _solve_closed_or_radial(cfg, mu, nu)
+    tmap = solve()
     box = _box_for(cfg, mu, default_half)
     probes = probe_points(mu, box, seed=cfg.seed)
     certs = [
         verify.check_trace_bound(tmap, alpha, kappa, probes),
         verify.check_lipschitz_bound(tmap, alpha, kappa, probes),
         verify.check_determinant_bound(tmap, alpha, kappa, probes),
-        verify.check_lp_moment_bound(tmap, alpha, kappa, lp_power, mu,
-                                     box=box),
     ]
+    if mu.dim <= 2:
+        certs.append(verify.check_lp_moment_bound(tmap, alpha, kappa,
+                                                  lp_power, mu, box=box))
     return certs, tmap, probes
 
 
-def _verify_gaussian(cfg, mu, nu):
+def _verify_gaussian(cfg, mu, nu, solve):
     certs, tmap, probes = _bound_suite(
-        cfg, mu, nu, 6.0, float(cfg.params.get("lp_power", 1.0)))
+        cfg, mu, nu, solve, 6.0, float(cfg.params.get("lp_power", 1.0)))
     res = brenier.monge_ampere_residual(tmap, mu, nu, probes)
     return {"certificates": certs,
             "summaries": {"monge_ampere_sup_residual": res.sup_abs}}
@@ -354,9 +375,9 @@ def _verify_anisotropic(cfg, built):
     }
 
 
-def _wehrl_radial_bounds(cfg, mu, nu):
+def _wehrl_radial_bounds(cfg, mu, nu, solve):
     # box corners must stay inside the radial map's resolved radius
-    return {"certificates": _bound_suite(cfg, mu, nu, 2.25, 1.0)[0]}
+    return {"certificates": _bound_suite(cfg, mu, nu, solve, 2.25, 1.0)[0]}
 
 
 def _wehrl_entropic_bounds(cfg, mu, nu):
@@ -408,8 +429,8 @@ def _verify_coulomb(cfg, built):
             "summaries": {"exchangeability_error": swap_err}}
 
 
-def _geodesic_suite(cfg, mu, nu, default_half):
-    tmap = _solve_closed_or_radial(cfg, mu, nu)
+def _geodesic_suite(cfg, mu, nu, solve, default_half):
+    tmap = solve()
     box = _box_for(cfg, mu, default_half)
     times = np.linspace(0.0, 1.0, int(cfg.params.get("time_points", 11)))
     geo = majorize.Geodesic(mu, tmap, box,
@@ -503,12 +524,10 @@ def _coulomb_sample_suite(cfg, built):
     rng = np.random.default_rng(cfg.seed + 1)
     ys = inst.nu.sampler(rng, count)
     schedule = _schedule_for(cfg, default=(0.5, 0.2, 0.1))
-    tmap = brenier.solve_entropic_sample(xs, ys, schedule[-1],
-                                         schedule=schedule)
+    tmap = brenier.solve_entropic_sample(xs, ys, schedule)
     queries = xs[:int(cfg.params.get("fit_points", 600))]
-    jac, ok = brenier.local_affine_jacobians(
-        xs, tmap(xs), queries,
-        k=int(cfg.params.get("fit_k", 4 * n + 56)))
+    jac, ok = brenier.local_affine_jacobians(xs, tmap(xs), queries,
+                                             k=4 * n + 56)
     div = np.einsum("mii->m", jac[ok])
     q95 = float(np.quantile(div, 0.95))
     cert = make_certificate(
@@ -544,12 +563,13 @@ def _coulomb_sample_suite(cfg, built):
 def _gaussian_checks(cfg, built):
     mu, nu = built["mu"], built["nu"]
     alpha, kappa = _pair_constants(mu, nu)
+    solve = _shared_solve(cfg, mu, nu)
     return [
         ("bounds", ("verify", "scenario"),
-         lambda: _verify_gaussian(cfg, mu, nu)),
+         lambda: _verify_gaussian(cfg, mu, nu, solve)),
         # the full suite adds the geodesic only when the pair contracts
         ("geodesic", ("geodesic", "scenario") if alpha <= kappa
-         else ("geodesic",), lambda: _geodesic_suite(cfg, mu, nu, 6.0)),
+         else ("geodesic",), lambda: _geodesic_suite(cfg, mu, nu, solve, 6.0)),
     ]
 
 
@@ -557,12 +577,14 @@ def _wehrl_checks(cfg, built):
     mu, nu = built["mu"], built["nu"]
     entropic = (cfg.params.get("solver") == "entropic_grid"
                 or cfg.epsilon_schedule is not None)
-    bounds = _wehrl_entropic_bounds if entropic else _wehrl_radial_bounds
+    solve = _shared_solve(cfg, mu, nu)
     return [
-        ("bounds", ("verify", "scenario"), lambda: bounds(cfg, mu, nu)),
+        ("bounds", ("verify", "scenario"),
+         (lambda: _wehrl_entropic_bounds(cfg, mu, nu)) if entropic
+         else lambda: _wehrl_radial_bounds(cfg, mu, nu, solve)),
         # the geodesic command runs the radial geodesic on either route
         ("geodesic", ("geodesic",) if entropic else ("geodesic", "scenario"),
-         lambda: _geodesic_suite(cfg, mu, nu, 2.25)),
+         lambda: _geodesic_suite(cfg, mu, nu, solve, 2.25)),
         ("majorization", ("scenario",) if entropic else (),
          lambda: _wehrl_majorization(cfg, mu, nu)),
     ]

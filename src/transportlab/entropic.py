@@ -3,8 +3,8 @@
 Conventions: cost c(x, y) = |x - y|^2 / 2, kernel exponent M = -c / eps.
 The plan is pi_ij = exp(M_ij + P_i + Q_j) where the scaled potentials P, Q
 absorb the log-weights; the true dual potentials are
-u = eps (P - log a), v = eps (Q - log b), which is how warm starts are
-carried across epsilon stages. One loop (`_Sinkhorn.run`) serves every
+u = eps (P - log a), v = eps (Q - log b), which is how `continuation`
+carries warm starts across epsilon stages. One loop (`_Sinkhorn.run`) serves every
 kernel: P = log a - lse_q(Q), Q = log b - lse_p(P) with
 lse_q(Q)_i = LSE_j(M_ij + Q_j), lse_p(P)_j = LSE_i(M_ij + P_i), and the
 (exact) marginal identities give the convergence check.
@@ -221,3 +221,21 @@ def rescale_potentials(P, Q, log_a, log_b, eps_old, eps_new):
     """Carry true dual potentials u, v to a new epsilon stage."""
     ratio = eps_old / eps_new
     return (log_a + (P - log_a) * ratio, log_b + (Q - log_b) * ratio)
+
+
+def continuation(make_solver, stages, tol, max_iter):
+    """Epsilon scaling: solve make_solver(eps) for each stage in order, each
+    warm-started from the previous stage's potentials.
+
+    Yields (solver, Q, marginal_error, iterations) per stage; the generator
+    itself holds a solver only until the next stage starts.
+    """
+    P = Q = prev = None
+    for eps in stages:
+        solver = make_solver(eps)
+        if prev is not None:
+            P, Q = rescale_potentials(P, Q, solver.log_a, solver.log_b, prev,
+                                      eps)
+        P, Q, err, iters = solver.run(P=P, Q=Q, tol=tol, max_iter=max_iter)
+        yield solver, Q, err, iters
+        prev = eps

@@ -66,7 +66,6 @@ class FlowSchedule:
     t_max: float = 8.0
     steps: int = 64
     stepper: str = "adaptive_rk45"
-    tail_extrapolation: bool = True
     rtol: float = 1e-8
     atol: float = 1e-9
 

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .errors import (AccuracyError, CertificateConflictError, DomainError,
-                     SupportError)
+from .errors import AccuracyError, CertificateConflictError, DomainError
 
 _FD_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 _HESS_SYM_TOL = 1e-8
@@ -352,59 +351,6 @@ def gaussian(mean, cov):
                    support_note="full_space", certificate=cert, sampler=sampler,
                    radial_profile=radial, center=mean, kind="gaussian",
                    params={"mean": mean, "cov": cov}, family=family)
-
-
-def weighted_gaussian(weight, base, certificate, validate=True,
-                      validation_box=None, validation_probes=128, seed=1234):
-    """Density proportional to weight(x) * base(x) for a Gaussian base.
-
-    weight is either a PolyExp (analytic derivatives) or a positive
-    vectorized callable (finite-difference derivatives). The caller
-    declares the certificate; when validate is set the declaration is
-    probed on a small stratified set and conflicts raise.
-    """
-    from .polyexp import PolyExp
-
-    if base.kind != "gaussian":
-        raise DomainError("weighted_gaussian needs a Gaussian base")
-    n = base.dim
-    analytic = isinstance(weight, PolyExp)
-
-    if analytic:
-        def log_density(x):
-            logw, _, _ = weight.log_derivs(x)
-            return logw + base.logpdf(x)
-
-        def grad_log(x):
-            _, g, _ = weight.log_derivs(x)
-            return g + base.grad_log(x)
-
-        def hess_log(x):
-            _, _, h = weight.log_derivs(x)
-            return h + base.hess_log(x)
-    else:
-        def log_density(x):
-            w = np.asarray(weight(x), dtype=float)
-            if np.any(w <= 0):
-                raise SupportError("weight must be positive on the probe set")
-            return np.log(w) + base.logpdf(x)
-
-        grad_log = None
-        hess_log = None
-
-    family = None
-    if analytic and base.family is not None:
-        family = weight.multiply(base.family)
-    dens = Density(n, log_density, grad_log, hess_log, normalized=False,
-                   support_note=base.support_note, certificate=certificate,
-                   center=base.center, kind="weighted_gaussian",
-                   params={"base": base.params}, family=family)
-    if validate and certificate is not None:
-        box = validation_box or TruncationBox.cube(
-            n, 4.0 * float(np.sqrt(np.linalg.eigvalsh(base.params["cov"]).max())),
-        )
-        check_certificate(dens, box, probes=validation_probes, seed=seed)
-    return dens
 
 
 def check_certificate(density, box, probes=128, seed=1234, rtol=1e-6):

@@ -345,10 +345,6 @@ class PolyExp:
             parts.append((logv, sign, grad, hess))
         return _combine_log_terms(parts)
 
-    def smoothed_value(self, loc, s):
-        logv, _, _ = self.smoothed_log_derivs(loc, s)
-        return np.exp(logv)
-
     def gamma_weighted_expectations(self, polys):
         """integral p(x) f(x) dgamma(x) for each dict polynomial p."""
         n = self.dim

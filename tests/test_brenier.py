@@ -101,14 +101,15 @@ def test_entropic_grid_1d_slope_oracle():
     xs = np.linspace(-1.0, 1.0, 9)[:, None]
     for eps in (0.5, 0.1, 0.03):
         raw = _plan_slope(4.0, 1.0, eps)
-        tmap = brenier.solve_entropic_grid(mu, nu, eps, box=box, side=64,
-                                           debias=False)
+        tmap = brenier.solve_entropic_schedule(mu, nu, [eps], box=box,
+                                               side=64, debias=False)[0]
         got = float(np.polyfit(xs.ravel(), tmap(xs).ravel(), 1)[0])
         assert abs(got - raw) < 2e-3, (eps, got, raw)
         # debiasing adds x - T_{mu->mu}(x); for Gaussians that is exactly
         # 1 - self slope, pulling the map back toward the Brenier slope
         deb = raw + 1.0 - _plan_slope(4.0, 4.0, eps)
-        tmap_d = brenier.solve_entropic_grid(mu, nu, eps, box=box, side=64)
+        tmap_d = brenier.solve_entropic_schedule(mu, nu, [eps], box=box,
+                                                 side=64)[0]
         got_d = float(np.polyfit(xs.ravel(), tmap_d(xs).ravel(), 1)[0])
         assert abs(got_d - deb) < 2e-3, (eps, got_d, deb)
         assert abs(got_d - 0.5) < abs(got - 0.5)
@@ -119,16 +120,47 @@ def test_entropic_schedule_warm_start_matches_cold_final():
     box = TruncationBox.cube(1, 9.0)
     stages = brenier.solve_entropic_schedule(mu, nu, (0.4, 0.1), box=box,
                                              side=64)
-    cold = brenier.solve_entropic_grid(mu, nu, 0.1, box=box, side=64)
+    cold = brenier.solve_entropic_schedule(mu, nu, [0.1], box=box,
+                                           side=64)[0]
     x = np.linspace(-2, 2, 21)[:, None]
     assert stages[-1].entropic_epsilon == pytest.approx(0.1)
     assert np.max(np.abs(stages[-1](x) - cold(x))) < 1e-6
 
 
+def test_entropic_schedule_discretizes_each_density_once(monkeypatch):
+    calls = []
+    grid_measure = brenier.grid_measure
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return grid_measure(*args, **kwargs)
+
+    monkeypatch.setattr(brenier, "grid_measure", counting)
+    mu, nu = _pair()
+    maps = brenier.solve_entropic_schedule(
+        mu, nu, (0.5, 0.3, 0.2), box=TruncationBox.cube(2, 6.0), side=16)
+    assert [m.entropic_epsilon for m in maps] == [0.5, 0.3, 0.2]
+    assert len(calls) == 2 and calls[0] is mu and calls[1] is nu
+
+
+@pytest.mark.parametrize("schedule", [(0.1, 0.5), (0.5, 0.5, 0.1), ()])
+def test_both_entropic_routes_reject_a_schedule_not_strictly_decreasing(
+        schedule):
+    mu, nu = _pair()
+    with pytest.raises(DomainError, match="strictly decrease"):
+        brenier.solve_entropic_schedule(mu, nu, schedule,
+                                        box=TruncationBox.cube(2, 6.0),
+                                        side=8)
+    xs = np.random.default_rng(6).normal(size=(20, 2))
+    with pytest.raises(DomainError, match="strictly decrease"):
+        brenier.solve_entropic_sample(xs, 0.5 * xs, schedule)
+
+
 def test_grid_map_roundtrip_through_lattice_file(tmp_path):
     mu, nu = _pair()
     box = TruncationBox.cube(2, 6.0)
-    tmap = brenier.solve_entropic_grid(mu, nu, 0.3, box=box, side=48)
+    tmap = brenier.solve_entropic_schedule(mu, nu, [0.3], box=box,
+                                           side=48)[0]
     path = tmp_path / "map.txt"
     brenier.save_grid_map(path, tmap)
     loaded = brenier.load_grid_map(path)
@@ -142,7 +174,8 @@ def test_grid_map_roundtrip_through_lattice_file(tmp_path):
 def test_load_grid_map_rejects_damaged_lattices(tmp_path):
     mu, nu = _pair()
     box = TruncationBox.cube(2, 6.0)
-    tmap = brenier.solve_entropic_grid(mu, nu, 0.5, box=box, side=12)
+    tmap = brenier.solve_entropic_schedule(mu, nu, [0.5], box=box,
+                                           side=12)[0]
     path = tmp_path / "map.txt"
     brenier.save_grid_map(path, tmap)
     assert [p.name for p in tmp_path.iterdir()] == ["map.txt"]
@@ -184,8 +217,7 @@ def test_sample_solver_shrinks_toward_half_map():
     rng = np.random.default_rng(5)
     xs = rng.normal(size=(600, 2)) * 2.0
     ys = rng.normal(size=(600, 2))
-    tmap = brenier.solve_entropic_sample(xs, ys, 0.1,
-                                         schedule=(0.5, 0.2, 0.1))
+    tmap = brenier.solve_entropic_sample(xs, ys, (0.5, 0.2, 0.1))
     q = xs[:200]
     rel = np.linalg.norm(tmap(q) - 0.5 * q, axis=1)
     scale = np.linalg.norm(0.5 * q, axis=1).mean()

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from transportlab import cli, scenarios
+from transportlab import brenier, cli, scenarios
 from transportlab.cli import (RunConfig, RunReport, _downgrade, _parse_args,
                               _resolve_config, main, run)
 from transportlab.errors import DomainError
@@ -272,6 +272,40 @@ def test_radial_solve_failure_is_each_checks_error(tmp_path):
                 "DomainError: no closed or radial route")
         assert report["certificates"] == []
         assert report["exit_code"] == 3
+
+
+def test_verify_gaussian_above_dim_2_keeps_the_pointwise_bounds(tmp_path):
+    # the moment quadrature covers dim <= 2; its absence must not cost the
+    # trace, Lipschitz and determinant certificates
+    out = tmp_path / "out"
+    assert main(["verify", "gaussian", "--config",
+                 _cfg(tmp_path, {"params": {"dim": 3}}),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["errors"] == []
+    certs = {c["bound_name"]: c for c in report["certificates"]}
+    assert {name: c["verdict"] for name, c in certs.items()} == {
+        "trace": "pass", "lipschitz": "pass", "determinant": "pass"}
+    for name, observed, rhs in (("trace", 1.5, 1.5), ("lipschitz", 0.5, 1.5),
+                                ("determinant", 0.125, 0.125)):
+        assert certs[name]["observed"] == pytest.approx(observed)
+        assert certs[name]["theoretical_rhs"] == pytest.approx(rhs)
+
+
+@pytest.mark.parametrize("kind, solver", [("wehrl", "solve_radial"),
+                                          ("gaussian", "solve_gaussian")])
+def test_scenario_checks_share_one_solve(monkeypatch, kind, solver):
+    calls = []
+    original = getattr(brenier, solver)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(brenier, solver, counting)
+    report, _ = run(RunConfig(command="scenario", scenario=kind))
+    assert {c["check"] for c in report.certificates} >= {"bounds", "geodesic"}
+    assert len(calls) == 1
 
 
 def test_cache_key_ignores_command_and_seed(tmp_path):

@@ -184,22 +184,25 @@ def test_sample_warm_start_across_stages_matches_reference():
     rng = np.random.default_rng(11)
     xs = rng.normal(size=(60, 2)) * 1.5
     ys = rng.normal(size=(50, 2))
-    P = Q = Pr = Qr = None
+    stages = (0.5, 0.2, 0.08)
+    solved = entropic.continuation(
+        lambda eps: entropic.SampleSinkhorn(xs, ys, eps), stages,
+        tol=1e-5, max_iter=1500)
+    Pr = Qr = None
     prev = None
-    for eps in (0.5, 0.2, 0.08):
-        solver, ref = entropic.SampleSinkhorn(xs, ys, eps), \
-            _RefSample(xs, ys, eps)
+    for eps, (solver, Q, err, iters) in zip(stages, solved, strict=True):
+        ref = _RefSample(xs, ys, eps)
         if prev is not None:
-            P, Q = entropic.rescale_potentials(P, Q, solver.log_a,
-                                               solver.log_b, prev, eps)
             Pr, Qr = entropic.rescale_potentials(Pr, Qr, ref.log_a,
                                                  ref.log_b, prev, eps)
-        P, Q, err, iters = solver.run(P=P, Q=Q)
         Pr, Qr, err_r, iters_r = _ref_run(ref, P=Pr, Q=Qr, tol=1e-5,
                                           max_iter=1500, check_every=8)
+        assert solver.eps == eps
         assert iters == iters_r
-        np.testing.assert_allclose(P, Pr, rtol=0, atol=ATOL)
+        assert abs(err - err_r) <= ATOL
         np.testing.assert_allclose(Q, Qr, rtol=0, atol=ATOL)
+        np.testing.assert_allclose(solver.barycentric(Q), ref.barycentric(Qr),
+                                   rtol=0, atol=ATOL)
         prev = eps
 
 
@@ -253,12 +256,12 @@ def test_convergence_error_carries_epsilon_and_iteration():
 def test_solvers_report_fallback_counters_in_details():
     mu = gaussian([0.0, 0.0], np.eye(2))
     nu = gaussian([0.3, 0.0], 0.5 * np.eye(2))
-    grid = brenier.solve_entropic_grid(mu, nu, 0.3, box=TruncationBox.cube(
-        2, 4.0), side=24)
+    grid = brenier.solve_entropic_schedule(
+        mu, nu, [0.3], box=TruncationBox.cube(2, 4.0), side=24)[0]
     assert grid.details["fallbacks"] == 0
     rng = np.random.default_rng(1)
     sample = brenier.solve_entropic_sample(rng.normal(size=(80, 2)),
-                                           rng.normal(size=(80, 2)), 0.2,
-                                           schedule=(0.5,))
+                                           rng.normal(size=(80, 2)),
+                                           (0.5, 0.2))
     assert sample.details["fallbacks"] == 0
     assert sample.details["absorptions"] == 0
