@@ -271,6 +271,18 @@ class GridMap:
                                           self.axes[axis], axis=axis)
         return J
 
+    def _check_inside(self, x):
+        """Refuse points off the lattice (1e-12 relative slack at the edges)
+        rather than extrapolate its boundary values."""
+        for axis, a in enumerate(self.axes):
+            pad = 1e-12 * max(abs(a[0]), abs(a[-1]), a[-1] - a[0])
+            inside = (x[:, axis] >= a[0] - pad) & (x[:, axis] <= a[-1] + pad)
+            if not np.all(inside):
+                bad = x[int(np.argmin(inside))]
+                raise SupportError(
+                    f"grid map covers [{a[0]:.6g}, {a[-1]:.6g}] on axis "
+                    f"{axis}; asked at {bad.tolist()}")
+
     def _locate(self, x):
         idx = []
         frac = []
@@ -283,6 +295,7 @@ class GridMap:
 
     def eval(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        self._check_inside(x)
         idx, frac = self._locate(x)
         if self.dim == 1:
             i = idx[0]
@@ -301,6 +314,7 @@ class GridMap:
     def jacobian(self, x):
         """Nearest-node stencil Jacobian."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        self._check_inside(x)
         nearest = []
         for axis in range(self.dim):
             a = self.axes[axis]

@@ -124,7 +124,7 @@ def delta_epsilon_bound_rhs(ell, dim, eps):
 class MapStatistics:
     """Statistics of the symmetrized Jacobian at probe points.
 
-    All five statistics come from one symmetric-part eigendecomposition;
+    All four statistics come from one symmetric-part eigendecomposition;
     the asymmetric part's norm is kept as a quality diagnostic only.
     """
 
@@ -132,7 +132,6 @@ class MapStatistics:
     operator_norm: np.ndarray
     min_eigenvalue: np.ndarray
     determinant: np.ndarray
-    frobenius_distance_to_identity: np.ndarray
     asymmetry: np.ndarray
 
 
@@ -146,13 +145,10 @@ def map_statistics(transport_map, x):
     S = 0.5 * (J + np.swapaxes(J, -1, -2))
     A = 0.5 * (J - np.swapaxes(J, -1, -2))
     evals = np.linalg.eigvalsh(S)
-    n = x.shape[1]
-    eye = np.eye(n)
     return MapStatistics(
         trace=evals.sum(axis=-1),
         operator_norm=np.abs(evals).max(axis=-1),
         min_eigenvalue=evals[:, 0],
         determinant=evals.prod(axis=-1),
-        frobenius_distance_to_identity=np.linalg.norm(S - eye, axis=(-2, -1)),
         asymmetry=np.linalg.norm(A, axis=(-2, -1)),
     )

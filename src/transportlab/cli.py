@@ -433,7 +433,7 @@ def _geodesic_suite(cfg, mu, nu, solve, default_half):
     tmap = solve()
     box = _box_for(cfg, mu, default_half)
     times = np.linspace(0.0, 1.0, int(cfg.params.get("time_points", 11)))
-    geo = majorize.Geodesic(mu, tmap, box,
+    geo = majorize.Geodesic(mu, nu, tmap, box,
                             order=int(cfg.params.get("order", 48)))
     tol = float(cfg.params.get("monotonicity_tol", 1e-9))
     geo_report = majorize.geodesic_monotonicity_check(geo, times=times,
@@ -453,16 +453,17 @@ def _geodesic_suite(cfg, mu, nu, solve, default_half):
         details={"per_probe_monotone": geo_report.monotone})
 
     maj_atol = float(cfg.params.get("majorization_atol", 0.0))
-    maj = majorize.majorization_from_densities(mu, nu, box, atol=maj_atol)
+    maj = majorize.majorization_check(geo.rho_mu, geo.rho_nu, geo.weights,
+                                      geo.weights, atol=maj_atol)
     maj_cert = make_certificate(
         "majorization", 0.0, maj.worst_margin, 0.0,
         {"solver": tmap.provenance},
         len(maj.margins), atol=maj_atol,
         details={"worst_probe": maj.worst_probe, "margins": maj.margins})
 
-    ent = majorize.entropy_stability_check(mu, nu, tmap, box)
+    ent = majorize.entropy_stability_check(geo)
     series["entropy_along"] = [
-        [float(t), float(geo.entropy_at(t))] for t in times]
+        [float(t), float(h)] for t, h in zip(times, geo_report.entropy)]
     return {
         "certificates": [geo_cert, maj_cert, ent.certificate],
         "series": series,

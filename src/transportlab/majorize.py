@@ -19,7 +19,7 @@ densities and by nearest-neighbor spacing estimates for samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -94,14 +94,9 @@ class MajorizationReport:
     worst_margin: float
     atol: float
 
-    def to_dict(self):
-        return {"passed": bool(self.passed), "margins": dict(self.margins),
-                "worst_probe": self.worst_probe,
-                "worst_margin": self.worst_margin, "atol": self.atol}
-
 
 def majorization_check(g_values, h_values, weights_g, weights_h, family=None,
-                       atol=0.0, check_convexity=True):
+                       atol=0.0):
     """Test int phi(g) <= int phi(h) + atol over the probe family.
 
     Values are density evaluations at quadrature nodes carrying `weights_*`
@@ -113,8 +108,7 @@ def majorization_check(g_values, h_values, weights_g, weights_h, family=None,
         family = default_convex_family(scale)
     margins = {}
     for probe in family:
-        if check_convexity:
-            _assert_midpoint_convex(probe)
+        _assert_midpoint_convex(probe)
         lhs = convex_integral(probe, g_values, weights_g)
         rhs = convex_integral(probe, h_values, weights_h)
         margins[probe.name] = lhs - rhs
@@ -124,12 +118,10 @@ def majorization_check(g_values, h_values, weights_g, weights_h, family=None,
                               worst_margin=float(margins[worst]), atol=atol)
 
 
-def majorization_from_densities(g, h, box, order=48, panels=2, family=None,
-                                atol=0.0):
+def majorization_from_densities(g, h, box, order=48, panels=2, atol=0.0):
     """Majorization test for two normalized densities on a common box."""
     pts, w = quadrature.box_gauss_legendre(box, order=order, panels=panels)
-    return majorization_check(g.pdf(pts), h.pdf(pts), w, w, family=family,
-                              atol=atol)
+    return majorization_check(g.pdf(pts), h.pdf(pts), w, w, atol=atol)
 
 
 # ---------------------------------------------------------------------------
@@ -137,27 +129,28 @@ def majorization_from_densities(g, h, box, order=48, panels=2, family=None,
 
 
 class Geodesic:
-    """Displacement interpolation along a transport map.
+    """Displacement interpolation from mu along a transport map toward nu.
 
-    All functionals are pushforward integrals in source coordinates; the
-    interpolant's Jacobian is J_t = (1-t) Id + t DT at the source point.
+    One tensor rule on the box carries every integral of the geodesic
+    suite: both densities and the symmetrized DT are evaluated once at its
+    nodes. The interpolant's Jacobian is J_t = (1-t) Id + t DT at the
+    source point.
     """
 
-    def __init__(self, mu, transport_map, box, order=48, panels=2):
+    def __init__(self, mu, nu, transport_map, box, order=48, panels=2):
         if not mu.normalized:
             raise DomainError("geodesics need a normalized source density")
-        self.mu = mu
+        self.dim = mu.dim
         self.map = transport_map
-        self.box = box
         self.points, self.weights = quadrature.box_gauss_legendre(
             box, order=order, panels=panels)
         self.rho_mu = mu.pdf(self.points)
-        self.J = transport_map.jacobian(self.points)
-        self.J = 0.5 * (self.J + np.swapaxes(self.J, -1, -2))
-        self.eye = np.eye(mu.dim)
+        self.rho_nu = nu.pdf(self.points)
+        J = transport_map.jacobian(self.points)
+        self.J = 0.5 * (J + np.swapaxes(J, -1, -2))
 
     def _det_jt(self, t):
-        Jt = (1.0 - t) * self.eye + t * self.J
+        Jt = (1.0 - t) * np.eye(self.dim) + t * self.J
         det = np.linalg.det(Jt)
         if np.any(det <= 0):
             bad = int(np.argmax(det <= 0))
@@ -166,74 +159,48 @@ class Geodesic:
                 probe=self.points[bad])
         return det
 
-    def density_along(self, t):
-        """rho_t at the displaced points ((1-t) x + t T x), source order."""
-        det = self._det_jt(t)
-        return self.rho_mu / det
-
-    def convex_integral_at(self, probe, t):
-        """int phi(rho_t) via the source-coordinate change of variables."""
-        det = self._det_jt(t)
-        vals = probe(self.rho_mu / det)
-        return float(np.dot(self.weights, vals * det))
-
-    def entropy_at(self, t):
-        """int rho_t log rho_t (negative differential entropy)."""
-        det = self._det_jt(t)
-        mask = self.rho_mu > 0
-        ratio = self.rho_mu[mask] / det[mask]
-        return float(np.dot(self.weights[mask] * det[mask],
-                            _xlogx_vals(ratio)))
-
-    def sup_density(self, t):
-        return float(self.density_along(t).max())
-
-
-def _xlogx_vals(x):
-    return x * np.log(x)
-
 
 @dataclass(frozen=True)
 class GeodesicReport:
     times: np.ndarray
     values: dict
+    entropy: np.ndarray
     monotone: dict
     passed: bool
     tolerance: float
 
-    def to_dict(self):
-        return {"times": [float(t) for t in self.times],
-                "values": {k: [float(v) for v in vv]
-                           for k, vv in self.values.items()},
-                "monotone": {k: bool(v) for k, v in self.monotone.items()},
-                "passed": bool(self.passed),
-                "tolerance": self.tolerance}
 
-
-def geodesic_monotonicity_check(geodesic, times=None, family=None, tol=1e-9):
+def geodesic_monotonicity_check(geodesic, times=None, tol=1e-9):
     """Convex functionals along the geodesic must be monotone in t.
 
     When the endpoint map satisfies the trace bound trace DT <= n (so every
     intermediate-to-later map is volume contracting), each int phi(rho_t)
     is non-decreasing from source to target. Monotone here means
-    non-decreasing up to `tol` relative wiggle.
+    non-decreasing up to `tol` relative wiggle. Each time point costs one
+    det J_t, which also gives the entropy int rho_t log rho_t along the
+    path.
     """
     if times is None:
         times = np.linspace(0.0, 1.0, 11)
     times = np.asarray(times, dtype=float)
-    if family is None:
-        scale = geodesic.sup_density(0.0)
-        family = default_convex_family(scale)
-    values = {}
+    family = default_convex_family(float(geodesic.rho_mu.max()))
+    w = geodesic.weights
+    series = np.empty((len(family), times.size))
+    entropy = np.empty(times.size)
+    for k, t in enumerate(times):
+        det = geodesic._det_jt(t)
+        rho_t = geodesic.rho_mu / det
+        for p, probe in enumerate(family):
+            series[p, k] = np.dot(w, probe(rho_t) * det)
+        entropy[k] = np.dot(w * det, _xlogx(rho_t))
+    values = {probe.name: seq for probe, seq in zip(family, series)}
     monotone = {}
-    for probe in family:
-        seq = np.array([geodesic.convex_integral_at(probe, t) for t in times])
-        values[probe.name] = seq
+    for name, seq in values.items():
         slack = tol * max(1.0, float(np.abs(seq).max()))
-        monotone[probe.name] = bool(np.all(np.diff(seq) >= -slack))
-    passed = all(monotone.values())
-    return GeodesicReport(times=times, values=values, monotone=monotone,
-                          passed=passed, tolerance=tol)
+        monotone[name] = bool(np.all(np.diff(seq) >= -slack))
+    return GeodesicReport(times=times, values=values, entropy=entropy,
+                          monotone=monotone, passed=all(monotone.values()),
+                          tolerance=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +210,7 @@ def geodesic_monotonicity_check(geodesic, times=None, family=None, tol=1e-9):
 def entropy_quadrature(density, box, order=48, panels=2):
     """int rho log rho over the box (negative differential entropy)."""
     pts, w = quadrature.box_gauss_legendre(box, order=order, panels=panels)
-    rho = density.pdf(pts)
-    mask = rho > 0
-    return float(np.dot(w[mask], rho[mask] * np.log(rho[mask])))
+    return float(np.dot(w, _xlogx(density.pdf(pts))))
 
 
 def entropy_knn(samples, k=4, bootstrap=0, seed=0):
@@ -289,51 +254,34 @@ class EntropyReport:
     entropy_target: float
     gap: float
     stability_rhs: float
-    certificate: object = None
-    details: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        out = {"entropy_source": self.entropy_source,
-               "entropy_target": self.entropy_target,
-               "gap": self.gap, "stability_rhs": self.stability_rhs,
-               "details": dict(self.details)}
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.to_dict()
-        return out
+    certificate: object
 
 
-def entropy_stability_check(mu, nu, transport_map, box, box_nu=None, order=48,
-                            panels=2, probes=None, slack=None,
-                            provenance=None):
+def entropy_stability_check(geodesic):
     """Entropy gap against the quantitative stability lower bound.
 
     int rho_nu log rho_nu - int rho_mu log rho_mu
-        >= (1 / 2 n^2) int |DT - Id|_F^2 dmu.
+        >= (1 / 2 n^2) int |DT - Id|_F^2 dmu,
 
-    The certificate records the negated inequality (lower bounds are stored
-    as upper bounds on the negation): observed = -gap, rhs = -stability_rhs.
+    every integral on the geodesic's rule. The certificate records the
+    negated inequality (lower bounds are stored as upper bounds on the
+    negation): observed = -gap, rhs = -stability_rhs.
     """
-    n = mu.dim
-    h_mu = entropy_quadrature(mu, box, order=order, panels=panels)
-    h_nu = entropy_quadrature(nu, box if box_nu is None else box_nu,
-                              order=order, panels=panels)
-    pts, w = quadrature.box_gauss_legendre(box, order=order, panels=panels)
-    wmu = w * mu.pdf(pts)
+    n = geodesic.dim
+    w = geodesic.weights
+    h_mu = float(np.dot(w, _xlogx(geodesic.rho_mu)))
+    h_nu = float(np.dot(w, _xlogx(geodesic.rho_nu)))
+    wmu = w * geodesic.rho_mu
     wmu = wmu / wmu.sum()
-    if probes is not None:
-        pts = np.atleast_2d(np.asarray(probes, dtype=float))
-        wmu = np.full(pts.shape[0], 1.0 / pts.shape[0])
-    J = transport_map.jacobian(pts)
-    frob = ((J - np.eye(n)) ** 2).sum(axis=(1, 2))
+    frob = ((geodesic.J - np.eye(n)) ** 2).sum(axis=(1, 2))
     rhs = float(np.dot(wmu, frob)) / (2.0 * n * n)
     gap = h_nu - h_mu
-    prov = provenance or {"solver": transport_map.provenance}
     cert = make_certificate("entropy_stability", rhs=-rhs, observed=-gap,
-                            slack=slack, provenance=prov,
-                            probe_count=pts.shape[0],
+                            slack=None,
+                            provenance={"solver": geodesic.map.provenance},
+                            probe_count=geodesic.points.shape[0],
                             details={"negated_lower_bound": True,
                                      "entropy_source": h_mu,
                                      "entropy_target": h_nu})
     return EntropyReport(entropy_source=h_mu, entropy_target=h_nu, gap=gap,
-                         stability_rhs=rhs, certificate=cert,
-                         details={"dim": n})
+                         stability_rhs=rhs, certificate=cert)

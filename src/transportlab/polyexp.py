@@ -189,6 +189,9 @@ class PolyExp:
             B = np.zeros((dim, dim)) if t.B is None else np.asarray(t.B, dtype=float)
             if B.shape != (dim, dim) or not np.allclose(B, B.T, atol=1e-12):
                 raise DomainError("quadratic exponent matrix must be symmetric")
+            if t.poly is not None and any(len(k) != dim for k in t.poly):
+                raise DomainError(f"polynomial exponent keys must have "
+                                  f"{dim} entries")
             clean.append(PolyExpTerm(t.poly, float(t.c), b, 0.5 * (B + B.T)))
         self.terms = tuple(clean)
 

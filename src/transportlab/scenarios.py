@@ -828,7 +828,8 @@ def _scenario_lsh(params):
     dim = params.get("dim", 2)
     poly = params.get("poly")
     if poly is None:
-        poly = {(2, 0): 1.0 / dim, (0, 2): 1.0 / dim}
+        poly = {tuple(2 if j == i else 0 for j in range(dim)): 1.0 / dim
+                for i in range(dim)}
     else:
         poly = {tuple(int(k) for k in key.split(",")): float(v)
                 for key, v in poly.items()}

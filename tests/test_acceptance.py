@@ -185,10 +185,10 @@ def test_criterion_08_first_number_state_full_pipeline():
     assert trace.observed <= 2.0 + 1e-6
     maj = majorize.majorization_from_densities(mu, nu, box)
     assert maj.passed and maj.worst_margin <= 1e-12
-    geo = majorize.Geodesic(mu, tmap, box)
+    geo = majorize.Geodesic(mu, nu, tmap, box)
     rep = majorize.geodesic_monotonicity_check(geo, tol=1e-6)
     assert rep.passed and rep.times.size == 11
-    ent = majorize.entropy_stability_check(mu, nu, tmap, box)
+    ent = majorize.entropy_stability_check(geo)
     assert ent.certificate.verdict == "pass"
     assert ent.gap >= ent.stability_rhs > 0.0
     coherent, _, _ = scenarios.build_wehrl_instance(

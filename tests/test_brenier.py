@@ -196,6 +196,25 @@ def test_load_grid_map_rejects_damaged_lattices(tmp_path):
             brenier.load_grid_map(bad)
 
 
+def test_grid_map_refuses_points_off_the_lattice(tmp_path):
+    mu, nu = _pair()
+    box = TruncationBox.cube(2, 6.0)
+    tmap = brenier.solve_entropic_schedule(mu, nu, [0.5], box=box,
+                                           side=12)[0]
+    path = tmp_path / "map.txt"
+    brenier.save_grid_map(path, tmap)
+    loaded = brenier.load_grid_map(path)
+    edge = np.array([[6.0, -6.0], [6.0 * (1 + 1e-13), 0.0]])
+    for m in (tmap, loaded):
+        assert np.all(np.isfinite(m(edge)))
+        assert np.all(np.isfinite(m.jacobian(edge)))
+        for x in ([6.0 * (1 + 1e-9), 0.0], [0.0, -6.01], [np.nan, 0.0]):
+            with pytest.raises(SupportError):
+                m(np.array([x]))
+            with pytest.raises(SupportError):
+                m.jacobian(np.array([x]))
+
+
 def test_save_grid_map_rejects_closed_form():
     mu, nu = _pair()
     tmap = brenier.solve_gaussian(mu, nu)

@@ -4,6 +4,7 @@ import glob
 import json
 import os
 
+import numpy as np
 import pytest
 
 from transportlab import brenier, cli, scenarios
@@ -326,3 +327,42 @@ def test_cache_key_ignores_command_and_seed(tmp_path):
                  "--out", str(tmp_path / "fresh")]) == 0
     assert (tmp_path / "cached" / "report.json").read_bytes() == \
         (tmp_path / "fresh" / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "wehrl"])
+def test_geodesic_suite_evaluates_jacobian_once_and_one_det_per_time(
+        monkeypatch, kind):
+    jacobians, dets = [], []
+    jacobian, det = brenier.TransportMap.jacobian, np.linalg.det
+
+    def counting_jacobian(self, x):
+        jacobians.append(len(x))
+        return jacobian(self, x)
+
+    def counting_det(a):
+        dets.append(np.shape(a))
+        return det(a)
+
+    monkeypatch.setattr(brenier.TransportMap, "jacobian", counting_jacobian)
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    report, _ = run(RunConfig(command="geodesic", scenario=kind,
+                              params={"time_points": 7}))
+    assert [c["check"] for c in report.certificates] == ["geodesic"] * 3
+    assert len(jacobians) == 1
+    assert len(dets) == 7
+
+
+def test_lsh_runs_at_dim_3_and_refuses_mismatched_exponent_keys(tmp_path,
+                                                                capsys):
+    for command in ("scenario", "verify"):
+        out = tmp_path / command
+        assert main([command, "lsh", "--out", str(out), "--config",
+                     _cfg(tmp_path, {"params": {"dim": 3}})]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [(c["bound_name"], c["verdict"])
+                for c in report["certificates"]] == [
+            ("lsh_growth_direct", "pass")]
+    capsys.readouterr()
+    assert main(["scenario", "lsh", "--config",
+                 _cfg(tmp_path, {"params": {"poly": {"2,0,0": 1}}})]) == 3
+    assert capsys.readouterr().err.startswith("error: DomainError")

@@ -62,14 +62,14 @@ def test_majorization_check_rejects_nonconvex_probe():
 def test_geodesic_between_gaussians_is_monotone():
     mu, nu = _pair()
     tmap = brenier.solve_gaussian(mu, nu)
-    geo = Geodesic(mu, tmap, TruncationBox.cube(2, 8.0))
+    geo = Geodesic(mu, nu, tmap, TruncationBox.cube(2, 8.0))
     rep = geodesic_monotonicity_check(geo, tol=1e-9)
     assert rep.passed
     for seq in rep.values.values():
         assert seq.shape == (11,)
     # entropy decreases toward the more concentrated endpoint:
     # int rho log rho grows from source to target
-    assert geo.entropy_at(1.0) > geo.entropy_at(0.0)
+    assert rep.entropy[-1] > rep.entropy[0]
 
 
 def test_geodesic_entropy_endpoints_match_closed_forms():
@@ -77,20 +77,20 @@ def test_geodesic_entropy_endpoints_match_closed_forms():
     tmap = brenier.solve_gaussian(mu, nu)
     # 7 sigma for the wider endpoint keeps the rho log rho tail below 1e-9
     box = TruncationBox.cube(2, 14.0)
-    geo = Geodesic(mu, tmap, box, order=64)
+    geo = Geodesic(mu, nu, tmap, box, order=64)
+    h0, h1 = geodesic_monotonicity_check(geo, times=[0.0, 1.0]).entropy
     # closed form: int rho log rho = -log(2 pi e s) for N(0, s I_2)
-    assert geo.entropy_at(0.0) == pytest.approx(
-        -math.log(2 * math.pi * math.e * 4.0), abs=1e-8)
-    assert geo.entropy_at(1.0) == pytest.approx(
-        -math.log(2 * math.pi * math.e), abs=1e-8)
-    assert geo.entropy_at(0.0) == pytest.approx(
-        entropy_quadrature(mu, box, order=64), abs=1e-10)
+    assert h0 == pytest.approx(-math.log(2 * math.pi * math.e * 4.0),
+                               abs=1e-8)
+    assert h1 == pytest.approx(-math.log(2 * math.pi * math.e), abs=1e-8)
+    assert h0 == pytest.approx(entropy_quadrature(mu, box, order=64),
+                               abs=1e-10)
 
 
 def test_expanding_map_breaks_monotonicity():
     nu, mu = _pair()  # N(0, I) -> N(0, 4I): doubling map
     tmap = brenier.solve_gaussian(mu, nu)
-    geo = Geodesic(mu, tmap, TruncationBox.cube(2, 8.0))
+    geo = Geodesic(mu, nu, tmap, TruncationBox.cube(2, 8.0))
     rep = geodesic_monotonicity_check(geo, tol=1e-9)
     assert not rep.passed
 
@@ -100,10 +100,10 @@ def test_geodesic_detects_singular_interpolant():
     tmap = brenier.TransportMap(
         2, "closed_form_gaussian", lambda x: x @ A.T,
         lambda x: np.broadcast_to(A, (x.shape[0], 2, 2)).copy())
-    geo = Geodesic(gaussian(np.zeros(2), np.eye(2)), tmap,
-                   TruncationBox.cube(2, 4.0))
+    dens = gaussian(np.zeros(2), np.eye(2))
+    geo = Geodesic(dens, dens, tmap, TruncationBox.cube(2, 4.0))
     with pytest.raises(ConvexityViolationError):
-        geo.density_along(0.5)
+        geodesic_monotonicity_check(geo, times=[0.5])
 
 
 def test_entropy_quadrature_gaussian_closed_form():
@@ -135,8 +135,8 @@ def test_entropy_knn_bootstrap_survives_duplicate_rows():
 def test_entropy_stability_on_gaussian_pair():
     mu, nu = _pair()
     tmap = brenier.solve_gaussian(mu, nu)
-    rep = entropy_stability_check(mu, nu, tmap, TruncationBox.cube(2, 14.0),
-                                  order=64)
+    rep = entropy_stability_check(
+        Geodesic(mu, nu, tmap, TruncationBox.cube(2, 14.0), order=64))
     # gap = log 4 for variance ratio 4; rhs = |DT - I|_F^2/(2 n^2) = 1/16
     assert rep.gap == pytest.approx(math.log(4.0), abs=1e-8)
     assert rep.stability_rhs == pytest.approx(1.0 / 16.0, abs=1e-10)

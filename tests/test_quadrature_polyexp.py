@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transportlab import quadrature
+from transportlab.errors import DomainError
 from transportlab.measures import TruncationBox
 from transportlab.polyexp import (PolyExp, gaussian_poly_expectations,
                                   holomorphic_log_derivs,
@@ -225,3 +226,10 @@ def test_polyexp_rejects_mismatched_dims():
     b = PolyExp.constant(3, 1.0)
     with pytest.raises(Exception):
         a.multiply(b)
+
+
+def test_polyexp_rejects_exponent_keys_of_another_dim():
+    for key in ((2, 0, 0), (2,)):
+        with pytest.raises(DomainError):
+            PolyExp.poly_times_gaussian(2, {key: 1.0})
+    PolyExp.poly_times_gaussian(2, {(2, 0): 1.0})
