@@ -21,7 +21,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import entropic, quadrature
 from .errors import (ConvergenceError, ConvexityViolationError, DomainError,
@@ -403,6 +402,54 @@ def solve_entropic_schedule(mu, nu, schedule, box=None, box_nu=None, side=128,
 # entropic sample route
 
 
+def nearest(points, queries, k):
+    """Exact k nearest neighbors among `points` of each query row.
+
+    Returns (distances, indices), both (q, k) and sorted by distance. A
+    brute-force scan, 16 query rows at a time. Squared coordinate
+    differences are summed in the k-d tree's (cKDTree's) order: four
+    running lanes over whole groups of four coordinates, the lanes added
+    in order, then the leftover coordinates one by one (below dimension 8
+    that is plain left-to-right order). The k smallest are picked by a
+    partition (the first minimum when k = 1) and sorted stably, and the
+    square root comes last, so the distances agree with the tree's bit
+    for bit.
+    """
+    points = np.asarray(points, dtype=float)
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    m, dim = points.shape
+    if not 1 <= k <= m:
+        raise DomainError(f"cannot take {k} nearest neighbors of {m} points")
+    full = dim - dim % 4
+    # sq[0] ends up holding the sum: lanes 1-3 and the leftovers join it
+    into_first = [*range(1, min(dim, 4)), *range(max(full, 4), dim)]
+    cols = np.ascontiguousarray(points.T)[:, None, :]
+    # 16 rows keep the per-coordinate squares (1 MB at 2000 points in
+    # dim 4) in cache; 32 or more rows ran slower
+    block = 16
+    buf = np.empty((dim, min(block, queries.shape[0]), m))
+    dist = np.empty((queries.shape[0], k))
+    idx = np.empty((queries.shape[0], k), dtype=np.intp)
+    for lo in range(0, queries.shape[0], block):
+        q = queries[lo:lo + block]
+        sq = buf[:, :q.shape[0]]
+        np.subtract(q.T[:, :, None], cols, out=sq)
+        sq *= sq
+        for j in range(4, full):
+            sq[j % 4] += sq[j]
+        for j in into_first:
+            sq[0] += sq[j]
+        if k == 1:
+            pick = sq[0].argmin(axis=1)[:, None]
+        else:
+            pick = np.argpartition(sq[0], k - 1, axis=1)[:, :k]
+        d2 = np.take_along_axis(sq[0], pick, axis=1)
+        order = np.argsort(d2, axis=1, kind="stable")
+        idx[lo:lo + block] = np.take_along_axis(pick, order, axis=1)
+        dist[lo:lo + block] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+    return dist, idx
+
+
 def local_affine_jacobians(xs, ts, queries, k=None, cond_limit=1e3):
     """Least-squares affine fits of the map over k nearest neighbors.
 
@@ -415,8 +462,7 @@ def local_affine_jacobians(xs, ts, queries, k=None, cond_limit=1e3):
     n = xs.shape[1]
     if k is None:
         k = max(4 * n + 8, 16)
-    tree = cKDTree(xs)
-    _, idx = tree.query(queries, k=k)
+    _, idx = nearest(xs, queries, k)
     m = queries.shape[0]
     J = np.empty((m, n, n))
     ok = np.ones(m, dtype=bool)
@@ -468,11 +514,11 @@ def solve_entropic_sample(xs, ys, schedule, tol=1e-5, max_iter=1500,
 
     raw, err, iters = final_map(ys, schedule)
     tvals = xs + raw - final_map(xs, schedule[-1:])[0] if debias else raw
-    tree = cKDTree(xs)
 
     def eval_fn(x):
-        _, idx = tree.query(x, k=1)
-        return tvals[idx]
+        x = np.asarray(x, dtype=float)
+        _, idx = nearest(xs, x, 1)
+        return tvals[idx[:, 0]].reshape(x.shape)
 
     def jacobian_fn(x):
         J, ok = local_affine_jacobians(xs, tvals, x)

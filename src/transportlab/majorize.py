@@ -22,10 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma
 
 from . import quadrature
+from .brenier import nearest
 from .errors import ConvexityViolationError, DomainError
 from .verify import make_certificate
 
@@ -219,22 +218,28 @@ def entropy_knn(samples, k=4, bootstrap=0, seed=0):
     Kozachenko-Leonenko differential entropy h, returned negated to match
     the quadrature convention. With bootstrap > 0, returns (value, half_ci)
     using resampled standard error times 1.96.
+
+    One exact neighbor table over the full sample, about 8 (k + 1) wide,
+    serves every subsample: a point's k-th neighbor within a subsample is
+    the (k + 1)-th subsample member along its row, itself included. Rows
+    that hold fewer members than that are searched again within the
+    subsample.
     """
     samples = np.asarray(samples, dtype=float)
     m, n = samples.shape
+    if m <= k:
+        raise DomainError(f"{m} samples hold no {k}-th nearest neighbor")
+    dist, idx = nearest(samples, samples, min(m, 8 * (k + 1)))
+    vol_unit = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
 
-    def estimate(pts):
-        cnt = pts.shape[0]
-        tree = cKDTree(pts)
-        d, _ = tree.query(pts, k=k + 1)
-        r = d[:, k]
+    def estimate(r, cnt):
         r = np.maximum(r, 1e-300)
-        vol_unit = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+        # digamma(cnt) - digamma(k), a finite harmonic sum at integers
         h = (n * np.mean(np.log(r)) + np.log(vol_unit)
-             + digamma(cnt) - digamma(k))
+             + math.fsum(1.0 / j for j in range(k, cnt)))
         return -h
 
-    value = estimate(samples)
+    value = estimate(dist[:, k], m)
     if bootstrap <= 0:
         return value
     rng = np.random.default_rng(seed)
@@ -242,9 +247,23 @@ def entropy_knn(samples, k=4, bootstrap=0, seed=0):
     # k-th neighbor distance and wrecks the log; subsample without
     # replacement and rescale the spread back to the full sample size
     sub = max(k + 2, m // 2)
-    reps = np.array([estimate(samples[rng.choice(m, sub, replace=False)])
-                     for _ in range(bootstrap)])
-    half_ci = 1.96 * float(reps.std(ddof=1)) * math.sqrt(sub / m)
+    if sub > m:
+        raise DomainError(f"{m} samples leave no subsample of {sub} "
+                          f"for a {k}-neighbor bootstrap")
+    member = np.zeros(m, dtype=bool)
+    reps = []
+    for _ in range(bootstrap):
+        pick = rng.choice(m, sub, replace=False)
+        member[:] = False
+        member[pick] = True
+        seen = np.cumsum(member[idx[pick]], axis=1)
+        r = dist[pick, np.argmax(seen > k, axis=1)]
+        short = seen[:, -1] <= k
+        if short.any():
+            r[short] = nearest(samples[pick], samples[pick[short]],
+                               k + 1)[0][:, k]
+        reps.append(estimate(r, sub))
+    half_ci = 1.96 * float(np.std(reps, ddof=1)) * math.sqrt(sub / m)
     return value, half_ci
 
 

@@ -232,6 +232,54 @@ def test_local_affine_jacobians_recover_exact_matrix():
     assert np.allclose(jac, A[None], atol=1e-10)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 9])
+def test_nearest_matches_kdtree_bitwise(dim):
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(dim)
+    points = rng.normal(size=(257, dim))
+    queries = np.vstack([rng.normal(size=(70, dim)), points[:30]])
+    tree = cKDTree(points)
+    for k in (1, 5, 40):
+        dist, idx = brenier.nearest(points, queries, k)
+        ref_d, ref_i = tree.query(queries, k=k)
+        assert np.array_equal(dist, ref_d.reshape(-1, k))
+        assert np.array_equal(idx, ref_i.reshape(-1, k))
+    # k equal to the number of points ranks the whole cloud
+    small = points[:9]
+    dist, idx = brenier.nearest(small, queries, 9)
+    ref_d, ref_i = cKDTree(small).query(queries, k=9)
+    assert np.array_equal(dist, ref_d) and np.array_equal(idx, ref_i)
+    # a single query point is one row
+    dist, idx = brenier.nearest(points, queries[0], 3)
+    ref_d, ref_i = tree.query(queries[0], k=3)
+    assert dist.shape == idx.shape == (1, 3)
+    assert np.array_equal(dist[0], ref_d) and np.array_equal(idx[0], ref_i)
+
+
+def test_nearest_refuses_more_neighbors_than_points():
+    rng = np.random.default_rng(2)
+    xs = rng.normal(size=(10, 2))
+    with pytest.raises(DomainError):
+        brenier.nearest(xs, xs, 11)
+    with pytest.raises(DomainError):
+        brenier.nearest(xs, xs, 0)
+    with pytest.raises(DomainError):
+        brenier.local_affine_jacobians(xs, xs, xs[:3], k=20)
+
+
+def test_sample_map_evaluates_one_point_and_a_batch():
+    rng = np.random.default_rng(8)
+    xs = rng.normal(size=(80, 2))
+    ys = rng.normal(size=(80, 2)) * 0.5
+    tmap = brenier.solve_entropic_sample(xs, ys, (0.5,))
+    tvals = tmap.details["map_values"]
+    probe = xs[17] + 1e-9
+    assert tmap.eval_fn(probe).shape == (2,)
+    assert np.array_equal(tmap.eval_fn(probe), tvals[17])
+    assert np.array_equal(tmap(xs[:5]), tvals[:5])
+
+
 def test_sample_solver_shrinks_toward_half_map():
     rng = np.random.default_rng(5)
     xs = rng.normal(size=(600, 2)) * 2.0

@@ -366,3 +366,43 @@ def test_lsh_runs_at_dim_3_and_refuses_mismatched_exponent_keys(tmp_path,
     assert main(["scenario", "lsh", "--config",
                  _cfg(tmp_path, {"params": {"poly": {"2,0,0": 1}}})]) == 3
     assert capsys.readouterr().err.startswith("error: DomainError")
+
+
+def _python(tmp_path, code):
+    """Run code in a fresh interpreter that imports the package under test."""
+    import subprocess
+    import sys
+
+    import transportlab
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(transportlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_cli_start_up_and_runs_need_no_scipy(tmp_path):
+    proc = _python(tmp_path, (
+        "import sys\n"
+        "import transportlab.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+    # below about 800 draws the chains' mixing statistic leaves the
+    # sample route inconclusive (exit 2), which is not what this tests
+    doc = _cfg(tmp_path, {"params": {"samples": 800}})
+    proc = _python(tmp_path, (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from transportlab import cli\n"
+        "rc = [cli.main(['selftest', '--out', 'a']),\n"
+        f"      cli.main(['scenario', 'coulomb', '--config', {doc!r},\n"
+        "                '--out', 'b'])]\n"
+        "sys.exit(max(rc))\n"))
+    assert proc.returncode == 0, proc.stderr
+    for name in ("a", "b"):
+        assert (tmp_path / name / "report.json").exists()

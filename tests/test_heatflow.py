@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from transportlab.errors import (ConvexityViolationError, DomainError)
+from transportlab import cli, heatflow
+from transportlab.errors import (AccuracyError, ConvexityViolationError,
+                                 DomainError)
 from transportlab.heatflow import (FlowSchedule, FlowState,
                                    check_km_contraction, flow_table,
                                    integrate_flow, km_bound_rhs,
@@ -140,3 +142,44 @@ def test_flow_table_layout():
     tab = flow_table(states)
     assert tab.shape == (3 * len(states), 5)
     assert np.allclose(np.unique(tab[:, 0]), [s.t for s in states])
+
+
+def test_rk45_matches_solve_ivp_bitwise_on_a_linear_system():
+    from scipy.integrate import solve_ivp
+
+    A = np.array([[-0.5, 2.0, 0.0], [-2.0, -0.1, 0.3], [0.0, -0.3, -1.0]])
+    y0 = np.array([1.0, -0.5, 0.25])
+    t_eval = np.linspace(0.0, 7.0, 29)
+    for rtol, atol in ((1e-3, 1e-6), (1e-8, 1e-9)):
+        ref = solve_ivp(lambda t, y: A @ y, (0.0, 7.0), y0, method="RK45",
+                        t_eval=t_eval, rtol=rtol, atol=atol)
+        got = heatflow._rk45(lambda t, y: A @ y, 7.0, y0, t_eval, rtol, atol)
+        assert np.array_equal(got, ref.y)
+
+
+def test_rk45_matches_solve_ivp_bitwise_on_the_selftest_flow(monkeypatch):
+    from scipy.integrate import solve_ivp
+
+    own = heatflow._rk45
+    compared = []
+
+    def both(fun, t_end, y0, t_eval, rtol, atol):
+        got = own(fun, t_end, y0, t_eval, rtol, atol)
+        ref = solve_ivp(fun, (0.0, t_end), y0, method="RK45", t_eval=t_eval,
+                        rtol=rtol, atol=atol)
+        compared.append(np.array_equal(got, ref.y))
+        return got
+
+    monkeypatch.setattr(heatflow, "_rk45", both)
+    cli._selftest_heatflow()
+    assert compared == [True]
+
+
+@pytest.mark.parametrize("t_bad", [0.0, 0.5])
+def test_rk45_raises_when_the_field_turns_nan(t_bad):
+    def rhs(t, y):
+        return -y if t < t_bad else np.full_like(y, np.nan)
+
+    with pytest.raises(AccuracyError):
+        heatflow._rk45(rhs, 2.0, np.ones(3), np.linspace(0.0, 2.0, 5),
+                       1e-6, 1e-9)

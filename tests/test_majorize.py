@@ -132,6 +132,55 @@ def test_entropy_knn_bootstrap_survives_duplicate_rows():
     assert 0.0 < half_ci < 0.5
 
 
+def test_entropy_knn_refuses_a_sample_without_kth_neighbor():
+    xs = np.random.default_rng(0).normal(size=(4, 2))
+    with pytest.raises(DomainError):
+        entropy_knn(xs, k=4)
+    with pytest.raises(DomainError):
+        entropy_knn(xs[:3], k=2, bootstrap=4)
+
+
+def _bootstrap_by_brute_force(xs, k, bootstrap, seed):
+    """Half-CI of entropy_knn with an independent search per subsample."""
+    from scipy.spatial import cKDTree
+
+    m, n = xs.shape
+    vol_unit = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    rng = np.random.default_rng(seed)
+    sub = max(k + 2, m // 2)
+    reps = []
+    for _ in range(bootstrap):
+        pts = xs[rng.choice(m, sub, replace=False)]
+        r = np.maximum(cKDTree(pts).query(pts, k=k + 1)[0][:, k], 1e-300)
+        reps.append(-(n * np.mean(np.log(r)) + np.log(vol_unit)
+                      + math.fsum(1.0 / j for j in range(k, sub))))
+    return 1.96 * float(np.std(reps, ddof=1)) * math.sqrt(sub / m)
+
+
+def test_entropy_knn_bootstrap_falls_back_when_the_table_runs_out(
+        monkeypatch):
+    from transportlab import majorize
+
+    # tight clusters with repeated rows; k = 1 keeps the shared table
+    # 16 wide, so some subsample rows hold fewer than 2 members
+    rng = np.random.default_rng(11)
+    centers = rng.normal(scale=4.0, size=(40, 2))
+    xs = centers[rng.integers(0, 40, 1200)] + rng.normal(scale=0.05,
+                                                         size=(1200, 2))
+    xs[::5] = xs[1::5]
+    calls = []
+
+    def counting(points, queries, k):
+        calls.append(np.atleast_2d(queries).shape[0])
+        return brenier.nearest(points, queries, k)
+
+    monkeypatch.setattr(majorize, "nearest", counting)
+    value, half_ci = entropy_knn(xs, k=1, bootstrap=48, seed=2)
+    assert len(calls) > 1, "no subsample row ran out of table members"
+    assert half_ci == _bootstrap_by_brute_force(xs, 1, 48, 2)
+    assert 0.0 < half_ci < np.inf
+
+
 def test_entropy_stability_on_gaussian_pair():
     mu, nu = _pair()
     tmap = brenier.solve_gaussian(mu, nu)
