@@ -463,20 +463,15 @@ def local_affine_jacobians(xs, ts, queries, k=None, cond_limit=1e3):
     if k is None:
         k = max(4 * n + 8, 16)
     _, idx = nearest(xs, queries, k)
-    m = queries.shape[0]
-    J = np.empty((m, n, n))
-    ok = np.ones(m, dtype=bool)
-    for i in range(m):
-        X = xs[idx[i]]
+    X = xs[idx]
+    Xc = X - X.mean(axis=1, keepdims=True)
+    sv = np.linalg.svd(Xc, compute_uv=False)
+    ok = ~((sv[:, 0] <= 0)
+           | (sv[:, 0] / np.maximum(sv[:, -1], 1e-300) > cond_limit))
+    J = np.broadcast_to(np.eye(n), (len(idx), n, n)).copy()
+    for i in np.flatnonzero(ok):
         Y = ts[idx[i]]
-        Xc = X - X.mean(axis=0)
-        Yc = Y - Y.mean(axis=0)
-        sv = np.linalg.svd(Xc, compute_uv=False)
-        if sv[0] <= 0 or sv[0] / max(sv[-1], 1e-300) > cond_limit:
-            ok[i] = False
-            J[i] = np.eye(n)
-            continue
-        A, *_ = np.linalg.lstsq(Xc, Yc, rcond=None)
+        A, *_ = np.linalg.lstsq(Xc[i], Y - Y.mean(axis=0), rcond=None)
         J[i] = A.T
     return J, ok
 

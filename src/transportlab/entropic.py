@@ -59,17 +59,18 @@ class _Sinkhorn:
         P = self.log_a.copy() if P is None else P
         Q = self.log_b.copy() if Q is None else Q
         err = np.inf
+        S = self.lse_q(Q)
         for it in range(1, max_iter + 1):
-            S = self.lse_q(Q)
             _check_finite(S)
             P = self.log_a - S
             T = self.lse_p(P)
             _check_finite(T)
             err_b = np.abs(np.exp(T + Q) - np.exp(self.log_b)).sum()
             Q = self.log_b - T
+            # the next iteration's contraction; a check reads it as well
+            S = self.lse_q(Q)
             if it % check_every == 0 or err_b <= tol:
-                S2 = self.lse_q(Q)
-                err_a = np.abs(np.exp(S2 + P) - np.exp(self.log_a)).sum()
+                err_a = np.abs(np.exp(S + P) - np.exp(self.log_a)).sum()
                 err = max(err_a, err_b)
                 if err <= tol:
                     return P, Q, err, it

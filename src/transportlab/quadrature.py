@@ -120,7 +120,17 @@ class CumulativeIntegral:
         return float(out[0]) if scalar else out
 
     def inverse(self, q, tol=1e-13, max_iter=100):
-        """Solve F(x) = q by bisection refined with Newton (f as derivative)."""
+        """Solve F(x) = q by bisection refined with Newton (f as derivative).
+
+        Each point starts at the middle of the panel holding q and steps
+        by Newton while the step lands strictly inside its bracket, by
+        bisection otherwise (a step leaving the bracket, or f(x) = 0).
+        A point stops, and later iterations skip it, once
+          - a Newton step inside the bracket moves less than tol(1 + |x|),
+          - F(x) == q exactly, and x is kept as it is, or
+          - its bracket is narrower than tol(1 + |x|);
+        at most max_iter iterations run.
+        """
         q = np.asarray(q, dtype=float)
         scalar = q.ndim == 0
         qf = np.atleast_1d(q).astype(float)
@@ -130,18 +140,26 @@ class CumulativeIntegral:
         lo = self.edges[idx].copy()
         hi = self.edges[idx + 1].copy()
         x = 0.5 * (lo + hi)
+        act = np.arange(x.size)
         for _ in range(max_iter):
-            fx = self.value(x) - qf
-            too_low = fx < 0
-            lo = np.where(too_low, x, lo)
-            hi = np.where(too_low, hi, x)
-            d = self.fn(x)
-            step_ok = d > 0
-            xn = np.where(step_ok, x - fx / np.where(step_ok, d, 1.0), x)
-            inside = (xn > lo) & (xn < hi)
-            x = np.where(inside, xn, 0.5 * (lo + hi))
-            if np.all(hi - lo < tol * (1.0 + np.abs(x))):
+            if act.size == 0:
                 break
+            xa, la, ha = x[act], lo[act], hi[act]
+            fx = self.value(xa) - qf[act]
+            too_low = fx < 0
+            la = np.where(too_low, xa, la)
+            ha = np.where(too_low, ha, xa)
+            d = self.fn(xa)
+            step_ok = d > 0
+            xn = np.where(step_ok, xa - fx / np.where(step_ok, d, 1.0), xa)
+            inside = (xn > la) & (xn < ha)
+            hit = fx == 0
+            x[act] = np.where(hit, xa, np.where(inside, xn, 0.5 * (la + ha)))
+            lo[act], hi[act] = la, ha
+            size = tol * (1.0 + np.abs(x[act]))
+            done = (hit | (inside & (np.abs(xn - xa) < size))
+                    | (ha - la < size))
+            act = act[~done]
         return float(x[0]) if scalar else x
 
 

@@ -232,6 +232,40 @@ def test_local_affine_jacobians_recover_exact_matrix():
     assert np.allclose(jac, A[None], atol=1e-10)
 
 
+def _per_row_affine_reference(xs, ts, queries, k, cond_limit=1e3):
+    """One svd and one lstsq per query row."""
+    _, idx = brenier.nearest(xs, queries, k)
+    n = xs.shape[1]
+    J = np.empty((len(idx), n, n))
+    ok = np.ones(len(idx), dtype=bool)
+    for i in range(len(idx)):
+        X, Y = xs[idx[i]], ts[idx[i]]
+        Xc, Yc = X - X.mean(axis=0), Y - Y.mean(axis=0)
+        sv = np.linalg.svd(Xc, compute_uv=False)
+        if sv[0] <= 0 or sv[0] / max(sv[-1], 1e-300) > cond_limit:
+            ok[i] = False
+            J[i] = np.eye(n)
+            continue
+        A, *_ = np.linalg.lstsq(Xc, Yc, rcond=None)
+        J[i] = A.T
+    return J, ok
+
+
+def test_local_affine_jacobians_match_per_row_fits_bitwise():
+    rng = np.random.default_rng(9)
+    cloud = rng.normal(size=(300, 2))
+    # a far collinear cluster: its neighborhoods are rank-deficient
+    line = np.array([20.0, 20.0]) + np.linspace(0, 1, 30)[:, None] * [1, 2]
+    xs = np.vstack([cloud, line])
+    ts = np.tanh(xs) + 0.1 * xs ** 2
+    queries = np.vstack([cloud[:40], line[10:13], rng.normal(size=(5, 2))])
+    jac, ok = brenier.local_affine_jacobians(xs, ts, queries, k=12)
+    ref_jac, ref_ok = _per_row_affine_reference(xs, ts, queries, 12)
+    assert ok.sum() == 45 and not ok[40:43].any()
+    assert np.array_equal(ok, ref_ok)
+    assert np.array_equal(jac, ref_jac)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 9])
 def test_nearest_matches_kdtree_bitwise(dim):
     from scipy.spatial import cKDTree

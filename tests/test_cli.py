@@ -406,3 +406,33 @@ def test_cli_start_up_and_runs_need_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for name in ("a", "b"):
         assert (tmp_path / name / "report.json").exists()
+
+
+def test_growth_checks_leave_numpy_ma_unloaded(tmp_path):
+    proc = _python(tmp_path, (
+        "import sys\n"
+        "from transportlab import cli\n"
+        "rc = [cli.main(['scenario', 'fock', '--out', 'a']),\n"
+        "      cli.main(['scenario', 'lsh', '--out', 'b'])]\n"
+        "print(max(rc), 'numpy.ma' in sys.modules)\n"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("size", [1, 6, 7, 1000])
+def test_growth_direct_median_margin_equals_np_median(size):
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(size)
+    margins = rng.normal(size=size + 2)
+    margins[[0, -1]] = [np.inf, np.nan]
+    rng.shuffle(margins)
+    inst = SimpleNamespace(
+        nu=SimpleNamespace(sampler=lambda rng, n: np.zeros((n, 2))),
+        direct_check=lambda probes: {"log_margins": margins})
+    out = cli._growth_direct(RunConfig("scenario", "fock"),
+                             {"instance": inst, "kind": "fock"})
+    cert = out["certificates"][0].to_dict()
+    finite = margins[np.isfinite(margins)]
+    assert cert["details"]["median_margin"] == float(np.median(finite))
+    assert cert["observed"] == -float(finite.min())

@@ -265,3 +265,49 @@ def test_solvers_report_fallback_counters_in_details():
                                            (0.5, 0.2))
     assert sample.details["fallbacks"] == 0
     assert sample.details["absorptions"] == 0
+
+
+def _counting_lse_q(solver):
+    calls = []
+    inner = solver.lse_q
+
+    def lse_q(Q, *args):
+        calls.append(1)
+        return inner(Q, *args)
+
+    solver.lse_q = lse_q
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["grid", "sample"])
+def test_failed_check_contraction_is_reused_bitwise(kind):
+    rng = np.random.default_rng(11)
+    if kind == "grid":
+        axes_x = [np.linspace(-2, 2, 17), np.linspace(-2, 2, 13)]
+        axes_y = [np.linspace(-1.5, 2.5, 15), np.linspace(-2, 1, 11)]
+        la, lb = _log_weights(rng, (17, 13)), _log_weights(rng, (15, 11))
+
+        def make():
+            return entropic.GridSinkhorn2D(axes_x, axes_y, la, lb, 0.1)
+        kw = {}
+    else:
+        xs, ys = rng.normal(size=(60, 2)), rng.normal(size=(50, 2)) + 0.4
+
+        def make():
+            return entropic.SampleSinkhorn(xs, ys, 0.1)
+        kw = {"tol": 1e-5, "check_every": 8}
+    # the same engine driven by the loop that contracts Q once more per
+    # iteration after a failed check
+    old = make()
+    old_calls = _counting_lse_q(old)
+    expect = _ref_run(old, **kw)
+    new = make()
+    new_calls = _counting_lse_q(new)
+    got = new.run(**kw)
+    assert got[3] == expect[3]
+    assert np.array_equal(got[0], expect[0])
+    assert np.array_equal(got[1], expect[1])
+    assert got[2] == expect[2]
+    # one contraction per iteration plus the passing check's own
+    assert len(new_calls) == expect[3] + 1
+    assert len(old_calls) - len(new_calls) >= 2

@@ -65,6 +65,56 @@ def test_cumulative_integral_inverse_roundtrip(q):
     assert abs(ci.value(np.array([x]))[0] - target) < 1e-9 * ci.total
 
 
+def test_cumulative_inverse_keeps_an_exact_hit():
+    # f piecewise constant on the panels, so F is piecewise linear; q is
+    # F at the first iterate, the middle of the panel holding q
+    ci = quadrature.CumulativeIntegral(
+        lambda r: np.where(r < 1.0, 1.0, 3.0), 0.0, 2.0, panels=2)
+    q = ci.value(np.array([1.5]))
+    x = ci.inverse(q)
+    assert x[0] == 1.5
+    # a hit among other points keeps its own value too
+    qs = np.concatenate([q, ci.value(np.array([0.3, 1.9]))])
+    xs = ci.inverse(qs)
+    assert xs[0] == 1.5
+    assert np.allclose(xs[1:], [0.3, 1.9], rtol=0, atol=1e-13)
+
+
+def test_cumulative_inverse_bisects_where_the_density_vanishes():
+    # f = 0 on [1, 2]; the middle panel straddles the end of the support,
+    # so the first iterate of q near the total has f(x) = 0
+    ci = quadrature.CumulativeIntegral(
+        lambda r: np.maximum(1.0 - r, 0.0) ** 2, 0.0, 2.0, panels=3)
+    roots = np.array([0.999, 0.99999])
+    q = ci.value(roots)
+    assert q.max() < ci.total
+    x = ci.inverse(q)
+    lo, hi = ci.edges[1], ci.edges[2]
+    assert np.all((lo <= x) & (x <= hi))
+    assert np.allclose(ci.value(x), q, rtol=0, atol=1e-15)
+    assert np.allclose(x, roots, rtol=0, atol=1e-6)
+    # at the total F is flat on the last panel; any point there solves it
+    x_top = ci.inverse(ci.total)
+    assert ci.edges[2] <= x_top <= ci.b and ci.value(x_top) == ci.total
+
+
+def test_cumulative_inverse_stops_after_newton_converges():
+    ci = quadrature.CumulativeIntegral(
+        lambda r: np.exp(-r), 0.0, 20.0, panels=512)
+    calls = []
+    value = ci.value
+
+    def counting(x):
+        calls.append(np.size(x))
+        return value(x)
+
+    ci.value = counting
+    q = np.array([0.05, 0.3, 0.5, 0.7, 0.95]) * ci.total
+    x = ci.inverse(q)
+    assert len(calls) <= 8
+    assert np.allclose(np.exp(-x), 1.0 - q, rtol=1e-12, atol=0)
+
+
 def test_monte_carlo_box_unbiased_smoke():
     box = TruncationBox.cube(1, 1.0)
     rng = np.random.default_rng(0)
