@@ -485,9 +485,9 @@ def solve_entropic_sample(xs, ys, schedule, tol=1e-5, max_iter=1500,
     local affine fits (rank-deficient neighborhoods raise FitError).
     The cross-transport runs the strictly decreasing epsilon schedule with
     warm starts; the self-transport used for debiasing is only solved at
-    the final epsilon. Each stage holds one n x n float64 kernel (32 MB at
-    2000 points); details count its exact-contraction fallbacks and
-    absorptions.
+    the final epsilon. Every stage of both builds its stabilized kernel in
+    place in one buffer, so one kernel is alive at a time (32 MB at 2000
+    points); details count the exact-contraction fallbacks and absorptions.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -495,12 +495,17 @@ def solve_entropic_sample(xs, ys, schedule, tol=1e-5, max_iter=1500,
         raise DomainError("sample clouds disagree in dimension")
     schedule = _check_schedule(schedule)
     counts = {"fallbacks": 0, "absorptions": 0}
+    m = xs.shape[0]
+    # room for the m x k cross kernel and the m x m self-transport kernel
+    buf = np.empty(m * max(ys.shape[0], m if debias else 0))
 
     def final_map(targets, stages):
-        """Barycentric map at the last stage; every stage adds its counters."""
+        """Barycentric map at the last stage, read before the buffer is
+        rebuilt; every stage adds its counters."""
+        kernel = buf[:m * targets.shape[0]].reshape(m, targets.shape[0])
         for solver, Q, err, iters in entropic.continuation(
-                lambda eps: entropic.SampleSinkhorn(xs, targets, eps), stages,
-                tol, max_iter):
+                lambda eps: entropic.SampleSinkhorn(xs, targets, eps, kernel),
+                stages, tol, max_iter):
             if solver.eps == stages[-1]:
                 values = solver.barycentric(Q)
             counts["fallbacks"] += solver.fallbacks

@@ -335,11 +335,7 @@ def _bound_suite(cfg, mu, nu, solve, default_half, lp_power):
     tmap = solve()
     box = _box_for(cfg, mu, default_half)
     probes = probe_points(mu, box, seed=cfg.seed)
-    certs = [
-        verify.check_trace_bound(tmap, alpha, kappa, probes),
-        verify.check_lipschitz_bound(tmap, alpha, kappa, probes),
-        verify.check_determinant_bound(tmap, alpha, kappa, probes),
-    ]
+    certs = verify.check_jacobian_bounds(tmap, alpha, kappa, probes)
     if mu.dim <= 2:
         certs.append(verify.check_lp_moment_bound(tmap, alpha, kappa,
                                                   lp_power, mu, box=box))
@@ -413,12 +409,20 @@ def _wehrl_majorization(cfg, mu, nu):
         7, atol=maj_atol)]}
 
 
+def _coulomb_target_draws(inst, rng, count):
+    if inst.nu.sampler is None:
+        raise DomainError(
+            "the Coulomb target of a polynomial confinement has no sampler; "
+            "the laplacian and sample_route checks need target draws")
+    return inst.nu.sampler(rng, count)
+
+
 def _verify_coulomb(cfg, built):
     inst = built["instance"]
     mu = inst.mu
     rng = np.random.default_rng(cfg.seed)
     count = int(cfg.params.get("laplacian_probes", 1500))
-    probes = inst.nu.sampler(rng, count)
+    probes = _coulomb_target_draws(inst, rng, count)
     keep = ~mu.singular_tube(probes)
     lap = mu.potential_laplacian(probes[keep]) / mu.dim
     cert = make_certificate(
@@ -526,7 +530,7 @@ def _coulomb_sample_suite(cfg, built):
                            burn=int(cfg.params.get("burn", 1500)),
                            thin=int(cfg.params.get("thin", 3)))
     rng = np.random.default_rng(cfg.seed + 1)
-    ys = inst.nu.sampler(rng, count)
+    ys = _coulomb_target_draws(inst, rng, count)
     schedule = _schedule_for(cfg, default=(0.5, 0.2, 0.1))
     tmap = brenier.solve_entropic_sample(xs, ys, schedule)
     queries = xs[:int(cfg.params.get("fit_points", 600))]

@@ -19,12 +19,15 @@ Grid route: measures live on tensor grids (dim <= 2); the cost separates
 per axis, so a contraction runs axis by axis (last axis first) against
 side x side factors and never forms the full cost matrix.
 
-Sample route: uniform weights on point clouds. Per epsilon stage the
-stabilized kernel K = exp(M + P0 + Q0) is built once, an m x k float64
-array (32 MB at 2000 points each), and contractions are mat-vecs with
-exp(Q - Q0) or exp(P - P0). A potential that drifts more than DRIFT from
-its absorbed value is absorbed into P0 / Q0 and K is rebuilt, counted in
-`absorptions` (Schmitzer, arXiv:1610.06519).
+Sample route: uniform weights on point clouds. The stabilized kernel
+K = exp(M + P0 + Q0) lives in one m x k float64 buffer (32 MB at 2000
+points each) that a caller may hand to every solver of a solve, so one
+kernel is alive at a time. Each epsilon stage builds K into it once: one
+BLAS product x.y, then the elementwise passes in blocks of BLOCK_ROWS
+rows, each block finished while it is in cache. Contractions are mat-vecs
+with exp(Q - Q0) or exp(P - P0). A potential that drifts more than DRIFT
+from its absorbed value is absorbed into P0 / Q0 and K is rebuilt in the
+same buffer, counted in `absorptions` (Schmitzer, arXiv:1610.06519).
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ from .errors import ConvergenceError, DomainError
 
 TINY = np.exp(-600.0)
 DRIFT = 50.0
+# rows of the sample kernel per elementwise pass: 1 MB at 2000 columns,
+# so each block stays in L2 between passes
+BLOCK_ROWS = 64
 
 
 def _lse_rows(X):
@@ -149,9 +155,14 @@ class GridSinkhorn1D(_GridKernel):
 
 
 class SampleSinkhorn(_Sinkhorn):
-    """Sinkhorn between uniform point clouds on a stabilized kernel."""
+    """Sinkhorn between uniform point clouds on a stabilized kernel.
 
-    def __init__(self, xs, ys, epsilon):
+    The kernel is built in place in `kernel`, an (m, k) C-contiguous
+    float64 buffer (a fresh one by default); solvers may share a buffer as
+    long as only the latest of them is used.
+    """
+
+    def __init__(self, xs, ys, epsilon, kernel=None):
         self.xs = np.asarray(xs, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
         self.eps = float(epsilon)
@@ -160,28 +171,52 @@ class SampleSinkhorn(_Sinkhorn):
         self._x2 = 0.5 * np.einsum("mi,mi->m", self.xs, self.xs) / self.eps
         self._y2 = 0.5 * np.einsum("mi,mi->m", self.ys, self.ys) / self.eps
         self.fallbacks = self.absorptions = 0
-        self._K = None
+        self._K = (np.empty((self.xs.shape[0], self.ys.shape[0]))
+                   if kernel is None else kernel)
+        self._P0 = self._Q0 = None
 
     def run(self, P=None, Q=None, tol=1e-5, max_iter=1500, check_every=8):
         return super().run(P, Q, tol, max_iter, check_every)
 
+    def _blocks(self):
+        for lo in range(0, self._K.shape[0], BLOCK_ROWS):
+            yield slice(lo, lo + BLOCK_ROWS), self._K[lo:lo + BLOCK_ROWS]
+
     def _absorb(self, P0=None, Q0=None):
-        """K = exp(M + P0 + Q0), the side not given chosen so that each row
-        (column) of K peaks at exactly 1."""
-        self.absorptions += self._K is not None
-        G = self.xs @ self.ys.T
-        G /= self.eps
-        G -= self._x2[:, None]
-        G -= self._y2[None, :]
+        """K = exp(M + P0 + Q0) in place, the side not given chosen so that
+        each row (column) of K peaks at exactly 1.
+
+        One product fills the buffer (a product per row block can round
+        differently from the whole one); the elementwise passes then run
+        block by block while the block is in cache."""
+        self.absorptions += self._Q0 is not None
+        np.matmul(self.xs, self.ys.T, out=self._K)
         if Q0 is None:
-            G += P0[:, None]
-            Q0 = -G.max(axis=0)
-            G += Q0[None, :]
+            # Q0 needs every row of M + P0 before any block can finish
+            colmax = np.full(self._K.shape[1], -np.inf)
+            for rows, G in self._blocks():
+                self._shift(G, rows)
+                G += P0[rows, None]
+                np.maximum(colmax, G.max(axis=0), out=colmax)
+            Q0 = -colmax
+            for _, G in self._blocks():
+                G += Q0[None, :]
+                np.exp(G, out=G)
         else:
-            G += Q0[None, :]
-            P0 = -G.max(axis=1)
-            G += P0[:, None]
-        self._K, self._P0, self._Q0 = np.exp(G, out=G), P0, Q0
+            P0 = np.empty(self._K.shape[0])
+            for rows, G in self._blocks():
+                self._shift(G, rows)
+                G += Q0[None, :]
+                P0[rows] = -G.max(axis=1)
+                G += P0[rows, None]
+                np.exp(G, out=G)
+        self._P0, self._Q0 = P0, Q0
+
+    def _shift(self, G, rows):
+        """x.y / eps - |x|^2 / 2 eps - |y|^2 / 2 eps = M on one row block."""
+        G /= self.eps
+        G -= self._x2[rows, None]
+        G -= self._y2[None, :]
 
     def _contract(self, K, dH, R0, src, dst, h, src2, y=None):
         """Rows of K = exp(M + R0 + H0) against exp(dH), dH = H - H0: the
@@ -203,7 +238,7 @@ class SampleSinkhorn(_Sinkhorn):
 
     def lse_q(self, Q, y=None):
         """LSE_j(M_ij + Q_j); with y, the plan-weighted mean of y's rows."""
-        if self._K is None or np.abs(Q - self._Q0).max() > DRIFT:
+        if self._Q0 is None or np.abs(Q - self._Q0).max() > DRIFT:
             self._absorb(Q0=Q)
         return self._contract(self._K, Q - self._Q0, self._P0, self.xs,
                               self.ys, Q - self._y2, self._x2, y)

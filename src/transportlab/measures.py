@@ -278,7 +278,11 @@ class Density:
 
     def normalized_on(self, box, order=48, panels=4, rng=None):
         """New Density with the box partition constant folded in."""
-        logz = self.compute_log_partition(box, order=order, panels=panels, rng=rng)
+        return self.normalized_with(self.compute_log_partition(
+            box, order=order, panels=panels, rng=rng))
+
+    def normalized_with(self, logz):
+        """New Density with the log partition constant `logz` folded in."""
         return Density(
             self.dim,
             lambda x, _lz=logz: self._log_density(x) - _lz,

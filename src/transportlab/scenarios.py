@@ -563,12 +563,16 @@ class CoulombInstance:
         if spec.confinement == "quadratic":
             self.nu = measures.gaussian(np.zeros(n), np.eye(n) / (beta * N))
         else:
+            # the target is a product of N identical 2-d factors, so one
+            # factor's tensor-rule partition on its 2-d box serves them all
+            factor = Density(
+                2, lambda z: -beta * N * _confinement_derivs(spec, z)[0])
+            logz = factor.compute_log_partition(
+                TruncationBox.cube(2, 6.0 / math.sqrt(beta * N)))
             self.nu = Density(
                 n, self._target_log_density, normalized=False,
                 certificate=self.target_certificate, kind="coulomb_target",
-                params={"particles": N, "beta": beta})
-            self.nu = self.nu.normalized_on(
-                TruncationBox.cube(n, 6.0 / math.sqrt(beta * N)))
+                params={"particles": N, "beta": beta}).normalized_with(N * logz)
         self.last_diagnostics = None
 
     # density pieces --------------------------------------------------------
@@ -672,21 +676,22 @@ class CoulombInstance:
         draws = np.empty((chains, per_chain, n))
         accepted = 0
         total = 0
-        for it in range(burn + per_chain * thin):
-            prop = state + step * rng.standard_normal((chains, n))
-            ok = self._min_pair_distance(prop) >= 1e-8
-            logp_prop = np.where(ok, self._log_density(prop), -np.inf)
-            take = np.log(rng.random(chains)) < logp_prop - logp
-            state = np.where(take[:, None], prop, state)
-            logp = np.where(take, logp_prop, logp)
-            accepted += int(take.sum())
-            total += chains
-            if it >= burn and (it - burn) % thin == 0:
-                draws[:, (it - burn) // thin, :] = state
+        pairs = self._pair_indices()
+        with np.errstate(divide="ignore"):
+            for it in range(burn + per_chain * thin):
+                prop = state + step * rng.standard_normal((chains, n))
+                logp_prop = self._chain_log_density(prop, pairs)
+                take = np.log(rng.random(chains)) < logp_prop - logp
+                np.copyto(state, prop, where=take[:, None])
+                np.copyto(logp, logp_prop, where=take)
+                accepted += np.count_nonzero(take)
+                total += chains
+                if it >= burn and (it - burn) % thin == 0:
+                    draws[:, (it - burn) // thin, :] = state
         rhat = split_rhat(draws)
         diagnostics = {
             "rhat": float(rhat),
-            "acceptance": accepted / total,
+            "acceptance": int(accepted) / total,
             "chains": chains,
             "per_chain": per_chain,
             "quality_warning": bool(rhat > rhat_limit),
@@ -699,6 +704,30 @@ class CoulombInstance:
         samples = draws.reshape(-1, n)
         rng.shuffle(samples)
         return samples[:int(size)], diagnostics
+
+    def _chain_log_density(self, prop, pairs):
+        """`_log_density` of each chain's proposal, -inf where two particles
+        are closer than 1e-8, with the same bits: each pair's r^2 is formed
+        once from columns of `prop` and feeds both. Call it under
+        errstate(divide="ignore")."""
+        N, beta = self.spec.particles, self.spec.beta
+        if self.spec.confinement == "quadratic":
+            pts = prop.reshape(prop.shape[0], N, 2)
+            out = -beta * N * (0.5 * (pts * pts).sum(axis=2)).sum(axis=1)
+        else:
+            out = self._target_log_density(prop)
+        closest = np.inf
+        for i, j in pairs:
+            dx = prop[:, 2 * i] - prop[:, 2 * j]
+            dy = prop[:, 2 * i + 1] - prop[:, 2 * j + 1]
+            r2 = dx * dx + dy * dy
+            out = out + 0.5 * beta * np.log(r2)
+            closest = np.minimum(closest, r2)
+        # pairs 1e-7 apart pass the collision test; sqrt is monotone, so
+        # the closest pair decides it for the rest
+        if pairs and closest.min() < 1e-14:
+            out = np.where(np.sqrt(closest) >= 1e-8, out, -np.inf)
+        return out
 
     def _density_sampler(self, rng, size):
         seed = int(rng.integers(0, 2 ** 63 - 1))

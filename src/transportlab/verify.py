@@ -187,10 +187,11 @@ def _stats_or_raise(transport_map, probes):
 
 
 def _jacobian_check(bound_name, statistic, rhs, transport_map, alpha, kappa,
-                    probes, slack):
+                    probes, slack, stats):
     """sup over the probes of one Jacobian statistic against rhs(n)."""
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    stats = _stats_or_raise(transport_map, probes)
+    if stats is None:
+        stats = _stats_or_raise(transport_map, probes)
     return make_certificate(
         bound_name, rhs(probes.shape[1]),
         float(getattr(stats, statistic).max()), slack,
@@ -199,25 +200,40 @@ def _jacobian_check(bound_name, statistic, rhs, transport_map, alpha, kappa,
                  "max_asymmetry": float(stats.asymmetry.max())})
 
 
-def check_trace_bound(transport_map, alpha, kappa, probes, slack=None):
-    """sup of the map's Jacobian trace against n sqrt(alpha/kappa)."""
+def check_trace_bound(transport_map, alpha, kappa, probes, slack=None,
+                      stats=None):
+    """sup of the map's Jacobian trace against n sqrt(alpha/kappa).
+
+    `stats`, the map's statistics on the probes, skips their computation.
+    """
     return _jacobian_check("trace", "trace",
                            lambda n: n * np.sqrt(alpha / kappa),
-                           transport_map, alpha, kappa, probes, slack)
+                           transport_map, alpha, kappa, probes, slack, stats)
 
 
-def check_lipschitz_bound(transport_map, alpha, kappa, probes, slack=None):
+def check_lipschitz_bound(transport_map, alpha, kappa, probes, slack=None,
+                          stats=None):
     """sup of the Jacobian operator norm against n sqrt(alpha/kappa)."""
     return _jacobian_check("lipschitz", "operator_norm",
                            lambda n: n * np.sqrt(alpha / kappa),
-                           transport_map, alpha, kappa, probes, slack)
+                           transport_map, alpha, kappa, probes, slack, stats)
 
 
-def check_determinant_bound(transport_map, alpha, kappa, probes, slack=None):
+def check_determinant_bound(transport_map, alpha, kappa, probes, slack=None,
+                            stats=None):
     """sup of the Jacobian determinant against (alpha/kappa)^(n/2)."""
     return _jacobian_check("determinant", "determinant",
                            lambda n: (alpha / kappa) ** (n / 2.0),
-                           transport_map, alpha, kappa, probes, slack)
+                           transport_map, alpha, kappa, probes, slack, stats)
+
+
+def check_jacobian_bounds(transport_map, alpha, kappa, probes):
+    """The trace, Lipschitz and determinant certificates, in that order,
+    from one evaluation of the map's Jacobian on the probes."""
+    stats = _stats_or_raise(transport_map, probes)
+    return [check(transport_map, alpha, kappa, probes, stats=stats)
+            for check in (check_trace_bound, check_lipschitz_bound,
+                          check_determinant_bound)]
 
 
 def check_lp_moment_bound(transport_map, alpha, kappa, p, mu, box, order=32,

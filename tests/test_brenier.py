@@ -325,6 +325,24 @@ def test_sample_solver_shrinks_toward_half_map():
     assert rel.mean() / scale < 0.2
 
 
+@pytest.mark.parametrize("m, k", [(300, 300), (300, 240)])
+def test_sample_solve_keeps_one_kernel_alive(m, k):
+    import tracemalloc
+
+    rng = np.random.default_rng(6)
+    xs = rng.normal(size=(m, 2)) * 1.5
+    ys = rng.normal(size=(k, 2))
+    tracemalloc.start()
+    try:
+        tmap = brenier.solve_entropic_sample(xs, ys, (0.5, 0.2, 0.1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the cross stages and the debiasing self-transport share one buffer
+    assert peak < 1.5 * m * max(m, k) * 8
+    assert tmap.details["iterations"] > 0
+
+
 def test_pushforward_moments_of_gaussian_map():
     mu, nu = _pair()
     tmap = brenier.solve_gaussian(mu, nu)

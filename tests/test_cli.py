@@ -275,6 +275,41 @@ def test_radial_solve_failure_is_each_checks_error(tmp_path):
         assert report["exit_code"] == 3
 
 
+@pytest.mark.parametrize("kind, calls", [("wehrl", 2), ("gaussian", 3)])
+def test_bound_suite_evaluates_the_jacobian_once_on_its_probes(monkeypatch,
+                                                               kind, calls):
+    seen = []
+    original = brenier.TransportMap.jacobian
+
+    def counting(self, x):
+        seen.append(np.array(x, dtype=float))
+        return original(self, x)
+
+    monkeypatch.setattr(brenier.TransportMap, "jacobian", counting)
+    report, _ = run(RunConfig(command="verify", scenario=kind))
+    assert {c["bound_name"] for c in report.certificates} == {
+        "trace", "lipschitz", "determinant", "lp_moment"}
+    # one Jacobian on the probes for the three pointwise bounds, one on the
+    # moment rule's nodes; the Gaussian pair's Monge-Ampere residual makes
+    # its own on the probes
+    assert len(seen) == calls
+    assert not np.array_equal(seen[0], seen[1])
+
+
+def test_coulomb_without_target_sampler_reports_a_domain_error(tmp_path):
+    out = tmp_path / "out"
+    doc = _cfg(tmp_path, {"params": {"particles": 1,
+                                     "confinement": [0.5, 0.1]}})
+    assert main(["scenario", "coulomb", "--config", doc,
+                 "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert [e["check"] for e in report["errors"]] == ["laplacian",
+                                                      "sample_route"]
+    for err in report["errors"]:
+        assert err["error"].startswith("DomainError: ")
+        assert "no sampler" in err["error"]
+
+
 def test_verify_gaussian_above_dim_2_keeps_the_pointwise_bounds(tmp_path):
     # the moment quadrature covers dim <= 2; its absence must not cost the
     # trace, Lipschitz and determinant certificates

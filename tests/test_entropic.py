@@ -311,3 +311,63 @@ def test_failed_check_contraction_is_reused_bitwise(kind):
     # one contraction per iteration plus the passing check's own
     assert len(new_calls) == expect[3] + 1
     assert len(old_calls) - len(new_calls) >= 2
+
+
+def _one_shot_kernel(solver, P0=None, Q0=None):
+    """The kernel built in one piece over a fresh m x k array: the oracle
+    for the in-place row-block build."""
+    G = solver.xs @ solver.ys.T
+    G /= solver.eps
+    G -= solver._x2[:, None]
+    G -= solver._y2[None, :]
+    if Q0 is None:
+        G += P0[:, None]
+        Q0 = -G.max(axis=0)
+        G += Q0[None, :]
+    else:
+        G += Q0[None, :]
+        P0 = -G.max(axis=1)
+        G += P0[:, None]
+    return np.exp(G, out=G), P0, Q0
+
+
+@pytest.mark.parametrize("given", ["P0", "Q0"])
+def test_row_block_kernel_build_matches_one_shot_build_bitwise(given):
+    m, k = 150, 130
+    # more than two blocks and a ragged tail block
+    assert m > 2 * entropic.BLOCK_ROWS and m % entropic.BLOCK_ROWS
+    rng = np.random.default_rng(8)
+    xs = rng.normal(size=(m, 3))
+    ys = rng.normal(size=(k, 3)) * 0.8 + 0.2
+    potential = rng.normal(size=m if given == "P0" else k) * 5.0
+    solver = entropic.SampleSinkhorn(xs, ys, 0.07)
+    buffer = solver._K
+    solver._absorb(**{given: potential})
+    K, P0, Q0 = _one_shot_kernel(solver, **{given: potential})
+    assert solver._K is buffer
+    assert np.array_equal(solver._K, K)
+    assert np.array_equal(solver._P0, P0)
+    assert np.array_equal(solver._Q0, Q0)
+    assert solver.absorptions == 0
+    # a rebuild reuses the buffer and counts as an absorption
+    solver._absorb(**{given: potential + 1.0})
+    assert solver._K is buffer and solver.absorptions == 1
+    K, _, _ = _one_shot_kernel(solver, **{given: potential + 1.0})
+    assert np.array_equal(solver._K, K)
+
+
+def test_sample_absorption_over_many_blocks_rebuilds_in_place():
+    # as in the outlier test, but over several row blocks
+    rng = np.random.default_rng(2)
+    m, k = 150, 140
+    assert m > 2 * entropic.BLOCK_ROWS
+    xs = rng.normal(size=(m, 2)) * 0.3
+    ys = rng.normal(size=(k, 2)) * 0.3
+    ys[0] = (6.0, -6.0)
+    kernel = np.empty((m, k))
+    solver = entropic.SampleSinkhorn(xs, ys, 0.02, kernel)
+    assert _assert_same(solver, _RefSample(xs, ys, 0.02), {"tol": 1e-3},
+                        {"max_iter": 1500, "check_every": 8})
+    assert solver.absorptions > 0
+    assert solver.fallbacks > 0
+    assert solver._K is kernel

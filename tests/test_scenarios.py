@@ -291,6 +291,93 @@ def test_coulomb_sampler_reports_diagnostics():
     assert inst.last_diagnostics is diag
 
 
+def _reference_chain(inst, size, seed, burn, thin, chains=4):
+    """The random-walk chain step by step through `_log_density` and
+    `_min_pair_distance`, with the sampler's RNG calls in its order."""
+    rng = np.random.default_rng(seed)
+    n, spec = inst.spec.dim, inst.spec
+    scale = 1.0 / math.sqrt(spec.beta * spec.particles)
+    step = 0.45 * scale
+    per_chain = -(-int(size) // chains)
+    state = 1.5 * scale * rng.standard_normal((chains, n))
+    bad = inst._min_pair_distance(state) < 1e-6
+    while np.any(bad):
+        state[bad] = 1.5 * scale * rng.standard_normal((int(bad.sum()), n))
+        bad = inst._min_pair_distance(state) < 1e-6
+    logp = inst._log_density(state)
+    draws = np.empty((chains, per_chain, n))
+    accepted = 0
+    for it in range(burn + per_chain * thin):
+        prop = state + step * rng.standard_normal((chains, n))
+        ok = inst._min_pair_distance(prop) >= 1e-8
+        with np.errstate(divide="ignore"):
+            logp_prop = np.where(ok, inst._log_density(prop), -np.inf)
+        take = np.log(rng.random(chains)) < logp_prop - logp
+        state = np.where(take[:, None], prop, state)
+        logp = np.where(take, logp_prop, logp)
+        accepted += int(take.sum())
+        if it >= burn and (it - burn) % thin == 0:
+            draws[:, (it - burn) // thin, :] = state
+    rhat = split_rhat(draws)
+    samples = draws.reshape(-1, n)
+    rng.shuffle(samples)
+    return samples[:int(size)], accepted / (chains * (burn + per_chain * thin)), rhat
+
+
+@pytest.mark.parametrize("spec", [
+    {"particles": 1}, {"particles": 2}, {"particles": 3},
+    {"particles": 2, "beta": 2.0},
+    {"particles": 1, "confinement": [0.5, 0.1]}])
+def test_coulomb_chain_matches_reference_loop_bitwise(spec):
+    inst = build_coulomb_instance(spec)
+    samples, diag = inst.sample(240, seed=7, burn=300, thin=2)
+    ref, acceptance, rhat = _reference_chain(inst, 240, 7, 300, 2)
+    assert np.array_equal(samples, ref)
+    assert diag["acceptance"] == acceptance
+    assert type(diag["acceptance"]) is float
+    assert diag["rhat"] == rhat
+
+
+def test_coulomb_chain_rejects_colliding_proposals():
+    inst = build_coulomb_instance({"particles": 3})
+    prop = np.array([[0.1, 0.2, 0.1 + 5e-9, 0.2, -0.4, 0.3],
+                     [0.1, 0.2, 0.1 + 5e-8, 0.2, -0.4, 0.3],
+                     [0.1, 0.2, 0.5, 0.2, 0.1, 0.2],
+                     [0.1, 0.2, 0.5, 0.2, -0.4, 0.3]])
+    pairs = inst._pair_indices()
+    with np.errstate(divide="ignore"):
+        expect = np.where(inst._min_pair_distance(prop) >= 1e-8,
+                          inst._log_density(prop), -np.inf)
+        assert np.array_equal(inst._chain_log_density(prop, pairs), expect)
+        # one proposal at a time, so no other row decides the test
+        for row, value in zip(prop, expect):
+            got = inst._chain_log_density(row[None, :], pairs)
+            assert np.array_equal(got, [value])
+    assert expect[0] == expect[2] == -np.inf and np.isfinite(expect[1])
+
+
+def test_polynomial_confinement_normalizes_one_particle_factor():
+    # Q(z) = |z|^2 / 2 written as a polynomial is the quadratic law; its
+    # target is normalized on the box, 6 standard deviations per axis
+    quad = build_coulomb_instance({"particles": 2})
+    poly = build_coulomb_instance({"particles": 2, "confinement": [0.5]})
+    assert poly.nu.normalized
+    probes = np.random.default_rng(4).uniform(-1.5, 1.5, size=(200, 4))
+    np.testing.assert_allclose(poly.nu.logpdf(probes),
+                               quad.nu.logpdf(probes), rtol=0, atol=1e-7)
+    # three particles under a quartic law: the box partition is the cube
+    # of one particle's, checked by a midpoint sum (the integrand is
+    # smooth and negligible at the box edge, so the sum converges fast)
+    inst = build_coulomb_instance({"particles": 3, "confinement": [0.5, 0.2]})
+    h = 6.0 / math.sqrt(3.0)
+    cells = 600
+    u = -h + (np.arange(cells) + 0.5) * (2 * h / cells)
+    s2 = u[:, None] ** 2 + u[None, :] ** 2
+    z1 = np.exp(-3.0 * (0.5 * s2 + 0.2 * s2 ** 2)).sum() * (2 * h / cells) ** 2
+    assert inst.nu.params["log_partition_folded"] == pytest.approx(
+        3 * math.log(z1), rel=0, abs=1e-9)
+
+
 def test_split_rhat_flags_stuck_chains():
     rng = np.random.default_rng(0)
     mixed = rng.normal(size=(4, 200, 2))

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from transportlab import brenier
 from transportlab.measures import TruncationBox, gaussian
 from transportlab.verify import (DEFAULT_SLACK, check_determinant_bound,
-                                 check_lipschitz_bound, check_lp_moment_bound,
-                                 check_trace_bound, make_certificate,
-                                 probe_points, slack_for,
+                                 check_jacobian_bounds, check_lipschitz_bound,
+                                 check_lp_moment_bound, check_trace_bound,
+                                 make_certificate, probe_points, slack_for,
                                  trend_decreasing, trend_non_increasing)
 
 
@@ -122,6 +122,11 @@ def test_gaussian_pair_bounds_are_sharp():
     lip = check_lipschitz_bound(tmap, alpha, kappa, probes)
     assert lip.observed == pytest.approx(0.5, abs=1e-12)
     assert lip.verdict == "pass"
+
+    # the three pointwise certificates from one Jacobian evaluation
+    shared = check_jacobian_bounds(tmap, alpha, kappa, probes)
+    assert [c.to_dict() for c in shared] == [
+        c.to_dict() for c in (trace, lip, det)]
 
     mom = check_lp_moment_bound(tmap, alpha, kappa, 1.0, mu,
                                 box=TruncationBox.cube(2, 12.0))
