@@ -16,6 +16,7 @@ neighbors. The Monge-Ampere residual log rho_mu(x) - log rho_nu(T x)
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -553,16 +554,17 @@ class MongeAmpereResidual:
                 "probe_count": int(self.residuals.size)}
 
 
-def monge_ampere_residual(transport_map, mu, nu, probes):
+def monge_ampere_residual(transport_map, mu, nu, probes, jacobians=None):
     """Pointwise log residual of the pushforward equation.
 
     residual(x) = log rho_mu(x) - log rho_nu(T x) - log det DT(x).
     Both densities must be normalized. Nonpositive determinants raise.
+    `jacobians`, the map's Jacobians on the probes, skips their evaluation.
     """
     if not (mu.normalized and nu.normalized):
         raise DomainError("Monge-Ampere residual needs normalized densities")
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    J = transport_map.jacobian(probes)
+    J = transport_map.jacobian(probes) if jacobians is None else jacobians
     S = 0.5 * (J + np.swapaxes(J, -1, -2))
     det = np.linalg.det(S)
     if np.any(det <= 0):
@@ -579,31 +581,55 @@ def monge_ampere_residual(transport_map, mu, nu, probes):
 # ---------------------------------------------------------------------------
 # serialization of grid maps
 
+LATTICE_VERSION = 2
+_LATTICE_MAGIC = f"transportlab-gridmap {LATTICE_VERSION}\n".encode()
+_FLAGS = {"True": True, "False": False, "None": None}
+
+
+def _text(value, kind):
+    """A header scalar: None, or the value's exact repr as `kind`."""
+    return "None" if value is None else repr(kind(value))
+
+
+def _optional(text, kind):
+    return None if text == "None" else kind(text)
+
 
 def save_grid_map(path, transport_map):
-    """Write an entropic grid map as a flat text lattice.
+    """Write an entropic grid map as a lattice file.
 
-    The lattice is written to a temporary file next to `path` and moved
-    into place, so a crash never leaves a truncated file under `path`.
+    A text header of `key value...` lines comes first: the magic and
+    format version, dim, shape, the axis endpoints, provenance, epsilon,
+    the solve's iterations, marginal_error, side and debias, and the
+    sha256 of the body. A `values` line ends it, and the body follows: the
+    map values as raw little-endian float64, one row of `dim` per node in
+    C order. The file is written to a temporary file next to `path` and
+    moved into place, so a crash never leaves a truncated file under
+    `path`.
     """
     gm = transport_map.details.get("grid_map")
     if gm is None:
         raise DomainError("only grid-backed maps serialize to the lattice format")
+    body = np.ascontiguousarray(gm.values.reshape(-1, gm.dim),
+                                dtype="<f8").tobytes()
+    details = transport_map.details
+    header = [f"dim {gm.dim}",
+              "shape " + " ".join(str(a.size) for a in gm.axes)]
+    header += [f"axis{axis} {float(a[0])!r} {float(a[-1])!r}"
+               for axis, a in enumerate(gm.axes)]
+    header += [f"provenance {transport_map.provenance}",
+               f"epsilon {_text(transport_map.entropic_epsilon, float)}",
+               f"iterations {_text(details.get('iterations'), int)}",
+               f"marginal_error {_text(details.get('marginal_error'), float)}",
+               f"side {_text(details.get('side'), int)}",
+               f"debias {_text(details.get('debias'), bool)}",
+               f"sha256 {hashlib.sha256(body).hexdigest()}",
+               "values\n"]
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write("transportlab-gridmap 1\n")
-            fh.write(f"dim {gm.dim}\n")
-            fh.write("shape " + " ".join(str(a.size) for a in gm.axes) + "\n")
-            for axis, a in enumerate(gm.axes):
-                fh.write(f"axis{axis} {float(a[0])!r} {float(a[-1])!r}\n")
-            fh.write(f"provenance {transport_map.provenance}\n")
-            eps = transport_map.entropic_epsilon
-            fh.write(f"epsilon {None if eps is None else float(eps)!r}\n")
-            fh.write("values\n")
-            flat = gm.values.reshape(-1, gm.dim)
-            for row in flat:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        with open(tmp, "wb") as fh:
+            fh.write(_LATTICE_MAGIC + "\n".join(header).encode("ascii"))
+            fh.write(body)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -611,36 +637,51 @@ def save_grid_map(path, transport_map):
 
 
 def load_grid_map(path):
-    """Read a lattice written by save_grid_map; a malformed or truncated
-    file raises DomainError."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if header[:1] != ["transportlab-gridmap"]:
-            raise DomainError("not a grid-map lattice file")
-        try:
-            dim = int(fh.readline().split()[1])
-            shape = [int(v) for v in fh.readline().split()[1:]]
-            axes = []
-            for axis in range(dim):
-                parts = fh.readline().split()
-                axes.append(np.linspace(float(parts[1]), float(parts[2]),
-                                        shape[axis]))
-            provenance = fh.readline().split()[1]
-            eps_txt = fh.readline().split()[1]
-            epsilon = None if eps_txt == "None" else float(eps_txt)
-            if fh.readline().strip() != "values":
-                raise DomainError(f"{path}: missing values header")
-            flat = np.loadtxt(fh, ndmin=2)
-        except (IndexError, ValueError) as exc:
-            raise DomainError(f"{path}: malformed lattice header or row "
-                              f"({exc})") from exc
-    if len(shape) != dim or flat.shape != (int(np.prod(shape)), dim):
-        raise DomainError(f"{path}: {flat.shape[0]} rows of width "
-                          f"{flat.shape[1]} disagree with shape {shape}, "
-                          f"dim {dim}")
-    gm = GridMap(axes, flat)
+    """Read a lattice written by save_grid_map.
+
+    The values come back bit for bit, and the solve's iterations,
+    marginal_error, side and debias come back in `details`. Another format
+    or version, a malformed header, a body whose length disagrees with dim
+    and shape, and a body that fails its sha256 each raise DomainError.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.startswith(_LATTICE_MAGIC):
+        raise DomainError(f"{path}: not a version {LATTICE_VERSION} "
+                          "grid-map lattice file")
+    head, sep, body = data.partition(b"\nvalues\n")
+    if not sep:
+        raise DomainError(f"{path}: missing values header")
+    try:
+        lines = head[len(_LATTICE_MAGIC):].decode("ascii").split("\n")
+        fields = dict(line.split(" ", 1) for line in lines)
+        dim = int(fields["dim"])
+        shape = [int(v) for v in fields["shape"].split()]
+        axes = []
+        for axis in range(dim):
+            lo, hi = (float(v) for v in fields[f"axis{axis}"].split())
+            axes.append(np.linspace(lo, hi, shape[axis]))
+        provenance = fields["provenance"]
+        epsilon = _optional(fields["epsilon"], float)
+        details = {"iterations": _optional(fields["iterations"], int),
+                   "marginal_error": _optional(fields["marginal_error"],
+                                               float),
+                   "side": _optional(fields["side"], int),
+                   "debias": _FLAGS[fields["debias"]]}
+        digest = fields["sha256"]
+    except (UnicodeDecodeError, KeyError, IndexError, ValueError) as exc:
+        raise DomainError(f"{path}: malformed lattice header "
+                          f"({exc!r})") from exc
+    if len(shape) != dim or min(shape, default=0) < 2 \
+            or len(body) != 8 * dim * int(np.prod(shape)):
+        raise DomainError(f"{path}: a body of {len(body)} bytes disagrees "
+                          f"with shape {shape}, dim {dim}")
+    if hashlib.sha256(body).hexdigest() != digest:
+        raise DomainError(f"{path}: lattice body fails its sha256 check")
+    gm = GridMap(axes, np.frombuffer(body, dtype="<f8"))
+    details["grid_map"] = gm
     return TransportMap(dim, provenance, gm.eval, gm.jacobian,
-                        entropic_epsilon=epsilon, details={"grid_map": gm})
+                        entropic_epsilon=epsilon, details=details)
 
 
 # ---------------------------------------------------------------------------

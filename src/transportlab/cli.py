@@ -236,8 +236,21 @@ def _schedule_for(cfg, default=(0.5, 0.1, 0.05)):
 
 def _cache_path(cache_dir, scenario_hash, epsilon, side):
     key = hashlib.sha256(
-        f"{scenario_hash}|{epsilon!r}|{side}".encode()).hexdigest()[:20]
-    return os.path.join(cache_dir, f"gridmap-{key}.txt")
+        f"{scenario_hash}|{epsilon!r}|{side}|"
+        f"lattice-{brenier.LATTICE_VERSION}".encode()).hexdigest()[:20]
+    return os.path.join(cache_dir, f"gridmap-{key}.lattice")
+
+
+def _load_stage_map(path, epsilon, axes):
+    """A cached stage map, refused (DomainError) unless its epsilon and
+    lattice axes are the requested ones."""
+    tmap = brenier.load_grid_map(path)
+    found = tmap.details["grid_map"].axes
+    if tmap.entropic_epsilon != epsilon or len(found) != len(axes) \
+            or not all(np.array_equal(a, b) for a, b in zip(found, axes)):
+        raise DomainError(f"{path}: lattice was solved for another epsilon "
+                          "or grid")
+    return tmap
 
 
 def _entropic_stage_maps(cfg, mu, nu, box, box_nu=None):
@@ -251,10 +264,12 @@ def _entropic_stage_maps(cfg, mu, nu, box, box_nu=None):
         paths = [_cache_path(cfg.cache_dir, scenario_hash, eps, side)
                  for eps in schedule]
         if all(os.path.exists(p) for p in paths):
+            axes = box.axis_nodes(side)
             try:
-                return [brenier.load_grid_map(p) for p in paths], schedule
+                return [_load_stage_map(p, eps, axes)
+                        for p, eps in zip(paths, schedule)], schedule
             except DomainError:
-                pass    # a damaged lattice is a miss: solve and rewrite
+                pass    # a damaged or mismatched lattice is a miss
     maps = brenier.solve_entropic_schedule(mu, nu, schedule, box=box,
                                            box_nu=box_nu, side=side,
                                            debias=debias)
@@ -335,17 +350,19 @@ def _bound_suite(cfg, mu, nu, solve, default_half, lp_power):
     tmap = solve()
     box = _box_for(cfg, mu, default_half)
     probes = probe_points(mu, box, seed=cfg.seed)
-    certs = verify.check_jacobian_bounds(tmap, alpha, kappa, probes)
+    J = tmap.jacobian(probes)
+    certs = verify.check_jacobian_bounds(tmap, alpha, kappa, probes,
+                                         jacobians=J)
     if mu.dim <= 2:
         certs.append(verify.check_lp_moment_bound(tmap, alpha, kappa,
                                                   lp_power, mu, box=box))
-    return certs, tmap, probes
+    return certs, tmap, probes, J
 
 
 def _verify_gaussian(cfg, mu, nu, solve):
-    certs, tmap, probes = _bound_suite(
+    certs, tmap, probes, J = _bound_suite(
         cfg, mu, nu, solve, 6.0, float(cfg.params.get("lp_power", 1.0)))
-    res = brenier.monge_ampere_residual(tmap, mu, nu, probes)
+    res = brenier.monge_ampere_residual(tmap, mu, nu, probes, jacobians=J)
     return {"certificates": certs,
             "summaries": {"monge_ampere_sup_residual": res.sup_abs}}
 

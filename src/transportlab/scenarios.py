@@ -506,20 +506,29 @@ class CoulombSpec:
         return 2 * self.particles
 
 
-def _confinement_derivs(spec, pts2d):
-    """Q, grad Q, hess Q per 2-D particle position."""
+def _confinement_potential(spec, pts2d):
+    """Q per 2-D particle position, with no derivatives."""
     s = (pts2d ** 2).sum(axis=1)
     if isinstance(spec.confinement, str):
         if spec.confinement != "quadratic":
             raise DomainError(f"unknown confinement {spec.confinement!r}")
-        q = 0.5 * s
+        return 0.5 * s
+    a = np.asarray(spec.confinement, dtype=float)
+    ks = np.arange(1, a.size + 1)
+    return (a * s[:, None] ** (ks - 1) * s[:, None]).sum(axis=1)
+
+
+def _confinement_derivs(spec, pts2d):
+    """Q, grad Q, hess Q per 2-D particle position."""
+    q = _confinement_potential(spec, pts2d)
+    if isinstance(spec.confinement, str):
         grad = pts2d
         hess = np.broadcast_to(np.eye(2), (pts2d.shape[0], 2, 2)).copy()
         return q, grad, hess
+    s = (pts2d ** 2).sum(axis=1)
     a = np.asarray(spec.confinement, dtype=float)
     ks = np.arange(1, a.size + 1)
     powers = s[:, None] ** (ks - 1)
-    q = (a * powers * s[:, None]).sum(axis=1)
     g1 = (a * ks * powers).sum(axis=1)                       # dQ/ds
     g2 = (a[1:] * ks[1:] * (ks[1:] - 1)
           * s[:, None] ** (ks[1:] - 2)).sum(axis=1) if a.size > 1 else 0.0
@@ -566,7 +575,7 @@ class CoulombInstance:
             # the target is a product of N identical 2-d factors, so one
             # factor's tensor-rule partition on its 2-d box serves them all
             factor = Density(
-                2, lambda z: -beta * N * _confinement_derivs(spec, z)[0])
+                2, lambda z: -beta * N * _confinement_potential(spec, z))
             logz = factor.compute_log_partition(
                 TruncationBox.cube(2, 6.0 / math.sqrt(beta * N)))
             self.nu = Density(
@@ -589,7 +598,7 @@ class CoulombInstance:
         pts = self._split(x)
         N, beta = self.spec.particles, self.spec.beta
         flat = pts.reshape(-1, 2)
-        q, _, _ = _confinement_derivs(self.spec, flat)
+        q = _confinement_potential(self.spec, flat)
         return -beta * N * q.reshape(-1, N).sum(axis=1)
 
     def _log_density(self, x):

@@ -46,6 +46,20 @@ def test_monge_ampere_residual_vanishes_for_exact_map():
     assert res.sup_abs < 1e-12
 
 
+def test_monge_ampere_residual_reuses_given_jacobians():
+    mu = gaussian(np.array([0.3, -0.2]), np.array([[2.0, 0.4], [0.4, 1.0]]))
+    nu = gaussian(np.zeros(2), np.array([[0.5, -0.1], [-0.1, 0.8]]))
+    tmap = brenier.solve_gaussian(mu, nu)
+    probes = np.random.default_rng(2).normal(size=(40, 2))
+    J = tmap.jacobian(probes)
+    own = brenier.monge_ampere_residual(tmap, mu, nu, probes)
+    given = brenier.monge_ampere_residual(
+        brenier.TransportMap(2, tmap.provenance, tmap.eval_fn), mu, nu,
+        probes, jacobians=J)        # a map with no Jacobian evaluator
+    assert np.array_equal(given.residuals, own.residuals)
+    assert given.sup_abs == own.sup_abs
+
+
 def test_quantile_map_matches_linear_oracle():
     mu, nu = _pair(dim=1)
     box = TruncationBox.cube(1, 12.0)
@@ -161,38 +175,42 @@ def test_grid_map_roundtrip_through_lattice_file(tmp_path):
     box = TruncationBox.cube(2, 6.0)
     tmap = brenier.solve_entropic_schedule(mu, nu, [0.3], box=box,
                                            side=48)[0]
-    path = tmp_path / "map.txt"
+    path = tmp_path / "map.lattice"
     brenier.save_grid_map(path, tmap)
     loaded = brenier.load_grid_map(path)
     x = np.random.default_rng(3).normal(size=(30, 2))
-    assert loaded.entropic_epsilon == pytest.approx(0.3)
+    assert loaded.entropic_epsilon == 0.3
     assert loaded.provenance == tmap.provenance
-    assert np.allclose(loaded(x), tmap(x), atol=1e-12)
-    assert np.allclose(loaded.jacobian(x), tmap.jacobian(x), atol=1e-12)
+    gm, got = tmap.details["grid_map"], loaded.details["grid_map"]
+    assert np.array_equal(got.values, gm.values)
+    assert all(np.array_equal(a, b) for a, b in zip(got.axes, gm.axes))
+    assert np.array_equal(loaded(x), tmap(x))
+    assert np.array_equal(loaded.jacobian(x), tmap.jacobian(x))
+    # the solve's metadata survives the trip
+    for key in ("iterations", "marginal_error", "side", "debias"):
+        assert loaded.details[key] == tmap.details[key]
+    assert type(loaded.details["iterations"]) is int
+    # a text header, then 8 bytes per value
+    data = path.read_bytes()
+    head, body = data.split(b"\nvalues\n", 1)
+    assert head.startswith(b"transportlab-gridmap 2\n")
+    assert len(body) == 8 * 2 * 48 * 48
 
 
-def test_load_grid_map_rejects_damaged_lattices(tmp_path):
+def test_load_grid_map_rejects_damaged_lattices(tmp_path, damaged_lattices):
     mu, nu = _pair()
     box = TruncationBox.cube(2, 6.0)
     tmap = brenier.solve_entropic_schedule(mu, nu, [0.5], box=box,
                                            side=12)[0]
-    path = tmp_path / "map.txt"
+    path = tmp_path / "map.lattice"
     brenier.save_grid_map(path, tmap)
-    assert [p.name for p in tmp_path.iterdir()] == ["map.txt"]
-    lines = path.read_text().splitlines(keepends=True)
-    values_at = lines.index("values\n")
-    damaged = {
-        "no values header": lines[:values_at] + lines[values_at + 1:],
-        "truncated rows": lines[:values_at + 1 + 100],
-        "truncated header": lines[:3],
-        "cut mid-row": lines[:-1] + [lines[-1].split()[0] + "\n"],
-        "shape disagrees": [lines[0], lines[1], "shape 12 11\n"]
-        + lines[3:],
-    }
-    for name, text in damaged.items():
-        bad = tmp_path / "bad.txt"
-        bad.write_text("".join(text))
-        with pytest.raises(DomainError):
+    assert [p.name for p in tmp_path.iterdir()] == ["map.lattice"]
+    damaged = damaged_lattices(path.read_bytes())
+    assert len({data for data, _ in damaged.values()}) == len(damaged) == 8
+    for name, (data, reason) in damaged.items():
+        bad = tmp_path / "bad.lattice"
+        bad.write_bytes(data)
+        with pytest.raises(DomainError, match=reason):
             brenier.load_grid_map(bad)
 
 
@@ -201,7 +219,7 @@ def test_grid_map_refuses_points_off_the_lattice(tmp_path):
     box = TruncationBox.cube(2, 6.0)
     tmap = brenier.solve_entropic_schedule(mu, nu, [0.5], box=box,
                                            side=12)[0]
-    path = tmp_path / "map.txt"
+    path = tmp_path / "map.lattice"
     brenier.save_grid_map(path, tmap)
     loaded = brenier.load_grid_map(path)
     edge = np.array([[6.0, -6.0], [6.0 * (1 + 1e-13), 0.0]])

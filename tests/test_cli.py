@@ -219,36 +219,68 @@ def test_entropic_cache_reuses_stage_maps(tmp_path):
             "--epsilon-schedule", "0.5,0.12", "--cache", str(cache)]
     rc1 = main(args + ["--out", str(tmp_path / "fresh")])
     assert rc1 == 0
-    stage_files = glob.glob(str(cache / "gridmap-*.txt"))
+    stage_files = glob.glob(str(cache / "gridmap-*.lattice"))
     assert len(stage_files) == 2
     before = {p: os.path.getmtime(p) for p in stage_files}
     rc2 = main(args + ["--out", str(tmp_path / "cached")])
     assert rc2 == 0
     after = {p: os.path.getmtime(p) for p in glob.glob(
-        str(cache / "gridmap-*.txt"))}
+        str(cache / "gridmap-*.lattice"))}
     assert before == after  # second run read the lattices instead of solving
     fresh = (tmp_path / "fresh" / "report.json").read_bytes()
     cached = (tmp_path / "cached" / "report.json").read_bytes()
     assert fresh == cached
 
 
-def test_damaged_cache_lattice_is_a_miss(tmp_path):
+def test_damaged_cache_lattice_is_a_miss(tmp_path, damaged_lattices):
     cache = tmp_path / "cache"
     doc = _cfg(tmp_path, {"params": {"side": 32, "box_half": 2.4,
                                      "box_half_nu": 2.4}})
     args = ["scenario", "wehrl", "--config", doc,
             "--epsilon-schedule", "0.5,0.12", "--cache", str(cache)]
     assert main(args + ["--out", str(tmp_path / "fresh")]) == 0
-    victim = sorted(glob.glob(str(cache / "gridmap-*.txt")))[-1]
-    text = open(victim).read()
-    with open(victim, "w") as fh:
-        fh.write(text[:len(text) // 2])     # a crash mid-write, say
-    assert main(args + ["--out", str(tmp_path / "rerun")]) == 0
     fresh = (tmp_path / "fresh" / "report.json").read_bytes()
-    assert (tmp_path / "rerun" / "report.json").read_bytes() == fresh
-    assert open(victim).read() == text      # the miss rewrote the lattice
+    victim = sorted(glob.glob(str(cache / "gridmap-*.lattice")))[-1]
+    with open(victim, "rb") as fh:
+        good = fh.read()
+    damaged = damaged_lattices(good)
+    damaged["crash mid-write"] = (good[:len(good) // 2], None)
+    for name, (data, _) in damaged.items():
+        with open(victim, "wb") as fh:
+            fh.write(data)
+        assert main(args + ["--out", str(tmp_path / "rerun")]) == 0, name
+        assert (tmp_path / "rerun" / "report.json").read_bytes() == fresh
+        with open(victim, "rb") as fh:
+            assert fh.read() == good, name  # the miss rewrote the lattice
     assert glob.glob(str(cache / "*.tmp")) == []
     assert b"fallbacks" not in fresh and b"absorptions" not in fresh
+
+
+@pytest.mark.parametrize("field, wrong", [
+    ("epsilon", b"epsilon 0.25"), ("axis0", b"axis0 -2.4 2.5"),
+    ("axis1", b"axis1 -2.5 2.4")])
+def test_cache_lattice_for_another_request_is_a_miss(tmp_path, field, wrong):
+    # a well-formed lattice at the right path, solved for another epsilon
+    # or grid, is solved again and rewritten
+    cache = tmp_path / "cache"
+    doc = _cfg(tmp_path, {"params": {"side": 32, "box_half": 2.4,
+                                     "box_half_nu": 2.4}})
+    args = ["scenario", "wehrl", "--config", doc,
+            "--epsilon-schedule", "0.5,0.12", "--cache", str(cache)]
+    assert main(args + ["--out", str(tmp_path / "fresh")]) == 0
+    fresh = (tmp_path / "fresh" / "report.json").read_bytes()
+    victim = sorted(glob.glob(str(cache / "gridmap-*.lattice")))[0]
+    with open(victim, "rb") as fh:
+        good = fh.read()
+    lines = good.split(b"\n")
+    at = [ln.split(b" ")[0] for ln in lines].index(field.encode())
+    with open(victim, "wb") as fh:
+        fh.write(b"\n".join(lines[:at] + [wrong] + lines[at + 1:]))
+    brenier.load_grid_map(victim)         # intact, but not the request
+    assert main(args + ["--out", str(tmp_path / "rerun")]) == 0
+    assert (tmp_path / "rerun" / "report.json").read_bytes() == fresh
+    with open(victim, "rb") as fh:
+        assert fh.read() == good          # the miss rewrote the lattice
 
 
 def test_commands_registry_is_complete():
@@ -275,7 +307,7 @@ def test_radial_solve_failure_is_each_checks_error(tmp_path):
         assert report["exit_code"] == 3
 
 
-@pytest.mark.parametrize("kind, calls", [("wehrl", 2), ("gaussian", 3)])
+@pytest.mark.parametrize("kind, calls", [("wehrl", 2), ("gaussian", 2)])
 def test_bound_suite_evaluates_the_jacobian_once_on_its_probes(monkeypatch,
                                                                kind, calls):
     seen = []
@@ -289,9 +321,8 @@ def test_bound_suite_evaluates_the_jacobian_once_on_its_probes(monkeypatch,
     report, _ = run(RunConfig(command="verify", scenario=kind))
     assert {c["bound_name"] for c in report.certificates} == {
         "trace", "lipschitz", "determinant", "lp_moment"}
-    # one Jacobian on the probes for the three pointwise bounds, one on the
-    # moment rule's nodes; the Gaussian pair's Monge-Ampere residual makes
-    # its own on the probes
+    # one Jacobian on the probes for the three pointwise bounds (and the
+    # Gaussian pair's Monge-Ampere residual), one on the moment rule's nodes
     assert len(seen) == calls
     assert not np.array_equal(seen[0], seen[1])
 
@@ -352,12 +383,12 @@ def test_cache_key_ignores_command_and_seed(tmp_path):
     assert main(["scenario", *common, "--seed", "0",
                  "--cache", str(cache)]) == 0
     written = {p: os.path.getmtime(p)
-               for p in glob.glob(str(cache / "gridmap-*.txt"))}
+               for p in glob.glob(str(cache / "gridmap-*.lattice"))}
     assert len(written) == 2
     assert main(["verify", *common, "--seed", "1", "--cache", str(cache),
                  "--out", str(tmp_path / "cached")]) == 0
     assert {p: os.path.getmtime(p)
-            for p in glob.glob(str(cache / "gridmap-*.txt"))} == written
+            for p in glob.glob(str(cache / "gridmap-*.lattice"))} == written
     assert main(["verify", *common, "--seed", "1",
                  "--out", str(tmp_path / "fresh")]) == 0
     assert (tmp_path / "cached" / "report.json").read_bytes() == \

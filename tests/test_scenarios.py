@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from transportlab import brenier
+from transportlab import brenier, scenarios
 from transportlab.errors import (AccuracyError, CertificateConflictError,
                                  DomainError)
 from transportlab.majorize import entropy_quadrature
@@ -336,6 +336,40 @@ def test_coulomb_chain_matches_reference_loop_bitwise(spec):
     assert diag["acceptance"] == acceptance
     assert type(diag["acceptance"]) is float
     assert diag["rhat"] == rhat
+
+
+def _reference_potential(spec, pts2d):
+    """Q per particle with the powers of s formed first, as the derivative
+    path forms them for dQ/ds too."""
+    s = (pts2d ** 2).sum(axis=1)
+    a = np.asarray(spec.confinement, dtype=float)
+    powers = s[:, None] ** (np.arange(1, a.size + 1) - 1)
+    return (a * powers * s[:, None]).sum(axis=1)
+
+
+@pytest.mark.parametrize("confinement", [[0.5], [0.5, 0.1], [0.3, 0.2, 0.05]])
+def test_confinement_potential_matches_the_derivative_path(monkeypatch,
+                                                           confinement):
+    inst = build_coulomb_instance({"particles": 2,
+                                   "confinement": confinement})
+    pts = np.random.default_rng(5).normal(size=(300, 2))
+    q = scenarios._confinement_potential(inst.spec, pts)
+    assert np.array_equal(q, scenarios._confinement_derivs(inst.spec, pts)[0])
+    assert np.array_equal(q, _reference_potential(inst.spec, pts))
+    # the build and the chain run on the potential alone, with the same
+    # draws as through the reference formula
+
+    def no_derivatives(spec, pts2d):
+        raise AssertionError("built derivatives only to discard them")
+    monkeypatch.setattr(scenarios, "_confinement_derivs", no_derivatives)
+    spec = {"particles": 1, "confinement": confinement}
+    samples, diag = build_coulomb_instance(spec).sample(240, seed=11,
+                                                        burn=200, thin=2)
+    monkeypatch.setattr(scenarios, "_confinement_potential",
+                        _reference_potential)
+    ref, ref_diag = build_coulomb_instance(spec).sample(240, seed=11,
+                                                        burn=200, thin=2)
+    assert np.array_equal(samples, ref) and diag == ref_diag
 
 
 def test_coulomb_chain_rejects_colliding_proposals():
