@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import entropic, quadrature
-from .errors import (ConvergenceError, ConvexityViolationError, DomainError,
-                     FitError, SupportError)
-from .measures import TruncationBox
+from .errors import (ConvexityViolationError, DomainError, FitError,
+                     SupportError)
 
 PROVENANCES = ("closed_form_gaussian", "quantile_1d", "radial",
                "entropic_grid", "entropic_sample")
@@ -372,6 +371,8 @@ def solve_entropic_schedule(mu, nu, schedule, box=None, box_nu=None, side=128,
         raise DomainError("an explicit box is required")
     if mu.dim not in (1, 2):
         raise DomainError("grid route is limited to dim <= 2")
+    if side < 2:
+        raise DomainError(f"side must be at least 2, got {side}")
     axes_x, log_a = grid_measure(mu, box, side)
     axes_y, log_b = grid_measure(nu, box if box_nu is None else box_nu, side)
     cross = entropic.continuation(_grid_solver(axes_x, axes_y, log_a, log_b),

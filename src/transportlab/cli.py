@@ -40,7 +40,7 @@ import numpy as np
 
 from . import (brenier, calculus, heatflow, majorize, measures, polyexp,
                scenarios, semigroup, verify)
-from .errors import DomainError, TransportLabError
+from .errors import DomainError
 from .measures import TruncationBox
 from .verify import (FAIL, INCONCLUSIVE, PASS, PASS_WITH_SLACK,
                      make_certificate, probe_points)
@@ -325,7 +325,10 @@ def _shared_solve(cfg, mu, nu):
 def _growth_direct(cfg, built):
     inst = built["instance"]
     rng = np.random.default_rng(cfg.seed)
-    probes = inst.nu.sampler(rng, int(cfg.params.get("probes", 1000)))
+    count = int(cfg.params.get("probes", 1000))
+    if count < 1:
+        raise DomainError(f"probes must be at least 1, got {count}")
+    probes = inst.nu.sampler(rng, count)
     margins = np.asarray(inst.direct_check(probes)["log_margins"],
                          dtype=float)
     finite = np.sort(margins[np.isfinite(margins)])
@@ -454,9 +457,12 @@ def _verify_coulomb(cfg, built):
 
 
 def _geodesic_suite(cfg, mu, nu, solve, default_half):
+    count = int(cfg.params.get("time_points", 11))
+    if count < 2:
+        raise DomainError(f"time_points must be at least 2, got {count}")
+    times = np.linspace(0.0, 1.0, count)
     tmap = solve()
     box = _box_for(cfg, mu, default_half)
-    times = np.linspace(0.0, 1.0, int(cfg.params.get("time_points", 11)))
     geo = majorize.Geodesic(mu, nu, tmap, box,
                             order=int(cfg.params.get("order", 48)))
     tol = float(cfg.params.get("monotonicity_tol", 1e-9))
@@ -504,8 +510,7 @@ def _heatflow_suite(cfg, built):
     particles = mu.sampler(rng, count)
     schedule = heatflow.FlowSchedule(
         t_max=float(cfg.params.get("t_max", 8.0)),
-        steps=int(cfg.params.get("steps", 64)),
-        stepper=cfg.params.get("stepper", "adaptive_rk45"))
+        steps=int(cfg.params.get("steps", 64)))
     states = heatflow.integrate_flow(
         f, particles, schedule=schedule,
         record_every=int(cfg.params.get("record_every", 4)))

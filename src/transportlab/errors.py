@@ -10,7 +10,7 @@ class CertificateConflictError(TransportLabError):
 
 
 class AccuracyError(TransportLabError):
-    """A quadrature or Monte Carlo error estimate exceeds tolerance."""
+    """A quadrature or integrator error estimate exceeds tolerance."""
 
     def __init__(self, message, estimate=None):
         super().__init__(message)

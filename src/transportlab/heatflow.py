@@ -9,6 +9,7 @@ P_t f -> 1 and F_t pushes mu to the Gaussian. Jacobians ride along via
 
 and the scalar log-det route must agree with det of the matrix route at
 every recorded time; disagreement signals stepper failure, not physics.
+The one stepper is adaptive Dormand-Prince 5(4) with dense output.
 
 The flow is truncated at t_max. For a pure quadratic-exponent f the missing
 tail of the log-determinant has a closed form; otherwise the field frozen at
@@ -17,7 +18,7 @@ t_max bounds the tail and is reported as an error bar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +26,6 @@ from . import semigroup
 from .errors import AccuracyError, ConvexityViolationError, DomainError
 from .polyexp import PolyExp, poly_degree
 from .verify import make_certificate
-
-STEPPERS = ("rk4", "adaptive_rk45")
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,6 @@ class FlowState:
     positions: np.ndarray       # (m, n)
     jacobians: np.ndarray       # (m, n, n)
     log_dets: np.ndarray        # (m,)
-    laplacian: np.ndarray = None  # lap log P_t f at the particles
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.log_dets)):
@@ -64,7 +62,6 @@ class FlowState:
 class FlowSchedule:
     t_max: float = 8.0
     steps: int = 64
-    stepper: str = "adaptive_rk45"
     rtol: float = 1e-8
     atol: float = 1e-9
 
@@ -73,24 +70,14 @@ class FlowSchedule:
             raise DomainError("t_max below 3 leaves a visible e^{-2t} tail")
         if self.steps < 64:
             raise DomainError("use at least 64 recording steps")
-        if self.stepper not in STEPPERS:
-            raise DomainError(f"stepper must be one of {STEPPERS}")
 
     @property
     def times(self):
         return np.linspace(0.0, self.t_max, self.steps + 1)
 
-    @property
-    def stepper_tolerance(self):
-        """Nominal relative accuracy: rtol for rk45, h^4 for fixed rk4."""
-        if self.stepper == "adaptive_rk45":
-            return self.rtol
-        return (self.t_max / self.steps) ** 4
 
-
-def _field_parts(f, t, x, method, order):
-    ev = semigroup.apply(semigroup.SemigroupKind.ORNSTEIN_UHLENBECK, f, t, x,
-                         method=method, order=order)
+def _field_parts(f, t, x):
+    ev = semigroup.apply(semigroup.SemigroupKind.ORNSTEIN_UHLENBECK, f, t, x)
     lap = np.trace(ev.hess_log, axis1=-2, axis2=-1)
     return -ev.grad_log, -ev.hess_log, -lap
 
@@ -204,16 +191,18 @@ def _rk45(fun, t_end, y0, t_eval, rtol, atol):
     return out
 
 
-def integrate_flow(f, particles, schedule=None, method="auto", order=64,
-                   record_every=1):
+def integrate_flow(f, particles, schedule=None, record_every=1):
     """Joint integration of positions, Jacobians, and log-determinants.
 
-    Returns a list of FlowState at the schedule's recording times. The two
-    determinant routes are compared at each recorded state; divergence
-    beyond 10x the stepper tolerance raises AccuracyError.
+    Returns a list of FlowState at every record_every-th schedule time
+    and t_max. The two determinant routes are compared at each recorded
+    state; divergence beyond 10x the stepper's rtol raises AccuracyError.
     """
     if schedule is None:
         schedule = FlowSchedule()
+    if record_every < 1:
+        raise DomainError(
+            f"record_every must be at least 1, got {record_every}")
     particles = np.atleast_2d(np.asarray(particles, dtype=float))
     m, n = particles.shape
     eye = np.broadcast_to(np.eye(n), (m, n, n)).copy()
@@ -224,35 +213,17 @@ def integrate_flow(f, particles, schedule=None, method="auto", order=64,
 
     def rhs(t, y):
         pos, jac, _ = _unpack(y, m, n)
-        drift, dhess, dlap = _field_parts(f, t, pos, method, order)
+        drift, dhess, dlap = _field_parts(f, t, pos)
         djac = np.einsum("mij,mjk->mik", dhess, jac)
         return _pack(drift, djac, dlap)
 
-    if schedule.stepper == "adaptive_rk45":
-        ys = _rk45(rhs, schedule.t_max, y0, t_rec, schedule.rtol,
-                   schedule.atol)
-        frames = [(t, ys[:, i]) for i, t in enumerate(t_rec)]
-    else:
-        frames = [(0.0, y0.copy())]
-        y = y0.copy()
-        grid = schedule.times
-        for t0, t1 in zip(grid[:-1], grid[1:]):
-            h = t1 - t0
-            k1 = rhs(t0, y)
-            k2 = rhs(t0 + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t0 + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t1, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if t1 in t_rec or t1 == grid[-1]:
-                frames.append((t1, y.copy()))
-
-    agree_tol = 10.0 * max(schedule.stepper_tolerance, 1e-8)
+    ys = _rk45(rhs, schedule.t_max, y0, t_rec, schedule.rtol, schedule.atol)
+    agree_tol = 10.0 * max(schedule.rtol, 1e-8)
     states = []
-    for t, y in frames:
-        pos, jac, logdet = _unpack(y, m, n)
-        _, _, dlap = _field_parts(f, t, pos, method, order)
+    for i, t in enumerate(t_rec):
+        pos, jac, logdet = _unpack(ys[:, i], m, n)
         st = FlowState(t=float(t), positions=pos, jacobians=jac,
-                       log_dets=logdet, laplacian=-dlap)
+                       log_dets=logdet)
         gap = st.route_agreement()
         if gap > agree_tol:
             raise AccuracyError(
@@ -277,7 +248,7 @@ def _pure_quadratic_exponent(f):
     return term.B
 
 
-def tail_log_det(f, t_max, positions=None, method="auto", order=64):
+def tail_log_det(f, t_max, positions=None):
     """(tail log-det increment, error bar) for the flow past t_max.
 
     Quadratic-exponent f: the increment int_{t_max}^inf -lap log P_t f dt
@@ -297,16 +268,15 @@ def tail_log_det(f, t_max, positions=None, method="auto", order=64):
         return 0.5 * (ld1 - ld2), 0.0
     if positions is None:
         raise DomainError("general f needs positions for the frozen-tail bound")
-    _, _, dlap = _field_parts(f, t_max, positions, method, order)
+    _, _, dlap = _field_parts(f, t_max, positions)
     bar = float(np.abs(dlap).max()) / 2.0
     return 0.0, bar
 
 
-def terminal_determinants(states, f, method="auto", order=64):
+def terminal_determinants(states, f):
     """(terminal dets including the tail factor, error bar on log det)."""
     last = states[-1]
-    inc, bar = tail_log_det(f, last.t, positions=last.positions,
-                            method=method, order=order)
+    inc, bar = tail_log_det(f, last.t, positions=last.positions)
     return np.exp(last.log_dets + inc), bar
 
 

@@ -14,7 +14,7 @@ construction; derived quantities are cached, never mutated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -245,41 +245,26 @@ class Density:
             raise DomainError("mass_on needs a normalized density")
         return quadrature.integrate_box(self.pdf, box, order=order, panels=panels)
 
-    def compute_log_partition(self, box, order=48, panels=4, rng=None,
-                              mc_count=200_000):
+    def compute_log_partition(self, box, order=48, panels=4):
         """log integral exp(log_density) over the box (Lebesgue).
 
-        Tensor Gauss-Legendre up to dim 2, stratified Monte Carlo above.
+        Tensor Gauss-Legendre in dim <= 2; above, a DomainError.
         """
-        if self.dim <= 2:
-            shift = self._log_shift(box)
-            val = quadrature.integrate_box(
-                lambda p: np.exp(self.logpdf(p) - shift), box,
-                order=order, panels=panels)
-            return float(np.log(val) + shift)
-        if rng is None:
-            rng = np.random.default_rng(0)
-        shift = self._log_shift(box, rng=rng)
-        val, se = quadrature.monte_carlo_box(
-            lambda p: np.exp(self.logpdf(p) - shift), box, mc_count, rng)
-        if se > 0.01 * abs(val):
-            raise AccuracyError("Monte Carlo partition estimate too noisy",
-                                estimate=se / abs(val))
-        return float(np.log(val) + shift)
-
-    def _log_shift(self, box, rng=None):
-        if rng is None:
-            probes = box.grid(9)
-        else:
-            probes = box.sample_uniform(4096, rng)
+        if self.dim > 2:
+            raise DomainError("the partition tensor rule needs dim <= 2")
+        probes = box.grid(9)
         if self.singular_tube is not None:
             probes = probes[~self.singular_tube(probes)]
-        return float(np.max(self.logpdf(probes)))
+        shift = float(np.max(self.logpdf(probes)))
+        val = quadrature.integrate_box(
+            lambda p: np.exp(self.logpdf(p) - shift), box,
+            order=order, panels=panels)
+        return float(np.log(val) + shift)
 
-    def normalized_on(self, box, order=48, panels=4, rng=None):
+    def normalized_on(self, box, order=48, panels=4):
         """New Density with the box partition constant folded in."""
         return self.normalized_with(self.compute_log_partition(
-            box, order=order, panels=panels, rng=rng))
+            box, order=order, panels=panels))
 
     def normalized_with(self, logz):
         """New Density with the log partition constant `logz` folded in."""

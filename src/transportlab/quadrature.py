@@ -1,8 +1,8 @@
 """Quadrature helpers: tensor Gauss-Legendre boxes, Gauss-Hermite grids,
-cumulative integrals with monotone inversion, stratified Monte Carlo.
+cumulative integrals with monotone inversion, stratified uniform probes.
 
-Conventions: points are arrays of shape (m, n); weights of shape (m,).
-All randomness flows through an explicit numpy Generator.
+Every integral is a deterministic rule; the probe draws take an explicit
+numpy Generator. Points are arrays of shape (m, n); weights of shape (m,).
 """
 
 from __future__ import annotations
@@ -172,17 +172,3 @@ def stratified_uniform(box, count, rng):
     for j in range(n):
         rng.shuffle(u[:, j])
     return center + (2.0 * u - 1.0) * half
-
-
-def monte_carlo_box(fn, box, count, rng):
-    """Stratified MC integral of fn over the box.
-
-    Returns (value, standard_error).
-    """
-    pts = stratified_uniform(box, count, rng)
-    half = np.asarray(box.half_widths, dtype=float)
-    vol = float(np.prod(2.0 * half))
-    vals = fn(pts)
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(count))
-    return vol * mean, vol * se

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures, polyexp, quadrature
-from .errors import (AccuracyError, CertificateConflictError, ConvergenceError,
-                     DomainError)
+from .errors import AccuracyError, CertificateConflictError, DomainError
 from .measures import ConvexityCertificate, Density, TruncationBox
 from .polyexp import PolyExp
 
@@ -832,6 +831,8 @@ def _scenario_gaussian(params):
 
 def _scenario_anisotropic(params):
     eps_list = params.get("epsilons", [1.0, 0.1, 0.01])
+    if not eps_list:
+        raise DomainError("epsilons must list at least one value")
     rows = [anisotropic_pair(e, dim=params.get("dim", 2)) for e in eps_list]
     return {"kind": "anisotropic", "epsilons": list(eps_list), "pairs": rows}
 

@@ -7,11 +7,11 @@ Ornstein-Uhlenbeck action is the change of variables
 
 so both kinds share one implementation. Evaluation routes:
 
-  closed_form     f is a PolyExp (polynomial times Gaussian exponent);
-                  exact values and log-derivatives.
-  gauss_hermite   tensor Gauss-Hermite in dim <= 2, derivative-free score
-                  identities, order-doubling accuracy estimate.
-  monte_carlo     seeded Gaussian sampling for higher dimensions.
+  closed_form     f is a PolyExp, or a Density with a polynomial-Gaussian
+                  family; exact values and log-derivatives.
+  gauss_hermite   any other f in dim <= 2 (above, a DomainError): tensor
+                  Gauss-Hermite through derivative-free score identities,
+                  accepted when twice the order agrees to CHECK_RTOL.
 
 Transfer facts checked by check_smoothing_bounds (s = 1 - e^{-2t}, a = e^{-t}
 for the OU kind; s = t, a = 1 for heat):
@@ -35,6 +35,8 @@ from .errors import AccuracyError, DomainError
 from .measures import ConvexityCertificate, Density
 from .polyexp import PolyExp
 from .verify import make_certificate
+
+CHECK_RTOL = 1e-7  # Gauss-Hermite order-doubling acceptance
 
 
 class SemigroupKind(str, Enum):
@@ -82,22 +84,19 @@ def _family_of(f):
     return None
 
 
-def apply(kind, f, t, x, method="auto", order=64, seed=0,
-          mc_samples=200_000, check=True, check_rtol=1e-7):
-    """Evaluate P_t f (or H_t f) with log-derivatives at points x."""
+def apply(kind, f, t, x, method="auto", order=64):
+    """Evaluate P_t f (or H_t f) with log-derivatives at points x.
+
+    method "auto" takes the closed form when f has a family, else
+    Gauss-Hermite, whose error estimate is the order-doubling gap.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = x.shape[1]
     a, s = kernel_params(kind, t)
     kind_str = kind.value if isinstance(kind, SemigroupKind) else str(kind)
     family = _family_of(f)
 
     if method == "auto":
-        if family is not None:
-            method = "closed_form"
-        elif n <= 2:
-            method = "gauss_hermite"
-        else:
-            method = "monte_carlo"
+        method = "closed_form" if family is not None else "gauss_hermite"
 
     if method == "closed_form":
         if family is None:
@@ -110,56 +109,35 @@ def apply(kind, f, t, x, method="auto", order=64, seed=0,
     if s == 0.0:
         raise DomainError("t = 0 needs the closed form (derivatives of f)")
 
-    if method == "gauss_hermite":
-        if n > 2:
-            raise DomainError("tensor Gauss-Hermite is limited to dim <= 2")
-        val, grad, hess = _gh_eval(fn, x, a, s, n, order)
-        err = None
-        if check:
-            val2, grad2, hess2 = _gh_eval(fn, x, a, s, n, 2 * order)
-            num = (np.abs(val - val2).max()
-                   + np.abs(hess - hess2).max())
-            den = max(np.abs(val2).max(), 1e-300)
-            err = float(num / den + np.abs(grad - grad2).max() / max(1.0, np.abs(grad2).max()))
-            if err > check_rtol:
-                raise AccuracyError(
-                    f"Gauss-Hermite order-doubling check failed ({err:.2e}); "
-                    "raise the order", estimate=err)
-            val, grad, hess = val2, grad2, hess2
-        return SemigroupEvaluation(val, grad, hess, "gauss_hermite",
-                                   order, kind_str, float(t), err)
-
-    if method == "monte_carlo":
-        rng = np.random.default_rng(seed)
-        y = rng.standard_normal((mc_samples, n))
-        val, grad, hess, err = _score_eval(fn, x, a, s, y,
-                                           np.full(mc_samples, 1.0 / mc_samples),
-                                           want_se=True)
-        if check and err > 5e-3:
-            raise AccuracyError(
-                f"Monte Carlo semigroup estimate too noisy ({err:.2e})",
-                estimate=err)
-        return SemigroupEvaluation(val, grad, hess, "monte_carlo",
-                                   None, kind_str, float(t), err)
-
-    raise DomainError(f"unknown evaluation method {method!r}")
+    if method != "gauss_hermite":
+        raise DomainError(f"unknown evaluation method {method!r}")
+    if x.shape[1] > 2:
+        raise DomainError("tensor Gauss-Hermite is limited to dim <= 2")
+    val, grad, hess = _gh_eval(fn, x, a, s, order)
+    val2, grad2, hess2 = _gh_eval(fn, x, a, s, 2 * order)
+    num = np.abs(val - val2).max() + np.abs(hess - hess2).max()
+    den = max(np.abs(val2).max(), 1e-300)
+    err = float(num / den + np.abs(grad - grad2).max()
+                / max(1.0, np.abs(grad2).max()))
+    if err > CHECK_RTOL:
+        raise AccuracyError(
+            f"Gauss-Hermite order-doubling check failed ({err:.2e}); "
+            "raise the order", estimate=err)
+    return SemigroupEvaluation(val2, grad2, hess2, "gauss_hermite",
+                               order, kind_str, float(t), err)
 
 
-def _gh_eval(fn, x, a, s, n, order):
-    y, w = quadrature.gauss_hermite(n, order)
-    val, grad, hess, _ = _score_eval(fn, x, a, s, y, w, want_se=False)
-    return val, grad, hess
-
-
-def _score_eval(fn, x, a, s, y, w, want_se):
+def _gh_eval(fn, x, a, s, order):
     """Derivative-free evaluation through Gaussian score identities.
 
-    With u = a x + sqrt(s) y, y ~ N(0, Id):
+    With u = a x + sqrt(s) y, y ~ N(0, Id), each expectation taken by the
+    tensor Gauss-Hermite rule of the given order:
       P f(x)        = E[f(u)]
       grad P f(x)   = (a/sqrt(s)) E[y f(u)]
       hess P f(x)   = (a^2/s) E[(y y^T - Id) f(u)]
     """
     m, n = x.shape
+    y, w = quadrature.gauss_hermite(n, order)
     k = y.shape[0]
     pts = (a * x)[:, None, :] + np.sqrt(s) * y[None, :, :]
     vals = fn(pts.reshape(m * k, n)).reshape(m, k)
@@ -172,12 +150,7 @@ def _score_eval(fn, x, a, s, y, w, want_se):
     H = (a * a / s) * np.einsum("mk,k,kij->mij", vals, w, yy)
     grad_log = G / P[:, None]
     hess_log = H / P[:, None, None] - np.einsum("mi,mj->mij", grad_log, grad_log)
-    se = 0.0
-    if want_se:
-        mean = P
-        var = (vals ** 2) @ w - mean ** 2
-        se = float(np.max(np.sqrt(var / k) / np.abs(mean)))
-    return P, grad_log, hess_log, se
+    return P, grad_log, hess_log
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +184,7 @@ def smoothing_window(c, kind=SemigroupKind.ORNSTEIN_UHLENBECK):
 
 
 def check_smoothing_bounds(f, klass, t, probes, c=None,
-                           kind=SemigroupKind.ORNSTEIN_UHLENBECK,
-                           method="auto", order=64, seed=0):
+                           kind=SemigroupKind.ORNSTEIN_UHLENBECK):
     """Certificate for one smoothing bound on the probe set.
 
     klass is one of unconditional, log_concave, log_convex,
@@ -220,7 +192,7 @@ def check_smoothing_bounds(f, klass, t, probes, c=None,
     (see verify module docstring).
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    ev = apply(kind, f, t, probes, method=method, order=order, seed=seed)
+    ev = apply(kind, f, t, probes)
     rhs_coeff = smoothing_rhs(klass, c, kind, t)
     evals = np.linalg.eigvalsh(ev.hess_log)
     prov = {"solver": f"semigroup_{ev.method}", "kind": ev.kind, "t": float(t),

@@ -341,6 +341,35 @@ def test_coulomb_without_target_sampler_reports_a_domain_error(tmp_path):
         assert "no sampler" in err["error"]
 
 
+def test_anisotropic_run_without_epsilons_is_refused(tmp_path, capsys):
+    # a run that would certify nothing must not exit 0
+    out = tmp_path / "out"
+    doc = _cfg(tmp_path, {"params": {"epsilons": []}})
+    assert main(["verify", "anisotropic", "--config", doc,
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: DomainError")
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv, param, value, check", [
+    (["geodesic", "gaussian"], "time_points", 1, "geodesic"),
+    (["scenario", "fock"], "probes", 0, "growth_direct"),
+    (["heatflow", "flow"], "record_every", 0, "contraction"),
+    (["verify", "wehrl", "--epsilon-schedule", "0.5,0.1"], "side", 1,
+     "bounds"),
+])
+def test_size_params_outside_their_domain_are_typed_errors(
+        tmp_path, argv, param, value, check):
+    out = tmp_path / "out"
+    doc = _cfg(tmp_path, {"params": {param: value}})
+    assert main([*argv, "--config", doc, "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["certificates"] == []
+    [err] = report["errors"]
+    assert err["check"] == check
+    assert err["error"].startswith(f"DomainError: {param} must be at least")
+
+
 def test_verify_gaussian_above_dim_2_keeps_the_pointwise_bounds(tmp_path):
     # the moment quadrature covers dim <= 2; its absence must not cost the
     # trace, Lipschitz and determinant certificates

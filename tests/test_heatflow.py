@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from transportlab import cli, heatflow
+from transportlab import cli, heatflow, semigroup
 from transportlab.errors import (AccuracyError, ConvexityViolationError,
                                  DomainError)
 from transportlab.heatflow import (FlowSchedule, FlowState,
@@ -15,11 +15,11 @@ from transportlab.polyexp import PolyExp
 from transportlab.scenarios import flow_gaussian_weight
 
 
-def _sigma_half_flow(m=9, stepper="adaptive_rk45", steps=64, seed=5):
+def _sigma_half_flow(m=9, steps=64, seed=5):
     f, mu, alpha = flow_gaussian_weight(0.5)
     rng = np.random.default_rng(seed)
     pts = mu.sampler(rng, m) if m > 16 else rng.normal(scale=0.5, size=(m, 2))
-    sched = FlowSchedule(t_max=8.0, steps=steps, stepper=stepper)
+    sched = FlowSchedule(t_max=8.0, steps=steps)
     return integrate_flow(f, pts, schedule=sched), f, alpha
 
 
@@ -28,14 +28,9 @@ def test_schedule_rejects_bad_parameters():
         FlowSchedule(t_max=2.0)
     with pytest.raises(DomainError):
         FlowSchedule(steps=32)
-    with pytest.raises(DomainError):
-        FlowSchedule(stepper="euler")
     sched = FlowSchedule(t_max=6.0, steps=100)
     assert sched.times[0] == 0.0 and sched.times[-1] == 6.0
     assert sched.times.size == 101
-    assert FlowSchedule(stepper="rk4").stepper_tolerance == \
-        pytest.approx((8.0 / 64.0) ** 4)
-    assert FlowSchedule().stepper_tolerance == 1e-8
 
 
 def test_km_bound_rhs_closed_form():
@@ -74,16 +69,43 @@ def test_contraction_certificate_on_sigma_half_flow():
     assert bad.observed > 1.5
 
 
-def test_rk4_and_rk45_agree():
-    st45, _, _ = _sigma_half_flow(m=4)
-    st4, _, _ = _sigma_half_flow(m=4, stepper="rk4")
-    t45 = {s.t: s for s in st45}
-    shared = [s for s in st4 if s.t in t45]
-    assert len(shared) >= 32
-    for s in shared:
-        ref = t45[s.t]
-        assert np.abs(s.log_dets - ref.log_dets).max() < 1e-3
-        assert np.abs(s.positions - ref.positions).max() < 1e-3
+@pytest.mark.parametrize("weight", ["gaussian", "polynomial"])
+def test_flow_evaluates_the_semigroup_once_per_field_evaluation(
+        monkeypatch, weight):
+    # recording a frame reads the stepper's output and evaluates nothing
+    if weight == "gaussian":
+        f, _, _ = flow_gaussian_weight(0.5)
+    else:
+        f = PolyExp.poly_times_gaussian(2, {(2, 0): 1.0, (0, 0): 0.5},
+                                        beta=0.7)
+    counts = {"apply": 0, "rhs": 0}
+    own_apply, own_rk45 = semigroup.apply, heatflow._rk45
+
+    def apply(*args, **kwargs):
+        counts["apply"] += 1
+        return own_apply(*args, **kwargs)
+
+    def rk45(fun, *args):
+        def counted(t, y):
+            counts["rhs"] += 1
+            return fun(t, y)
+        return own_rk45(counted, *args)
+
+    monkeypatch.setattr(semigroup, "apply", apply)
+    monkeypatch.setattr(heatflow, "_rk45", rk45)
+    pts = np.random.default_rng(3).normal(scale=0.5, size=(5, 2))
+    states = integrate_flow(f, pts, schedule=FlowSchedule(t_max=4.0),
+                            record_every=8)
+    assert len(states) == 9
+    assert counts["rhs"] > 0
+    assert counts["apply"] == counts["rhs"]
+
+
+@pytest.mark.parametrize("record_every", [0, -1])
+def test_integrate_flow_refuses_a_record_step_below_one(record_every):
+    f, _, _ = flow_gaussian_weight(0.5)
+    with pytest.raises(DomainError, match="record_every"):
+        integrate_flow(f, np.zeros((2, 2)), record_every=record_every)
 
 
 def test_pushforward_moments_reach_standard_gaussian():

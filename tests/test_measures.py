@@ -92,6 +92,18 @@ def test_normalized_on_fixes_scale():
     assert np.allclose(dens.logpdf(x), ref.logpdf(x), atol=1e-9)
 
 
+def test_log_partition_is_refused_above_dim_2():
+    raw = Density(3, lambda x: -0.5 * np.einsum("mi,mi->m", x, x))
+    with pytest.raises(DomainError, match="dim <= 2"):
+        raw.compute_log_partition(TruncationBox.cube(3, 6.0))
+    with pytest.raises(DomainError, match="dim <= 2"):
+        raw.normalized_on(TruncationBox.cube(3, 6.0))
+    # the 2-d factor of the same product density has its tensor rule
+    two = Density(2, lambda x: -0.5 * np.einsum("mi,mi->m", x, x))
+    assert two.compute_log_partition(TruncationBox.cube(2, 8.0)) == \
+        pytest.approx(math.log(2.0 * math.pi), abs=1e-10)
+
+
 def test_check_certificate_accepts_honest_gaussian():
     dens = gaussian(np.zeros(2), 2.0 * np.eye(2))
     box = TruncationBox.cube(2, 3.0)

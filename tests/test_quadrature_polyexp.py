@@ -115,14 +115,6 @@ def test_cumulative_inverse_stops_after_newton_converges():
     assert np.allclose(np.exp(-x), 1.0 - q, rtol=1e-12, atol=0)
 
 
-def test_monte_carlo_box_unbiased_smoke():
-    box = TruncationBox.cube(1, 1.0)
-    rng = np.random.default_rng(0)
-    val, half = quadrature.monte_carlo_box(
-        lambda x: x[:, 0] ** 2, box, 40000, rng)
-    assert abs(val - 2.0 / 3.0) < 4 * half
-
-
 # ---------------------------------------------------------------------------
 # polynomial dictionaries
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from transportlab import semigroup
 from transportlab.errors import DomainError
-from transportlab.measures import TruncationBox
+from transportlab.measures import Density, TruncationBox
 from transportlab.polyexp import PolyExp
 from transportlab.semigroup import (SemigroupKind, apply,
                                     check_smoothing_bounds,
@@ -57,6 +57,20 @@ def test_closed_form_agrees_with_hermite_quadrature():
     assert np.allclose(ev_cf.value, ev_gh.value, rtol=1e-10)
     assert np.allclose(ev_cf.grad_log, ev_gh.grad_log, atol=1e-8)
     assert np.allclose(ev_cf.hess_log, ev_gh.hess_log, atol=1e-7)
+
+
+def test_weight_without_family_above_dim_2_is_refused():
+    # no closed form and no tensor rule: a typed refusal, not an estimate
+    dens = Density(3, lambda x: -0.5 * np.einsum("mi,mi->m", x, x))
+    with pytest.raises(DomainError, match="dim <= 2"):
+        apply(OU, dens, 0.5, np.zeros((2, 3)))
+    with pytest.raises(DomainError, match="dim <= 2"):
+        check_smoothing_bounds(dens, "unconditional", 0.5, np.zeros((2, 3)))
+    # the same weight with its family takes the closed form
+    fam = PolyExp.quadratic_exponent(3, beta=1.0)
+    ev = apply(OU, Density(3, dens._log_density, family=fam), 0.5,
+               np.zeros((2, 3)))
+    assert ev.method == "closed_form"
 
 
 def test_smoothing_rhs_window():
