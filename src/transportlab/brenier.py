@@ -30,6 +30,12 @@ from .errors import (ConvexityViolationError, DomainError, FitError,
 PROVENANCES = ("closed_form_gaussian", "quantile_1d", "radial",
                "entropic_grid", "entropic_sample")
 
+# panels and Gauss-Legendre order of the CDF routes' cumulative integrals
+_CDF_PANELS, _CDF_ORDER = 2048, 16
+# Sinkhorn marginal tolerance and iteration cap per stage, by route
+_GRID_TOL, _GRID_MAX_ITER = 1e-7, 2000
+_SAMPLE_TOL, _SAMPLE_MAX_ITER = 1e-5, 1500
+
 
 @dataclass
 class TransportMap:
@@ -95,16 +101,16 @@ def solve_gaussian(mu, nu):
 # one-dimensional quantile route
 
 
-def solve_quantile_1d(mu, nu, box_mu, box_nu, panels=2048, order=16):
+def solve_quantile_1d(mu, nu, box_mu, box_nu):
     """CDF-matching map T = G^{-1} o F between densities on R."""
     if mu.dim != 1 or nu.dim != 1:
         raise DomainError("quantile route is one-dimensional")
     F = quadrature.CumulativeIntegral(
         lambda r: np.exp(mu.logpdf(r[:, None])), box_mu.lower[0],
-        box_mu.upper[0], panels=panels, order=order)
+        box_mu.upper[0], panels=_CDF_PANELS, order=_CDF_ORDER)
     G = quadrature.CumulativeIntegral(
         lambda r: np.exp(nu.logpdf(r[:, None])), box_nu.lower[0],
-        box_nu.upper[0], panels=panels, order=order)
+        box_nu.upper[0], panels=_CDF_PANELS, order=_CDF_ORDER)
     ratio = G.total / F.total
 
     def eval_fn(x):
@@ -124,21 +130,21 @@ def solve_quantile_1d(mu, nu, box_mu, box_nu, panels=2048, order=16):
 # radial route
 
 
-def _radial_symmetry_error(dens, radii, directions=16, seed=7):
-    rng = np.random.default_rng(seed)
+def _radial_symmetry_error(dens, radii):
+    rng = np.random.default_rng(7)
     worst = 0.0
     for r in radii:
         if dens.dim == 1:
             dirs = np.array([[1.0], [-1.0]])
         else:
-            d = rng.standard_normal((directions, dens.dim))
+            d = rng.standard_normal((16, dens.dim))
             dirs = d / np.linalg.norm(d, axis=1, keepdims=True)
         vals = dens.logpdf(dens.center + r * dirs)
         worst = max(worst, float(vals.max() - vals.min()))
     return worst
 
 
-def solve_radial(mu, nu, r_max=None, panels=2048, order=16, symmetry_tol=1e-8):
+def solve_radial(mu, nu, r_max=None):
     """Mass-matching map between co-centered radial densities.
 
     Works from the densities' radial profiles rho(r); the radial transport
@@ -157,7 +163,7 @@ def solve_radial(mu, nu, r_max=None, panels=2048, order=16, symmetry_tol=1e-8):
         r_max = 12.0
     sym = max(_radial_symmetry_error(mu, [0.3 * r_max, 0.6 * r_max]),
               _radial_symmetry_error(nu, [0.3 * r_max, 0.6 * r_max]))
-    if sym > symmetry_tol:
+    if sym > 1e-8:
         raise DomainError(
             f"density is not radial about the center (log-density spread "
             f"{sym:.2e} over directions)")
@@ -170,11 +176,11 @@ def solve_radial(mu, nu, r_max=None, panels=2048, order=16, symmetry_tol=1e-8):
         return fn
 
     Mmu = quadrature.CumulativeIntegral(mass_integrand(mu.radial_profile),
-                                        0.0, r_max, panels=panels, order=order,
-                                        log_spaced=True)
+                                        0.0, r_max, panels=_CDF_PANELS,
+                                        order=_CDF_ORDER, log_spaced=True)
     Mnu = quadrature.CumulativeIntegral(mass_integrand(nu.radial_profile),
-                                        0.0, r_max, panels=panels, order=order,
-                                        log_spaced=True)
+                                        0.0, r_max, panels=_CDF_PANELS,
+                                        order=_CDF_ORDER, log_spaced=True)
     ratio = Mnu.total / Mmu.total
     r_floor = 1e-9 * r_max
 
@@ -356,7 +362,7 @@ def _grid_solver(axes_x, axes_y, log_a, log_b):
 
 
 def solve_entropic_schedule(mu, nu, schedule, box=None, box_nu=None, side=128,
-                            tol=1e-7, max_iter=2000, debias=True):
+                            debias=True):
     """Entropic maps between grid-discretized densities, one per epsilon.
 
     Densities are renormalized on their boxes. The schedule must strictly
@@ -376,9 +382,9 @@ def solve_entropic_schedule(mu, nu, schedule, box=None, box_nu=None, side=128,
     axes_x, log_a = grid_measure(mu, box, side)
     axes_y, log_b = grid_measure(nu, box if box_nu is None else box_nu, side)
     cross = entropic.continuation(_grid_solver(axes_x, axes_y, log_a, log_b),
-                                  schedule, tol, max_iter)
+                                  schedule, _GRID_TOL, _GRID_MAX_ITER)
     own = entropic.continuation(_grid_solver(axes_x, axes_x, log_a, log_a),
-                                schedule, tol, max_iter) if debias \
+                                schedule, _GRID_TOL, _GRID_MAX_ITER) if debias \
         else itertools.repeat(None)
     nodes = np.stack(np.meshgrid(*axes_x, indexing="ij"), axis=-1)
     maps = []
@@ -452,11 +458,12 @@ def nearest(points, queries, k):
     return dist, idx
 
 
-def local_affine_jacobians(xs, ts, queries, k=None, cond_limit=1e3):
+def local_affine_jacobians(xs, ts, queries, k=None):
     """Least-squares affine fits of the map over k nearest neighbors.
 
     Returns (jacobians (m, n, n), ok_mask); rank-deficient neighborhoods
-    are flagged instead of raising, callers decide.
+    (a singular-value ratio above 1e3) are flagged instead of raising,
+    callers decide.
     """
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
@@ -469,7 +476,7 @@ def local_affine_jacobians(xs, ts, queries, k=None, cond_limit=1e3):
     Xc = X - X.mean(axis=1, keepdims=True)
     sv = np.linalg.svd(Xc, compute_uv=False)
     ok = ~((sv[:, 0] <= 0)
-           | (sv[:, 0] / np.maximum(sv[:, -1], 1e-300) > cond_limit))
+           | (sv[:, 0] / np.maximum(sv[:, -1], 1e-300) > 1e3))
     J = np.broadcast_to(np.eye(n), (len(idx), n, n)).copy()
     for i in np.flatnonzero(ok):
         Y = ts[idx[i]]
@@ -478,8 +485,7 @@ def local_affine_jacobians(xs, ts, queries, k=None, cond_limit=1e3):
     return J, ok
 
 
-def solve_entropic_sample(xs, ys, schedule, tol=1e-5, max_iter=1500,
-                          debias=True):
+def solve_entropic_sample(xs, ys, schedule):
     """Entropic map between uniform point clouds.
 
     The map is the debiased barycentric projection at the sample points,
@@ -499,7 +505,7 @@ def solve_entropic_sample(xs, ys, schedule, tol=1e-5, max_iter=1500,
     counts = {"fallbacks": 0, "absorptions": 0}
     m = xs.shape[0]
     # room for the m x k cross kernel and the m x m self-transport kernel
-    buf = np.empty(m * max(ys.shape[0], m if debias else 0))
+    buf = np.empty(m * max(ys.shape[0], m))
 
     def final_map(targets, stages):
         """Barycentric map at the last stage, read before the buffer is
@@ -507,7 +513,7 @@ def solve_entropic_sample(xs, ys, schedule, tol=1e-5, max_iter=1500,
         kernel = buf[:m * targets.shape[0]].reshape(m, targets.shape[0])
         for solver, Q, err, iters in entropic.continuation(
                 lambda eps: entropic.SampleSinkhorn(xs, targets, eps, kernel),
-                stages, tol, max_iter):
+                stages, _SAMPLE_TOL, _SAMPLE_MAX_ITER):
             if solver.eps == stages[-1]:
                 values = solver.barycentric(Q)
             counts["fallbacks"] += solver.fallbacks
@@ -515,7 +521,7 @@ def solve_entropic_sample(xs, ys, schedule, tol=1e-5, max_iter=1500,
         return values, err, iters
 
     raw, err, iters = final_map(ys, schedule)
-    tvals = xs + raw - final_map(xs, schedule[-1:])[0] if debias else raw
+    tvals = xs + raw - final_map(xs, schedule[-1:])[0]
 
     def eval_fn(x):
         x = np.asarray(x, dtype=float)
@@ -534,8 +540,7 @@ def solve_entropic_sample(xs, ys, schedule, tol=1e-5, max_iter=1500,
                         entropic_epsilon=schedule[-1],
                         details={"samples": xs.shape[0],
                                  "marginal_error": err, "iterations": iters,
-                                 "debias": debias, "map_values": tvals,
-                                 **counts,
+                                 "map_values": tvals, **counts,
                                  "source_points": xs})
 
 
@@ -548,11 +553,6 @@ class MongeAmpereResidual:
     probes: np.ndarray
     residuals: np.ndarray
     sup_abs: float
-
-    def to_dict(self):
-        return {"sup_abs": self.sup_abs,
-                "mean_abs": float(np.abs(self.residuals).mean()),
-                "probe_count": int(self.residuals.size)}
 
 
 def monge_ampere_residual(transport_map, mu, nu, probes, jacobians=None):
@@ -683,23 +683,3 @@ def load_grid_map(path):
     details["grid_map"] = gm
     return TransportMap(dim, provenance, gm.eval, gm.jacobian,
                         entropic_epsilon=epsilon, details=details)
-
-
-# ---------------------------------------------------------------------------
-# pushforward moment diagnostics
-
-
-def pushforward_moments(transport_map, mu, box=None, order=48, samples=None):
-    """Mean and covariance of the image measure T_# mu."""
-    if samples is not None:
-        pts = np.asarray(samples, dtype=float)
-        w = np.full(pts.shape[0], 1.0 / pts.shape[0])
-    else:
-        pts, gw = quadrature.box_gauss_legendre(box, order=order)
-        w = gw * np.exp(mu.logpdf(pts))
-        w = w / w.sum()
-    img = transport_map(pts)
-    mean = w @ img
-    d = img - mean
-    cov = np.einsum("m,mi,mj->ij", w, d, d)
-    return mean, cov

@@ -24,16 +24,14 @@ class SphereRule:
 
     Dimension 1 uses the two endpoints with weights 1/2; dimension 2 uses
     equally spaced angles; dimension >= 3 averages signed axis vectors over
-    random orthonormal frames (seed recorded). Weights sum to one and nodes
-    come in antipodal pairs, so odd moments vanish identically.
+    seeded random orthonormal frames. Weights sum to one and nodes come in
+    antipodal pairs, so odd moments vanish identically.
     """
 
     dim: int
     points: np.ndarray
     weights: np.ndarray
     kind: str
-    seed: int | None = None
-    frames: int | None = None
 
     @classmethod
     def make(cls, dim, angles=64, frames=32, seed=0):
@@ -58,10 +56,7 @@ class SphereRule:
             pts.append(-q.T)
         pts = np.concatenate(pts, axis=0)
         w = np.full(pts.shape[0], 1.0 / pts.shape[0])
-        return cls(dim, pts, w, "random_frames", seed=seed, frames=frames)
-
-    def second_moment(self):
-        return np.einsum("k,ki,kj->ij", self.weights, self.points, self.points)
+        return cls(dim, pts, w, "random_frames")
 
 
 def delta_epsilon(f, x, eps, rule):
@@ -85,7 +80,6 @@ class LimitCheck:
     """Result of comparing delta_eps f / eps^2 against Delta f / (2n)."""
 
     epsilons: np.ndarray
-    normalized_values: np.ndarray
     target: float
     errors: np.ndarray
     fitted_order: float
@@ -111,8 +105,8 @@ def delta_epsilon_limit_check(f, laplacian_value, x, epsilons, rule):
         slope = np.polyfit(np.log(epsilons[mask]), np.log(errors[mask]), 1)[0]
     else:
         slope = np.inf  # errors at roundoff: the limit is exact
-    return LimitCheck(epsilons=epsilons, normalized_values=vals, target=target,
-                      errors=errors, fitted_order=float(slope))
+    return LimitCheck(epsilons=epsilons, target=target, errors=errors,
+                      fitted_order=float(slope))
 
 
 def delta_epsilon_bound_rhs(ell, dim, eps):

@@ -442,6 +442,8 @@ def _verify_coulomb(cfg, built):
     mu = inst.mu
     rng = np.random.default_rng(cfg.seed)
     count = int(cfg.params.get("laplacian_probes", 1500))
+    if count < 1:
+        raise DomainError(f"laplacian_probes must be at least 1, got {count}")
     probes = _coulomb_target_draws(inst, rng, count)
     keep = ~mu.singular_tube(probes)
     lap = mu.potential_laplacian(probes[keep]) / mu.dim
@@ -507,6 +509,8 @@ def _heatflow_suite(cfg, built):
     f, mu, alpha = built["weight"], built["mu"], built["alpha"]
     rng = np.random.default_rng(cfg.seed)
     count = int(cfg.params.get("particles", 400))
+    if count < 1:
+        raise DomainError(f"particles must be at least 1, got {count}")
     particles = mu.sampler(rng, count)
     schedule = heatflow.FlowSchedule(
         t_max=float(cfg.params.get("t_max", 8.0)),
@@ -548,6 +552,9 @@ def _coulomb_sample_suite(cfg, built):
     inst = built["instance"]
     n = inst.mu.dim
     count = int(cfg.params.get("samples", 2000))
+    fit_points = int(cfg.params.get("fit_points", 600))
+    if fit_points < 1:
+        raise DomainError(f"fit_points must be at least 1, got {fit_points}")
     xs, diag = inst.sample(count, seed=cfg.seed,
                            burn=int(cfg.params.get("burn", 1500)),
                            thin=int(cfg.params.get("thin", 3)))
@@ -555,7 +562,7 @@ def _coulomb_sample_suite(cfg, built):
     ys = _coulomb_target_draws(inst, rng, count)
     schedule = _schedule_for(cfg, default=(0.5, 0.2, 0.1))
     tmap = brenier.solve_entropic_sample(xs, ys, schedule)
-    queries = xs[:int(cfg.params.get("fit_points", 600))]
+    queries = xs[:fit_points]
     # the map's values at its own sample points, without a neighbor search
     jac, ok = brenier.local_affine_jacobians(
         xs, tmap.details["map_values"], queries, k=4 * n + 56)

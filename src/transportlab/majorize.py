@@ -28,6 +28,9 @@ from .brenier import nearest
 from .errors import ConvexityViolationError, DomainError
 from .verify import make_certificate
 
+# the tensor Gauss-Legendre rule of the box integrals: order x panels
+_BOX_ORDER, _BOX_PANELS = 48, 2
+
 
 # ---------------------------------------------------------------------------
 # convex test family
@@ -64,8 +67,9 @@ def default_convex_family(scale=1.0):
     return probes
 
 
-def _assert_midpoint_convex(probe, lo=0.0, hi=4.0, count=64, seed=0):
-    rng = np.random.default_rng(seed)
+def _assert_midpoint_convex(probe):
+    lo, hi, count = 0.0, 4.0, 64
+    rng = np.random.default_rng(0)
     a = rng.uniform(lo, hi, count)
     b = rng.uniform(lo, hi, count)
     mid = probe(0.5 * (a + b))
@@ -117,9 +121,10 @@ def majorization_check(g_values, h_values, weights_g, weights_h, family=None,
                               worst_margin=float(margins[worst]), atol=atol)
 
 
-def majorization_from_densities(g, h, box, order=48, panels=2, atol=0.0):
+def majorization_from_densities(g, h, box, atol=0.0):
     """Majorization test for two normalized densities on a common box."""
-    pts, w = quadrature.box_gauss_legendre(box, order=order, panels=panels)
+    pts, w = quadrature.box_gauss_legendre(box, order=_BOX_ORDER,
+                                           panels=_BOX_PANELS)
     return majorization_check(g.pdf(pts), h.pdf(pts), w, w, atol=atol)
 
 
@@ -136,13 +141,13 @@ class Geodesic:
     source point.
     """
 
-    def __init__(self, mu, nu, transport_map, box, order=48, panels=2):
+    def __init__(self, mu, nu, transport_map, box, order=_BOX_ORDER):
         if not mu.normalized:
             raise DomainError("geodesics need a normalized source density")
         self.dim = mu.dim
         self.map = transport_map
         self.points, self.weights = quadrature.box_gauss_legendre(
-            box, order=order, panels=panels)
+            box, order=order, panels=_BOX_PANELS)
         self.rho_mu = mu.pdf(self.points)
         self.rho_nu = nu.pdf(self.points)
         J = transport_map.jacobian(self.points)
@@ -166,7 +171,6 @@ class GeodesicReport:
     entropy: np.ndarray
     monotone: dict
     passed: bool
-    tolerance: float
 
 
 def geodesic_monotonicity_check(geodesic, times=None, tol=1e-9):
@@ -198,17 +202,17 @@ def geodesic_monotonicity_check(geodesic, times=None, tol=1e-9):
         slack = tol * max(1.0, float(np.abs(seq).max()))
         monotone[name] = bool(np.all(np.diff(seq) >= -slack))
     return GeodesicReport(times=times, values=values, entropy=entropy,
-                          monotone=monotone, passed=all(monotone.values()),
-                          tolerance=tol)
+                          monotone=monotone, passed=all(monotone.values()))
 
 
 # ---------------------------------------------------------------------------
 # entropy
 
 
-def entropy_quadrature(density, box, order=48, panels=2):
+def entropy_quadrature(density, box, order=_BOX_ORDER):
     """int rho log rho over the box (negative differential entropy)."""
-    pts, w = quadrature.box_gauss_legendre(box, order=order, panels=panels)
+    pts, w = quadrature.box_gauss_legendre(box, order=order,
+                                           panels=_BOX_PANELS)
     return float(np.dot(w, _xlogx(density.pdf(pts))))
 
 

@@ -6,10 +6,11 @@ constant alpha (Laplacian of the potential V = -log rho bounded by alpha*n)
 and the target-side constant kappa (Hessian of V bounded below by kappa*Id).
 
 Evaluator contract: log_density maps (m, n) -> (m,), grad_log maps
-(m, n) -> (m, n), hess_log maps (m, n) -> (m, n, n). Missing derivative
-evaluators fall back to central finite differences with step
-eps^(1/3) * (1 + |x_i|) per axis. Densities are immutable after
-construction; derived quantities are cached, never mutated.
+(m, n) -> (m, n), hess_log maps (m, n) -> (m, n, n). The derivative
+evaluators are the caller's to supply: asking a density built without one
+for its gradient or Hessian raises DomainError; there is no
+finite-difference fallback. Densities are immutable after construction;
+derived quantities are cached, never mutated.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from . import quadrature
 from .errors import AccuracyError, CertificateConflictError, DomainError
 
-_FD_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 _HESS_SYM_TOL = 1e-8
 
 
@@ -31,42 +31,15 @@ class ConvexityCertificate:
 
     alpha bounds the potential's Laplacian (Delta V <= alpha * dim);
     kappa bounds the potential's Hessian from below (hess V >= kappa * Id).
-    Sampled certificates keep the probe set and the empirical worst case;
-    the empirical worst case never violates the declared constant.
     """
 
     alpha: float | None
     kappa: float | None
-    provenance: str  # "analytic" or "sampled"
-    probe_count: int = 0
-    probe_seed: int | None = None
-    empirical_alpha: float | None = None
-    empirical_kappa: float | None = None
+    provenance: str  # "analytic"
 
     def __post_init__(self):
-        if self.provenance not in ("analytic", "sampled"):
+        if self.provenance != "analytic":
             raise DomainError(f"unknown certificate provenance {self.provenance!r}")
-        if self.empirical_alpha is not None and self.alpha is not None:
-            if self.empirical_alpha > self.alpha * (1 + 1e-9) + 1e-12:
-                raise CertificateConflictError(
-                    f"probed alpha {self.empirical_alpha} exceeds declared "
-                    f"{self.alpha}")
-        if self.empirical_kappa is not None and self.kappa is not None:
-            if self.empirical_kappa < self.kappa * (1 - 1e-9) - 1e-12:
-                raise CertificateConflictError(
-                    f"probed kappa {self.empirical_kappa} is below declared "
-                    f"{self.kappa}")
-
-    def to_dict(self):
-        return {
-            "alpha": self.alpha,
-            "kappa": self.kappa,
-            "provenance": self.provenance,
-            "probe_count": self.probe_count,
-            "probe_seed": self.probe_seed,
-            "empirical_alpha": self.empirical_alpha,
-            "empirical_kappa": self.empirical_kappa,
-        }
 
 
 @dataclass(frozen=True)
@@ -87,8 +60,9 @@ class TruncationBox:
             raise DomainError("box half_widths must be positive")
 
     @classmethod
-    def cube(cls, dim, half_width, center=0.0):
-        return cls(np.full(dim, float(center)), np.full(dim, float(half_width)))
+    def cube(cls, dim, half_width):
+        """The cube of half-width `half_width` centered at the origin."""
+        return cls(np.zeros(dim), np.full(dim, float(half_width)))
 
     @property
     def dim(self):
@@ -116,8 +90,9 @@ class TruncationBox:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in mesh], axis=-1)
 
-    def interior_grid(self, points_per_axis, margin_cells=1):
-        axes = [a[margin_cells:points_per_axis - margin_cells]
+    def interior_grid(self, points_per_axis):
+        """The tensor grid without its boundary nodes."""
+        axes = [a[1:points_per_axis - 1]
                 for a in self.axis_nodes(points_per_axis)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in mesh], axis=-1)
@@ -133,48 +108,11 @@ class TruncationBox:
                 "half_widths": self.half_widths.tolist()}
 
 
-def _fd_grad(fn, x):
-    x = np.atleast_2d(x)
-    m, n = x.shape
-    out = np.empty((m, n))
-    for i in range(n):
-        h = _FD_EPS * (1.0 + np.abs(x[:, i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[:, i] += h
-        xm[:, i] -= h
-        out[:, i] = (fn(xp) - fn(xm)) / (2.0 * h)
-    return out
-
-
-def _fd_hess(fn, x):
-    x = np.atleast_2d(x)
-    m, n = x.shape
-    out = np.empty((m, n, n))
-    f0 = fn(x)
-    steps = [np.sqrt(_FD_EPS) * (1.0 + np.abs(x[:, i])) for i in range(n)]
-    for i in range(n):
-        hi = steps[i]
-        xp = x.copy(); xp[:, i] += hi
-        xm = x.copy(); xm[:, i] -= hi
-        out[:, i, i] = (fn(xp) - 2.0 * f0 + fn(xm)) / hi ** 2
-        for j in range(i + 1, n):
-            hj = steps[j]
-            xpp = x.copy(); xpp[:, i] += hi; xpp[:, j] += hj
-            xpm = x.copy(); xpm[:, i] += hi; xpm[:, j] -= hj
-            xmp = x.copy(); xmp[:, i] -= hi; xmp[:, j] += hj
-            xmm = x.copy(); xmm[:, i] -= hi; xmm[:, j] -= hj
-            val = (fn(xpp) - fn(xpm) - fn(xmp) + fn(xmm)) / (4.0 * hi * hj)
-            out[:, i, j] = val
-            out[:, j, i] = val
-    return out
-
-
 class Density:
     """Immutable density on R^n; see module docstring for the contract."""
 
     def __init__(self, dim, log_density, grad_log=None, hess_log=None,
-                 normalized=False, log_partition=None, support_note="full_space",
+                 normalized=False, support_note="full_space",
                  certificate=None, sampler=None, singular_tube=None,
                  radial_profile=None, center=None, kind="custom", params=None,
                  family=None):
@@ -183,8 +121,6 @@ class Density:
         self._grad_log = grad_log
         self._hess_log = hess_log
         self.normalized = bool(normalized)
-        self.log_partition = (0.0 if normalized and log_partition is None
-                              else log_partition)
         self.support_note = support_note
         self.certificate = certificate
         self.sampler = sampler            # sampler(rng, size) -> (size, dim)
@@ -210,17 +146,16 @@ class Density:
         return np.exp(self.logpdf(x))
 
     def grad_log(self, x):
+        if self._grad_log is None:
+            raise DomainError(f"{self.kind} density has no gradient evaluator")
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self._grad_log is not None:
-            return np.asarray(self._grad_log(x), dtype=float)
-        return _fd_grad(self.logpdf, x)
+        return np.asarray(self._grad_log(x), dtype=float)
 
     def hess_log(self, x):
+        if self._hess_log is None:
+            raise DomainError(f"{self.kind} density has no Hessian evaluator")
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self._hess_log is not None:
-            H = np.asarray(self._hess_log(x), dtype=float)
-        else:
-            H = _fd_hess(self.logpdf, x)
+        H = np.asarray(self._hess_log(x), dtype=float)
         asym = np.abs(H - np.swapaxes(H, -1, -2)).max()
         scale = max(1.0, float(np.abs(H).max()))
         if asym > _HESS_SYM_TOL * scale:
@@ -239,16 +174,11 @@ class Density:
         H = self.hess_log(x)
         return np.linalg.eigvalsh(-H)[:, 0]
 
-    def mass_on(self, box, order=48, panels=4):
-        """integral of the (normalized) density over the box."""
-        if not self.normalized:
-            raise DomainError("mass_on needs a normalized density")
-        return quadrature.integrate_box(self.pdf, box, order=order, panels=panels)
-
-    def compute_log_partition(self, box, order=48, panels=4):
+    def compute_log_partition(self, box):
         """log integral exp(log_density) over the box (Lebesgue).
 
-        Tensor Gauss-Legendre in dim <= 2; above, a DomainError.
+        Tensor Gauss-Legendre (order 48, 4 panels per axis) in dim <= 2;
+        above, a DomainError.
         """
         if self.dim > 2:
             raise DomainError("the partition tensor rule needs dim <= 2")
@@ -257,14 +187,8 @@ class Density:
             probes = probes[~self.singular_tube(probes)]
         shift = float(np.max(self.logpdf(probes)))
         val = quadrature.integrate_box(
-            lambda p: np.exp(self.logpdf(p) - shift), box,
-            order=order, panels=panels)
+            lambda p: np.exp(self.logpdf(p) - shift), box, order=48, panels=4)
         return float(np.log(val) + shift)
-
-    def normalized_on(self, box, order=48, panels=4):
-        """New Density with the box partition constant folded in."""
-        return self.normalized_with(self.compute_log_partition(
-            box, order=order, panels=panels))
 
     def normalized_with(self, logz):
         """New Density with the log partition constant `logz` folded in."""
@@ -272,7 +196,7 @@ class Density:
             self.dim,
             lambda x, _lz=logz: self._log_density(x) - _lz,
             grad_log=self._grad_log, hess_log=self._hess_log,
-            normalized=True, log_partition=0.0,
+            normalized=True,
             support_note=self.support_note, certificate=self.certificate,
             sampler=self.sampler, singular_tube=self.singular_tube,
             radial_profile=(None if self.radial_profile is None else
@@ -342,7 +266,7 @@ def gaussian(mean, cov):
                    params={"mean": mean, "cov": cov}, family=family)
 
 
-def check_certificate(density, box, probes=128, seed=1234, rtol=1e-6):
+def check_certificate(density, box, probes=128, seed=1234):
     """Probe a declared certificate; conflicts raise CertificateConflictError."""
     cert = density.certificate
     if cert is None:
@@ -355,38 +279,12 @@ def check_certificate(density, box, probes=128, seed=1234, rtol=1e-6):
     mineig = density.potential_hessian_min_eig(pts)
     if cert.alpha is not None:
         worst = float(lap.max()) / density.dim
-        if worst > cert.alpha * (1 + rtol) + 1e-12:
+        if worst > cert.alpha * (1 + 1e-6) + 1e-12:
             raise CertificateConflictError(
                 f"probed alpha {worst} exceeds declared {cert.alpha}")
     if cert.kappa is not None:
         worst = float(mineig.min())
-        if worst < cert.kappa * (1 - rtol) - 1e-12:
+        if worst < cert.kappa * (1 - 1e-6) - 1e-12:
             raise CertificateConflictError(
                 f"probed kappa {worst} is below declared {cert.kappa}")
     return True
-
-
-def estimate_certificate(density, box, probes=512, seed=1234):
-    """Sampled ConvexityCertificate from a stratified probe set.
-
-    Probes inside a configured tube around singular sets are excluded.
-    The declared constants equal the empirical worst case.
-    """
-    rng = np.random.default_rng(seed)
-    grid_side = max(2, int(round(probes ** (1.0 / density.dim) / 2)))
-    pts = [box.grid(grid_side)] if grid_side ** density.dim <= probes else []
-    used = sum(p.shape[0] for p in pts)
-    if probes - used > 0:
-        pts.append(box.sample_uniform(probes - used, rng))
-    pts = np.concatenate(pts, axis=0)
-    if density.singular_tube is not None:
-        pts = pts[~density.singular_tube(pts)]
-    if pts.shape[0] == 0:
-        raise DomainError("no probe points survive the singular-tube filter")
-    lap = density.potential_laplacian(pts)
-    mineig = density.potential_hessian_min_eig(pts)
-    alpha = float(lap.max()) / density.dim
-    kappa = float(mineig.min())
-    return ConvexityCertificate(alpha=alpha, kappa=kappa, provenance="sampled",
-                                probe_count=pts.shape[0], probe_seed=seed,
-                                empirical_alpha=alpha, empirical_kappa=kappa)

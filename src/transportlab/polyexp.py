@@ -198,11 +198,6 @@ class PolyExp:
     # constructors ---------------------------------------------------------
 
     @classmethod
-    def constant(cls, dim, value=1.0, log_value=None):
-        c = float(np.log(value)) if log_value is None else float(log_value)
-        return cls(dim, [PolyExpTerm(None, c, None, None)])
-
-    @classmethod
     def quadratic_exponent(cls, dim, B=None, beta=None, b=None, c=0.0):
         """exp(c + b.x - x.B.x/2); beta is shorthand for B = beta*Id."""
         if B is None:
@@ -210,10 +205,11 @@ class PolyExp:
         return cls(dim, [PolyExpTerm(None, c, b, np.asarray(B, dtype=float))])
 
     @classmethod
-    def poly_times_gaussian(cls, dim, poly, B=None, beta=0.0, b=None, c=0.0):
+    def poly_times_gaussian(cls, dim, poly, B=None, beta=0.0, c=0.0):
+        """q(x) exp(c - x.B.x/2); beta is shorthand for B = beta*Id."""
         if B is None:
             B = float(beta) * np.eye(dim)
-        return cls(dim, [PolyExpTerm(dict(poly), c, b, np.asarray(B, dtype=float))])
+        return cls(dim, [PolyExpTerm(dict(poly), c, None, np.asarray(B, dtype=float))])
 
     @classmethod
     def mixture(cls, parts, weights):

@@ -74,19 +74,19 @@ def gauss_hermite(dim, order=64):
 class CumulativeIntegral:
     """Cumulative integral F(x) = int_a^x f with monotone inversion.
 
-    The interval is split into panels (optionally log-spaced away from `a`),
-    each integrated with Gauss-Legendre; queries integrate the partial panel.
-    Assumes f >= 0 so F is nondecreasing.
+    The interval is split into panels (optionally log-spaced away from `a`,
+    the first edge at 1e-8 of the span), each integrated with Gauss-Legendre;
+    queries integrate the partial panel. Assumes f >= 0 so F is
+    nondecreasing.
     """
 
-    def __init__(self, fn, a, b, panels=512, order=16, log_spaced=False,
-                 log_floor=1e-8):
+    def __init__(self, fn, a, b, panels=512, order=16, log_spaced=False):
         self.fn = fn
         self.a = float(a)
         self.b = float(b)
         if log_spaced:
             span = self.b - self.a
-            t = np.geomspace(log_floor, 1.0, panels)
+            t = np.geomspace(1e-8, 1.0, panels)
             edges = np.concatenate([[self.a], self.a + span * t])
         else:
             edges = np.linspace(self.a, self.b, panels + 1)
@@ -119,17 +119,17 @@ class CumulativeIntegral:
         out = self.cum[idx] + partial
         return float(out[0]) if scalar else out
 
-    def inverse(self, q, tol=1e-13, max_iter=100):
+    def inverse(self, q):
         """Solve F(x) = q by bisection refined with Newton (f as derivative).
 
         Each point starts at the middle of the panel holding q and steps
         by Newton while the step lands strictly inside its bracket, by
         bisection otherwise (a step leaving the bracket, or f(x) = 0).
         A point stops, and later iterations skip it, once
-          - a Newton step inside the bracket moves less than tol(1 + |x|),
+          - a Newton step inside the bracket moves less than tol (1 + |x|),
           - F(x) == q exactly, and x is kept as it is, or
-          - its bracket is narrower than tol(1 + |x|);
-        at most max_iter iterations run.
+          - its bracket is narrower than tol (1 + |x|),
+        with tol = 1e-13; at most 100 iterations run.
         """
         q = np.asarray(q, dtype=float)
         scalar = q.ndim == 0
@@ -141,7 +141,7 @@ class CumulativeIntegral:
         hi = self.edges[idx + 1].copy()
         x = 0.5 * (lo + hi)
         act = np.arange(x.size)
-        for _ in range(max_iter):
+        for _ in range(100):
             if act.size == 0:
                 break
             xa, la, ha = x[act], lo[act], hi[act]
@@ -156,7 +156,7 @@ class CumulativeIntegral:
             hit = fx == 0
             x[act] = np.where(hit, xa, np.where(inside, xn, 0.5 * (la + ha)))
             lo[act], hi[act] = la, ha
-            size = tol * (1.0 + np.abs(x[act]))
+            size = 1e-13 * (1.0 + np.abs(x[act]))
             done = (hit | (inside & (np.abs(xn - xa) < size))
                     | (ha - la < size))
             act = act[~done]

@@ -45,7 +45,7 @@ __all__ = [
 # entire-function growth
 
 
-def fock_norm(coeffs, p, sigma, order=48, panels=4):
+def fock_norm(coeffs, p, sigma):
     """p-norm of the entire polynomial sum_k coeffs[k] z^k.
 
     Monomials get the closed form |c|^p Gamma(m p / 2 + 1) (2 s / p)^(m p / 2);
@@ -66,7 +66,7 @@ def fock_norm(coeffs, p, sigma, order=48, panels=4):
     deg = int(nz[-1])
     half = math.sqrt(sigma) * (math.sqrt(2.0 * deg + 1.0) + 8.0 / math.sqrt(p))
     box = TruncationBox.cube(2, half)
-    pts, wts = quadrature.box_gauss_legendre(box, order=order, panels=panels)
+    pts, wts = quadrature.box_gauss_legendre(box, order=48, panels=4)
     z = pts[:, 0] + 1j * pts[:, 1]
     vals = np.abs(np.polynomial.polynomial.polyval(z, c))
     integrand = vals ** p * np.exp(-p * (pts ** 2).sum(axis=1) / (2.0 * sigma))
@@ -106,13 +106,6 @@ class FockInstance:
             "min_margin": float(margins.min()),
             "passed": bool(margins.min() >= -1e-9),
         }
-
-    def equality_points(self):
-        """Points where the growth bound is tight (origin for f = 1)."""
-        c = np.asarray(self.coeffs)
-        if np.count_nonzero(c) == 1 and c[0] != 0:
-            return np.array([0.0 + 0.0j])
-        return np.array([], dtype=complex)
 
 
 def build_fock_instance(p, sigma, entire_poly, normalize=True):
@@ -216,87 +209,67 @@ class LshInstance:
         }
 
 
-def _probe_subharmonicity(density, beta, dim, probes, seed, tol=1e-8):
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((probes, dim)) * 1.5
-    if density.singular_tube is not None:
-        pts = pts[~density.singular_tube(pts)]
+def _probe_subharmonicity(density, beta, dim):
+    rng = np.random.default_rng(717)
+    pts = rng.standard_normal((256, dim)) * 1.5
     # Delta log f = Delta log rho + n  (rho = f * gamma)
     lap = np.trace(density.hess_log(pts), axis1=-2, axis2=-1) + dim
     worst = float(lap.min())
-    if worst < -beta * dim - tol * max(1.0, abs(beta * dim)):
+    if worst < -beta * dim - 1e-8 * max(1.0, abs(beta * dim)):
         raise CertificateConflictError(
             f"weight fails (-beta n)-log-subharmonicity: Delta log f = "
             f"{worst:.6g} < {-beta * dim:.6g} at a probe point")
     return worst
 
 
-def build_lsh_instance(weight, beta=0.0, dim=2, probes=256, seed=717,
-                       singular_tube=None):
+def build_lsh_instance(weight, beta=0.0, dim=2):
     """Pair (f gamma, gamma) for f >= 0 with gamma-mass 1 and
     Delta log f >= -beta n.
 
-    `weight` is either a PolyExp (normalized exactly through Gaussian moment
-    integrals) or a pair (log_f, mass) of a vectorized log-weight and its
-    known gamma-mass.  Subharmonicity is probed at `probes` Gaussian points;
+    `weight` is a polynomial-Gaussian PolyExp, normalized exactly through
+    Gaussian moment integrals, so the source density has exact
+    log-derivatives.  Subharmonicity is probed at 256 seeded Gaussian points;
     violations raise rather than producing an uncovered instance.
     """
     beta = float(beta)
     if beta < 0:
         raise DomainError("beta must be nonnegative")
     dim = int(dim)
+    if weight.dim != dim:
+        raise DomainError("weight dimension disagrees with dim")
     gauss_const = -0.5 * dim * math.log(2.0 * math.pi)
+    unit_poly = {(0,) * dim: 1.0}
+    mass = float(weight.gamma_weighted_expectations([unit_poly])[0])
+    if not (mass > 0 and np.isfinite(mass)):
+        raise DomainError("weight has nonpositive gamma-mass")
+    fam = weight.scaled(1.0 / mass)
+    gamma_part = PolyExp.quadratic_exponent(dim, beta=1.0, c=gauss_const)
+    family = fam.multiply(gamma_part)
 
-    if isinstance(weight, PolyExp):
-        if weight.dim != dim:
-            raise DomainError("weight dimension disagrees with dim")
-        unit_poly = {(0,) * dim: 1.0}
-        mass = float(weight.gamma_weighted_expectations([unit_poly])[0])
-        if not (mass > 0 and np.isfinite(mass)):
-            raise DomainError("weight has nonpositive gamma-mass")
-        fam = weight.scaled(1.0 / mass)
-        gamma_part = PolyExp.quadratic_exponent(dim, beta=1.0, c=gauss_const)
-        family = fam.multiply(gamma_part)
+    def log_weight(x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        val, _, _ = fam.log_derivs(x)
+        return val
 
-        def log_weight(x):
-            x = np.atleast_2d(np.asarray(x, dtype=float))
-            val, _, _ = fam.log_derivs(x)
-            return val
+    def log_density(x):
+        val, _, _ = family.log_derivs(x)
+        return val
 
-        def log_density(x):
-            val, _, _ = family.log_derivs(x)
-            return val
+    def grad_log(x):
+        _, g, _ = family.log_derivs(x)
+        return g
 
-        def grad_log(x):
-            _, g, _ = family.log_derivs(x)
-            return g
-
-        def hess_log(x):
-            _, _, h = family.log_derivs(x)
-            return h
-    else:
-        log_f, mass = weight
-        log_mass = math.log(float(mass))
-        family = None
-
-        def log_weight(x):
-            x = np.atleast_2d(np.asarray(x, dtype=float))
-            return np.asarray(log_f(x), dtype=float) - log_mass
-
-        def log_density(x):
-            return log_weight(x) - 0.5 * (x ** 2).sum(axis=1) + gauss_const
-
-        grad_log = None
-        hess_log = None
+    def hess_log(x):
+        _, _, h = family.log_derivs(x)
+        return h
 
     cert = ConvexityCertificate(alpha=beta + 1.0, kappa=1.0,
                                 provenance="analytic")
     mu = Density(dim, log_density, grad_log=grad_log, hess_log=hess_log,
-                 normalized=True, certificate=cert,
-                 singular_tube=singular_tube, kind="lsh_growth",
+                 normalized=True, certificate=cert, kind="lsh_growth",
                  params={"beta": beta}, family=family)
     nu = measures.gaussian(np.zeros(dim), np.eye(dim))
-    _probe_subharmonicity(mu, beta, dim, probes, seed)
+    _probe_subharmonicity(mu, beta, dim)
     return LshInstance(beta=beta, dim=dim, mu=mu, nu=nu, certificate=cert,
                        log_weight=log_weight)
 
@@ -375,7 +348,7 @@ def glauber_entropy(d=1):
     return -float(d)
 
 
-def build_wehrl_instance(state, probe_grid=64, mass_tol=1e-6):
+def build_wehrl_instance(state):
     """Husimi density pair (rho_state, displaced Gaussian) with
     alpha = kappa = 2 pi.
 
@@ -426,11 +399,11 @@ def build_wehrl_instance(state, probe_grid=64, mass_tol=1e-6):
     pts, wts = quadrature.box_gauss_legendre(box, order=48, panels=3)
     vals = np.exp(log_density(pts))
     mass = float(wts @ vals)
-    if abs(mass - 1.0) > mass_tol:
+    if abs(mass - 1.0) > 1e-6:
         raise AccuracyError(
-            f"Husimi mass {mass:.8f} deviates from 1 beyond {mass_tol}",
+            f"Husimi mass {mass:.8f} deviates from 1 beyond 1e-06",
             estimate=abs(mass - 1.0))
-    grid = box.grid(probe_grid)
+    grid = box.grid(64)
     peak = float(np.exp(log_density(grid)).max())
     if peak > 1.0 + 1e-9:
         raise DomainError(
@@ -546,9 +519,8 @@ class CoulombInstance:
     has no useful lower bound there.
     """
 
-    def __init__(self, spec, diag_width=1e-6):
+    def __init__(self, spec):
         self.spec = spec
-        self.diag_width = float(diag_width)
         N, beta = spec.particles, spec.beta
         n = spec.dim
         strength = spec.kappa2 * beta * N
@@ -656,24 +628,28 @@ class CoulombInstance:
         return np.min(dists, axis=0)
 
     def _singular_tube(self, x):
-        return self._min_pair_distance(np.atleast_2d(x)) < self.diag_width
+        return self._min_pair_distance(np.atleast_2d(x)) < 1e-6
 
     # sampling ----------------------------------------------------------------
 
-    def sample(self, size, seed=0, chains=4, burn=1500, thin=3, step=None,
-               rhat_limit=1.1):
+    def sample(self, size, seed=0, burn=1500, thin=3):
         """Random-walk chain draws from the gas; returns (samples, diagnostics).
 
-        diagnostics carry the split-chain mixing statistic and acceptance
-        rate; rhat above `rhat_limit` sets quality_warning instead of
-        raising, so downstream checks can downgrade to inconclusive.
+        Each of 4 chains discards `burn` steps, then keeps every `thin`-th
+        state. diagnostics carry the split-chain mixing statistic and
+        acceptance rate; a statistic above 1.1 sets quality_warning instead
+        of raising, so downstream checks can downgrade to inconclusive.
         """
+        if thin < 1:
+            raise DomainError(f"thin must be at least 1, got {thin}")
+        if burn < 0:
+            raise DomainError(f"burn must be at least 0, got {burn}")
         rng = np.random.default_rng(seed)
         spec = self.spec
         n = spec.dim
+        chains, rhat_limit = 4, 1.1
         scale = 1.0 / math.sqrt(spec.beta * spec.particles)
-        if step is None:
-            step = 0.45 * scale
+        step = 0.45 * scale
         per_chain = -(-int(size) // chains)
         state = 1.5 * scale * rng.standard_normal((chains, n))
         bad = self._min_pair_distance(state) < 1e-6
@@ -766,10 +742,10 @@ def split_rhat(draws):
     return float(np.max(r))
 
 
-def build_coulomb_instance(spec, diag_width=1e-6):
+def build_coulomb_instance(spec):
     if not isinstance(spec, CoulombSpec):
         spec = CoulombSpec(**dict(spec))
-    return CoulombInstance(spec, diag_width=diag_width)
+    return CoulombInstance(spec)
 
 
 # ---------------------------------------------------------------------------

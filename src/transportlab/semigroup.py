@@ -13,8 +13,8 @@ so both kinds share one implementation. Evaluation routes:
                   Gauss-Hermite through derivative-free score identities,
                   accepted when twice the order agrees to CHECK_RTOL.
 
-Transfer facts checked by check_smoothing_bounds (s = 1 - e^{-2t}, a = e^{-t}
-for the OU kind; s = t, a = 1 for heat):
+Transfer facts (s = 1 - e^{-2t}, a = e^{-t} for the OU kind; s = t, a = 1
+for heat), checked for the OU kind by check_smoothing_bounds:
 
   unconditional   hess log P_t f >= -(a^2/s) Id
   log_concave     hess log f <= c Id  =>  hess log P_t f <= c a^2/(1-cs) Id,
@@ -32,7 +32,8 @@ import numpy as np
 
 from . import quadrature
 from .errors import AccuracyError, DomainError
-from .measures import ConvexityCertificate, Density
+from .measures import (ConvexityCertificate, Density, TruncationBox,
+                       check_certificate)
 from .polyexp import PolyExp
 from .verify import make_certificate
 
@@ -62,10 +63,8 @@ class SemigroupEvaluation:
     grad_log: np.ndarray
     hess_log: np.ndarray
     method: str
-    quadrature_order: int | None
     kind: str
     t: float
-    error_estimate: float | None = None
 
 
 def _as_callable(f):
@@ -103,7 +102,7 @@ def apply(kind, f, t, x, method="auto", order=64):
             raise DomainError("closed form needs a polynomial-Gaussian family")
         logv, grad, hess = family.smoothed_log_derivs(a * x, s)
         return SemigroupEvaluation(np.exp(logv), a * grad, a * a * hess,
-                                   "closed_form", None, kind_str, float(t))
+                                   "closed_form", kind_str, float(t))
 
     fn = _as_callable(f)
     if s == 0.0:
@@ -124,7 +123,7 @@ def apply(kind, f, t, x, method="auto", order=64):
             f"Gauss-Hermite order-doubling check failed ({err:.2e}); "
             "raise the order", estimate=err)
     return SemigroupEvaluation(val2, grad2, hess2, "gauss_hermite",
-                               order, kind_str, float(t), err)
+                               kind_str, float(t))
 
 
 def _gh_eval(fn, x, a, s, order):
@@ -174,23 +173,15 @@ def smoothing_rhs(klass, c, kind, t):
     return c * a * a / denom
 
 
-def smoothing_window(c, kind=SemigroupKind.ORNSTEIN_UHLENBECK):
-    """Largest valid time for the log-concave upper bound when c > 1."""
-    if c <= 1:
-        return np.inf
-    if kind == SemigroupKind.HEAT or kind == "heat":
-        return 1.0 / c
-    return float(np.log(np.sqrt(c / (c - 1.0))))
-
-
-def check_smoothing_bounds(f, klass, t, probes, c=None,
-                           kind=SemigroupKind.ORNSTEIN_UHLENBECK):
-    """Certificate for one smoothing bound on the probe set.
+def check_smoothing_bounds(f, klass, t, probes, c=None):
+    """Certificate for one smoothing bound of the Ornstein-Uhlenbeck
+    semigroup on the probe set.
 
     klass is one of unconditional, log_concave, log_convex,
     log_subharmonic. Lower bounds are recorded with both sides negated
     (see verify module docstring).
     """
+    kind = SemigroupKind.ORNSTEIN_UHLENBECK
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     ev = apply(kind, f, t, probes)
     rhs_coeff = smoothing_rhs(klass, c, kind, t)
@@ -237,14 +228,15 @@ def mollified_kappa(kappa, k):
     return float(kappa * e / (1.0 + kappa * (1.0 - e)))
 
 
-def mollify(mu, nu, alpha, kappa, k, validate=True, validation_box=None,
-            probes=64, seed=99):
+def mollify(mu, nu, alpha, kappa, k, validation_box=None, probes=64):
     """Smooth a source/target pair for time 1/k along the OU semigroup.
 
     Source: V_k = (1 - 1/k)(-log P_{1/k} e^{-V}) + (1/k) alpha |x|^2 / 2,
     which keeps Delta V_k <= alpha n. Target: W_k = -log P_{1/k} e^{-W},
     which is kappa_k-strongly convex with
     kappa_k = kappa e^{-2/k} / (1 + kappa (1 - e^{-2/k})).
+    Both certificates are probed on `validation_box` (default the cube of
+    half-width 3) before the pair is returned.
     """
     if k < 1:
         raise DomainError("k must be at least 1")
@@ -289,66 +281,7 @@ def mollify(mu, nu, alpha, kappa, k, validate=True, validation_box=None,
                      params={"k": k, "kappa": kappa, "base": nu.kind})
     pair = MollifiedPair(k=int(k), source=source, target=target,
                          kappa_k=kappa_k, alpha=float(alpha))
-    if validate:
-        from .measures import TruncationBox, check_certificate
-        box = validation_box or TruncationBox.cube(mu.dim, 3.0)
-        check_certificate(source, box, probes=probes, seed=seed)
-        check_certificate(target, box, probes=probes, seed=seed)
+    box = validation_box or TruncationBox.cube(mu.dim, 3.0)
+    check_certificate(source, box, probes=probes, seed=99)
+    check_certificate(target, box, probes=probes, seed=99)
     return pair
-
-
-# ---------------------------------------------------------------------------
-# covariance identity
-
-
-@dataclass(frozen=True)
-class CovarianceIdentityReport:
-    t: float
-    point: np.ndarray
-    hessian: np.ndarray
-    covariance_form: np.ndarray
-    frobenius_discrepancy: float
-    order: int
-
-
-def covariance_identity_check(f, t, x, order=64):
-    """Check hess log P_t f = (a^2/s) (Cov[p_{ax, s}] / s - Id).
-
-    p_{z, s}(y) is proportional to f(y) exp(-|y - z|^2 / (2 s)); its
-    moments are computed on a Gauss-Hermite grid centered at z with scale
-    sqrt(s), cross-checked at twice the order.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[0] != 1:
-        raise DomainError("one probe point at a time")
-    n = x.shape[1]
-    kind = SemigroupKind.ORNSTEIN_UHLENBECK
-    a, s = kernel_params(kind, t)
-    fn = _as_callable(f)
-    z = a * x[0]
-
-    def tilted_cov(o):
-        y, w = quadrature.gauss_hermite(n, o)
-        pts = z[None, :] + np.sqrt(s) * y
-        vals = fn(pts) * w
-        mass = vals.sum()
-        if mass <= 0:
-            raise DomainError("tilted measure has no mass at this probe")
-        p = vals / mass
-        mean = p @ pts
-        d = pts - mean
-        return np.einsum("k,ki,kj->ij", p, d, d)
-
-    cov = tilted_cov(order)
-    cov2 = tilted_cov(2 * order)
-    if np.abs(cov - cov2).max() > 1e-8 * max(1.0, np.abs(cov2).max()):
-        raise AccuracyError("tilted covariance quadrature did not settle",
-                            estimate=float(np.abs(cov - cov2).max()))
-    rhs = (a * a / s) * (cov2 / s - np.eye(n))
-    ev = apply(kind, f, t, x, order=order)
-    lhs = ev.hess_log[0]
-    disc = float(np.linalg.norm(lhs - rhs))
-    return CovarianceIdentityReport(t=float(t), point=x[0], hessian=lhs,
-                                    covariance_form=rhs,
-                                    frobenius_discrepancy=disc,
-                                    order=order)

@@ -135,10 +135,9 @@ def make_certificate(bound_name, rhs, observed, slack, provenance,
 # probe sets
 
 
-def probe_points(mu, box, grid_per_axis=17, random_count=1000, seed=1234,
-                 margin_cells=1):
+def probe_points(mu, box, grid_per_axis=17, random_count=1000, seed=1234):
     """Interior tensor grid plus seeded mu-distributed random points."""
-    parts = [box.interior_grid(grid_per_axis, margin_cells=margin_cells)]
+    parts = [box.interior_grid(grid_per_axis)]
     if random_count > 0:
         rng = np.random.default_rng(seed)
         if mu is not None and mu.sampler is not None:
@@ -155,7 +154,8 @@ def probe_points(mu, box, grid_per_axis=17, random_count=1000, seed=1234,
     return pts
 
 
-def _grid_multinomial(mu, box, count, rng, side=96):
+def _grid_multinomial(mu, box, count, rng):
+    side = 96
     nodes = box.grid(side)
     w = np.exp(mu.logpdf(nodes))
     w = w / w.sum()
@@ -211,20 +211,18 @@ def check_trace_bound(transport_map, alpha, kappa, probes, slack=None,
                            transport_map, alpha, kappa, probes, slack, stats)
 
 
-def check_lipschitz_bound(transport_map, alpha, kappa, probes, slack=None,
-                          stats=None):
+def check_lipschitz_bound(transport_map, alpha, kappa, probes, stats=None):
     """sup of the Jacobian operator norm against n sqrt(alpha/kappa)."""
     return _jacobian_check("lipschitz", "operator_norm",
                            lambda n: n * np.sqrt(alpha / kappa),
-                           transport_map, alpha, kappa, probes, slack, stats)
+                           transport_map, alpha, kappa, probes, None, stats)
 
 
-def check_determinant_bound(transport_map, alpha, kappa, probes, slack=None,
-                            stats=None):
+def check_determinant_bound(transport_map, alpha, kappa, probes, stats=None):
     """sup of the Jacobian determinant against (alpha/kappa)^(n/2)."""
     return _jacobian_check("determinant", "determinant",
                            lambda n: (alpha / kappa) ** (n / 2.0),
-                           transport_map, alpha, kappa, probes, slack, stats)
+                           transport_map, alpha, kappa, probes, None, stats)
 
 
 def check_jacobian_bounds(transport_map, alpha, kappa, probes,
@@ -242,18 +240,17 @@ def check_jacobian_bounds(transport_map, alpha, kappa, probes,
                           check_determinant_bound)]
 
 
-def check_lp_moment_bound(transport_map, alpha, kappa, p, mu, box, order=32,
-                          panels=4, slack=None):
+def check_lp_moment_bound(transport_map, alpha, kappa, p, mu, box):
     """L^(p+1)(mu) norm of (trace J)^2 against n^2 alpha / kappa.
 
     Integrates against mu with a tensor Gauss-Legendre rule on the box,
-    so mu must have dim <= 2.
+    so mu must have dim <= 2. The slack is the map provenance's default.
     """
     if p <= 0:
         raise DomainError("p must be positive")
     if mu.dim > 2:
         raise DomainError("the moment quadrature needs a box of dim <= 2")
-    pts, w = quadrature.box_gauss_legendre(box, order=order, panels=panels)
+    pts, w = quadrature.box_gauss_legendre(box, order=32, panels=4)
     weights = w * np.exp(mu.logpdf(pts))
     stats = _stats_or_raise(transport_map, pts)
     integrand = stats.trace ** (2.0 * (p + 1.0))
@@ -262,7 +259,7 @@ def check_lp_moment_bound(transport_map, alpha, kappa, p, mu, box, order=32,
     observed = moment ** (1.0 / (p + 1.0))
     rhs = pts.shape[1] ** 2 * alpha / kappa
     return make_certificate(
-        "lp_moment", rhs, observed, slack, _map_provenance(transport_map),
+        "lp_moment", rhs, observed, None, _map_provenance(transport_map),
         pts.shape[0],
         details={"alpha": alpha, "kappa": kappa, "p": p,
                  "quadrature_mass": total_mass})

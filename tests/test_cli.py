@@ -357,6 +357,11 @@ def test_anisotropic_run_without_epsilons_is_refused(tmp_path, capsys):
     (["heatflow", "flow"], "record_every", 0, "contraction"),
     (["verify", "wehrl", "--epsilon-schedule", "0.5,0.1"], "side", 1,
      "bounds"),
+    (["heatflow", "flow"], "particles", 0, "contraction"),
+    (["verify", "coulomb"], "laplacian_probes", 0, "laplacian"),
+    (["scenario", "coulomb"], "fit_points", 0, "sample_route"),
+    (["scenario", "coulomb"], "thin", 0, "sample_route"),
+    (["scenario", "coulomb"], "burn", -1, "sample_route"),
 ])
 def test_size_params_outside_their_domain_are_typed_errors(
         tmp_path, argv, param, value, check):
@@ -364,7 +369,9 @@ def test_size_params_outside_their_domain_are_typed_errors(
     doc = _cfg(tmp_path, {"params": {param: value}})
     assert main([*argv, "--config", doc, "--out", str(out)]) == 3
     report = json.loads((out / "report.json").read_text())
-    assert report["certificates"] == []
+    # scenario coulomb runs its laplacian check beside the refused one
+    others = ["laplacian"] if check == "sample_route" else []
+    assert [c["check"] for c in report["certificates"]] == others
     [err] = report["errors"]
     assert err["check"] == check
     assert err["error"].startswith(f"DomainError: {param} must be at least")
@@ -531,3 +538,26 @@ def test_growth_direct_median_margin_equals_np_median(size):
     finite = margins[np.isfinite(margins)]
     assert cert["details"]["median_margin"] == float(np.median(finite))
     assert cert["observed"] == -float(finite.min())
+
+
+# Two certificates whose verdict still depends on the seed. Each test pins
+# one failing seed; the rework of its certificate turns it into a pass.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the sampled divergence's q95 runs 4.06-4.41 over seeds, and seed 5 "
+    "gives 4.403 against rhs 4 with slack 0.1 (ROADMAP item 1)"))
+def test_coulomb_sample_divergence_passes_at_seed_5():
+    report, _ = run(RunConfig(command="scenario", scenario="coulomb",
+                              seed=5))
+    certs = {c["bound_name"]: c for c in report.certificates}
+    div = certs["sample_divergence"]
+    assert div["verdict"] in ("pass", "pass_with_slack"), div["observed"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the moment z-test fails about 1% of seeds by construction; seed 7 "
+    "gives 3.385 against 3 (ROADMAP item 2)"))
+def test_flow_pushforward_moments_pass_at_seed_7():
+    report, _ = run(RunConfig(command="heatflow", scenario="flow", seed=7))
+    certs = {c["bound_name"]: c for c in report.certificates}
+    push = certs["km_pushforward_moments"]
+    assert push["verdict"] == "pass", push["observed"]

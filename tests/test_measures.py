@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from transportlab.errors import CertificateConflictError, DomainError
 from transportlab.measures import (ConvexityCertificate, Density,
-                                   TruncationBox, check_certificate,
-                                   estimate_certificate, gaussian)
+                                   TruncationBox, check_certificate, gaussian)
 from transportlab.polyexp import PolyExp
+from transportlab.quadrature import integrate_box
 
 
 def test_gaussian_logpdf_matches_scipy():
@@ -71,37 +71,31 @@ def test_box_uniform_samples_stay_inside(dim, half):
 def test_mass_on_wide_box_is_one():
     dens = gaussian(np.zeros(2), np.eye(2))
     box = TruncationBox.cube(2, 7.0)
-    assert abs(dens.mass_on(box) - 1.0) < 1e-10
-
-
-def test_normalized_on_fixes_scale():
-    raw = Density(
-        1,
-        lambda x: -0.5 * x[:, 0] ** 2 + 3.7,  # wrong constant on purpose
-        lambda x: -x,
-        lambda x: -np.ones((x.shape[0], 1, 1)),
-        normalized=False,
-        certificate=ConvexityCertificate(1.0, 1.0, "analytic"),
-    )
-    box = TruncationBox.cube(1, 9.0)
-    dens = raw.normalized_on(box)
-    assert dens.normalized
-    assert abs(dens.mass_on(box) - 1.0) < 1e-9
-    ref = gaussian(np.zeros(1), np.eye(1))
-    x = np.array([[0.3], [1.1]])
-    assert np.allclose(dens.logpdf(x), ref.logpdf(x), atol=1e-9)
+    assert abs(integrate_box(dens.pdf, box, order=48, panels=4) - 1.0) < 1e-10
 
 
 def test_log_partition_is_refused_above_dim_2():
     raw = Density(3, lambda x: -0.5 * np.einsum("mi,mi->m", x, x))
     with pytest.raises(DomainError, match="dim <= 2"):
         raw.compute_log_partition(TruncationBox.cube(3, 6.0))
-    with pytest.raises(DomainError, match="dim <= 2"):
-        raw.normalized_on(TruncationBox.cube(3, 6.0))
     # the 2-d factor of the same product density has its tensor rule
     two = Density(2, lambda x: -0.5 * np.einsum("mi,mi->m", x, x))
     assert two.compute_log_partition(TruncationBox.cube(2, 8.0)) == \
         pytest.approx(math.log(2.0 * math.pi), abs=1e-10)
+
+
+def test_derivatives_without_evaluators_are_refused():
+    # no finite-difference stand-in: the refusal names the density's kind
+    dens = Density(2, lambda x: -0.5 * np.einsum("mi,mi->m", x, x),
+                   kind="bare")
+    x = np.zeros((3, 2))
+    assert np.allclose(dens.logpdf(x), 0.0)
+    with pytest.raises(DomainError, match="bare density has no gradient"):
+        dens.grad_log(x)
+    with pytest.raises(DomainError, match="bare density has no Hessian"):
+        dens.hess_log(x)
+    with pytest.raises(DomainError, match="bare density has no Hessian"):
+        dens.potential_laplacian(x)
 
 
 def test_check_certificate_accepts_honest_gaussian():
@@ -120,19 +114,9 @@ def test_check_certificate_rejects_false_kappa():
         check_certificate(lying, box)
 
 
-def test_estimate_certificate_recovers_constants():
-    dens = gaussian(np.zeros(2), 2.0 * np.eye(2))
-    est = estimate_certificate(dens, TruncationBox.cube(2, 3.0))
-    assert est.provenance == "sampled"
-    assert est.empirical_kappa == pytest.approx(0.5, rel=1e-9)
-    assert est.empirical_alpha == pytest.approx(0.5, rel=1e-9)
-
-
 def test_certificate_post_init_guards():
     with pytest.raises(DomainError):
         ConvexityCertificate(1.0, 1.0, "guessed")
-    with pytest.raises(CertificateConflictError):
-        ConvexityCertificate(1.0, None, "sampled", empirical_alpha=2.0)
 
 
 def test_polyexp_backed_density_roundtrip():

@@ -219,7 +219,9 @@ def test_polyexp_multiply_is_pointwise_product():
 
 
 def test_polyexp_mixture_weights():
-    parts = [PolyExp.constant(2, 1.0), PolyExp.quadratic_exponent(2, beta=1.0)]
+    # beta = 0 is the constant function 1
+    parts = [PolyExp.quadratic_exponent(2, beta=0.0),
+             PolyExp.quadratic_exponent(2, beta=1.0)]
     mix = PolyExp.mixture(parts, [0.25, 0.75])
     x = np.array([[0.3, 0.4]])
     want = 0.25 + 0.75 * math.exp(-0.5 * 0.25)
@@ -264,8 +266,8 @@ def test_smoothed_value_agrees_with_hermite(zx, zy, s):
 
 
 def test_polyexp_rejects_mismatched_dims():
-    a = PolyExp.constant(2, 1.0)
-    b = PolyExp.constant(3, 1.0)
+    a = PolyExp.quadratic_exponent(2, beta=0.0)
+    b = PolyExp.quadratic_exponent(3, beta=0.0)
     with pytest.raises(Exception):
         a.multiply(b)
 

@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transportlab import semigroup
+from transportlab import quadrature, semigroup
 from transportlab.errors import DomainError
 from transportlab.measures import Density, TruncationBox
 from transportlab.polyexp import PolyExp
 from transportlab.semigroup import (SemigroupKind, apply,
                                     check_smoothing_bounds,
-                                    covariance_identity_check,
-                                    mollified_kappa, mollify, smoothing_rhs,
-                                    smoothing_window)
+                                    mollified_kappa, mollify, smoothing_rhs)
 
 OU = SemigroupKind.ORNSTEIN_UHLENBECK
 
@@ -73,11 +71,18 @@ def test_weight_without_family_above_dim_2_is_refused():
     assert ev.method == "closed_form"
 
 
+def _ou_window(c):
+    """Largest OU time with 1 - c s > 0, s = 1 - e^{-2t}: none for c <= 1."""
+    return np.inf if c <= 1 else math.log(math.sqrt(c / (c - 1.0)))
+
+
 def test_smoothing_rhs_window():
     # log-concave transfer blows up as s -> 1/c
-    assert smoothing_window(0.5) == np.inf
-    tw = smoothing_window(2.0)
+    assert _ou_window(0.5) == np.inf
+    assert np.isfinite(smoothing_rhs("log_concave", 0.5, OU, 50.0))
+    tw = _ou_window(2.0)
     assert 0 < tw < np.inf
+    assert np.isfinite(smoothing_rhs("log_concave", 2.0, OU, 0.99 * tw))
     with pytest.raises(DomainError):
         smoothing_rhs("log_concave", 2.0, OU, 10.0 * tw)
 
@@ -152,9 +157,27 @@ def test_mollify_pair_matches_formula_constants():
 
 
 def test_covariance_identity_at_probe():
+    # hess log P_t f(x) = (a^2/s) (Cov[p] / s - Id) with p(y) proportional to
+    # f(y) exp(-|y - a x|^2 / (2 s)); the tilted covariance comes from a
+    # Gauss-Hermite grid centered at a x, settled by doubling its order
     f = PolyExp.poly_times_gaussian(2, {(2, 0): 1.0, (0, 0): 0.5}, beta=0.7)
-    rep = covariance_identity_check(f, 0.6, np.array([[0.4, -0.2]]))
-    assert rep.frobenius_discrepancy < 1e-8
+    t, x = 0.6, np.array([[0.4, -0.2]])
+    a, s = semigroup.kernel_params(OU, t)
+
+    def tilted_cov(order):
+        y, w = quadrature.gauss_hermite(2, order)
+        pts = a * x[0] + math.sqrt(s) * y
+        p = f.value(pts) * w
+        p = p / p.sum()
+        d = pts - p @ pts
+        return np.einsum("k,ki,kj->ij", p, d, d)
+
+    cov = tilted_cov(128)
+    assert np.abs(tilted_cov(64) - cov).max() < 1e-8
+    want = (a * a / s) * (cov / s - np.eye(2))
+    for method in ("gauss_hermite", "closed_form"):
+        ev = apply(OU, f, t, x, method=method)
+        assert np.linalg.norm(ev.hess_log[0] - want) < 1e-8, method
 
 
 def test_apply_rejects_negative_time():
