@@ -354,11 +354,8 @@ def _check_schedule(schedule):
 
 def _grid_solver(axes_x, axes_y, log_a, log_b):
     """epsilon -> the grid Sinkhorn between two measures of one dimension."""
-    if len(axes_x) == 2:
-        return lambda eps: entropic.GridSinkhorn2D(axes_x, axes_y, log_a,
-                                                   log_b, eps)
-    return lambda eps: entropic.GridSinkhorn1D(axes_x[0], axes_y[0], log_a,
-                                               log_b, eps)
+    return lambda eps: entropic.GridSinkhorn(axes_x, axes_y, log_a, log_b,
+                                             eps)
 
 
 def solve_entropic_schedule(mu, nu, schedule, box=None, box_nu=None, side=128,

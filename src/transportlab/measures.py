@@ -100,9 +100,6 @@ class TruncationBox:
     def sample_uniform(self, count, rng):
         return quadrature.stratified_uniform(self, count, rng)
 
-    def scaled(self, factor):
-        return TruncationBox(self.center, self.half_widths * float(factor))
-
     def to_dict(self):
         return {"center": self.center.tolist(),
                 "half_widths": self.half_widths.tolist()}
@@ -112,16 +109,14 @@ class Density:
     """Immutable density on R^n; see module docstring for the contract."""
 
     def __init__(self, dim, log_density, grad_log=None, hess_log=None,
-                 normalized=False, support_note="full_space",
-                 certificate=None, sampler=None, singular_tube=None,
-                 radial_profile=None, center=None, kind="custom", params=None,
-                 family=None):
+                 normalized=False, certificate=None, sampler=None,
+                 singular_tube=None, radial_profile=None, center=None,
+                 kind="custom", params=None, family=None):
         self.dim = int(dim)
         self._log_density = log_density
         self._grad_log = grad_log
         self._hess_log = hess_log
         self.normalized = bool(normalized)
-        self.support_note = support_note
         self.certificate = certificate
         self.sampler = sampler            # sampler(rng, size) -> (size, dim)
         self.singular_tube = singular_tube  # (m, dim) -> bool mask of bad rows
@@ -196,8 +191,7 @@ class Density:
             self.dim,
             lambda x, _lz=logz: self._log_density(x) - _lz,
             grad_log=self._grad_log, hess_log=self._hess_log,
-            normalized=True,
-            support_note=self.support_note, certificate=self.certificate,
+            normalized=True, certificate=self.certificate,
             sampler=self.sampler, singular_tube=self.singular_tube,
             radial_profile=(None if self.radial_profile is None else
                             lambda r, _lz=logz: self.radial_profile(r) * np.exp(-_lz)),
@@ -261,7 +255,7 @@ def gaussian(mean, cov):
             return np.exp(-0.5 * r ** 2 / _s) / (2.0 * np.pi * _s) ** (_n / 2.0)
 
     return Density(n, log_density, grad_log, hess_log, normalized=True,
-                   support_note="full_space", certificate=cert, sampler=sampler,
+                   certificate=cert, sampler=sampler,
                    radial_profile=radial, center=mean, kind="gaussian",
                    params={"mean": mean, "cov": cov}, family=family)
 

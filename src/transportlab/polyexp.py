@@ -268,27 +268,27 @@ class PolyExp:
             out += amp
         return out
 
+    def log_value(self, x):
+        """log f at points x, the first entry of log_derivs(x) alone."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        logs, signs, _ = zip(*(_term_log(t, x) for t in self.terms))
+        return _log_mixture(logs, signs)[0]
+
     def log_derivs(self, x):
         """(log f, grad log f, hess log f) at points x, exactly."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         parts = []
         for t in self.terms:
-            logv = t.c + x @ t.b - 0.5 * np.einsum("mi,ij,mj->m", x, t.B, x)
+            logv, sign, q = _term_log(t, x)
             grad = t.b[None, :] - x @ t.B
             hess = np.broadcast_to(-t.B, (x.shape[0],) + t.B.shape).copy()
-            sign = np.ones(x.shape[0])
-            if t.poly is not None:
-                q = poly_eval(t.poly, x)
+            if q is not None:
                 gq = np.stack([poly_eval(poly_deriv(t.poly, i), x)
                                for i in range(self.dim)], axis=-1)
                 hq = np.stack([
                     np.stack([poly_eval(poly_deriv(poly_deriv(t.poly, i), j), x)
                               for j in range(self.dim)], axis=-1)
                     for i in range(self.dim)], axis=-2)
-                if np.any(q == 0):
-                    raise DomainError("log evaluated at a zero of the weight")
-                sign = np.sign(q)
-                logv = logv + np.log(np.abs(q))
                 gq = gq / q[:, None]
                 grad = grad + gq
                 hess = hess + hq / q[:, None, None] \
@@ -376,24 +376,41 @@ def _poly_mul(p1, p2):
     return out
 
 
-def _combine_log_terms(parts):
-    """Combine per-term (log|v|, sign, grad log, hess log) into mixture logs."""
-    if len(parts) == 1:
-        logv, sign, grad, hess = parts[0]
-        if np.any(sign <= 0):
+def _term_log(t, x):
+    """(log |t|, sign, q) at points x; q is the term's polynomial factor,
+    None for a pure exponential."""
+    logv = t.c + x @ t.b - 0.5 * np.einsum("mi,ij,mj->m", x, t.B, x)
+    if t.poly is None:
+        return logv, np.ones(x.shape[0]), None
+    q = poly_eval(t.poly, x)
+    if np.any(q == 0):
+        raise DomainError("log evaluated at a zero of the weight")
+    return logv + np.log(np.abs(q)), np.sign(q), q
+
+
+def _log_mixture(logs, signs):
+    """log sum_k signs_k exp(logs_k) over the k per-term arrays, and each
+    term's (k, m) share of that sum (None for one term)."""
+    if len(logs) == 1:
+        if np.any(signs[0] <= 0):
             raise DomainError("mixture value is not positive")
-        return logv, grad, hess
-    logs = np.stack([p[0] for p in parts], axis=0)        # (k, m)
-    signs = np.stack([p[1] for p in parts], axis=0)
-    grads = np.stack([p[2] for p in parts], axis=0)       # (k, m, n)
-    hesss = np.stack([p[3] for p in parts], axis=0)       # (k, m, n, n)
+        return logs[0], None
+    logs = np.stack(logs, axis=0)                          # (k, m)
     lmax = logs.max(axis=0)
-    rel = signs * np.exp(logs - lmax[None, :])            # (k, m)
+    rel = np.stack(signs, axis=0) * np.exp(logs - lmax[None, :])
     S = rel.sum(axis=0)
     if np.any(S <= 0):
         raise DomainError("mixture value is not positive")
-    r = rel / S[None, :]
-    logv = lmax + np.log(S)
+    return lmax + np.log(S), rel / S[None, :]
+
+
+def _combine_log_terms(parts):
+    """Combine per-term (log|v|, sign, grad log, hess log) into mixture logs."""
+    logv, r = _log_mixture([p[0] for p in parts], [p[1] for p in parts])
+    if r is None:
+        return logv, parts[0][2], parts[0][3]
+    grads = np.stack([p[2] for p in parts], axis=0)       # (k, m, n)
+    hesss = np.stack([p[3] for p in parts], axis=0)       # (k, m, n, n)
     grad = np.einsum("km,kmn->mn", r, grads)
     second = np.einsum("km,kmij->mij", r,
                        hesss + np.einsum("kmi,kmj->kmij", grads, grads))

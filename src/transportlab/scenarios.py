@@ -170,8 +170,7 @@ def build_fock_instance(p, sigma, entire_poly, normalize=True):
         family = fam
 
     mu = Density(2, log_density, grad_log=grad_log, hess_log=hess_log,
-                 normalized=True, support_note="vanishes_at_zeros_of_f",
-                 certificate=cert, singular_tube=singular_tube,
+                 normalized=True, certificate=cert, singular_tube=singular_tube,
                  kind="fock_growth",
                  params={"p": p, "sigma": sigma,
                          "coeffs_re": coeffs.real.tolist(),
@@ -246,14 +245,7 @@ def build_lsh_instance(weight, beta=0.0, dim=2):
     gamma_part = PolyExp.quadratic_exponent(dim, beta=1.0, c=gauss_const)
     family = fam.multiply(gamma_part)
 
-    def log_weight(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        val, _, _ = fam.log_derivs(x)
-        return val
-
-    def log_density(x):
-        val, _, _ = family.log_derivs(x)
-        return val
+    log_weight, log_density = fam.log_value, family.log_value
 
     def grad_log(x):
         _, g, _ = family.log_derivs(x)
@@ -377,13 +369,13 @@ def build_wehrl_instance(state):
                           (2.0 ** -0.5) * weights[keep])
 
     if centered:
-        log_density = lambda x: fam.log_derivs(x)[0]
+        log_density = fam.log_value
         grad_log = lambda x: fam.log_derivs(x)[1]
         hess_log = lambda x: fam.log_derivs(x)[2]
         family = fam
     else:
         def log_density(x):
-            return fam.log_derivs(x - center)[0]
+            return fam.log_value(x - center)
 
         def grad_log(x):
             return fam.log_derivs(x - center)[1]
@@ -534,7 +526,6 @@ class CoulombInstance:
         self.mu = Density(
             n, self._log_density, grad_log=self._grad_log,
             hess_log=self._hess_log, normalized=False,
-            support_note="vanishes_on_particle_diagonal",
             certificate=self.certificate, singular_tube=self._singular_tube,
             kind="coulomb_gas",
             params={"particles": N, "beta": beta, "kappa2": spec.kappa2})
@@ -553,7 +544,6 @@ class CoulombInstance:
                 n, self._target_log_density, normalized=False,
                 certificate=self.target_certificate, kind="coulomb_target",
                 params={"particles": N, "beta": beta}).normalized_with(N * logz)
-        self.last_diagnostics = None
 
     # density pieces --------------------------------------------------------
 
@@ -684,7 +674,6 @@ class CoulombInstance:
             diagnostics["note"] = (
                 f"split-chain statistic {rhat:.3f} exceeds {rhat_limit}; "
                 "treat sampled conclusions as inconclusive")
-        self.last_diagnostics = diagnostics
         samples = draws.reshape(-1, n)
         rng.shuffle(samples)
         return samples[:int(size)], diagnostics

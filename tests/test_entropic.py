@@ -151,7 +151,7 @@ def test_grid_1d_matches_log_domain_reference(n, k, eps, seed):
     ax = np.sort(rng.uniform(-2, 2, n))
     ay = np.sort(rng.uniform(-2, 2, k))
     la, lb = _log_weights(rng, n), _log_weights(rng, k)
-    _assert_same(entropic.GridSinkhorn1D(ax, ay, la, lb, eps),
+    _assert_same(entropic.GridSinkhorn([ax], [ay], la, lb, eps),
                  _RefGrid([ax], [ay], la, lb, eps), {"max_iter": 400})
 
 
@@ -163,7 +163,7 @@ def test_grid_2d_matches_log_domain_reference(n1, n2, k1, k2, eps, seed):
     axes_x = [np.linspace(-1.5, 1.0, n1), np.linspace(-1.0, 2.0, n2)]
     axes_y = [np.linspace(-2.0, 1.2, k1), np.linspace(-0.5, 1.5, k2)]
     la, lb = _log_weights(rng, (n1, n2)), _log_weights(rng, (k1, k2))
-    _assert_same(entropic.GridSinkhorn2D(axes_x, axes_y, la, lb, eps),
+    _assert_same(entropic.GridSinkhorn(axes_x, axes_y, la, lb, eps),
                  _RefGrid(axes_x, axes_y, la, lb, eps), {"max_iter": 400})
 
 
@@ -211,7 +211,7 @@ def test_grid_contraction_falls_back_when_peaks_are_far_apart():
     # y = +0.75 make every shifted product term underflow.
     ax = np.linspace(-1.0, 1.0, 41)
     Q = -500.0 * (ax - 0.75) ** 2
-    solver = entropic.GridSinkhorn1D(ax, ax, Q, Q, 1e-3)
+    solver = entropic.GridSinkhorn([ax], [ax], Q, Q, 1e-3)
     got = solver.lse_q(Q)
     assert solver.fallbacks > 0
     expect = _lse_matmul(_kernel(ax, ax, 1e-3), Q[:, None])[:, 0]
@@ -223,9 +223,73 @@ def test_grid_solve_with_fallbacks_matches_reference():
     la = -40.0 * (ax + 0.75) ** 2
     lb = -40.0 * (ax - 0.75) ** 2
     la, lb = la - np.log(np.exp(la).sum()), lb - np.log(np.exp(lb).sum())
-    solver = entropic.GridSinkhorn1D(ax, ax, la, lb, 1e-3)
+    solver = entropic.GridSinkhorn([ax], [ax], la, lb, 1e-3)
     assert _assert_same(solver, _RefGrid([ax], [ax], la, lb, 1e-3))
     assert solver.fallbacks > 0
+
+
+def test_grid_2d_solve_with_fallbacks_matches_reference():
+    # the 2-d analogue of the solve above: far-apart peaks at eps 1e-3 send
+    # the scaling-domain contractions to the exact per-axis route
+    ax = np.linspace(-1.0, 1.0, 15)
+    g0, g1 = np.meshgrid(ax, ax, indexing="ij")
+    la = -40.0 * ((g0 + 0.75) ** 2 + (g1 + 0.6) ** 2)
+    lb = -40.0 * ((g0 - 0.75) ** 2 + (g1 - 0.5) ** 2)
+    la, lb = la - np.log(np.exp(la).sum()), lb - np.log(np.exp(lb).sum())
+    solver = entropic.GridSinkhorn([ax, ax], [ax, ax], la, lb, 1e-3)
+    assert _assert_same(solver, _RefGrid([ax, ax], [ax, ax], la, lb, 1e-3))
+    assert solver.fallbacks > 0
+
+
+# the reference's log of an all -inf row warns
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.parametrize("eps", [0.3, 0.05])
+def test_grid_2d_zero_mass_rows_and_columns_match_reference(eps):
+    # -inf log weights: whole axis-0 slices and single columns of zero mass
+    rng = np.random.default_rng(3)
+    axes_x = [np.linspace(-1.5, 1.0, 9), np.linspace(-1.0, 2.0, 7)]
+    axes_y = [np.linspace(-2.0, 1.2, 8), np.linspace(-0.5, 1.5, 6)]
+    la, lb = _log_weights(rng, (9, 7)), _log_weights(rng, (8, 6))
+    la[2, :] = la[:, 4] = -np.inf
+    lb[0, :] = lb[5, :] = lb[:, 5] = -np.inf
+    la, lb = la - np.log(np.exp(la).sum()), lb - np.log(np.exp(lb).sum())
+    assert _assert_same(entropic.GridSinkhorn(axes_x, axes_y, la, lb, eps),
+                        _RefGrid(axes_x, axes_y, la, lb, eps))
+    # the solver itself takes no log of zero and makes no NaN on the way
+    with np.errstate(divide="raise", invalid="raise"):
+        solver = entropic.GridSinkhorn(axes_x, axes_y, la, lb, eps)
+        P, Q, _, _ = solver.run()
+        values = solver.barycentric(Q)
+    assert not np.isnan(P).any() and not np.isnan(Q).any()
+    assert np.isfinite(values).all()
+    assert np.array_equal(np.isneginf(P), np.isneginf(la))
+
+
+def test_grid_3d_contractions_match_full_logsumexp():
+    # three axes against the full cost matrix over the product grids
+    rng = np.random.default_rng(4)
+    axes_x = [np.linspace(-1.0, 1.0, 4), np.linspace(-0.5, 1.5, 5),
+              np.linspace(-2.0, 0.0, 3)]
+    axes_y = [np.linspace(-1.5, 0.5, 3), np.linspace(0.0, 1.0, 4),
+              np.linspace(-1.0, 1.0, 5)]
+    eps = 0.2
+    la, lb = _log_weights(rng, (4, 5, 3)), _log_weights(rng, (3, 4, 5))
+    solver = entropic.GridSinkhorn(axes_x, axes_y, la, lb, eps)
+    X = np.stack(np.meshgrid(*axes_x, indexing="ij"), axis=-1).reshape(-1, 3)
+    Y = np.stack(np.meshgrid(*axes_y, indexing="ij"), axis=-1).reshape(-1, 3)
+    M = -0.5 * ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=-1) / eps
+    Q, P = rng.normal(size=lb.shape) * 3.0, rng.normal(size=la.shape) * 3.0
+    np.testing.assert_allclose(solver.lse_q(Q).ravel(),
+                               _lse_rows(M + Q.ravel()[None, :]),
+                               rtol=0, atol=ATOL)
+    np.testing.assert_allclose(solver.lse_p(P).ravel(),
+                               _lse_rows(M.T + P.ravel()[None, :]),
+                               rtol=0, atol=ATOL)
+    L = M + Q.ravel()[None, :]
+    plan = np.exp(L - _lse_rows(L)[:, None])
+    np.testing.assert_allclose(solver.barycentric(Q).reshape(-1, 3),
+                               plan @ Y, rtol=0, atol=ATOL)
+    assert solver.fallbacks == 0
 
 
 def test_sample_outlier_row_falls_back_and_matches_reference():
@@ -288,7 +352,7 @@ def test_failed_check_contraction_is_reused_bitwise(kind):
         la, lb = _log_weights(rng, (17, 13)), _log_weights(rng, (15, 11))
 
         def make():
-            return entropic.GridSinkhorn2D(axes_x, axes_y, la, lb, 0.1)
+            return entropic.GridSinkhorn(axes_x, axes_y, la, lb, 0.1)
         kw = {}
     else:
         xs, ys = rng.normal(size=(60, 2)), rng.normal(size=(50, 2)) + 0.4

@@ -20,6 +20,8 @@ from transportlab.polyexp import (PolyExp, gaussian_poly_expectations,
                                   holomorphic_to_real_poly,
                                   modulus_squared_poly, poly_deriv,
                                   poly_eval)
+from transportlab.scenarios import (WehrlState, build_wehrl_instance,
+                                    fock_coefficients)
 
 
 def test_gauss_legendre_exact_for_polynomials():
@@ -208,6 +210,41 @@ def test_polyexp_log_derivs_match_finite_differences():
     fd_g, fd_h = _fd_log_derivs(fam, x)
     assert np.allclose(grad, fd_g, atol=1e-6)
     assert np.allclose(hess, fd_h, atol=1e-4)
+
+
+def test_log_value_is_the_value_of_log_derivs_bitwise():
+    x = np.random.default_rng(9).normal(size=(300, 2)) * 1.5
+    one = PolyExp.poly_times_gaussian(
+        2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): 0.3}, beta=0.8)
+    mix = PolyExp.mixture(
+        [one, PolyExp.quadratic_exponent(2, beta=1.2, b=[0.3, -0.2])],
+        [0.4, 0.6])
+    for fam in (one, mix):
+        assert np.array_equal(fam.log_value(x), fam.log_derivs(x)[0])
+    # a displaced two-state Husimi density against its centred family
+    states = [WehrlState((0.5, 0.5), (tuple(fock_coefficients(0)),
+                                      tuple(fock_coefficients(1))),
+                         center=c) for c in ((0.0, 0.0), (0.7, 0.4))]
+    (centred, _, _), (displaced, _, _) = map(build_wehrl_instance, states)
+    assert displaced.family is None
+    assert np.array_equal(
+        displaced.logpdf(x),
+        centred.family.log_derivs(x - displaced.center)[0])
+
+
+def test_log_value_raises_where_log_derivs_raises():
+    x = np.array([[0.5, 0.2], [0.0, 1.0]])
+    # x_1 vanishes at the second point
+    zero = PolyExp.poly_times_gaussian(2, {(1, 0): 1.0}, beta=1.0)
+    # 1 - 2 exp(-|x|^2 / 2) is negative near the origin
+    negative = PolyExp.mixture([PolyExp.quadratic_exponent(2, beta=0.0),
+                                PolyExp.quadratic_exponent(2, beta=1.0)],
+                               [1.0, -2.0])
+    for fam, message in ((zero, "zero of the weight"),
+                         (negative, "not positive")):
+        for evaluate in (fam.log_value, fam.log_derivs):
+            with pytest.raises(DomainError, match=message):
+                evaluate(x)
 
 
 def test_polyexp_multiply_is_pointwise_product():
