@@ -144,7 +144,7 @@ def _radial_symmetry_error(dens, radii):
     return worst
 
 
-def solve_radial(mu, nu, r_max=None):
+def solve_radial(mu, nu, r_max):
     """Mass-matching map between co-centered radial densities.
 
     Works from the densities' radial profiles rho(r); the radial transport
@@ -159,8 +159,6 @@ def solve_radial(mu, nu, r_max=None):
     if np.linalg.norm(mu.center - nu.center) > 1e-12:
         raise DomainError("radial route needs a common center")
     n = mu.dim
-    if r_max is None:
-        r_max = 12.0
     sym = max(_radial_symmetry_error(mu, [0.3 * r_max, 0.6 * r_max]),
               _radial_symmetry_error(nu, [0.3 * r_max, 0.6 * r_max]))
     if sym > 1e-8:

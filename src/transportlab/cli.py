@@ -222,23 +222,22 @@ def _downgrade(cert, reason):
 # transport solve helpers
 
 
-def _box_for(cfg, density, default_half, key="box_half"):
-    half = float(cfg.params.get(key, default_half))
+def _box_for(density, half):
     return TruncationBox(np.asarray(density.center, dtype=float),
                          np.full(density.dim, half))
 
 
-def _schedule_for(cfg, default=(0.5, 0.1, 0.05)):
-    if cfg.epsilon_schedule is not None:
-        return [float(e) for e in cfg.epsilon_schedule]
-    return [float(e) for e in cfg.params.get("epsilon_schedule", default)]
-
-
-def _cache_path(cache_dir, scenario_hash, epsilon, side):
-    key = hashlib.sha256(
-        f"{scenario_hash}|{epsilon!r}|{side}|"
-        f"lattice-{brenier.LATTICE_VERSION}".encode()).hexdigest()[:20]
-    return os.path.join(cache_dir, f"gridmap-{key}.lattice")
+def _cache_path(cfg, schedule, stage):
+    """One stage's lattice, keyed by the scenario, the params that shape
+    the grid solve, the schedule up to that stage and the lattice format:
+    neither the command, the seed nor a param the solve does not read
+    splits the cache."""
+    shaping = {name: cfg.params[name] for name, spec
+               in scenarios.PARAMS[cfg.scenario].items() if spec.shapes}
+    key = json.dumps([cfg.scenario, shaping, schedule[:stage + 1],
+                      brenier.LATTICE_VERSION], sort_keys=True)
+    digest = hashlib.sha256(key.encode()).hexdigest()[:20]
+    return os.path.join(cfg.cache_dir, f"gridmap-{digest}.lattice")
 
 
 def _load_stage_map(path, epsilon, axes):
@@ -255,14 +254,10 @@ def _load_stage_map(path, epsilon, axes):
 
 def _entropic_stage_maps(cfg, mu, nu, box, box_nu=None):
     """Schedule solve with optional on-disk reuse of each stage's lattice."""
-    schedule = _schedule_for(cfg)
-    side = int(cfg.params.get("side", 96))
-    debias = bool(cfg.params.get("debias", True))
-    # neither the command nor the seed changes the grid solve
-    scenario_hash = replace(cfg, command="", seed=0).content_hash()
+    schedule = list(cfg.params["epsilon_schedule"])
+    side = cfg.params["side"]
     if cfg.cache_dir:
-        paths = [_cache_path(cfg.cache_dir, scenario_hash, eps, side)
-                 for eps in schedule]
+        paths = [_cache_path(cfg, schedule, k) for k in range(len(schedule))]
         if all(os.path.exists(p) for p in paths):
             axes = box.axis_nodes(side)
             try:
@@ -272,12 +267,11 @@ def _entropic_stage_maps(cfg, mu, nu, box, box_nu=None):
                 pass    # a damaged or mismatched lattice is a miss
     maps = brenier.solve_entropic_schedule(mu, nu, schedule, box=box,
                                            box_nu=box_nu, side=side,
-                                           debias=debias)
+                                           debias=cfg.params["debias"])
     if cfg.cache_dir:
         os.makedirs(cfg.cache_dir, exist_ok=True)
-        for eps, tmap in zip(schedule, maps):
-            brenier.save_grid_map(
-                _cache_path(cfg.cache_dir, scenario_hash, eps, side), tmap)
+        for path, tmap in zip(paths, maps):
+            brenier.save_grid_map(path, tmap)
     return maps, schedule
 
 
@@ -290,15 +284,14 @@ def _pair_constants(mu, nu):
 
 
 def _solve_closed_or_radial(cfg, mu, nu):
-    solver = cfg.params.get("solver", "auto")
+    solver = cfg.params["solver"]
     if solver in ("auto", "closed_form") and mu.kind == "gaussian" \
             and nu.kind == "gaussian":
         return brenier.solve_gaussian(mu, nu)
     if solver in ("auto", "radial") and mu.radial_profile is not None \
             and nu.radial_profile is not None \
             and np.allclose(mu.center, nu.center):
-        return brenier.solve_radial(
-            mu, nu, r_max=float(cfg.params.get("r_max", 8.0)))
+        return brenier.solve_radial(mu, nu, r_max=cfg.params["r_max"])
     raise DomainError(f"no closed or radial route for solver={solver!r} "
                       f"on kinds {mu.kind}/{nu.kind}")
 
@@ -325,10 +318,7 @@ def _shared_solve(cfg, mu, nu):
 def _growth_direct(cfg, built):
     inst = built["instance"]
     rng = np.random.default_rng(cfg.seed)
-    count = int(cfg.params.get("probes", 1000))
-    if count < 1:
-        raise DomainError(f"probes must be at least 1, got {count}")
-    probes = inst.nu.sampler(rng, count)
+    probes = inst.nu.sampler(rng, cfg.params["probes"])
     margins = np.asarray(inst.direct_check(probes)["log_margins"],
                          dtype=float)
     finite = np.sort(margins[np.isfinite(margins)])
@@ -343,7 +333,7 @@ def _growth_direct(cfg, built):
     return {"certificates": [cert]}
 
 
-def _bound_suite(cfg, mu, nu, solve, default_half, lp_power):
+def _bound_suite(cfg, mu, nu, solve, half, lp_power):
     """Trace, Lipschitz, determinant and moment bounds on the exact map.
 
     The moment bound's tensor quadrature covers dim <= 2 only; above that
@@ -351,7 +341,7 @@ def _bound_suite(cfg, mu, nu, solve, default_half, lp_power):
     """
     alpha, kappa = _pair_constants(mu, nu)
     tmap = solve()
-    box = _box_for(cfg, mu, default_half)
+    box = _box_for(mu, half)
     probes = probe_points(mu, box, seed=cfg.seed)
     J = tmap.jacobian(probes)
     certs = verify.check_jacobian_bounds(tmap, alpha, kappa, probes,
@@ -364,7 +354,7 @@ def _bound_suite(cfg, mu, nu, solve, default_half, lp_power):
 
 def _verify_gaussian(cfg, mu, nu, solve):
     certs, tmap, probes, J = _bound_suite(
-        cfg, mu, nu, solve, 6.0, float(cfg.params.get("lp_power", 1.0)))
+        cfg, mu, nu, solve, cfg.params["box_half"], cfg.params["lp_power"])
     res = brenier.monge_ampere_residual(tmap, mu, nu, probes, jacobians=J)
     return {"certificates": certs,
             "summaries": {"monge_ampere_sup_residual": res.sup_abs}}
@@ -394,15 +384,10 @@ def _verify_anisotropic(cfg, built):
     }
 
 
-def _wehrl_radial_bounds(cfg, mu, nu, solve):
-    # box corners must stay inside the radial map's resolved radius
-    return {"certificates": _bound_suite(cfg, mu, nu, solve, 2.25, 1.0)[0]}
-
-
 def _wehrl_entropic_bounds(cfg, mu, nu):
     alpha, kappa = _pair_constants(mu, nu)
-    box = _box_for(cfg, mu, 2.6)
-    box_nu = _box_for(cfg, nu, box.half_widths[0], key="box_half_nu")
+    box = _box_for(mu, cfg.params["box_half"]["entropic"])
+    box_nu = _box_for(nu, cfg.params["box_half_nu"]["entropic"])
     maps, schedule = _entropic_stage_maps(cfg, mu, nu, box, box_nu=box_nu)
     probes = probe_points(mu, box, grid_per_axis=13, random_count=400,
                           seed=cfg.seed)
@@ -410,7 +395,7 @@ def _wehrl_entropic_bounds(cfg, mu, nu):
              for tmap in maps]
     cert = make_certificate(
         "determinant", (alpha / kappa) ** (mu.dim / 2.0), trend[-1],
-        float(cfg.params.get("slack", verify.slack_for("entropic_grid"))),
+        cfg.params["slack"],
         {"solver": "entropic_grid", "epsilon": schedule[-1],
          "schedule": schedule}, probes.shape[0],
         epsilon_trend=trend,
@@ -421,8 +406,8 @@ def _wehrl_entropic_bounds(cfg, mu, nu):
 
 
 def _wehrl_majorization(cfg, mu, nu):
-    box = _box_for(cfg, mu, 2.6)
-    maj_atol = float(cfg.params.get("majorization_atol", 1e-3))
+    box = _box_for(mu, cfg.params["box_half"]["entropic"])
+    maj_atol = cfg.params["majorization_atol"]["entropic"]
     maj = majorize.majorization_from_densities(mu, nu, box, atol=maj_atol)
     return {"certificates": [make_certificate(
         "majorization", 0.0, maj.worst_margin, 0.0, {"solver": "quadrature"},
@@ -441,10 +426,7 @@ def _verify_coulomb(cfg, built):
     inst = built["instance"]
     mu = inst.mu
     rng = np.random.default_rng(cfg.seed)
-    count = int(cfg.params.get("laplacian_probes", 1500))
-    if count < 1:
-        raise DomainError(f"laplacian_probes must be at least 1, got {count}")
-    probes = _coulomb_target_draws(inst, rng, count)
+    probes = _coulomb_target_draws(inst, rng, cfg.params["laplacian_probes"])
     keep = ~mu.singular_tube(probes)
     lap = mu.potential_laplacian(probes[keep]) / mu.dim
     cert = make_certificate(
@@ -458,16 +440,12 @@ def _verify_coulomb(cfg, built):
             "summaries": {"exchangeability_error": swap_err}}
 
 
-def _geodesic_suite(cfg, mu, nu, solve, default_half):
-    count = int(cfg.params.get("time_points", 11))
-    if count < 2:
-        raise DomainError(f"time_points must be at least 2, got {count}")
-    times = np.linspace(0.0, 1.0, count)
+def _geodesic_suite(cfg, mu, nu, solve, half, maj_atol):
+    times = np.linspace(0.0, 1.0, cfg.params["time_points"])
     tmap = solve()
-    box = _box_for(cfg, mu, default_half)
-    geo = majorize.Geodesic(mu, nu, tmap, box,
-                            order=int(cfg.params.get("order", 48)))
-    tol = float(cfg.params.get("monotonicity_tol", 1e-9))
+    geo = majorize.Geodesic(mu, nu, tmap, _box_for(mu, half),
+                            order=cfg.params["order"])
+    tol = cfg.params["monotonicity_tol"]
     geo_report = majorize.geodesic_monotonicity_check(geo, times=times,
                                                       tol=tol)
     worst_drop = 0.0
@@ -484,7 +462,6 @@ def _geodesic_suite(cfg, mu, nu, solve, default_half):
         {"solver": tmap.provenance}, times.size, atol=tol * scale,
         details={"per_probe_monotone": geo_report.monotone})
 
-    maj_atol = float(cfg.params.get("majorization_atol", 0.0))
     maj = majorize.majorization_check(geo.rho_mu, geo.rho_nu, geo.weights,
                                       geo.weights, atol=maj_atol)
     maj_cert = make_certificate(
@@ -508,21 +485,16 @@ def _geodesic_suite(cfg, mu, nu, solve, default_half):
 def _heatflow_suite(cfg, built):
     f, mu, alpha = built["weight"], built["mu"], built["alpha"]
     rng = np.random.default_rng(cfg.seed)
-    count = int(cfg.params.get("particles", 400))
-    if count < 1:
-        raise DomainError(f"particles must be at least 1, got {count}")
-    particles = mu.sampler(rng, count)
-    schedule = heatflow.FlowSchedule(
-        t_max=float(cfg.params.get("t_max", 8.0)),
-        steps=int(cfg.params.get("steps", 64)))
+    particles = mu.sampler(rng, cfg.params["particles"])
+    schedule = heatflow.FlowSchedule(t_max=cfg.params["t_max"],
+                                     steps=cfg.params["steps"])
     states = heatflow.integrate_flow(
         f, particles, schedule=schedule,
-        record_every=int(cfg.params.get("record_every", 4)))
+        record_every=cfg.params["record_every"])
     # Gaussian weights achieve the contraction bound exactly, so the
     # certificate carries the integrator tolerance explicitly
     contraction = heatflow.check_km_contraction(
-        states, alpha, f=f,
-        atol=float(cfg.params.get("contraction_atol", 1e-6)))
+        states, alpha, f=f, atol=cfg.params["contraction_atol"])
     push = heatflow.km_pushforward_check(states, mu, f=f)
     certs = [contraction, push]
     series = {
@@ -539,7 +511,7 @@ def _heatflow_suite(cfg, built):
         "tail_error_bar": contraction.details["tail_error_bar"],
     }
     out = {"certificates": certs, "series": series, "summaries": summaries}
-    if cfg.params.get("include_table"):
+    if cfg.params["include_table"]:
         table = heatflow.flow_table(states)
         out["tables"] = {"flow": {
             "columns": ["t", "particle", *[f"x{i}" for i in range(mu.dim)],
@@ -551,18 +523,14 @@ def _heatflow_suite(cfg, built):
 def _coulomb_sample_suite(cfg, built):
     inst = built["instance"]
     n = inst.mu.dim
-    count = int(cfg.params.get("samples", 2000))
-    fit_points = int(cfg.params.get("fit_points", 600))
-    if fit_points < 1:
-        raise DomainError(f"fit_points must be at least 1, got {fit_points}")
-    xs, diag = inst.sample(count, seed=cfg.seed,
-                           burn=int(cfg.params.get("burn", 1500)),
-                           thin=int(cfg.params.get("thin", 3)))
+    count = cfg.params["samples"]
+    xs, diag = inst.sample(count, seed=cfg.seed, burn=cfg.params["burn"],
+                           thin=cfg.params["thin"])
     rng = np.random.default_rng(cfg.seed + 1)
     ys = _coulomb_target_draws(inst, rng, count)
-    schedule = _schedule_for(cfg, default=(0.5, 0.2, 0.1))
+    schedule = list(cfg.params["epsilon_schedule"])
     tmap = brenier.solve_entropic_sample(xs, ys, schedule)
-    queries = xs[:fit_points]
+    queries = xs[:cfg.params["fit_points"]]
     # the map's values at its own sample points, without a neighbor search
     jac, ok = brenier.local_affine_jacobians(
         xs, tmap.details["map_values"], queries, k=4 * n + 56)
@@ -599,7 +567,7 @@ def _coulomb_sample_suite(cfg, built):
 
 
 def _gaussian_checks(cfg, built):
-    mu, nu = built["mu"], built["nu"]
+    mu, nu, p = built["mu"], built["nu"], cfg.params
     alpha, kappa = _pair_constants(mu, nu)
     solve = _shared_solve(cfg, mu, nu)
     return [
@@ -607,22 +575,25 @@ def _gaussian_checks(cfg, built):
          lambda: _verify_gaussian(cfg, mu, nu, solve)),
         # the full suite adds the geodesic only when the pair contracts
         ("geodesic", ("geodesic", "scenario") if alpha <= kappa
-         else ("geodesic",), lambda: _geodesic_suite(cfg, mu, nu, solve, 6.0)),
+         else ("geodesic",), lambda: _geodesic_suite(
+             cfg, mu, nu, solve, p["box_half"], p["majorization_atol"])),
     ]
 
 
 def _wehrl_checks(cfg, built):
-    mu, nu = built["mu"], built["nu"]
-    entropic = (cfg.params.get("solver") == "entropic_grid"
+    mu, nu, p = built["mu"], built["nu"], cfg.params
+    entropic = (p["solver"] == "entropic_grid"
                 or cfg.epsilon_schedule is not None)
     solve = _shared_solve(cfg, mu, nu)
     return [
         ("bounds", ("verify", "scenario"),
          (lambda: _wehrl_entropic_bounds(cfg, mu, nu)) if entropic
-         else lambda: _wehrl_radial_bounds(cfg, mu, nu, solve)),
+         else lambda: {"certificates": _bound_suite(
+             cfg, mu, nu, solve, p["box_half"]["radial"], 1.0)[0]}),
         # the geodesic command runs the radial geodesic on either route
         ("geodesic", ("geodesic",) if entropic else ("geodesic", "scenario"),
-         lambda: _geodesic_suite(cfg, mu, nu, solve, 2.25)),
+         lambda: _geodesic_suite(cfg, mu, nu, solve, p["box_half"]["radial"],
+                                 p["majorization_atol"]["radial"])),
         ("majorization", ("scenario",) if entropic else (),
          lambda: _wehrl_majorization(cfg, mu, nu)),
     ]
@@ -632,8 +603,7 @@ def _coulomb_checks(cfg, built):
     return [
         ("laplacian", ("verify", "scenario"),
          lambda: _verify_coulomb(cfg, built)),
-        ("sample_route",
-         ("scenario",) if cfg.params.get("sample_route", True) else (),
+        ("sample_route", ("scenario",) if cfg.params["sample_route"] else (),
          lambda: _coulomb_sample_suite(cfg, built)),
     ]
 
@@ -670,7 +640,16 @@ def _checks_for(cfg, built):
 
 
 def cmd_suite(cfg, report, timings):
-    """verify, geodesic, heatflow and scenario: build, select, run."""
+    """verify, geodesic, heatflow and scenario: resolve, build, select, run.
+
+    From here on cfg.params holds every param the kind declares, typed and
+    defaulted, and an --epsilon-schedule replaces the param's; the report
+    keeps the params as given.
+    """
+    params = scenarios.resolve_params(cfg.scenario, cfg.params)
+    if cfg.epsilon_schedule is not None and "epsilon_schedule" in params:
+        params["epsilon_schedule"] = list(cfg.epsilon_schedule)
+    cfg = replace(cfg, params=params)
     built = scenarios.SCENARIO_BUILDERS[cfg.scenario](cfg.params)
     _run_checks(_checks_for(cfg, built), report, timings)
 
@@ -754,7 +733,8 @@ def _selftest_sphere_rule(seed):
 
 
 def _selftest_wehrl(seed):
-    built = scenarios.SCENARIO_BUILDERS["wehrl"]({"degrees": [1]})
+    built = scenarios.SCENARIO_BUILDERS["wehrl"](
+        scenarios.resolve_params("wehrl", {}))
     mu, nu = built["mu"], built["nu"]
     tmap = brenier.solve_radial(mu, nu, r_max=8.0)
     box = TruncationBox.cube(2, 2.2)

@@ -322,7 +322,7 @@ def check_km_contraction(states, alpha, f=None, atol=0.0):
                  "alpha": float(alpha), "dim": n})
 
 
-def km_pushforward_check(states, mu, target=None, moments=2, f=None):
+def km_pushforward_check(states, mu, moments=2, f=None):
     """Moment check of the terminal particles against the Gaussian target.
 
     Particles must be mu-distributed draws. Componentwise moments up to the

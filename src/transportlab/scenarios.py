@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from . import measures, polyexp, quadrature
 from .errors import AccuracyError, CertificateConflictError, DomainError
 from .measures import ConvexityCertificate, Density, TruncationBox
 from .polyexp import PolyExp
+from .verify import slack_for
 
 __all__ = [
     "FockInstance", "build_fock_instance", "fock_norm",
@@ -37,7 +39,7 @@ __all__ = [
     "glauber_entropy",
     "CoulombSpec", "CoulombInstance", "build_coulomb_instance", "split_rhat",
     "gaussian_pair", "anisotropic_pair", "flow_gaussian_weight",
-    "SCENARIO_BUILDERS",
+    "Param", "PARAMS", "resolve_params", "SCENARIO_BUILDERS",
 ]
 
 
@@ -787,50 +789,189 @@ def flow_gaussian_weight(sigma, dim=2):
 # registry used by the command line driver
 
 
-def _scenario_gaussian(params):
-    mu, nu = gaussian_pair(params.get("sigma_source", 2.0),
-                           params.get("sigma_target", 1.0),
-                           dim=params.get("dim", 2))
+class Param(NamedTuple):
+    """One param of a scenario kind: its type, default and domain.
+
+    `type` is int, float, bool, str or object, a "list of" one (never
+    empty), or alternatives joined by " or ". `domain` is "> x" or ">= x"
+    for a number (each element of a list), the allowed strings for a str,
+    or "" for any. A default naming an earlier param is its value; a
+    default per route makes the value one per route. `shapes` marks what
+    the entropic grid solve reads, and so keys its cache."""
+
+    type: str
+    default: object
+    domain: str = ""
+    shapes: bool = False
+
+
+PARAMS = {
+    "gaussian": {
+        "sigma_source": Param("float", 2.0, "> 0"),
+        "sigma_target": Param("float", 1.0, "> 0"),
+        "dim": Param("int", 2, ">= 1"),
+        "solver": Param("str", "auto", "auto, closed_form, radial"),
+        "r_max": Param("float", 8.0, "> 0"),
+        "box_half": Param("float", 6.0, "> 0"),
+        "lp_power": Param("float", 1.0, "> 0"),
+        "majorization_atol": Param("float", 0.0, ">= 0"),
+        "time_points": Param("int", 11, ">= 2"),
+        "order": Param("int", 48, ">= 1"),
+        "monotonicity_tol": Param("float", 1e-9, ">= 0"),
+    },
+    "anisotropic": {
+        "epsilons": Param("list of float", (1.0, 0.1, 0.01), "> 0"),
+        "dim": Param("int", 2, ">= 1"),
+    },
+    "wehrl": {
+        "weights": Param("list of float", (1.0,), ">= 0", True),
+        "degrees": Param("list of int", (1,), ">= 0", True),
+        "center": Param("list of float", (0.0, 0.0), "", True),
+        "solver": Param("str", "auto", "auto, radial, entropic_grid"),
+        "r_max": Param("float", 8.0, "> 0"),
+        # the radial box's corners stay inside the map's resolved radius
+        "box_half": Param("float", {"radial": 2.25, "entropic": 2.6}, "> 0",
+                          True),
+        "box_half_nu": Param("float", "box_half", "> 0", True),
+        "epsilon_schedule": Param("list of float", (0.5, 0.1, 0.05), "> 0"),
+        "side": Param("int", 96, ">= 2", True),
+        "debias": Param("bool", True, "", True),
+        "slack": Param("float", slack_for("entropic_grid"), ">= 0"),
+        "majorization_atol": Param(
+            "float", {"radial": 0.0, "entropic": 1e-3}, ">= 0"),
+        "time_points": Param("int", 11, ">= 2"),
+        "order": Param("int", 48, ">= 1"),
+        "monotonicity_tol": Param("float", 1e-9, ">= 0"),
+    },
+    "coulomb": {
+        "particles": Param("int", 2, ">= 1"),
+        "beta": Param("float", 1.0, "> 0"),
+        "confinement": Param("str or list of float", "quadratic",
+                             "quadratic"),
+        "kappa2": Param("float", 1.0, "> 0"),
+        "laplacian_probes": Param("int", 1500, ">= 1"),
+        "sample_route": Param("bool", True),
+        "samples": Param("int", 2000, ">= 1"),
+        "burn": Param("int", 1500, ">= 0"),
+        "thin": Param("int", 3, ">= 1"),
+        "epsilon_schedule": Param("list of float", (0.5, 0.2, 0.1), "> 0"),
+        "fit_points": Param("int", 600, ">= 1"),
+    },
+    "fock": {
+        "p": Param("float", 2.0, "> 0"),
+        "sigma": Param("float", 1.0, "> 0"),
+        "coefficients": Param("list of float", (0.0, 1.0)),
+        "probes": Param("int", 1000, ">= 1"),
+    },
+    "lsh": {
+        "dim": Param("int", 2, ">= 1"),
+        "poly": Param("object or null", None),
+        "beta": Param("float", 0.0, ">= 0"),
+        "probes": Param("int", 1000, ">= 1"),
+    },
+    "flow": {
+        "sigma": Param("float", 0.5, "> 0"),
+        "dim": Param("int", 2, ">= 1"),
+        "particles": Param("int", 400, ">= 1"),
+        "t_max": Param("float", 8.0, ">= 3"),
+        "steps": Param("int", 64, ">= 64"),
+        "record_every": Param("int", 4, ">= 1"),
+        "contraction_atol": Param("float", 1e-6, ">= 0"),
+        "include_table": Param("bool", False),
+    },
+}
+
+_FORMS = {"int": int, "float": (int, float), "bool": bool, "str": str,
+          "object": dict, "null": type(None)}
+
+
+def _in_domain(domain, v):
+    if isinstance(v, str):
+        return v in domain.split(", ")
+    if not domain.startswith(">"):
+        return True
+    op, bound = domain.split()
+    return v > float(bound) if op == ">" else v >= float(bound)
+
+
+def _typed(name, spec, value):
+    """value checked against spec's type and domain; an int given for a
+    float becomes a float."""
+    for form in spec.type.split(" or "):
+        elem = form.removeprefix("list of ")
+        if elem == form:
+            items = [value]
+        elif isinstance(value, (list, tuple)) and value:
+            items = list(value)
+        else:
+            continue
+        if all(isinstance(v, _FORMS[elem])
+               and isinstance(v, bool) == (elem == "bool") for v in items):
+            items = [float(v) if elem == "float" else v for v in items]
+            if not all(_in_domain(spec.domain, v) for v in items):
+                one_of = "one of " if elem == "str" else ""
+                raise DomainError(f"{name} must be {one_of}{spec.domain}, "
+                                  f"got {value!r}")
+            return items if elem != form else items[0]
+    raise DomainError(f"{name} must be {spec.type}, got {value!r}")
+
+
+def resolve_params(kind, raw):
+    """Every param `kind` declares, typed, from `raw` or its default.
+
+    A name the kind does not declare, or a value of another type or
+    outside its domain, raises DomainError naming the param."""
+    table = PARAMS[kind]
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        raise DomainError(f"{unknown[0]} is not a {kind} param; it takes "
+                          f"{', '.join(sorted(table))}")
+    values = {}
+    for name, spec in table.items():
+        default = spec.default
+        if isinstance(default, str) and default in values:
+            default = values[default]
+        value = _typed(name, spec, raw[name]) if name in raw else default
+        if isinstance(default, dict):   # one value per route, a fresh dict
+            value = dict(default) if name not in raw \
+                else dict.fromkeys(default, value)
+        values[name] = value
+    return values
+
+
+def _scenario_gaussian(p):
+    mu, nu = gaussian_pair(p["sigma_source"], p["sigma_target"], dim=p["dim"])
     return {"kind": "gaussian", "mu": mu, "nu": nu}
 
 
-def _scenario_anisotropic(params):
-    eps_list = params.get("epsilons", [1.0, 0.1, 0.01])
-    if not eps_list:
-        raise DomainError("epsilons must list at least one value")
-    rows = [anisotropic_pair(e, dim=params.get("dim", 2)) for e in eps_list]
-    return {"kind": "anisotropic", "epsilons": list(eps_list), "pairs": rows}
+def _scenario_anisotropic(p):
+    rows = [anisotropic_pair(e, dim=p["dim"]) for e in p["epsilons"]]
+    return {"kind": "anisotropic", "epsilons": list(p["epsilons"]),
+            "pairs": rows}
 
 
-def _scenario_wehrl(params):
-    weights = params.get("weights", [1.0])
-    degrees = params.get("degrees", [1])
-    state = WehrlState(tuple(weights),
-                       tuple(tuple(fock_coefficients(d)) for d in degrees),
-                       center=tuple(params.get("center", (0.0, 0.0))))
+def _scenario_wehrl(p):
+    comps = tuple(tuple(fock_coefficients(d)) for d in p["degrees"])
+    state = WehrlState(tuple(p["weights"]), comps, center=tuple(p["center"]))
     mu, nu, cert = build_wehrl_instance(state)
     return {"kind": "wehrl", "state": state, "mu": mu, "nu": nu,
             "certificate": cert}
 
 
-def _scenario_coulomb(params):
-    spec = CoulombSpec(particles=params.get("particles", 2),
-                       beta=params.get("beta", 1.0),
-                       confinement=params.get("confinement", "quadratic"),
-                       kappa2=params.get("kappa2", 1.0))
+def _scenario_coulomb(p):
+    spec = CoulombSpec(particles=p["particles"], beta=p["beta"],
+                       confinement=p["confinement"], kappa2=p["kappa2"])
     inst = build_coulomb_instance(spec)
     return {"kind": "coulomb", "instance": inst, "mu": inst.mu, "nu": inst.nu}
 
 
-def _scenario_fock(params):
-    inst = build_fock_instance(params.get("p", 2.0), params.get("sigma", 1.0),
-                               params.get("coefficients", [0.0, 1.0]))
+def _scenario_fock(p):
+    inst = build_fock_instance(p["p"], p["sigma"], p["coefficients"])
     return {"kind": "fock", "instance": inst, "mu": inst.mu, "nu": inst.nu}
 
 
-def _scenario_lsh(params):
-    dim = params.get("dim", 2)
-    poly = params.get("poly")
+def _scenario_lsh(p):
+    dim, poly = p["dim"], p["poly"]
     if poly is None:
         poly = {tuple(2 if j == i else 0 for j in range(dim)): 1.0 / dim
                 for i in range(dim)}
@@ -838,13 +979,12 @@ def _scenario_lsh(params):
         poly = {tuple(int(k) for k in key.split(",")): float(v)
                 for key, v in poly.items()}
     weight = PolyExp.poly_times_gaussian(dim, poly)
-    inst = build_lsh_instance(weight, beta=params.get("beta", 0.0), dim=dim)
+    inst = build_lsh_instance(weight, beta=p["beta"], dim=dim)
     return {"kind": "lsh", "instance": inst, "mu": inst.mu, "nu": inst.nu}
 
 
-def _scenario_flow(params):
-    f, mu, alpha = flow_gaussian_weight(params.get("sigma", 0.5),
-                                        dim=params.get("dim", 2))
+def _scenario_flow(p):
+    f, mu, alpha = flow_gaussian_weight(p["sigma"], dim=p["dim"])
     return {"kind": "flow", "weight": f, "mu": mu, "alpha": alpha}
 
 

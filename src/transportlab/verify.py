@@ -187,42 +187,41 @@ def _stats_or_raise(transport_map, probes):
 
 
 def _jacobian_check(bound_name, statistic, rhs, transport_map, alpha, kappa,
-                    probes, slack, stats):
+                    probes, stats):
     """sup over the probes of one Jacobian statistic against rhs(n)."""
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if stats is None:
         stats = _stats_or_raise(transport_map, probes)
     return make_certificate(
         bound_name, rhs(probes.shape[1]),
-        float(getattr(stats, statistic).max()), slack,
+        float(getattr(stats, statistic).max()), None,
         _map_provenance(transport_map), probes.shape[0],
         details={"alpha": alpha, "kappa": kappa,
                  "max_asymmetry": float(stats.asymmetry.max())})
 
 
-def check_trace_bound(transport_map, alpha, kappa, probes, slack=None,
-                      stats=None):
+def check_trace_bound(transport_map, alpha, kappa, probes, stats=None):
     """sup of the map's Jacobian trace against n sqrt(alpha/kappa).
 
     `stats`, the map's statistics on the probes, skips their computation.
     """
     return _jacobian_check("trace", "trace",
                            lambda n: n * np.sqrt(alpha / kappa),
-                           transport_map, alpha, kappa, probes, slack, stats)
+                           transport_map, alpha, kappa, probes, stats)
 
 
 def check_lipschitz_bound(transport_map, alpha, kappa, probes, stats=None):
     """sup of the Jacobian operator norm against n sqrt(alpha/kappa)."""
     return _jacobian_check("lipschitz", "operator_norm",
                            lambda n: n * np.sqrt(alpha / kappa),
-                           transport_map, alpha, kappa, probes, None, stats)
+                           transport_map, alpha, kappa, probes, stats)
 
 
 def check_determinant_bound(transport_map, alpha, kappa, probes, stats=None):
     """sup of the Jacobian determinant against (alpha/kappa)^(n/2)."""
     return _jacobian_check("determinant", "determinant",
                            lambda n: (alpha / kappa) ** (n / 2.0),
-                           transport_map, alpha, kappa, probes, None, stats)
+                           transport_map, alpha, kappa, probes, stats)
 
 
 def check_jacobian_bounds(transport_map, alpha, kappa, probes,

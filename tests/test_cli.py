@@ -129,7 +129,8 @@ REJECTED_PAIRS = [(command, name)
 
 
 def _selected(command, name, params=None, epsilon_schedule=None):
-    cfg = RunConfig(command=command, scenario=name, params=params or {},
+    cfg = RunConfig(command=command, scenario=name,
+                    params=scenarios.resolve_params(name, params or {}),
                     epsilon_schedule=epsilon_schedule)
     built = scenarios.SCENARIO_BUILDERS[name](cfg.params)
     return {check for check, _ in cli._checks_for(cfg, built)}
@@ -362,19 +363,29 @@ def test_anisotropic_run_without_epsilons_is_refused(tmp_path, capsys):
     (["scenario", "coulomb"], "fit_points", 0, "sample_route"),
     (["scenario", "coulomb"], "thin", 0, "sample_route"),
     (["scenario", "coulomb"], "burn", -1, "sample_route"),
+    # a name the kind does not declare
+    (["heatflow", "flow"], "record_evry", 2, "contraction"),
+    # outside the domain: `verify` does not read `order`, `geodesic` does
+    (["verify", "gaussian"], "order", 0, "bounds"),
+    (["geodesic", "gaussian"], "order", 0, "geodesic"),
+    (["verify", "gaussian"], "dim", 0, "bounds"),
+    # an int param refuses a fraction instead of truncating it
+    (["scenario", "fock"], "probes", 2.5, "growth_direct"),
+    # a negative tolerance is refused, not turned into a fail verdict
+    (["geodesic", "gaussian"], "monotonicity_tol", -1, "geodesic"),
 ])
 def test_size_params_outside_their_domain_are_typed_errors(
-        tmp_path, argv, param, value, check):
+        tmp_path, capsys, argv, param, value, check):
+    # the param table refuses the config before the scenario is built, so
+    # `check`, which the command runs on a valid config, never starts
+    schedule = (0.5, 0.1) if "--epsilon-schedule" in argv else None
+    assert check in _selected(*argv[:2], epsilon_schedule=schedule)
     out = tmp_path / "out"
     doc = _cfg(tmp_path, {"params": {param: value}})
     assert main([*argv, "--config", doc, "--out", str(out)]) == 3
-    report = json.loads((out / "report.json").read_text())
-    # scenario coulomb runs its laplacian check beside the refused one
-    others = ["laplacian"] if check == "sample_route" else []
-    assert [c["check"] for c in report["certificates"]] == others
-    [err] = report["errors"]
-    assert err["check"] == check
-    assert err["error"].startswith(f"DomainError: {param} must be at least")
+    assert not (out / "report.json").exists()
+    assert capsys.readouterr().err.startswith(
+        f"error: DomainError: {param} ")
 
 
 def test_verify_gaussian_above_dim_2_keeps_the_pointwise_bounds(tmp_path):
@@ -429,6 +440,71 @@ def test_cache_key_ignores_command_and_seed(tmp_path):
                  "--out", str(tmp_path / "fresh")]) == 0
     assert (tmp_path / "cached" / "report.json").read_bytes() == \
         (tmp_path / "fresh" / "report.json").read_bytes()
+
+
+WEHRL_GRID = {"weights": [0.5, 0.5], "degrees": [0, 1], "side": 32}
+
+
+@pytest.fixture
+def grid_solves(monkeypatch):
+    """Counts the entropic grid solves and the lattices written."""
+    counts = {"solves": 0, "writes": 0}
+    solve, save = brenier.solve_entropic_schedule, brenier.save_grid_map
+
+    def counting_solve(*args, **kwargs):
+        counts["solves"] += 1
+        return solve(*args, **kwargs)
+
+    def counting_save(*args, **kwargs):
+        counts["writes"] += 1
+        return save(*args, **kwargs)
+
+    monkeypatch.setattr(brenier, "solve_entropic_schedule", counting_solve)
+    monkeypatch.setattr(brenier, "save_grid_map", counting_save)
+    return counts
+
+
+@pytest.mark.parametrize("extra", [{"slack": 0.06}, {"time_points": 7}])
+def test_cache_key_ignores_params_the_grid_solve_does_not_read(
+        tmp_path, grid_solves, extra):
+    cache = tmp_path / "cache"
+    common = ["scenario", "wehrl", "--epsilon-schedule", "0.5,0.12"]
+    assert main([*common, "--config", _cfg(tmp_path, {"params": WEHRL_GRID}),
+                 "--cache", str(cache)]) == 0
+    assert grid_solves == {"solves": 1, "writes": 2}
+    doc = _cfg(tmp_path, {"params": {**WEHRL_GRID, **extra}})
+    assert main([*common, "--config", doc, "--cache", str(cache),
+                 "--out", str(tmp_path / "cached")]) == 0
+    assert grid_solves == {"solves": 1, "writes": 2}     # a hit
+    assert main([*common, "--config", doc,
+                 "--out", str(tmp_path / "fresh")]) == 0
+    assert (tmp_path / "cached" / "report.json").read_bytes() == \
+        (tmp_path / "fresh" / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("change", [
+    {"weights": [0.25, 0.75]}, {"degrees": [1, 0]}, {"center": [0.1, 0.0]},
+    {"box_half": 2.5}, {"box_half_nu": 2.5}, {"side": 34},
+    {"debias": False}, {"schedule": "0.5,0.13"}])
+def test_cache_key_splits_on_every_param_the_grid_solve_reads(
+        tmp_path, grid_solves, change):
+    # a param left out of the key would reuse a map solved for another
+    # request: loading checks only the epsilon and the lattice axes
+    cache = tmp_path / "cache"
+
+    def run_cached(params, schedule):
+        return main(["scenario", "wehrl", "--epsilon-schedule", schedule,
+                     "--config", _cfg(tmp_path, {"params": params}),
+                     "--cache", str(cache)])
+
+    assert run_cached(WEHRL_GRID, "0.5,0.12") == 0
+    params = {**WEHRL_GRID, **change}
+    schedule = params.pop("schedule", "0.5,0.12")
+    assert run_cached(params, schedule) == 0
+    assert grid_solves["solves"] == 2                    # a miss
+    # the first stage of an unchanged schedule prefix is shared
+    shared = 1 if "schedule" in change else 0
+    assert len(glob.glob(str(cache / "gridmap-*.lattice"))) == 4 - shared
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "wehrl"])
@@ -532,8 +608,9 @@ def test_growth_direct_median_margin_equals_np_median(size):
     inst = SimpleNamespace(
         nu=SimpleNamespace(sampler=lambda rng, n: np.zeros((n, 2))),
         direct_check=lambda probes: {"log_margins": margins})
-    out = cli._growth_direct(RunConfig("scenario", "fock"),
-                             {"instance": inst, "kind": "fock"})
+    cfg = RunConfig("scenario", "fock",
+                    params=scenarios.resolve_params("fock", {}))
+    out = cli._growth_direct(cfg, {"instance": inst, "kind": "fock"})
     cert = out["certificates"][0].to_dict()
     finite = margins[np.isfinite(margins)]
     assert cert["details"]["median_margin"] == float(np.median(finite))

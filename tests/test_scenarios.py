@@ -1,6 +1,8 @@
 """Worked instances: entire-function growth, Husimi states, Coulomb gas."""
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from transportlab.scenarios import (SCENARIO_BUILDERS, CoulombSpec, WehrlState,
                                     build_wehrl_instance, flow_gaussian_weight,
                                     fock_coefficients, fock_norm,
                                     gaussian_pair, glauber_entropy,
-                                    gram_matrix, split_rhat)
+                                    gram_matrix, resolve_params, split_rhat)
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +445,66 @@ def test_scenario_registry_builds_every_kind():
     assert set(SCENARIO_BUILDERS) == {"gaussian", "anisotropic", "wehrl",
                                       "coulomb", "fock", "lsh", "flow"}
     for name, builder in SCENARIO_BUILDERS.items():
-        out = builder({})
+        out = builder(resolve_params(name, {}))
         assert out["kind"] == name
         assert "mu" in out or "pairs" in out
     mu, nu = gaussian_pair(2.0, 1.0)
     assert mu.dim == nu.dim == 2
+
+
+def _readme_param_tables():
+    """kind -> [(param, type, default, domain)] from the README's tables."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    tables, kind = {}, None
+    for line in readme.read_text().splitlines():
+        if line.startswith("#"):
+            kind = line.split("`")[1] if line.startswith("#### `") else None
+            if kind:
+                tables[kind] = []
+        elif kind and line.startswith("| `"):
+            tables[kind].append(tuple(
+                cell.strip() for cell in line.strip().strip("|").split("|")))
+    return tables
+
+
+def test_readme_param_tables_match_the_declared_table():
+    def default_cell(table, default):
+        if isinstance(default, str) and default in table:
+            return f"same as `{default}`"
+        return f"`{json.dumps(default)}`"
+
+    declared = {
+        kind: [(f"`{name}`", spec.type, default_cell(table, spec.default),
+                spec.domain or "any") for name, spec in table.items()]
+        for kind, table in scenarios.PARAMS.items()}
+    assert _readme_param_tables() == declared
+
+
+def test_resolve_params_types_defaults_and_routes():
+    values = resolve_params("wehrl", {"box_half": 2, "side": 48})
+    assert values["box_half"] == {"radial": 2.0, "entropic": 2.0}
+    assert isinstance(values["box_half"]["radial"], float)
+    # box_half_nu follows the resolved box_half unless set
+    assert values["box_half_nu"] == values["box_half"]
+    assert resolve_params("wehrl", {"box_half_nu": 3.0})["box_half_nu"] == {
+        "radial": 3.0, "entropic": 3.0}
+    assert resolve_params("wehrl", {})["majorization_atol"] == {
+        "radial": 0.0, "entropic": 1e-3}
+    assert values["side"] == 48 and values["debias"] is True
+    assert resolve_params("coulomb", {"confinement": [1, 0.5]})[
+        "confinement"] == [1.0, 0.5]
+    assert resolve_params("lsh", {"poly": {"2,0": 1}})["poly"] == {"2,0": 1}
+    assert resolve_params("wehrl", {})["box_half"] is not \
+        scenarios.PARAMS["wehrl"]["box_half"].default
+    for kind, raw, message in (
+            ("flow", {"include_table": 1}, "include_table must be bool"),
+            ("coulomb", {"particles": True}, "particles must be int"),
+            ("anisotropic", {"epsilons": [0.1, 0.0]}, "epsilons must be > 0"),
+            ("anisotropic", {"epsilons": 0.1}, "epsilons must be list"),
+            ("coulomb", {"confinement": 0.5}, "confinement must be str or"),
+            ("gaussian", {"solver": "entropic_grid"},
+             "solver must be one of auto, closed_form, radial"),
+            ("coulomb", {"confinement": "cubic"}, "confinement must be one"),
+            ("wehrl", {"probes": 50}, "probes is not a wehrl param")):
+        with pytest.raises(DomainError, match=f"^{message}"):
+            resolve_params(kind, raw)

@@ -141,6 +141,6 @@ def test_trace_bound_flags_violation():
     tmap = brenier.TransportMap(
         2, "closed_form_gaussian", lambda x: x @ A.T,
         lambda x: np.broadcast_to(A, (x.shape[0], 2, 2)).copy())
-    cert = check_trace_bound(tmap, 0.25, 1.0, np.zeros((1, 2)), slack=0.0)
+    cert = check_trace_bound(tmap, 0.25, 1.0, np.zeros((1, 2)))
     assert cert.verdict == "fail"
     assert cert.observed == pytest.approx(2.4)
