@@ -69,8 +69,8 @@ def delta_epsilon(f, x, eps, rule):
         raise DomainError("rule dimension does not match the points")
     m = x.shape[0]
     k = rule.points.shape[0]
-    shifted = x[:, None, :] + eps * rule.points[None, :, :]
-    vals = f(shifted.reshape(m * k, rule.dim)).reshape(m, k)
+    nodes = x[:, None, :] + eps * rule.points[None, :, :]
+    vals = f(nodes.reshape(m * k, rule.dim)).reshape(m, k)
     base = f(x)
     return (vals - base[:, None]) @ rule.weights
 

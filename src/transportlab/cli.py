@@ -414,19 +414,11 @@ def _wehrl_majorization(cfg, mu, nu):
         7, atol=maj_atol)]}
 
 
-def _coulomb_target_draws(inst, rng, count):
-    if inst.nu.sampler is None:
-        raise DomainError(
-            "the Coulomb target of a polynomial confinement has no sampler; "
-            "the laplacian and sample_route checks need target draws")
-    return inst.nu.sampler(rng, count)
-
-
 def _verify_coulomb(cfg, built):
     inst = built["instance"]
     mu = inst.mu
     rng = np.random.default_rng(cfg.seed)
-    probes = _coulomb_target_draws(inst, rng, cfg.params["laplacian_probes"])
+    probes = inst.nu.sampler(rng, cfg.params["laplacian_probes"])
     keep = ~mu.singular_tube(probes)
     lap = mu.potential_laplacian(probes[keep]) / mu.dim
     cert = make_certificate(
@@ -527,7 +519,7 @@ def _coulomb_sample_suite(cfg, built):
     xs, diag = inst.sample(count, seed=cfg.seed, burn=cfg.params["burn"],
                            thin=cfg.params["thin"])
     rng = np.random.default_rng(cfg.seed + 1)
-    ys = _coulomb_target_draws(inst, rng, count)
+    ys = inst.nu.sampler(rng, count)
     schedule = list(cfg.params["epsilon_schedule"])
     tmap = brenier.solve_entropic_sample(xs, ys, schedule)
     queries = xs[:cfg.params["fit_points"]]

@@ -10,8 +10,8 @@ lse_q(Q)_i = LSE_j(M_ij + Q_j), lse_p(P)_j = LSE_i(M_ij + P_i), and the
 (exact) marginal identities give the convergence check.
 
 Kernels work in the scaling domain: a contraction is a BLAS product of
-max-shifted exponentials, log(exp(A - a_i) @ exp(H - h)) + a_i + h, so no
-factor exceeds 1. A shifted sum below TINY = exp(-600) may have lost its
+exponentials less their maxima, log(exp(A - a_i) @ exp(H - h)) + a_i + h, so
+no factor exceeds 1. Such a sum below TINY = exp(-600) may have lost its
 leading terms to underflow; each such entry is recomputed by the exact
 log-domain contraction and counted in `fallbacks`.
 

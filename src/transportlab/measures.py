@@ -27,7 +27,7 @@ _HESS_SYM_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ConvexityCertificate:
-    """Declared convexity constants with their provenance.
+    """Declared convexity constants, each derived analytically.
 
     alpha bounds the potential's Laplacian (Delta V <= alpha * dim);
     kappa bounds the potential's Hessian from below (hess V >= kappa * Id).
@@ -35,11 +35,6 @@ class ConvexityCertificate:
 
     alpha: float | None
     kappa: float | None
-    provenance: str  # "analytic"
-
-    def __post_init__(self):
-        if self.provenance != "analytic":
-            raise DomainError(f"unknown certificate provenance {self.provenance!r}")
 
 
 @dataclass(frozen=True)
@@ -169,36 +164,6 @@ class Density:
         H = self.hess_log(x)
         return np.linalg.eigvalsh(-H)[:, 0]
 
-    def compute_log_partition(self, box):
-        """log integral exp(log_density) over the box (Lebesgue).
-
-        Tensor Gauss-Legendre (order 48, 4 panels per axis) in dim <= 2;
-        above, a DomainError.
-        """
-        if self.dim > 2:
-            raise DomainError("the partition tensor rule needs dim <= 2")
-        probes = box.grid(9)
-        if self.singular_tube is not None:
-            probes = probes[~self.singular_tube(probes)]
-        shift = float(np.max(self.logpdf(probes)))
-        val = quadrature.integrate_box(
-            lambda p: np.exp(self.logpdf(p) - shift), box, order=48, panels=4)
-        return float(np.log(val) + shift)
-
-    def normalized_with(self, logz):
-        """New Density with the log partition constant `logz` folded in."""
-        return Density(
-            self.dim,
-            lambda x, _lz=logz: self._log_density(x) - _lz,
-            grad_log=self._grad_log, hess_log=self._hess_log,
-            normalized=True, certificate=self.certificate,
-            sampler=self.sampler, singular_tube=self.singular_tube,
-            radial_profile=(None if self.radial_profile is None else
-                            lambda r, _lz=logz: self.radial_profile(r) * np.exp(-_lz)),
-            center=self.center, kind=self.kind,
-            params={**self.params, "log_partition_folded": logz},
-            family=None if self.family is None else self.family.shifted(-logz))
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -240,8 +205,7 @@ def gaussian(mean, cov):
 
     prec_evals = 1.0 / evals
     cert = ConvexityCertificate(alpha=float(np.sum(prec_evals) / n),
-                                kappa=float(prec_evals.min()),
-                                provenance="analytic")
+                                kappa=float(prec_evals.min()))
     from .polyexp import PolyExp
     pm = prec @ mean
     family = PolyExp.quadratic_exponent(

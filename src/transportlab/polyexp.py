@@ -232,12 +232,6 @@ class PolyExp:
                 terms.append(PolyExpTerm(poly_scale(poly, factor), t.c, t.b, t.B))
         return PolyExp(self.dim, terms)
 
-    def shifted(self, log_factor):
-        """Multiply by exp(log_factor) without losing precision."""
-        return PolyExp(self.dim, [
-            PolyExpTerm(t.poly, t.c + float(log_factor), t.b, t.B)
-            for t in self.terms])
-
     def multiply(self, other):
         """Pointwise product, again a PolyExp."""
         if other.dim != self.dim:

@@ -45,15 +45,6 @@ def box_gauss_legendre(box, order=32, panels=4):
     return points, weights
 
 
-def integrate_box(fn, box, order=32, panels=4):
-    """Integrate fn over the box with a tensor Gauss-Legendre rule.
-
-    fn maps (m, n) -> (m,).
-    """
-    pts, w = box_gauss_legendre(box, order=order, panels=panels)
-    return float(np.dot(w, fn(pts)))
-
-
 def gauss_hermite(dim, order=64):
     """Tensor Gauss-Hermite rule for the standard Gaussian weight.
 

@@ -271,8 +271,8 @@ def mollify(mu, nu, alpha, kappa, k, validation_box=None, probes=64):
     src_fns = smooth_density(mu, True)
     tgt_fns = smooth_density(nu, False)
     kappa_k = mollified_kappa(kappa, k)
-    src_cert = ConvexityCertificate(alpha=alpha, kappa=None, provenance="analytic")
-    tgt_cert = ConvexityCertificate(alpha=None, kappa=kappa_k, provenance="analytic")
+    src_cert = ConvexityCertificate(alpha=alpha, kappa=None)
+    tgt_cert = ConvexityCertificate(alpha=None, kappa=kappa_k)
     source = Density(mu.dim, *src_fns, normalized=False, certificate=src_cert,
                      center=mu.center, kind="mollified_source",
                      params={"k": k, "alpha": alpha, "base": mu.kind})

@@ -328,20 +328,6 @@ def test_bound_suite_evaluates_the_jacobian_once_on_its_probes(monkeypatch,
     assert not np.array_equal(seen[0], seen[1])
 
 
-def test_coulomb_without_target_sampler_reports_a_domain_error(tmp_path):
-    out = tmp_path / "out"
-    doc = _cfg(tmp_path, {"params": {"particles": 1,
-                                     "confinement": [0.5, 0.1]}})
-    assert main(["scenario", "coulomb", "--config", doc,
-                 "--out", str(out)]) == 3
-    report = json.loads((out / "report.json").read_text())
-    assert [e["check"] for e in report["errors"]] == ["laplacian",
-                                                      "sample_route"]
-    for err in report["errors"]:
-        assert err["error"].startswith("DomainError: ")
-        assert "no sampler" in err["error"]
-
-
 def test_anisotropic_run_without_epsilons_is_refused(tmp_path, capsys):
     # a run that would certify nothing must not exit 0
     out = tmp_path / "out"
@@ -373,10 +359,22 @@ def test_anisotropic_run_without_epsilons_is_refused(tmp_path, capsys):
     (["scenario", "fock"], "probes", 2.5, "growth_direct"),
     # a negative tolerance is refused, not turned into a fail verdict
     (["geodesic", "gaussian"], "monotonicity_tol", -1, "geodesic"),
+    # sizes a check inside the run would refuse: the affine fits take 80
+    # neighbours at N = 3, the pushforward check 100 particles per moment
+    (["scenario", "coulomb"], "samples", 79, "sample_route"),
+    (["heatflow", "flow"], "particles", 199, "contraction"),
+    # the gas is quadratic only and its source constant is derived, so
+    # neither a law nor a constant is a param
+    (["scenario", "coulomb"], "confinement", [0.5], "sample_route"),
+    (["scenario", "coulomb"], "kappa2", 2.0, "sample_route"),
+    # the lsh builder refuses a poly key or value it cannot read
+    (["scenario", "lsh"], "poly", {"a,b": 1}, "growth_direct"),
+    (["scenario", "lsh"], "poly", {"-2,0": 1}, "growth_direct"),
+    (["scenario", "lsh"], "poly", {"2,0": "x"}, "growth_direct"),
 ])
 def test_size_params_outside_their_domain_are_typed_errors(
         tmp_path, capsys, argv, param, value, check):
-    # the param table refuses the config before the scenario is built, so
+    # the param table (or the scenario's builder) refuses the config, so
     # `check`, which the command runs on a valid config, never starts
     schedule = (0.5, 0.1) if "--epsilon-schedule" in argv else None
     assert check in _selected(*argv[:2], epsilon_schedule=schedule)

@@ -13,7 +13,7 @@ from transportlab.errors import (AccuracyError, CertificateConflictError,
 from transportlab.majorize import entropy_quadrature
 from transportlab.measures import TruncationBox
 from transportlab.polyexp import PolyExp
-from transportlab.quadrature import integrate_box
+from transportlab.quadrature import box_gauss_legendre
 from transportlab.scenarios import (SCENARIO_BUILDERS, CoulombSpec, WehrlState,
                                     anisotropic_pair, build_coulomb_instance,
                                     build_fock_instance, build_lsh_instance,
@@ -69,8 +69,8 @@ def test_fock_instance_linear_function():
     assert chk["min_margin"] == pytest.approx(0.5, abs=1e-12)
     one = inst.direct_check(np.array([1.0 + 0.0j]))
     assert one["log_margins"][0] == pytest.approx(0.5, abs=1e-12)
-    assert integrate_box(inst.mu.pdf, TruncationBox.cube(2, 7.0), order=48,
-                         panels=4) == pytest.approx(1.0, abs=1e-8)
+    pts, w = box_gauss_legendre(TruncationBox.cube(2, 7.0), order=48, panels=4)
+    assert w @ inst.mu.pdf(pts) == pytest.approx(1.0, abs=1e-8)
     # log|f|^p is harmonic off the zero set, so trace hess = -2 p / sigma
     pts = np.array([[1.0, 0.4], [-0.3, 0.9], [2.0, -1.0]])
     tr = np.trace(inst.mu.hess_log(pts), axis1=-2, axis2=-1)
@@ -103,8 +103,8 @@ def test_lsh_gaussian_weight_is_the_equality_case():
     inst = build_lsh_instance(weight, beta=0.5)
     assert inst.certificate.alpha == pytest.approx(1.5)
     assert inst.certificate.kappa == pytest.approx(1.0)
-    assert integrate_box(inst.mu.pdf, TruncationBox.cube(2, 9.0), order=48,
-                         panels=4) == pytest.approx(1.0, abs=1e-9)
+    pts, w = box_gauss_legendre(TruncationBox.cube(2, 9.0), order=48, panels=4)
+    assert w @ inst.mu.pdf(pts) == pytest.approx(1.0, abs=1e-9)
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, -1.1]])
     chk = inst.direct_check(x)
     # normalized weight is (1+beta) e^{-beta |x|^2/2}: margin (1+beta)|x|^2/2
@@ -224,8 +224,6 @@ def test_coulomb_spec_validation():
         CoulombSpec(particles=4)
     with pytest.raises(DomainError):
         CoulombSpec(particles=2, beta=0.0)
-    with pytest.raises(DomainError):
-        CoulombSpec(particles=2, kappa2=0.0)
     assert CoulombSpec(particles=3).dim == 6
 
 
@@ -318,8 +316,7 @@ def _reference_chain(inst, size, seed, burn, thin, chains=4):
 
 @pytest.mark.parametrize("spec", [
     {"particles": 1}, {"particles": 2}, {"particles": 3},
-    {"particles": 2, "beta": 2.0},
-    {"particles": 1, "confinement": [0.5, 0.1]}])
+    {"particles": 2, "beta": 2.0}])
 def test_coulomb_chain_matches_reference_loop_bitwise(spec):
     inst = build_coulomb_instance(spec)
     samples, diag = inst.sample(240, seed=7, burn=300, thin=2)
@@ -328,40 +325,6 @@ def test_coulomb_chain_matches_reference_loop_bitwise(spec):
     assert diag["acceptance"] == acceptance
     assert type(diag["acceptance"]) is float
     assert diag["rhat"] == rhat
-
-
-def _reference_potential(spec, pts2d):
-    """Q per particle with the powers of s formed first, as the derivative
-    path forms them for dQ/ds too."""
-    s = (pts2d ** 2).sum(axis=1)
-    a = np.asarray(spec.confinement, dtype=float)
-    powers = s[:, None] ** (np.arange(1, a.size + 1) - 1)
-    return (a * powers * s[:, None]).sum(axis=1)
-
-
-@pytest.mark.parametrize("confinement", [[0.5], [0.5, 0.1], [0.3, 0.2, 0.05]])
-def test_confinement_potential_matches_the_derivative_path(monkeypatch,
-                                                           confinement):
-    inst = build_coulomb_instance({"particles": 2,
-                                   "confinement": confinement})
-    pts = np.random.default_rng(5).normal(size=(300, 2))
-    q = scenarios._confinement_potential(inst.spec, pts)
-    assert np.array_equal(q, scenarios._confinement_derivs(inst.spec, pts)[0])
-    assert np.array_equal(q, _reference_potential(inst.spec, pts))
-    # the build and the chain run on the potential alone, with the same
-    # draws as through the reference formula
-
-    def no_derivatives(spec, pts2d):
-        raise AssertionError("built derivatives only to discard them")
-    monkeypatch.setattr(scenarios, "_confinement_derivs", no_derivatives)
-    spec = {"particles": 1, "confinement": confinement}
-    samples, diag = build_coulomb_instance(spec).sample(240, seed=11,
-                                                        burn=200, thin=2)
-    monkeypatch.setattr(scenarios, "_confinement_potential",
-                        _reference_potential)
-    ref, ref_diag = build_coulomb_instance(spec).sample(240, seed=11,
-                                                        burn=200, thin=2)
-    assert np.array_equal(samples, ref) and diag == ref_diag
 
 
 def test_coulomb_chain_rejects_colliding_proposals():
@@ -380,28 +343,6 @@ def test_coulomb_chain_rejects_colliding_proposals():
             got = inst._chain_log_density(row[None, :], pairs)
             assert np.array_equal(got, [value])
     assert expect[0] == expect[2] == -np.inf and np.isfinite(expect[1])
-
-
-def test_polynomial_confinement_normalizes_one_particle_factor():
-    # Q(z) = |z|^2 / 2 written as a polynomial is the quadratic law; its
-    # target is normalized on the box, 6 standard deviations per axis
-    quad = build_coulomb_instance({"particles": 2})
-    poly = build_coulomb_instance({"particles": 2, "confinement": [0.5]})
-    assert poly.nu.normalized
-    probes = np.random.default_rng(4).uniform(-1.5, 1.5, size=(200, 4))
-    np.testing.assert_allclose(poly.nu.logpdf(probes),
-                               quad.nu.logpdf(probes), rtol=0, atol=1e-7)
-    # three particles under a quartic law: the box partition is the cube
-    # of one particle's, checked by a midpoint sum (the integrand is
-    # smooth and negligible at the box edge, so the sum converges fast)
-    inst = build_coulomb_instance({"particles": 3, "confinement": [0.5, 0.2]})
-    h = 6.0 / math.sqrt(3.0)
-    cells = 600
-    u = -h + (np.arange(cells) + 0.5) * (2 * h / cells)
-    s2 = u[:, None] ** 2 + u[None, :] ** 2
-    z1 = np.exp(-3.0 * (0.5 * s2 + 0.2 * s2 ** 2)).sum() * (2 * h / cells) ** 2
-    assert inst.nu.params["log_partition_folded"] == pytest.approx(
-        3 * math.log(z1), rel=0, abs=1e-9)
 
 
 def test_split_rhat_flags_stuck_chains():
@@ -491,8 +432,6 @@ def test_resolve_params_types_defaults_and_routes():
     assert resolve_params("wehrl", {})["majorization_atol"] == {
         "radial": 0.0, "entropic": 1e-3}
     assert values["side"] == 48 and values["debias"] is True
-    assert resolve_params("coulomb", {"confinement": [1, 0.5]})[
-        "confinement"] == [1.0, 0.5]
     assert resolve_params("lsh", {"poly": {"2,0": 1}})["poly"] == {"2,0": 1}
     assert resolve_params("wehrl", {})["box_half"] is not \
         scenarios.PARAMS["wehrl"]["box_half"].default
@@ -501,10 +440,8 @@ def test_resolve_params_types_defaults_and_routes():
             ("coulomb", {"particles": True}, "particles must be int"),
             ("anisotropic", {"epsilons": [0.1, 0.0]}, "epsilons must be > 0"),
             ("anisotropic", {"epsilons": 0.1}, "epsilons must be list"),
-            ("coulomb", {"confinement": 0.5}, "confinement must be str or"),
             ("gaussian", {"solver": "entropic_grid"},
              "solver must be one of auto, closed_form, radial"),
-            ("coulomb", {"confinement": "cubic"}, "confinement must be one"),
             ("wehrl", {"probes": 50}, "probes is not a wehrl param")):
         with pytest.raises(DomainError, match=f"^{message}"):
             resolve_params(kind, raw)
