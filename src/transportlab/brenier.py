@@ -1,16 +1,18 @@
 """Transport-map solvers and the Monge-Ampere residual.
 
-Five routes produce a TransportMap, tagged by provenance:
+Four routes produce a TransportMap, tagged by provenance:
 
   closed_form_gaussian  exact affine map between Gaussians
   quantile_1d           CDF matching on an interval
   radial                cumulative mass matching for co-centered radial pairs
   entropic_grid         Sinkhorn on tensor grids + debiased barycentric map
-  entropic_sample       Sinkhorn on point clouds + local-fit Jacobians
+
+A fifth, solve_entropic_sample, runs Sinkhorn on point clouds and returns
+the debiased map's values at the source samples alone.
 
 Exact routes carry analytic Jacobians; grid maps differentiate their lattice
-values by stencils; sample maps fit local affine models over nearest
-neighbors. The Monge-Ampere residual log rho_mu(x) - log rho_nu(T x)
+values by stencils; sample-map Jacobians come from local affine models over
+nearest neighbors. The Monge-Ampere residual log rho_mu(x) - log rho_nu(T x)
 - log det DT(x) measures pushforward fidelity pointwise.
 """
 
@@ -18,17 +20,17 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import entropic, quadrature
-from .errors import (ConvexityViolationError, DomainError, FitError,
-                     SupportError)
+from .errors import ConvexityViolationError, DomainError, SupportError
 
 PROVENANCES = ("closed_form_gaussian", "quantile_1d", "radial",
-               "entropic_grid", "entropic_sample")
+               "entropic_grid")
 
 # panels and Gauss-Legendre order of the CDF routes' cumulative integrals
 _CDF_PANELS, _CDF_ORDER = 2048, 16
@@ -297,22 +299,20 @@ class GridMap:
         return idx, frac
 
     def eval(self, x):
+        """Multilinear interpolation over the lattice cell of each point."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         self._check_inside(x)
         idx, frac = self._locate(x)
-        if self.dim == 1:
-            i = idx[0]
-            w = np.clip(frac[0], 0.0, 1.0)[:, None]
-            return (1 - w) * self.values[i] + w * self.values[i + 1]
-        i, j = idx
-        u = np.clip(frac[0], 0.0, 1.0)[:, None]
-        v = np.clip(frac[1], 0.0, 1.0)[:, None]
-        v00 = self.values[i, j]
-        v10 = self.values[i + 1, j]
-        v01 = self.values[i, j + 1]
-        v11 = self.values[i + 1, j + 1]
-        return ((1 - u) * (1 - v) * v00 + u * (1 - v) * v10
-                + (1 - u) * v * v01 + u * v * v11)
+        t = [np.clip(f, 0.0, 1.0)[:, None] for f in frac]
+        terms = []
+        # the 2^dim cell corners, axis 0 varying fastest
+        for corner in itertools.product((0, 1), repeat=self.dim):
+            corner = corner[::-1]
+            w = math.prod(t[axis] if c else 1 - t[axis]
+                          for axis, c in enumerate(corner))
+            terms.append(w * self.values[tuple(
+                i + c for i, c in zip(idx, corner))])
+        return sum(terms[1:], terms[0])
 
     def jacobian(self, x):
         """Nearest-node stencil Jacobian."""
@@ -453,7 +453,7 @@ def nearest(points, queries, k):
     return dist, idx
 
 
-def local_affine_jacobians(xs, ts, queries, k=None):
+def local_affine_jacobians(xs, ts, queries, k):
     """Least-squares affine fits of the map over k nearest neighbors.
 
     Returns (jacobians (m, n, n), ok_mask); rank-deficient neighborhoods
@@ -464,8 +464,6 @@ def local_affine_jacobians(xs, ts, queries, k=None):
     ts = np.asarray(ts, dtype=float)
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     n = xs.shape[1]
-    if k is None:
-        k = max(4 * n + 8, 16)
     _, idx = nearest(xs, queries, k)
     X = xs[idx]
     Xc = X - X.mean(axis=1, keepdims=True)
@@ -481,16 +479,16 @@ def local_affine_jacobians(xs, ts, queries, k=None):
 
 
 def solve_entropic_sample(xs, ys, schedule):
-    """Entropic map between uniform point clouds.
+    """Entropic map between uniform point clouds, at the source samples.
 
-    The map is the debiased barycentric projection at the sample points,
-    extended off-sample by nearest-neighbor lookup; Jacobians come from
-    local affine fits (rank-deficient neighborhoods raise FitError).
+    Returns (values, details): the debiased barycentric projection at each
+    row of xs, and the cross-transport's final marginal_error and
+    iterations with the fallbacks and absorptions of every stage.
     The cross-transport runs the strictly decreasing epsilon schedule with
     warm starts; the self-transport used for debiasing is only solved at
     the final epsilon. Every stage of both builds its stabilized kernel in
     place in one buffer, so one kernel is alive at a time (32 MB at 2000
-    points); details count the exact-contraction fallbacks and absorptions.
+    points).
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -517,26 +515,7 @@ def solve_entropic_sample(xs, ys, schedule):
 
     raw, err, iters = final_map(ys, schedule)
     tvals = xs + raw - final_map(xs, schedule[-1:])[0]
-
-    def eval_fn(x):
-        x = np.asarray(x, dtype=float)
-        _, idx = nearest(xs, x, 1)
-        return tvals[idx[:, 0]].reshape(x.shape)
-
-    def jacobian_fn(x):
-        J, ok = local_affine_jacobians(xs, tvals, x)
-        if not np.all(ok):
-            raise FitError(
-                f"{int((~ok).sum())} rank-deficient local fits; "
-                "exclude those probes")
-        return J
-
-    return TransportMap(xs.shape[1], "entropic_sample", eval_fn, jacobian_fn,
-                        entropic_epsilon=schedule[-1],
-                        details={"samples": xs.shape[0],
-                                 "marginal_error": err, "iterations": iters,
-                                 "map_values": tvals, **counts,
-                                 "source_points": xs})
+    return tvals, {"marginal_error": err, "iterations": iters, **counts}
 
 
 # ---------------------------------------------------------------------------

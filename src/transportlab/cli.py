@@ -521,11 +521,9 @@ def _coulomb_sample_suite(cfg, built):
     rng = np.random.default_rng(cfg.seed + 1)
     ys = inst.nu.sampler(rng, count)
     schedule = list(cfg.params["epsilon_schedule"])
-    tmap = brenier.solve_entropic_sample(xs, ys, schedule)
-    queries = xs[:cfg.params["fit_points"]]
-    # the map's values at its own sample points, without a neighbor search
+    tvals, _ = brenier.solve_entropic_sample(xs, ys, schedule)
     jac, ok = brenier.local_affine_jacobians(
-        xs, tmap.details["map_values"], queries, k=4 * n + 56)
+        xs, tvals, xs[:cfg.params["fit_points"]], 4 * n + 56)
     div = np.einsum("mii->m", jac[ok])
     q95 = float(np.quantile(div, 0.95))
     cert = make_certificate(
@@ -826,6 +824,11 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
+# the config document's top-level seed and schedule, typed as params are
+_SEED = scenarios.Param("int", 0)
+_SCHEDULE = scenarios.Param("list of float", None, "> 0")
+
+
 def _resolve_config(args):
     doc = {}
     if args.config:
@@ -841,12 +844,19 @@ def _resolve_config(args):
             and scenario not in scenarios.SCENARIO_BUILDERS:
         raise DomainError(f"unknown scenario {scenario!r}; known: "
                           f"{sorted(scenarios.SCENARIO_BUILDERS)}")
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    schedule = None
-    if args.epsilon_schedule:
-        schedule = tuple(float(v) for v in args.epsilon_schedule.split(","))
-    elif doc.get("epsilon_schedule"):
-        schedule = tuple(float(v) for v in doc["epsilon_schedule"])
+    seed = args.seed if args.seed is not None \
+        else scenarios._typed("seed", _SEED, doc.get("seed", 0))
+    schedule = doc.get("epsilon_schedule")
+    if args.epsilon_schedule is not None:
+        try:
+            schedule = [float(v) for v in args.epsilon_schedule.split(",")]
+        except ValueError:
+            raise DomainError("epsilon_schedule must be a comma list of "
+                              f"numbers, got {args.epsilon_schedule!r}") \
+                from None
+    if schedule is not None:
+        schedule = tuple(scenarios._typed("epsilon_schedule", _SCHEDULE,
+                                          schedule))
     fmt_spec = args.format or doc.get("format", "structured")
     formats = (tuple(fmt_spec.split(",")) if isinstance(fmt_spec, str)
                else tuple(fmt_spec))

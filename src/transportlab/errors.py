@@ -45,7 +45,3 @@ class ConvexityViolationError(TransportLabError):
     def __init__(self, message, probe=None):
         super().__init__(message)
         self.probe = probe
-
-
-class FitError(TransportLabError):
-    """A local regression was too ill-conditioned to trust."""

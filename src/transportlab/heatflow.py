@@ -189,7 +189,7 @@ def _rk45(fun, t_end, y0, t_eval, rtol, atol):
     return out
 
 
-def integrate_flow(f, particles, schedule=None, record_every=1):
+def integrate_flow(f, particles, schedule, record_every=1):
     """Joint integration of positions, Jacobians, and log-determinants.
 
     Returns a list of FlowState at every record_every-th schedule time
@@ -197,8 +197,6 @@ def integrate_flow(f, particles, schedule=None, record_every=1):
     determinant routes are compared at each recorded state; divergence
     beyond 10x the stepper's rtol raises AccuracyError.
     """
-    if schedule is None:
-        schedule = FlowSchedule()
     if record_every < 1:
         raise DomainError(
             f"record_every must be at least 1, got {record_every}")
@@ -290,12 +288,12 @@ def km_bound_rhs(alpha, t, n):
     return (s * (alpha - 1.0) + 1.0) ** (n / 2.0)
 
 
-def check_km_contraction(states, alpha, f=None, atol=0.0):
+def check_km_contraction(states, alpha, f, atol=0.0):
     """Volume-contraction certificate for an integrated flow.
 
     Observed is the worst ratio sup_x det J_t(x) / rhs(t) over recorded
     times, including the terminal time against alpha^{n/2} (with the tail
-    factor when f is supplied); the bound holds iff the ratio is <= 1.
+    factor of the weight f); the bound holds iff the ratio is <= 1.
     """
     n = states[0].positions.shape[1]
     per_time = []
@@ -306,11 +304,8 @@ def check_km_contraction(states, alpha, f=None, atol=0.0):
         per_time.append({"t": st.t, "sup_det": sup_det, "rhs": float(rhs_t)})
         worst = max(worst, sup_det / rhs_t)
     terminal_rhs = float(alpha) ** (n / 2.0)
-    if f is not None:
-        term_det, bar = terminal_determinants(states, f)
-        term_sup = float(term_det.max())
-    else:
-        term_sup, bar = float(states[-1].determinants.max()), None
+    term_det, bar = terminal_determinants(states, f)
+    term_sup = float(term_det.max())
     worst = max(worst, term_sup / terminal_rhs)
     return make_certificate(
         "km_volume_contraction", rhs=1.0, observed=float(worst),

@@ -101,7 +101,11 @@ class TruncationBox:
 
 
 class Density:
-    """Immutable density on R^n; see module docstring for the contract."""
+    """Immutable density on R^n; see module docstring for the contract.
+
+    `params` holds constructor data a solver reads back; only gaussian()
+    sets it, with the mean and covariance that solve_gaussian reads.
+    """
 
     def __init__(self, dim, log_density, grad_log=None, hess_log=None,
                  normalized=False, certificate=None, sampler=None,

@@ -140,32 +140,6 @@ def modulus_squared_poly(coeffs):
     return out
 
 
-def holomorphic_log_derivs(coeffs, z, power=1.0):
-    """Derivatives of power * log|f(z)| in (q, p) at complex points z.
-
-    Returns (value, grad (m, 2), hess (m, 2, 2)); value is power*log|f|.
-    Uses h = f'/f and k = (f'' f - f'^2)/f^2: the Hessian of log|f| is
-    [[Re k, -Im k], [-Im k, -Re k]] (harmonic away from zeros).
-    """
-    z = np.asarray(z, dtype=complex)
-    c = np.asarray(coeffs, dtype=complex)
-    f = np.polynomial.polynomial.polyval(z, c)
-    fp = np.polynomial.polynomial.polyval(z, np.polynomial.polynomial.polyder(c))
-    fpp = np.polynomial.polynomial.polyval(
-        z, np.polynomial.polynomial.polyder(c, 2))
-    if np.any(f == 0):
-        raise DomainError("log|f| evaluated at a zero of f")
-    h = fp / f
-    k = (fpp * f - fp ** 2) / f ** 2
-    val = power * np.log(np.abs(f))
-    grad = power * np.stack([h.real, -h.imag], axis=-1)
-    hess = power * np.stack([
-        np.stack([k.real, -k.imag], axis=-1),
-        np.stack([-k.imag, -k.real], axis=-1),
-    ], axis=-2)
-    return val, grad, hess
-
-
 # ---------------------------------------------------------------------------
 # PolyExp mixtures
 

@@ -2,8 +2,8 @@
 phase-space Husimi states, and 2-D Coulomb gases.
 
 Each builder assembles a (source, target) density pair whose convexity
-certificate is analytic, plus whatever transport-free direct check the
-construction admits.  Builders reject inputs that break the standing
+certificate is analytic (for entire functions only the target), plus
+whatever transport-free direct check the construction admits.  Builders reject inputs that break the standing
 hypotheses (non-orthonormal state vectors, weights that are not
 log-subharmonic at probe points, coinciding Coulomb particles) rather
 than silently producing a pair the theorems do not cover.
@@ -37,7 +37,7 @@ __all__ = [
     "LshInstance", "build_lsh_instance",
     "WehrlState", "fock_coefficients", "gram_matrix", "build_wehrl_instance",
     "glauber_entropy",
-    "CoulombSpec", "CoulombInstance", "build_coulomb_instance", "split_rhat",
+    "CoulombSpec", "CoulombInstance", "split_rhat",
     "gaussian_pair", "anisotropic_pair", "flow_gaussian_weight",
     "Param", "PARAMS", "resolve_params", "SCENARIO_BUILDERS",
 ]
@@ -78,14 +78,18 @@ def fock_norm(coeffs, p, sigma):
 
 @dataclass(frozen=True)
 class FockInstance:
-    """Growth-bound pair for an entire polynomial of unit p-norm."""
+    """Growth-bound data for an entire polynomial f of unit p-norm.
+
+    The bound is the transport determinant bound for the pair
+    (|f|^p gamma_{sigma/p}, gamma_{sigma/p}); direct_check tests it without
+    a transport, so only the target nu is built, by measures.gaussian (the
+    one constructor that sets Density.params).
+    """
 
     p: float
     sigma: float
     coeffs: tuple
-    mu: Density
     nu: Density
-    certificate: ConvexityCertificate
 
     def direct_check(self, z):
         """Bound |f(z)| <= exp(|z|^2 / (2 sigma)) without any transport.
@@ -110,76 +114,24 @@ class FockInstance:
         }
 
 
-def build_fock_instance(p, sigma, entire_poly, normalize=True):
-    """Pair (|f|^p gamma_{sigma/p}, gamma_{sigma/p}) for a unit-norm entire f.
+def build_fock_instance(p, sigma, entire_poly):
+    """Growth data for `entire_poly` scaled to unit p-norm.
 
-    The source potential has Laplacian exactly 2 p / sigma away from the
-    zeros of f (log|f| is harmonic there), so alpha = kappa = p / sigma and
-    the growth bound |f| <= exp(|z|^2 / (2 sigma)) is the transport
-    determinant bound specialized to this pair.
+    The pair is (|f|^p gamma_{sigma/p}, gamma_{sigma/p}). The source
+    potential has Laplacian exactly 2 p / sigma away from the zeros of f
+    (log|f| is harmonic there), so alpha = kappa = p / sigma and the growth
+    bound |f| <= exp(|z|^2 / (2 sigma)) is the transport determinant bound
+    specialized to this pair. The target is measures.gaussian, which alone
+    sets Density.params.
     """
     p = float(p)
     sigma = float(sigma)
     coeffs = np.asarray(entire_poly, dtype=complex)
     if not np.any(coeffs):
         raise DomainError("zero entire function rejected")
-    if normalize:
-        coeffs = coeffs / fock_norm(coeffs, p, sigma)
-    else:
-        norm = fock_norm(coeffs, p, sigma)
-        if abs(norm - 1.0) > 1e-8:
-            raise DomainError(f"entire function has norm {norm:.6g}, expected 1")
-    coeffs.setflags(write=False)
-
-    gam = p / sigma          # inverse variance of gamma_{sigma/p}
-    cert = ConvexityCertificate(alpha=gam, kappa=gam)
+    coeffs = coeffs / fock_norm(coeffs, p, sigma)
     nu = measures.gaussian(np.zeros(2), (sigma / p) * np.eye(2))
-
-    log_gauss_const = -math.log(2.0 * math.pi * sigma / p)
-
-    def log_density(x):
-        z = x[:, 0] + 1j * x[:, 1]
-        fvals = np.abs(np.polynomial.polynomial.polyval(z, coeffs))
-        with np.errstate(divide="ignore"):
-            logf = np.where(fvals > 0, np.log(np.maximum(fvals, 1e-300)), -np.inf)
-        return (p * logf - gam * (x ** 2).sum(axis=1) / 2.0 + log_gauss_const)
-
-    def grad_log(x):
-        z = x[:, 0] + 1j * x[:, 1]
-        _, g, _ = polyexp.holomorphic_log_derivs(coeffs, z, power=p)
-        return g - gam * x
-
-    def hess_log(x):
-        z = x[:, 0] + 1j * x[:, 1]
-        _, _, h = polyexp.holomorphic_log_derivs(coeffs, z, power=p)
-        return h - gam * np.eye(2)[None, :, :]
-
-    scale = float(np.abs(coeffs).max())
-
-    def singular_tube(x):
-        z = x[:, 0] + 1j * x[:, 1]
-        fvals = np.abs(np.polynomial.polynomial.polyval(z, coeffs))
-        return fvals <= 1e-6 * scale
-
-    family = None
-    if abs(p - round(p)) < 1e-12 and int(round(p)) % 2 == 0:
-        # |f|^p is itself a polynomial for even integer p
-        msq = polyexp.modulus_squared_poly(coeffs)
-        fam = PolyExp.poly_times_gaussian(2, msq, B=gam * np.eye(2),
-                                          c=log_gauss_const)
-        for _ in range(int(round(p)) // 2 - 1):
-            fam = fam.multiply(PolyExp.poly_times_gaussian(2, msq))
-        family = fam
-
-    mu = Density(2, log_density, grad_log=grad_log, hess_log=hess_log,
-                 normalized=True, certificate=cert, singular_tube=singular_tube,
-                 kind="fock_growth",
-                 params={"p": p, "sigma": sigma,
-                         "coeffs_re": coeffs.real.tolist(),
-                         "coeffs_im": coeffs.imag.tolist()},
-                 family=family)
-    return FockInstance(p=p, sigma=sigma, coeffs=tuple(coeffs), mu=mu, nu=nu,
-                        certificate=cert)
+    return FockInstance(p=p, sigma=sigma, coeffs=tuple(coeffs), nu=nu)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +212,7 @@ def build_lsh_instance(weight, beta=0.0, dim=2):
     cert = ConvexityCertificate(alpha=beta + 1.0, kappa=1.0)
     mu = Density(dim, log_density, grad_log=grad_log, hess_log=hess_log,
                  normalized=True, certificate=cert, kind="lsh_growth",
-                 params={"beta": beta}, family=family)
+                 family=family)
     nu = measures.gaussian(np.zeros(dim), np.eye(dim))
     _probe_subharmonicity(mu, beta, dim)
     return LshInstance(beta=beta, dim=dim, mu=mu, nu=nu, certificate=cert,
@@ -428,11 +380,7 @@ def build_wehrl_instance(state):
     mu = Density(2, log_density, grad_log=grad_log, hess_log=hess_log,
                  normalized=True, certificate=cert,
                  singular_tube=singular_tube, radial_profile=radial_profile,
-                 center=center, kind="husimi",
-                 params={"weights": weights.tolist(),
-                         "degrees": [len(c) - 1 for c in comps],
-                         "center": list(state.center)},
-                 family=family)
+                 center=center, kind="husimi", family=family)
     nu = measures.gaussian(center, np.eye(2) / (2.0 * math.pi))
     return mu, nu, cert
 
@@ -485,8 +433,7 @@ class CoulombInstance:
             n, self._log_density, grad_log=self._grad_log,
             hess_log=self._hess_log, normalized=False,
             certificate=self.certificate, singular_tube=self._singular_tube,
-            kind="coulomb_gas", params={"particles": N, "beta": beta})
-        self.mu.sampler = self._density_sampler
+            kind="coulomb_gas")
         self.nu = measures.gaussian(np.zeros(n), np.eye(n) / (beta * N))
 
     # density pieces --------------------------------------------------------
@@ -632,11 +579,6 @@ class CoulombInstance:
             out = np.where(np.sqrt(closest) >= 1e-8, out, -np.inf)
         return out
 
-    def _density_sampler(self, rng, size):
-        seed = int(rng.integers(0, 2 ** 63 - 1))
-        samples, _ = self.sample(size, seed=seed)
-        return samples
-
 
 def split_rhat(draws):
     """Split-chain mixing statistic, maximized over coordinates.
@@ -659,12 +601,6 @@ def split_rhat(draws):
         r = np.sqrt(var_plus / W)
     r = np.where(W <= 0, 1.0, r)
     return float(np.max(r))
-
-
-def build_coulomb_instance(spec):
-    if not isinstance(spec, CoulombSpec):
-        spec = CoulombSpec(**dict(spec))
-    return CoulombInstance(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -886,13 +822,13 @@ def _scenario_wehrl(p):
 
 def _scenario_coulomb(p):
     spec = CoulombSpec(particles=p["particles"], beta=p["beta"])
-    inst = build_coulomb_instance(spec)
+    inst = CoulombInstance(spec)
     return {"kind": "coulomb", "instance": inst, "mu": inst.mu, "nu": inst.nu}
 
 
 def _scenario_fock(p):
     inst = build_fock_instance(p["p"], p["sigma"], p["coefficients"])
-    return {"kind": "fock", "instance": inst, "mu": inst.mu, "nu": inst.nu}
+    return {"kind": "fock", "instance": inst}
 
 
 def _poly_param(raw):

@@ -38,6 +38,7 @@ from .polyexp import PolyExp
 from .verify import make_certificate
 
 CHECK_RTOL = 1e-7  # Gauss-Hermite order-doubling acceptance
+_GH_ORDER = 64     # the Gauss-Hermite order, checked against twice itself
 
 
 class SemigroupKind(str, Enum):
@@ -83,7 +84,7 @@ def _family_of(f):
     return None
 
 
-def apply(kind, f, t, x, method="auto", order=64):
+def apply(kind, f, t, x, method="auto"):
     """Evaluate P_t f (or H_t f) with log-derivatives at points x.
 
     method "auto" takes the closed form when f has a family, else
@@ -112,16 +113,16 @@ def apply(kind, f, t, x, method="auto", order=64):
         raise DomainError(f"unknown evaluation method {method!r}")
     if x.shape[1] > 2:
         raise DomainError("tensor Gauss-Hermite is limited to dim <= 2")
-    val, grad, hess = _gh_eval(fn, x, a, s, order)
-    val2, grad2, hess2 = _gh_eval(fn, x, a, s, 2 * order)
+    val, grad, hess = _gh_eval(fn, x, a, s, _GH_ORDER)
+    val2, grad2, hess2 = _gh_eval(fn, x, a, s, 2 * _GH_ORDER)
     num = np.abs(val - val2).max() + np.abs(hess - hess2).max()
     den = max(np.abs(val2).max(), 1e-300)
     err = float(num / den + np.abs(grad - grad2).max()
                 / max(1.0, np.abs(grad2).max()))
     if err > CHECK_RTOL:
         raise AccuracyError(
-            f"Gauss-Hermite order-doubling check failed ({err:.2e}); "
-            "raise the order", estimate=err)
+            f"Gauss-Hermite order-doubling check failed ({err:.2e})",
+            estimate=err)
     return SemigroupEvaluation(val2, grad2, hess2, "gauss_hermite",
                                kind_str, float(t))
 
@@ -274,11 +275,9 @@ def mollify(mu, nu, alpha, kappa, k, validation_box=None, probes=64):
     src_cert = ConvexityCertificate(alpha=alpha, kappa=None)
     tgt_cert = ConvexityCertificate(alpha=None, kappa=kappa_k)
     source = Density(mu.dim, *src_fns, normalized=False, certificate=src_cert,
-                     center=mu.center, kind="mollified_source",
-                     params={"k": k, "alpha": alpha, "base": mu.kind})
+                     center=mu.center, kind="mollified_source")
     target = Density(nu.dim, *tgt_fns, normalized=False, certificate=tgt_cert,
-                     center=nu.center, kind="mollified_target",
-                     params={"k": k, "kappa": kappa, "base": nu.kind})
+                     center=nu.center, kind="mollified_target")
     pair = MollifiedPair(k=int(k), source=source, target=target,
                          kappa_k=kappa_k, alpha=float(alpha))
     box = validation_box or TruncationBox.cube(mu.dim, 3.0)

@@ -386,6 +386,28 @@ def test_size_params_outside_their_domain_are_typed_errors(
         f"error: DomainError: {param} ")
 
 
+@pytest.mark.parametrize("doc, flags, name", [
+    # an empty schedule is refused, not dropped back to the radial route
+    ({"epsilon_schedule": []}, [], "epsilon_schedule"),
+    ({}, ["--epsilon-schedule="], "epsilon_schedule"),
+    ({"epsilon_schedule": "0.5,0.1"}, [], "epsilon_schedule"),
+    ({"epsilon_schedule": 0.5}, [], "epsilon_schedule"),
+    ({}, ["--epsilon-schedule", "0.5,abc"], "epsilon_schedule"),
+    # a seed that is not an int is refused, not truncated or cast
+    ({"seed": 2.7}, [], "seed"),
+    ({"seed": True}, [], "seed"),
+    ({"seed": "x"}, [], "seed"),
+])
+def test_config_seed_and_schedule_are_typed_errors(tmp_path, capsys, doc,
+                                                   flags, name):
+    out = tmp_path / "out"
+    argv = ["verify", "wehrl", "--config", _cfg(tmp_path, doc), *flags,
+            "--out", str(out)]
+    assert main(argv) == 3
+    assert not (out / "report.json").exists()
+    assert capsys.readouterr().err.startswith(f"error: DomainError: {name} ")
+
+
 def test_verify_gaussian_above_dim_2_keeps_the_pointwise_bounds(tmp_path):
     # the moment quadrature covers dim <= 2; its absence must not cost the
     # trace, Lipschitz and determinant certificates

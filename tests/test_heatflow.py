@@ -105,7 +105,8 @@ def test_flow_evaluates_the_semigroup_once_per_field_evaluation(
 def test_integrate_flow_refuses_a_record_step_below_one(record_every):
     f, _, _ = flow_gaussian_weight(0.5)
     with pytest.raises(DomainError, match="record_every"):
-        integrate_flow(f, np.zeros((2, 2)), record_every=record_every)
+        integrate_flow(f, np.zeros((2, 2)), FlowSchedule(),
+                       record_every=record_every)
 
 
 def test_pushforward_moments_reach_standard_gaussian():

@@ -11,7 +11,6 @@ from transportlab.majorize import (Geodesic, default_convex_family,
                                    entropy_knn, entropy_quadrature,
                                    entropy_stability_check,
                                    geodesic_monotonicity_check,
-                                   majorization_check,
                                    majorization_from_densities)
 from transportlab.measures import TruncationBox, gaussian
 
@@ -50,13 +49,15 @@ def test_majorization_self_is_tight():
     assert abs(rep.worst_margin) < 1e-12
 
 
-def test_majorization_check_rejects_nonconvex_probe():
-    from transportlab.majorize import ConvexProbe
-    bad = ConvexProbe("dip", lambda t: np.sqrt(np.maximum(t, 0.0)))
-    g = np.array([0.5, 1.0])
-    w = np.array([1.0, 1.0])
-    with pytest.raises(ConvexityViolationError):
-        majorization_check(g, g, w, w, family=[bad])
+@pytest.mark.parametrize("scale", [0.05, 1.0, 3.0])
+def test_default_family_is_midpoint_convex_and_vanishes_at_zero(scale):
+    rng = np.random.default_rng(0)
+    a, b = rng.uniform(0.0, 4.0 * scale, (2, 256))
+    for probe in default_convex_family(scale):
+        assert probe(np.zeros(1))[0] == 0.0, probe.name
+        avg = 0.5 * (probe(a) + probe(b))
+        slack = 1e-12 * max(1.0, float(np.abs(avg).max()))
+        assert np.all(probe(0.5 * (a + b)) <= avg + slack), probe.name
 
 
 def test_geodesic_between_gaussians_is_monotone():

