@@ -7,20 +7,22 @@ Subcommands
             majorization, entropy stability
   heatflow  semigroup interpolation flow and its volume contraction
   scenario  build a named instance and run its full check suite
-  selftest  deterministic closed-form oracle battery
+  selftest  deterministic closed-form oracle battery (the `selftest` kind)
 
-The first four run one dispatcher over one table, `_SUITES`: scenario
-kind -> [(check name, commands that run it, thunk)].  A pair with no
-entry raises DomainError before any check runs; each thunk solves its own
-map, so a solver failure is that check's error in the report.
+All five run one dispatcher over one table, `_SUITES`: scenario kind ->
+[(check name, commands that run it, thunk)].  A pair with no entry raises
+DomainError before any check runs; each thunk solves its own map, so a
+solver failure is that check's error in the report.
 
 Common flags: --config (JSON document), --seed, --out, --format
 (comma list from structured,tabular,plotdata), --epsilon-schedule,
---cache.  Reports are byte-stable for a fixed config and seed; anything
-time-dependent goes to a sibling timings file (or stderr).  Exit status:
-0 all checks pass, 1 any failure, 2 inconclusive without failures,
-3 execution error.  No interactive mode, no plot rendering (plotdata is
-the raw series), no network services.
+--cache.  The document's keys are declared in `CONFIG` and typed by the
+same resolver as each kind's params; the positional name and each flag
+override their key.  Reports are byte-stable for a fixed config and seed;
+anything time-dependent goes to a sibling timings file (or stderr).  Exit
+status: 0 all checks pass, 1 any failure, 2 inconclusive without
+failures, 3 execution error.  No interactive mode, no plot rendering
+(plotdata is the raw series), no network services.
 """
 
 from __future__ import annotations
@@ -284,11 +286,13 @@ def _pair_constants(mu, nu):
 
 
 def _solve_closed_or_radial(cfg, mu, nu):
+    """The closed form for a Gaussian pair, else the radial map: the
+    geodesic command runs it on the entropic wehrl route too."""
     solver = cfg.params["solver"]
     if solver in ("auto", "closed_form") and mu.kind == "gaussian" \
             and nu.kind == "gaussian":
         return brenier.solve_gaussian(mu, nu)
-    if solver in ("auto", "radial") and mu.radial_profile is not None \
+    if solver != "closed_form" and mu.radial_profile is not None \
             and nu.radial_profile is not None \
             and np.allclose(mu.center, nu.center):
         return brenier.solve_radial(mu, nu, r_max=cfg.params["r_max"])
@@ -553,98 +557,6 @@ def _coulomb_sample_suite(cfg, built):
 
 
 # ---------------------------------------------------------------------------
-# the table: scenario kind -> [(check name, commands that run it, thunk)]
-
-
-def _gaussian_checks(cfg, built):
-    mu, nu, p = built["mu"], built["nu"], cfg.params
-    alpha, kappa = _pair_constants(mu, nu)
-    solve = _shared_solve(cfg, mu, nu)
-    return [
-        ("bounds", ("verify", "scenario"),
-         lambda: _verify_gaussian(cfg, mu, nu, solve)),
-        # the full suite adds the geodesic only when the pair contracts
-        ("geodesic", ("geodesic", "scenario") if alpha <= kappa
-         else ("geodesic",), lambda: _geodesic_suite(
-             cfg, mu, nu, solve, p["box_half"], p["majorization_atol"])),
-    ]
-
-
-def _wehrl_checks(cfg, built):
-    mu, nu, p = built["mu"], built["nu"], cfg.params
-    entropic = (p["solver"] == "entropic_grid"
-                or cfg.epsilon_schedule is not None)
-    solve = _shared_solve(cfg, mu, nu)
-    return [
-        ("bounds", ("verify", "scenario"),
-         (lambda: _wehrl_entropic_bounds(cfg, mu, nu)) if entropic
-         else lambda: {"certificates": _bound_suite(
-             cfg, mu, nu, solve, p["box_half"]["radial"], 1.0)[0]}),
-        # the geodesic command runs the radial geodesic on either route
-        ("geodesic", ("geodesic",) if entropic else ("geodesic", "scenario"),
-         lambda: _geodesic_suite(cfg, mu, nu, solve, p["box_half"]["radial"],
-                                 p["majorization_atol"]["radial"])),
-        ("majorization", ("scenario",) if entropic else (),
-         lambda: _wehrl_majorization(cfg, mu, nu)),
-    ]
-
-
-def _coulomb_checks(cfg, built):
-    return [
-        ("laplacian", ("verify", "scenario"),
-         lambda: _verify_coulomb(cfg, built)),
-        ("sample_route", ("scenario",) if cfg.params["sample_route"] else (),
-         lambda: _coulomb_sample_suite(cfg, built)),
-    ]
-
-
-def _growth_checks(cfg, built):
-    return [("growth_direct", ("verify", "scenario"),
-             lambda: _growth_direct(cfg, built))]
-
-
-_SUITES = {
-    "gaussian": _gaussian_checks,
-    "anisotropic": lambda cfg, built: [
-        ("lipschitz_limit", ("verify", "scenario"),
-         lambda: _verify_anisotropic(cfg, built))],
-    "wehrl": _wehrl_checks,
-    "coulomb": _coulomb_checks,
-    "fock": _growth_checks,
-    "lsh": _growth_checks,
-    "flow": lambda cfg, built: [
-        ("contraction", ("heatflow", "scenario"),
-         lambda: _heatflow_suite(cfg, built))],
-}
-
-
-def _checks_for(cfg, built):
-    """(name, thunk) pairs the table holds for cfg.command; none runs."""
-    kind = built["kind"]
-    checks = [(name, fn) for name, commands, fn in _SUITES[kind](cfg, built)
-              if cfg.command in commands]
-    if not checks:
-        raise DomainError(f"scenario kind {kind!r} has no {cfg.command} "
-                          "suite")
-    return checks
-
-
-def cmd_suite(cfg, report, timings):
-    """verify, geodesic, heatflow and scenario: resolve, build, select, run.
-
-    From here on cfg.params holds every param the kind declares, typed and
-    defaulted, and an --epsilon-schedule replaces the param's; the report
-    keeps the params as given.
-    """
-    params = scenarios.resolve_params(cfg.scenario, cfg.params)
-    if cfg.epsilon_schedule is not None and "epsilon_schedule" in params:
-        params["epsilon_schedule"] = list(cfg.epsilon_schedule)
-    cfg = replace(cfg, params=params)
-    built = scenarios.SCENARIO_BUILDERS[cfg.scenario](cfg.params)
-    _run_checks(_checks_for(cfg, built), report, timings)
-
-
-# ---------------------------------------------------------------------------
 # selftest battery
 
 
@@ -745,39 +657,121 @@ def _selftest_heatflow():
     return {"certificates": [cert]}
 
 
-def cmd_selftest(cfg, report, timings):
+# ---------------------------------------------------------------------------
+# the table: scenario kind -> [(check name, commands that run it, thunk)]
+
+
+def _gaussian_checks(cfg, built):
+    mu, nu, p = built["mu"], built["nu"], cfg.params
+    alpha, kappa = _pair_constants(mu, nu)
+    solve = _shared_solve(cfg, mu, nu)
+    return [
+        ("bounds", ("verify", "scenario"),
+         lambda: _verify_gaussian(cfg, mu, nu, solve)),
+        # the full suite adds the geodesic only when the pair contracts
+        ("geodesic", ("geodesic", "scenario") if alpha <= kappa
+         else ("geodesic",), lambda: _geodesic_suite(
+             cfg, mu, nu, solve, p["box_half"], p["majorization_atol"])),
+    ]
+
+
+def _wehrl_checks(cfg, built):
+    mu, nu, p = built["mu"], built["nu"], cfg.params
+    if p["solver"] == "radial" and cfg.epsilon_schedule is not None:
+        raise DomainError("solver 'radial' contradicts a top-level "
+                          "epsilon_schedule, which selects the grid route")
+    entropic = (p["solver"] == "entropic_grid"
+                or cfg.epsilon_schedule is not None)
+    solve = _shared_solve(cfg, mu, nu)
+    return [
+        ("bounds", ("verify", "scenario"),
+         (lambda: _wehrl_entropic_bounds(cfg, mu, nu)) if entropic
+         else lambda: {"certificates": _bound_suite(
+             cfg, mu, nu, solve, p["box_half"]["radial"], 1.0)[0]}),
+        # the geodesic command runs the radial geodesic on either route
+        ("geodesic", ("geodesic",) if entropic else ("geodesic", "scenario"),
+         lambda: _geodesic_suite(cfg, mu, nu, solve, p["box_half"]["radial"],
+                                 p["majorization_atol"]["radial"])),
+        ("majorization", ("scenario",) if entropic else (),
+         lambda: _wehrl_majorization(cfg, mu, nu)),
+    ]
+
+
+def _coulomb_checks(cfg, built):
+    return [
+        ("laplacian", ("verify", "scenario"),
+         lambda: _verify_coulomb(cfg, built)),
+        ("sample_route", ("scenario",) if cfg.params["sample_route"] else (),
+         lambda: _coulomb_sample_suite(cfg, built)),
+    ]
+
+
+def _selftest_checks(cfg, built):
     seed = cfg.seed
-    checks = [
+    return [(name, ("selftest",), fn) for name, fn in (
         ("a_gaussian_sharpness", _selftest_gaussian),
         ("b_anisotropic", lambda: _selftest_anisotropic(seed)),
         ("c_quantile", _selftest_quantile),
         ("d_semigroup", lambda: _selftest_semigroup(seed)),
         ("e_sphere_rule", lambda: _selftest_sphere_rule(seed)),
         ("f_wehrl_radial", lambda: _selftest_wehrl(seed)),
-        ("g_heatflow", _selftest_heatflow),
-    ]
-    _run_checks(checks, report, timings)
+        ("g_heatflow", _selftest_heatflow))]
+
+
+def _growth_checks(cfg, built):
+    return [("growth_direct", ("verify", "scenario"),
+             lambda: _growth_direct(cfg, built))]
+
+
+_SUITES = {
+    "gaussian": _gaussian_checks,
+    "anisotropic": lambda cfg, built: [
+        ("lipschitz_limit", ("verify", "scenario"),
+         lambda: _verify_anisotropic(cfg, built))],
+    "wehrl": _wehrl_checks,
+    "coulomb": _coulomb_checks,
+    "fock": _growth_checks,
+    "lsh": _growth_checks,
+    "flow": lambda cfg, built: [
+        ("contraction", ("heatflow", "scenario"),
+         lambda: _heatflow_suite(cfg, built))],
+    "selftest": _selftest_checks,
+}
+
+
+def _checks_for(cfg, built):
+    """(name, thunk) pairs the table holds for cfg.command; none runs."""
+    kind = built["kind"]
+    checks = [(name, fn) for name, commands, fn in _SUITES[kind](cfg, built)
+              if cfg.command in commands]
+    if not checks:
+        raise DomainError(f"scenario kind {kind!r} has no {cfg.command} "
+                          "suite")
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # driver
 
 
-_COMMAND_FNS = {
-    "verify": cmd_suite,
-    "geodesic": cmd_suite,
-    "heatflow": cmd_suite,
-    "scenario": cmd_suite,
-    "selftest": cmd_selftest,
-}
-
-
 def run(cfg):
-    """Execute a resolved config; returns (RunReport, timings dict)."""
+    """Resolve the kind's params, build it and run the checks the table
+    holds for cfg.command; returns (RunReport, timings dict).
+
+    A top-level schedule joins the raw params before they are resolved, so
+    a kind that declares no epsilon_schedule refuses it.  The checks see
+    every declared param typed and defaulted; the report keeps the config
+    as given.
+    """
     timings = {"checks": {}}
     t0 = time.perf_counter()
     report = RunReport(config=cfg.canonical(), config_hash=cfg.content_hash())
-    _COMMAND_FNS[cfg.command](cfg, report, timings)
+    raw = dict(cfg.params)
+    if cfg.epsilon_schedule is not None:
+        raw["epsilon_schedule"] = list(cfg.epsilon_schedule)
+    resolved = replace(cfg, params=scenarios.resolve_params(cfg.scenario, raw))
+    built = scenarios.SCENARIO_BUILDERS[cfg.scenario](resolved.params)
+    _run_checks(_checks_for(resolved, built), report, timings)
     timings["total_s"] = time.perf_counter() - t0
     return report, timings
 
@@ -808,9 +802,8 @@ def _parse_args(argv):
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        if name != "selftest":
-            p.add_argument("name", nargs="?", default=None,
-                           help="registered scenario name")
+        p.add_argument("name", nargs="?", default=None,
+                       help="registered scenario name")
         p.add_argument("--config", default=None,
                        help="JSON config document")
         p.add_argument("--seed", type=int, default=None)
@@ -824,9 +817,17 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-# the config document's top-level seed and schedule, typed as params are
-_SEED = scenarios.Param("int", 0)
-_SCHEDULE = scenarios.Param("list of float", None, "> 0")
+# the config document's keys; a null scenario is the command's default
+CONFIG = {
+    "scenario": scenarios.Param("str or null", None,
+                                ", ".join(scenarios.PARAMS)),
+    "seed": scenarios.Param("int", 0, ">= 0"),
+    "epsilon_schedule": scenarios.Param("list of float or null", None, "> 0"),
+    "format": scenarios.Param("list of str", ("structured",),
+                              ", ".join(FORMATS)),
+    # not {}: a dict default would be one value per route
+    "params": scenarios.Param("object", None),
+}
 
 
 def _resolve_config(args):
@@ -836,37 +837,28 @@ def _resolve_config(args):
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise DomainError("config document must be a JSON object")
-    scenario = getattr(args, "name", None) or doc.get("scenario") \
-        or _DEFAULT_SCENARIO.get(args.command)
-    if scenario is None:
-        raise DomainError("scenario name required (positional or config)")
-    if args.command != "selftest" \
-            and scenario not in scenarios.SCENARIO_BUILDERS:
-        raise DomainError(f"unknown scenario {scenario!r}; known: "
-                          f"{sorted(scenarios.SCENARIO_BUILDERS)}")
-    seed = args.seed if args.seed is not None \
-        else scenarios._typed("seed", _SEED, doc.get("seed", 0))
-    schedule = doc.get("epsilon_schedule")
+    flags = {"scenario": args.name, "seed": args.seed, "format": args.format}
+    raw = {**doc, **{k: v for k, v in flags.items() if v is not None}}
+    if isinstance(raw.get("format"), str):
+        raw["format"] = raw["format"].split(",")
     if args.epsilon_schedule is not None:
         try:
-            schedule = [float(v) for v in args.epsilon_schedule.split(",")]
+            raw["epsilon_schedule"] = [
+                float(v) for v in args.epsilon_schedule.split(",")]
         except ValueError:
             raise DomainError("epsilon_schedule must be a comma list of "
                               f"numbers, got {args.epsilon_schedule!r}") \
                 from None
-    if schedule is not None:
-        schedule = tuple(scenarios._typed("epsilon_schedule", _SCHEDULE,
-                                          schedule))
-    fmt_spec = args.format or doc.get("format", "structured")
-    formats = (tuple(fmt_spec.split(",")) if isinstance(fmt_spec, str)
-               else tuple(fmt_spec))
-    for fmt in formats:
-        if fmt not in FORMATS:
-            raise DomainError(f"unknown format {fmt!r}")
+    keys = scenarios.resolve(CONFIG, raw, "config key")
+    scenario = keys["scenario"] or _DEFAULT_SCENARIO.get(args.command)
+    if scenario is None:
+        raise DomainError("scenario name required (positional or config)")
+    schedule = keys["epsilon_schedule"]
     return RunConfig(command=args.command, scenario=scenario,
-                     params=dict(doc.get("params", {})), seed=seed,
-                     epsilon_schedule=schedule, formats=formats,
-                     out_dir=args.out, cache_dir=args.cache)
+                     params=keys["params"] or {}, seed=keys["seed"],
+                     epsilon_schedule=schedule and tuple(schedule),
+                     formats=tuple(keys["format"]), out_dir=args.out,
+                     cache_dir=args.cache)
 
 
 def main(argv=None):

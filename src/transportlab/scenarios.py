@@ -39,7 +39,7 @@ __all__ = [
     "glauber_entropy",
     "CoulombSpec", "CoulombInstance", "split_rhat",
     "gaussian_pair", "anisotropic_pair", "flow_gaussian_weight",
-    "Param", "PARAMS", "resolve_params", "SCENARIO_BUILDERS",
+    "Param", "PARAMS", "resolve", "resolve_params", "SCENARIO_BUILDERS",
 ]
 
 
@@ -354,8 +354,9 @@ def build_wehrl_instance(state):
         raise DomainError(
             f"Husimi density exceeds 1 at a probe point (max {peak:.6g})")
 
+    # a mixture of number states is radial about its centre
     radial_profile = None
-    if centered and all(np.count_nonzero(c) == 1 for c in comps):
+    if all(np.count_nonzero(c) == 1 for c in comps):
         degs = [int(np.nonzero(c)[0][0]) for c in comps]
         amps = [abs(c[d]) ** 2 for c, d in zip(comps, degs)]
 
@@ -447,16 +448,9 @@ class CoulombInstance:
         return [(i, j) for i in range(N) for j in range(i + 1, N)]
 
     def _log_density(self, x):
-        pts = self._split(x)
-        N, beta = self.spec.particles, self.spec.beta
-        q = 0.5 * (pts.reshape(-1, 2) ** 2).sum(axis=1)
-        out = -beta * N * q.reshape(-1, N).sum(axis=1)
-        for i, j in self._pair_indices():
-            d = pts[:, i, :] - pts[:, j, :]
-            r2 = (d ** 2).sum(axis=1)
-            with np.errstate(divide="ignore"):
-                out = out + 0.5 * beta * np.log(r2)
-        return out
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        with np.errstate(divide="ignore"):
+            return self._chain_log_density(x, self._pair_indices())
 
     def _grad_log(self, x):
         pts = self._split(x)
@@ -741,6 +735,8 @@ PARAMS = {
         "contraction_atol": Param("float", 1e-6, ">= 0"),
         "include_table": Param("bool", False),
     },
+    # the closed-form oracle battery fixes its own instances
+    "selftest": {},
 }
 
 _FORMS = {"int": int, "float": (int, float), "bool": bool, "str": str,
@@ -750,7 +746,7 @@ _FORMS = {"int": int, "float": (int, float), "bool": bool, "str": str,
 def _in_domain(domain, v):
     if isinstance(v, str):
         return v in domain.split(", ")
-    if not domain.startswith(">"):
+    if v is None or not domain.startswith(">"):
         return True
     op, bound = domain.split()
     return v > float(bound) if op == ">" else v >= float(bound)
@@ -779,15 +775,20 @@ def _typed(name, spec, value):
 
 
 def resolve_params(kind, raw):
-    """Every param `kind` declares, typed, from `raw` or its default.
+    """Every param `kind` declares, typed, from `raw` or its default."""
+    return resolve(PARAMS[kind], raw, f"{kind} param")
 
-    A name the kind does not declare, or a value of another type or
-    outside its domain, raises DomainError naming the param."""
-    table = PARAMS[kind]
+
+def resolve(table, raw, what):
+    """Every name `table` declares, typed, from `raw` or its default.
+
+    A name the table does not declare, or a value of another type or
+    outside its domain, raises DomainError naming it; a default is not
+    typed, so a None default stays None."""
     unknown = sorted(set(raw) - set(table))
     if unknown:
-        raise DomainError(f"{unknown[0]} is not a {kind} param; it takes "
-                          f"{', '.join(sorted(table))}")
+        raise DomainError(f"{unknown[0]} is not a {what}; it takes "
+                          f"{', '.join(sorted(table)) or 'none'}")
     values = {}
     for name, spec in table.items():
         default = spec.default
@@ -872,4 +873,5 @@ SCENARIO_BUILDERS = {
     "fock": _scenario_fock,
     "lsh": _scenario_lsh,
     "flow": _scenario_flow,
+    "selftest": lambda p: {"kind": "selftest"},
 }

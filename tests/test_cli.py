@@ -10,7 +10,7 @@ import pytest
 from transportlab import brenier, cli, scenarios
 from transportlab.cli import (RunConfig, RunReport, _downgrade, _parse_args,
                               _resolve_config, main, run)
-from transportlab.errors import DomainError
+from transportlab.errors import DomainError, SupportError
 
 
 def _cfg(tmp_path, doc):
@@ -100,7 +100,7 @@ def test_downgrade_only_touches_passing_certificates():
 
 
 KINDS = ("gaussian", "anisotropic", "wehrl", "coulomb", "fock", "lsh",
-         "flow")
+         "flow", "selftest")
 
 # (command, scenario) -> the checks the table selects at default params
 SUITE_MATRIX = {
@@ -120,11 +120,14 @@ SUITE_MATRIX = {
     ("scenario", "fock"): {"growth_direct"},
     ("scenario", "lsh"): {"growth_direct"},
     ("scenario", "flow"): {"contraction"},
+    ("selftest", "selftest"): {"a_gaussian_sharpness", "b_anisotropic",
+                               "c_quantile", "d_semigroup", "e_sphere_rule",
+                               "f_wehrl_radial", "g_heatflow"},
 }
 
 REJECTED_PAIRS = [(command, name)
                   for command in ("verify", "geodesic", "heatflow",
-                                  "scenario")
+                                  "scenario", "selftest")
                   for name in KINDS if (command, name) not in SUITE_MATRIX]
 
 
@@ -137,7 +140,7 @@ def _selected(command, name, params=None, epsilon_schedule=None):
 
 
 def test_check_table_matrix():
-    assert len(SUITE_MATRIX) == 16 and len(REJECTED_PAIRS) == 12
+    assert len(SUITE_MATRIX) == 17 and len(REJECTED_PAIRS) == 23
     for (command, name), expected in SUITE_MATRIX.items():
         assert _selected(command, name) == expected, (command, name)
     for command, name in REJECTED_PAIRS:
@@ -285,27 +288,58 @@ def test_cache_lattice_for_another_request_is_a_miss(tmp_path, field, wrong):
 
 
 def test_commands_registry_is_complete():
-    assert set(cli._COMMAND_FNS) == set(cli.COMMANDS)
+    # one dispatcher: every command runs what the table holds for it
+    assert {command for command, _ in SUITE_MATRIX} == set(cli.COMMANDS)
     assert cli.FORMATS == ("structured", "tabular", "plotdata")
 
 
-def test_radial_solve_failure_is_each_checks_error(tmp_path):
-    # an off-centre state has no radial route; every command still writes
-    # a report naming the checks whose solve failed
-    doc = _cfg(tmp_path, {"params": {"center": [0.3, -0.2]}})
+def test_radial_solve_failure_is_each_checks_error(tmp_path, monkeypatch):
+    # a failed shared solve is the error of each check that needed the map;
+    # every command still writes its report
+    def failing(*args, **kwargs):
+        raise SupportError("radial map resolved only to radius 1")
+
+    monkeypatch.setattr(brenier, "solve_radial", failing)
     for command, failed in (("verify", ["bounds"]),
                             ("geodesic", ["geodesic"]),
                             ("scenario", ["bounds", "geodesic"])):
         out = tmp_path / command
-        assert main([command, "wehrl", "--config", doc,
-                     "--out", str(out)]) == 3
+        assert main([command, "wehrl", "--out", str(out)]) == 3
         report = json.loads((out / "report.json").read_text())
         assert [e["check"] for e in report["errors"]] == failed
         for err in report["errors"]:
-            assert err["error"].startswith(
-                "DomainError: no closed or radial route")
+            assert err["error"] == \
+                "SupportError: radial map resolved only to radius 1"
         assert report["certificates"] == []
         assert report["exit_code"] == 3
+
+
+def _observed(report):
+    return [(c["check"], c["bound_name"], c["verdict"], c["observed"])
+            for c in report.certificates]
+
+
+@pytest.mark.parametrize("command", ["scenario", "verify", "geodesic"])
+def test_displaced_state_takes_the_radial_route_about_its_centre(command):
+    # a displaced mixture of number states is the centred instance
+    # translated, so every certificate keeps its verdict and observed value
+    centred = _observed(run(RunConfig(command, "wehrl"))[0])
+    for center in ([0.5, -0.3], [1.7, 2.2]):
+        report, _ = run(RunConfig(command, "wehrl",
+                                  params={"center": center}))
+        assert report.exit_code() == 0
+        got = _observed(report)
+        assert [c[:3] for c in got] == [c[:3] for c in centred]
+        assert [c[3] for c in got] == pytest.approx(
+            [c[3] for c in centred], rel=1e-9, abs=1e-12)
+
+
+def test_geodesic_on_the_entropic_wehrl_route_runs_the_radial_geodesic():
+    report, _ = run(RunConfig("geodesic", "wehrl",
+                              params={"solver": "entropic_grid"}))
+    assert report.exit_code() == 0
+    assert _observed(report) == _observed(
+        run(RunConfig("geodesic", "wehrl"))[0])
 
 
 @pytest.mark.parametrize("kind, calls", [("wehrl", 2), ("gaussian", 2)])
@@ -406,6 +440,41 @@ def test_config_seed_and_schedule_are_typed_errors(tmp_path, capsys, doc,
     assert main(argv) == 3
     assert not (out / "report.json").exists()
     assert capsys.readouterr().err.startswith(f"error: DomainError: {name} ")
+
+
+@pytest.mark.parametrize("argv, doc, key", [
+    # a key the config document does not declare
+    (["verify", "gaussian"], {"sead": 3}, "sead"),
+    (["verify", "gaussian"], {"param": {"dim": 0}}, "param"),
+    # a key of another type
+    (["verify", "gaussian"], {"format": 3}, "format"),
+    (["verify", "gaussian"], {"params": [1]}, "params"),
+    (["verify", "gaussian"], {"params": "x"}, "params"),
+    # a negative seed
+    (["verify", "gaussian", "--seed", "-1"], {}, "seed"),
+    (["selftest"], {"seed": -2}, "seed"),
+    # the selftest kind declares no params and is the only selftest kind
+    (["selftest"], {"params": {"x": 1}}, "x"),
+    (["selftest"], {"scenario": "gaussian"}, "scenario"),
+    # a top-level schedule on a kind that declares none
+    (["verify", "gaussian", "--epsilon-schedule", "0.5,0.1"], {},
+     "epsilon_schedule"),
+    (["heatflow", "flow", "--epsilon-schedule", "0.5,0.1"], {},
+     "epsilon_schedule"),
+    # the radial route and a schedule, which selects the grid route
+    (["scenario", "wehrl", "--epsilon-schedule", "0.5,0.1"],
+     {"params": {"solver": "radial"}}, "solver"),
+])
+def test_inadmissible_config_is_refused_before_any_check(
+        tmp_path, capsys, monkeypatch, argv, doc, key):
+    ran = []
+    monkeypatch.setattr(cli, "_run_checks", lambda *args: ran.append(args))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", _cfg(tmp_path, doc),
+                 "--out", str(out)]) == 3
+    assert ran == []
+    assert not (out / "report.json").exists()
+    assert capsys.readouterr().err.startswith(f"error: DomainError: {key} ")
 
 
 def test_verify_gaussian_above_dim_2_keeps_the_pointwise_bounds(tmp_path):

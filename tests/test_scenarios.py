@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from transportlab import brenier, scenarios
+from transportlab import brenier, cli, scenarios
 from transportlab.errors import (AccuracyError, CertificateConflictError,
                                  DomainError)
 from transportlab.majorize import entropy_quadrature
@@ -205,6 +205,9 @@ def test_wehrl_displacement_moves_the_pair():
     probe = np.array([[0.3, -0.2], [1.0, 0.5]])
     assert np.allclose(moved.pdf(probe + moved.center), base.pdf(probe),
                        atol=1e-12)
+    # a displaced mixture of number states is radial about its centre
+    r = np.linspace(0.0, 2.5, 26)
+    assert np.array_equal(moved.radial_profile(r), base.radial_profile(r))
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +278,22 @@ def test_coulomb_sampler_reports_diagnostics():
     assert diag["chains"] == 4
 
 
+def _reference_log_density(inst, x):
+    """The gas log density term by term, as the module docstring states it:
+    -beta N sum_j |z_j|^2 / 2 + beta sum_{i<j} log|z_i - z_j|."""
+    N, beta = inst.spec.particles, inst.spec.beta
+    pts = x.reshape(x.shape[0], N, 2)
+    q = 0.5 * (pts.reshape(-1, 2) ** 2).sum(axis=1)
+    out = -beta * N * q.reshape(-1, N).sum(axis=1)
+    for i, j in inst._pair_indices():
+        out = out + 0.5 * beta * np.log(
+            ((pts[:, i, :] - pts[:, j, :]) ** 2).sum(axis=1))
+    return out
+
+
 def _reference_chain(inst, size, seed, burn, thin, chains=4):
-    """The random-walk chain step by step through `_log_density` and
-    `_min_pair_distance`, with the sampler's RNG calls in its order."""
+    """The random-walk chain step by step through `_reference_log_density`
+    and `_min_pair_distance`, with the sampler's RNG calls in its order."""
     rng = np.random.default_rng(seed)
     n, spec = inst.spec.dim, inst.spec
     scale = 1.0 / math.sqrt(spec.beta * spec.particles)
@@ -288,14 +304,15 @@ def _reference_chain(inst, size, seed, burn, thin, chains=4):
     while np.any(bad):
         state[bad] = 1.5 * scale * rng.standard_normal((int(bad.sum()), n))
         bad = inst._min_pair_distance(state) < 1e-6
-    logp = inst._log_density(state)
+    logp = _reference_log_density(inst, state)
     draws = np.empty((chains, per_chain, n))
     accepted = 0
     for it in range(burn + per_chain * thin):
         prop = state + step * rng.standard_normal((chains, n))
         ok = inst._min_pair_distance(prop) >= 1e-8
         with np.errstate(divide="ignore"):
-            logp_prop = np.where(ok, inst._log_density(prop), -np.inf)
+            logp_prop = np.where(ok, _reference_log_density(inst, prop),
+                                 -np.inf)
         take = np.log(rng.random(chains)) < logp_prop - logp
         state = np.where(take[:, None], prop, state)
         logp = np.where(take, logp_prop, logp)
@@ -330,8 +347,9 @@ def test_coulomb_chain_rejects_colliding_proposals():
     pairs = inst._pair_indices()
     with np.errstate(divide="ignore"):
         expect = np.where(inst._min_pair_distance(prop) >= 1e-8,
-                          inst._log_density(prop), -np.inf)
+                          _reference_log_density(inst, prop), -np.inf)
         assert np.array_equal(inst._chain_log_density(prop, pairs), expect)
+        assert np.array_equal(inst.mu.logpdf(prop), expect)
         # one proposal at a time, so no other row decides the test
         for row, value in zip(prop, expect):
             got = inst._chain_log_density(row[None, :], pairs)
@@ -377,23 +395,27 @@ def test_flow_gaussian_weight_matches_density_ratio():
 
 
 def test_scenario_registry_builds_every_kind():
-    assert set(SCENARIO_BUILDERS) == {"gaussian", "anisotropic", "wehrl",
-                                      "coulomb", "fock", "lsh", "flow"}
+    assert set(SCENARIO_BUILDERS) == set(scenarios.PARAMS) == {
+        "gaussian", "anisotropic", "wehrl", "coulomb", "fock", "lsh", "flow",
+        "selftest"}
     for name, builder in SCENARIO_BUILDERS.items():
         out = builder(resolve_params(name, {}))
         assert out["kind"] == name
-        assert "mu" in out or "pairs" in out or "instance" in out
+        assert "mu" in out or "pairs" in out or "instance" in out \
+            or name == "selftest"   # the battery builds its own instances
     mu, nu = gaussian_pair(2.0, 1.0)
     assert mu.dim == nu.dim == 2
 
 
 def _readme_param_tables():
-    """kind -> [(param, type, default, domain)] from the README's tables."""
+    """kind -> [(param, type, default, domain)] from the README's tables;
+    the config document's table is kind "config"."""
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     tables, kind = {}, None
     for line in readme.read_text().splitlines():
         if line.startswith("#"):
-            kind = line.split("`")[1] if line.startswith("#### `") else None
+            kind = line.split("`")[1] if line.startswith("#### `") else (
+                "config" if line == "### Config document" else None)
             if kind:
                 tables[kind] = []
         elif kind and line.startswith("| `"):
@@ -411,7 +433,8 @@ def test_readme_param_tables_match_the_declared_table():
     declared = {
         kind: [(f"`{name}`", spec.type, default_cell(table, spec.default),
                 spec.domain or "any") for name, spec in table.items()]
-        for kind, table in scenarios.PARAMS.items()}
+        for kind, table in {**scenarios.PARAMS,
+                            "config": cli.CONFIG}.items()}
     assert _readme_param_tables() == declared
 
 
