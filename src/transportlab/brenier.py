@@ -41,7 +41,13 @@ _SAMPLE_TOL, _SAMPLE_MAX_ITER = 1e-5, 1500
 
 @dataclass
 class TransportMap:
-    """A map R^n -> R^n with an optional Jacobian evaluator."""
+    """A map R^n -> R^n with an optional Jacobian evaluator.
+
+    Both evaluators are row-wise and run over blocks of
+    quadrature.EVAL_ROWS points. `check_fn`, when given, refuses a batch
+    outside the map's domain; it sees the whole batch before any block
+    runs, so its error is the one batch's, wherever the offending row is.
+    """
 
     dim: int
     provenance: str
@@ -49,21 +55,27 @@ class TransportMap:
     jacobian_fn: object = None
     entropic_epsilon: float | None = None
     details: dict = field(default_factory=dict)
+    check_fn: object = None
 
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
             raise DomainError(f"unknown provenance {self.provenance!r}")
 
-    def __call__(self, x):
+    def _blockwise(self, fn, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.asarray(self.eval_fn(x), dtype=float)
+        if self.check_fn is not None:
+            self.check_fn(x)
+        return quadrature.blockwise(
+            lambda b: np.asarray(fn(b), dtype=float), x)
+
+    def __call__(self, x):
+        return self._blockwise(self.eval_fn, x)
 
     def jacobian(self, x):
         if self.jacobian_fn is None:
             raise DomainError(
                 f"{self.provenance} maps carry no Jacobian evaluator")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.asarray(self.jacobian_fn(x), dtype=float)
+        return self._blockwise(self.jacobian_fn, x)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +212,8 @@ def solve_radial(mu, nu, r_max):
     ok = (tail_mu > 1e-13) & (t_scan <= t_sat)
     r_reliable = float(scan[ok][-1]) if np.any(ok) else r_max
 
-    def _check_resolved(r):
+    def check_fn(x):
+        r = np.linalg.norm(x - center, axis=1)
         if r.size and float(r.max()) > r_reliable * (1 + 1e-12):
             raise SupportError(
                 f"radial map resolved only to radius {r_reliable:.4g} "
@@ -217,7 +230,6 @@ def solve_radial(mu, nu, r_max):
     def eval_fn(x):
         d = x - center
         r = np.linalg.norm(d, axis=1)
-        _check_resolved(r)
         out = np.zeros_like(d)
         pos = r > r_floor
         if np.any(pos):
@@ -228,7 +240,6 @@ def solve_radial(mu, nu, r_max):
     def jacobian_fn(x):
         d = x - center
         r = np.linalg.norm(d, axis=1)
-        _check_resolved(r)
         m = x.shape[0]
         J = np.zeros((m, n, n))
         eye = np.eye(n)
@@ -252,7 +263,8 @@ def solve_radial(mu, nu, r_max):
                         details={"r_max": r_max, "mass_mu": Mmu.total,
                                  "mass_nu": Mnu.total,
                                  "symmetry_error": sym,
-                                 "reliable_radius": r_reliable})
+                                 "reliable_radius": r_reliable},
+                        check_fn=check_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +409,7 @@ def solve_entropic_schedule(mu, nu, schedule, box=None, box_nu=None, side=128,
             details={"side": side, "marginal_error": err,
                      "iterations": iters, "debias": debias,
                      "fallbacks": fallbacks, "box": box.to_dict(),
-                     "grid_map": gm}))
+                     "grid_map": gm}, check_fn=gm._check_inside))
     return maps
 
 
@@ -656,4 +668,5 @@ def load_grid_map(path):
     gm = GridMap(axes, np.frombuffer(body, dtype="<f8"))
     details["grid_map"] = gm
     return TransportMap(dim, provenance, gm.eval, gm.jacobian,
-                        entropic_epsilon=epsilon, details=details)
+                        entropic_epsilon=epsilon, details=details,
+                        check_fn=gm._check_inside)

@@ -516,6 +516,22 @@ def _heatflow_suite(cfg, built):
     return out
 
 
+def _q95(values):
+    """np.quantile(values, 0.95), its linear interpolation bit for bit;
+    np.quantile would import numpy.ma (15-18 ms) on first use."""
+    v = np.sort(values)
+    if np.isnan(v[-1]):
+        return np.nan
+    pos = (v.size - 1) * 0.95
+    lo = int(pos)
+    if lo >= v.size - 1:
+        return v[-1]
+    frac = pos - lo
+    a, b = v[lo], v[lo + 1]
+    # numpy's lerp: from the nearer end
+    return b - (b - a) * (1 - frac) if frac >= 0.5 else a + (b - a) * frac
+
+
 def _coulomb_sample_suite(cfg, built):
     inst = built["instance"]
     n = inst.mu.dim
@@ -529,7 +545,7 @@ def _coulomb_sample_suite(cfg, built):
     jac, ok = brenier.local_affine_jacobians(
         xs, tvals, xs[:cfg.params["fit_points"]], 4 * n + 56)
     div = np.einsum("mii->m", jac[ok])
-    q95 = float(np.quantile(div, 0.95))
+    q95 = float(_q95(div))
     cert = make_certificate(
         "sample_divergence", float(n), q95, None,
         {"solver": "entropic_sample", "epsilon": schedule[-1]},

@@ -61,7 +61,7 @@ def _lse_rows(X):
 
 
 def _check_finite(S):
-    if np.any(~np.isfinite(S)):
+    if not np.isfinite(S).all():
         raise DomainError(
             "a kernel row lost all mass at this epsilon; use an epsilon "
             "schedule ending at the target value")

@@ -12,6 +12,10 @@ so both kinds share one implementation. Evaluation routes:
   gauss_hermite   any other f in dim <= 2 (above, a DomainError): tensor
                   Gauss-Hermite through derivative-free score identities,
                   accepted when twice the order agrees to CHECK_RTOL.
+                  f runs over blocks of whole probes, as many as fit in
+                  quadrature.EVAL_ROWS points (one probe at a time when
+                  its rule is larger), and the rule's sums run on all
+                  probes at once.
 
 Transfer facts (s = 1 - e^{-2t}, a = e^{-t} for the OU kind; s = t, a = 1
 for heat), checked for the OU kind by check_smoothing_bounds:
@@ -136,11 +140,17 @@ def _gh_eval(fn, x, a, s, order):
       grad P f(x)   = (a/sqrt(s)) E[y f(u)]
       hess P f(x)   = (a^2/s) E[(y y^T - Id) f(u)]
     """
-    m, n = x.shape
+    n = x.shape[1]
     y, w = quadrature.gauss_hermite(n, order)
     k = y.shape[0]
-    pts = (a * x)[:, None, :] + np.sqrt(s) * y[None, :, :]
-    vals = fn(pts.reshape(m * k, n)).reshape(m, k)
+    shift = np.sqrt(s) * y[None, :, :]
+
+    def probe_vals(xb):
+        pts = (a * xb)[:, None, :] + shift
+        return fn(pts.reshape(-1, n)).reshape(-1, k)
+
+    vals = quadrature.blockwise(probe_vals, x,
+                                rows=max(1, quadrature.EVAL_ROWS // k))
     P = vals @ w
     if np.any(P <= 0):
         raise DomainError("semigroup value is not positive at a probe")

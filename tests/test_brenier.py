@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from transportlab import brenier
+from transportlab import brenier, quadrature
 from transportlab.errors import DomainError, SupportError
 from transportlab.measures import TruncationBox, gaussian
 from transportlab.quadrature import box_gauss_legendre
@@ -95,6 +95,67 @@ def test_radial_solver_refuses_unresolved_radii():
         tmap(np.array([[rr + 0.5, 0.0]]))
     with pytest.raises(SupportError):
         tmap.jacobian(np.array([[rr + 0.5, 0.0]]))
+
+
+def _radial_fock_1():
+    mu, nu, _ = build_wehrl_instance(
+        WehrlState((1.0,), (fock_coefficients(1),)))
+    return brenier.solve_radial(mu, nu, r_max=8.0)
+
+
+def test_radial_map_blocks_equal_one_batch():
+    # the moment check's rule and the geodesic's rule on the default
+    # `wehrl` box: both run through more than one block
+    tmap = _radial_fock_1()
+    for order, panels in ((32, 4), (48, 2)):
+        x, _ = box_gauss_legendre(TruncationBox.cube(2, 2.25), order=order,
+                                  panels=panels)
+        assert x.shape[0] > 2 * quadrature.EVAL_ROWS
+        assert np.array_equal(tmap(x), tmap.eval_fn(x))
+        assert np.array_equal(tmap.jacobian(x), tmap.jacobian_fn(x))
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_map_batches_of_zero_and_one_rows_keep_their_shapes(rows):
+    x = np.full((rows, 2), 0.3)
+    for tmap in (_radial_fock_1(), brenier.solve_gaussian(*_pair())):
+        assert tmap(x).shape == (rows, 2)
+        assert tmap.jacobian(x).shape == (rows, 2, 2)
+
+
+def test_radial_refusal_names_the_largest_radius_of_the_batch():
+    # unresolved radii only in the second and third blocks, the larger
+    # in the third: the error is the one-batch error, naming that one
+    tmap = _radial_fock_1()
+    rr = float(tmap.details["reliable_radius"])
+    x = np.full((3 * quadrature.EVAL_ROWS, 2), 0.1)
+    x[quadrature.EVAL_ROWS + 5] = [rr + 0.5, 0.0]
+    x[2 * quadrature.EVAL_ROWS + 7] = [0.0, -(rr + 1.25)]
+    want = (f"radial map resolved only to radius {rr:.4g} (cumulative "
+            f"tail under double precision); asked at radius "
+            f"{rr + 1.25:.4g}")
+    for evaluate in (tmap, tmap.jacobian):
+        with pytest.raises(SupportError) as err:
+            evaluate(x)
+        assert str(err.value) == want
+
+
+def test_grid_refusal_is_the_one_batch_refusal():
+    # off the lattice on axis 1 in the first block and on axis 0 in the
+    # second: the whole batch's check names axis 0
+    mu, nu = _pair()
+    tmap = brenier.solve_entropic_schedule(
+        mu, nu, [0.5], box=TruncationBox.cube(2, 6.0), side=12)[0]
+    x = np.zeros((2 * quadrature.EVAL_ROWS, 2))
+    x[3] = [0.0, 7.0]
+    x[quadrature.EVAL_ROWS + 3] = [-8.0, 0.0]
+    with pytest.raises(SupportError) as one_batch:
+        tmap.details["grid_map"].eval(x)
+    assert "on axis 0" in str(one_batch.value)
+    for evaluate in (tmap, tmap.jacobian):
+        with pytest.raises(SupportError) as err:
+            evaluate(x)
+        assert str(err.value) == str(one_batch.value)
 
 
 def test_radial_solver_rejects_asymmetric_density():

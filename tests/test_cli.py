@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from transportlab import brenier, cli, scenarios
+from transportlab import brenier, cli, quadrature, scenarios
 from transportlab.cli import (RunConfig, RunReport, _downgrade, _parse_args,
                               _resolve_config, main, run)
 from transportlab.errors import DomainError, SupportError
@@ -616,7 +616,9 @@ def test_geodesic_suite_evaluates_jacobian_once_and_one_det_per_time(
                               params={"time_points": 7}))
     assert [c["check"] for c in report.certificates] == ["geodesic"] * 3
     assert len(jacobians) == 1
-    assert len(dets) == 7
+    # one det J_t per node and time, a block of rows per call
+    assert sum(shape[0] for shape in dets) == 7 * jacobians[0]
+    assert max(shape[0] for shape in dets) <= quadrature.EVAL_ROWS
 
 
 def test_lsh_runs_at_dim_3_and_refuses_mismatched_exponent_keys(tmp_path,
@@ -684,6 +686,28 @@ def test_growth_checks_leave_numpy_ma_unloaded(tmp_path):
         "print(max(rc), 'numpy.ma' in sys.modules)\n"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
+
+
+def test_coulomb_sample_route_leaves_numpy_ma_unloaded(tmp_path):
+    doc = _cfg(tmp_path, {"params": {"samples": 800}})
+    proc = _python(tmp_path, (
+        "import sys\n"
+        "from transportlab import cli\n"
+        f"rc = cli.main(['scenario', 'coulomb', '--config', {doc!r},\n"
+        "               '--out', 'a'])\n"
+        "print(rc, 'numpy.ma' in sys.modules)\n"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 600])
+def test_q95_equals_np_quantile(size):
+    # numpy interpolates from the nearer order statistic; from the other
+    # one the result differs in the last bit on 2-20% of these draws
+    rng = np.random.default_rng(size)
+    for _ in range(50):
+        values = rng.lognormal(sigma=3.0, size=size)
+        assert cli._q95(values) == np.quantile(values, 0.95)
 
 
 @pytest.mark.parametrize("size", [1, 6, 7, 1000])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from transportlab import brenier
+from transportlab import brenier, quadrature
 from transportlab.errors import ConvexityViolationError, DomainError
 from transportlab.majorize import (Geodesic, default_convex_family,
                                    entropy_knn, entropy_quadrature,
@@ -193,3 +193,24 @@ def test_entropy_stability_on_gaussian_pair():
     assert rep.gap >= rep.stability_rhs
     assert rep.certificate.verdict == "pass"
     assert rep.certificate.details["negated_lower_bound"]
+
+
+def test_dim_3_geodesic_blocks_equal_one_batch():
+    # 13,824 nodes: the symmetrized DT, every det J_t and the stability
+    # integrand run over four blocks and equal their one-batch forms
+    cov = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
+    mu = gaussian(np.zeros(3), cov)
+    nu = gaussian(np.zeros(3), np.eye(3))
+    tmap = brenier.solve_gaussian(mu, nu)
+    geo = Geodesic(mu, nu, tmap, TruncationBox.cube(3, 5.0), order=12)
+    assert geo.points.shape[0] > 3 * quadrature.EVAL_ROWS
+    J = tmap.jacobian(geo.points)
+    assert np.array_equal(geo.J, 0.5 * (J + np.swapaxes(J, -1, -2)))
+    for t in (0.0, 0.3, 1.0):
+        want = np.linalg.det((1.0 - t) * np.eye(3) + t * geo.J)
+        assert np.array_equal(geo._det_jt(t), want)
+    wmu = geo.weights * geo.rho_mu
+    wmu = wmu / wmu.sum()
+    frob = ((geo.J - np.eye(3)) ** 2).sum(axis=(1, 2))
+    rep = entropy_stability_check(geo)
+    assert rep.stability_rhs == float(np.dot(wmu, frob)) / 18.0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transportlab import quadrature, semigroup
+from transportlab import polyexp, quadrature, scenarios, semigroup
 from transportlab.errors import DomainError
 from transportlab.measures import Density, TruncationBox
 from transportlab.polyexp import PolyExp
@@ -55,6 +55,37 @@ def test_closed_form_agrees_with_hermite_quadrature():
     assert np.allclose(ev_cf.value, ev_gh.value, rtol=1e-10)
     assert np.allclose(ev_cf.grad_log, ev_gh.grad_log, atol=1e-8)
     assert np.allclose(ev_cf.hess_log, ev_gh.hess_log, atol=1e-7)
+
+
+def _selftest_family():
+    # the selftest's semigroup weight, the Fock-1 Husimi density
+    msq = polyexp.modulus_squared_poly(scenarios.fock_coefficients(1))
+    return PolyExp.poly_times_gaussian(2, msq, B=2.0 * math.pi * np.eye(2))
+
+
+def test_hermite_blocks_equal_one_batch(monkeypatch):
+    x = np.random.default_rng(0).standard_normal((40, 2))
+    blocked = apply(OU, _selftest_family(), 0.7, x, method="gauss_hermite")
+    monkeypatch.setattr(quadrature, "EVAL_ROWS", 10 ** 9)
+    one = apply(OU, _selftest_family(), 0.7, x, method="gauss_hermite")
+    for name in ("value", "grad_log", "hess_log"):
+        assert np.array_equal(getattr(blocked, name), getattr(one, name))
+
+
+def test_hermite_working_set_does_not_hold_the_whole_rule():
+    # one batch of 40 probes on the order-128 rule held 655,360 points and
+    # peaked at 42 MB; a block holds one probe's 16,384
+    import tracemalloc
+
+    x = np.random.default_rng(0).standard_normal((40, 2))
+    f = _selftest_family()
+    tracemalloc.start()
+    try:
+        apply(OU, f, 0.7, x, method="gauss_hermite")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_weight_without_family_above_dim_2_is_refused():
