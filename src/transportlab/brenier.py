@@ -14,6 +14,10 @@ Exact routes carry analytic Jacobians; grid maps differentiate their lattice
 values by stencils; sample-map Jacobians come from local affine models over
 nearest neighbors. The Monge-Ampere residual log rho_mu(x) - log rho_nu(T x)
 - log det DT(x) measures pushforward fidelity pointwise.
+
+save_grid_map stores a grid map in numpy's .npz container (values, axes,
+epsilon and the values' sha256), and load_grid_map returns it only when
+it is intact and was solved for the requested epsilon and lattice axes.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import hashlib
 import itertools
 import math
 import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,7 +138,7 @@ def solve_quantile_1d(mu, nu, box_mu, box_nu):
 
     def jacobian_fn(x):
         t = eval_fn(x)
-        d = np.exp(mu.logpdf(x) - nu.logpdf(t))
+        d = ratio * np.exp(mu.logpdf(x) - nu.logpdf(t))
         return d[:, None, None]
 
     return TransportMap(1, "quantile_1d", eval_fn, jacobian_fn,
@@ -568,105 +573,61 @@ def monge_ampere_residual(transport_map, mu, nu, probes, jacobians=None):
 # ---------------------------------------------------------------------------
 # serialization of grid maps
 
-LATTICE_VERSION = 2
-_LATTICE_MAGIC = f"transportlab-gridmap {LATTICE_VERSION}\n".encode()
-_FLAGS = {"True": True, "False": False, "None": None}
-
-
-def _text(value, kind):
-    """A header scalar: None, or the value's exact repr as `kind`."""
-    return "None" if value is None else repr(kind(value))
-
-
-def _optional(text, kind):
-    return None if text == "None" else kind(text)
-
-
 def save_grid_map(path, transport_map):
-    """Write an entropic grid map as a lattice file.
+    """Write an entropic grid map as an npz with four members.
 
-    A text header of `key value...` lines comes first: the magic and
-    format version, dim, shape, the axis endpoints, provenance, epsilon,
-    the solve's iterations, marginal_error, side and debias, and the
-    sha256 of the body. A `values` line ends it, and the body follows: the
-    map values as raw little-endian float64, one row of `dim` per node in
-    C order. The file is written to a temporary file next to `path` and
-    moved into place, so a crash never leaves a truncated file under
-    `path`.
+    `values` holds the map values as float64 of shape lattice + (dim,),
+    `axes` the stacked lattice axes, `epsilon` the stage's epsilon and
+    `sha256` the hex digest of the values' bytes. The file is written to a
+    temporary file next to `path` and moved into place, so a crash never
+    leaves a truncated file under `path`.
     """
     gm = transport_map.details.get("grid_map")
     if gm is None:
-        raise DomainError("only grid-backed maps serialize to the lattice format")
-    body = np.ascontiguousarray(gm.values.reshape(-1, gm.dim),
-                                dtype="<f8").tobytes()
-    details = transport_map.details
-    header = [f"dim {gm.dim}",
-              "shape " + " ".join(str(a.size) for a in gm.axes)]
-    header += [f"axis{axis} {float(a[0])!r} {float(a[-1])!r}"
-               for axis, a in enumerate(gm.axes)]
-    header += [f"provenance {transport_map.provenance}",
-               f"epsilon {_text(transport_map.entropic_epsilon, float)}",
-               f"iterations {_text(details.get('iterations'), int)}",
-               f"marginal_error {_text(details.get('marginal_error'), float)}",
-               f"side {_text(details.get('side'), int)}",
-               f"debias {_text(details.get('debias'), bool)}",
-               f"sha256 {hashlib.sha256(body).hexdigest()}",
-               "values\n"]
+        raise DomainError("only grid-backed maps serialize to a grid-map file")
+    values = np.ascontiguousarray(gm.values, dtype="<f8")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_LATTICE_MAGIC + "\n".join(header).encode("ascii"))
-            fh.write(body)
+            np.savez(fh, values=values, axes=np.stack(gm.axes),
+                     epsilon=float(transport_map.entropic_epsilon),
+                     sha256=hashlib.sha256(values.tobytes()).hexdigest())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
 
 
-def load_grid_map(path):
-    """Read a lattice written by save_grid_map.
+def load_grid_map(path, epsilon, axes):
+    """The grid map save_grid_map wrote to `path`, if it is the one solved
+    for `epsilon` on the lattice `axes`; its values come back bit for bit.
 
-    The values come back bit for bit, and the solve's iterations,
-    marginal_error, side and debias come back in `details`. Another format
-    or version, a malformed header, a body whose length disagrees with dim
-    and shape, and a body that fails its sha256 each raise DomainError.
+    Each of these raises DomainError: a file that is not an npz, a missing
+    member, a zip that fails to open or its CRC-32 check, values of another
+    shape or dtype than the lattice's float64, values that fail their
+    sha256, and a map solved for another epsilon or other axes.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(_LATTICE_MAGIC):
-        raise DomainError(f"{path}: not a version {LATTICE_VERSION} "
-                          "grid-map lattice file")
-    head, sep, body = data.partition(b"\nvalues\n")
-    if not sep:
-        raise DomainError(f"{path}: missing values header")
     try:
-        lines = head[len(_LATTICE_MAGIC):].decode("ascii").split("\n")
-        fields = dict(line.split(" ", 1) for line in lines)
-        dim = int(fields["dim"])
-        shape = [int(v) for v in fields["shape"].split()]
-        axes = []
-        for axis in range(dim):
-            lo, hi = (float(v) for v in fields[f"axis{axis}"].split())
-            axes.append(np.linspace(lo, hi, shape[axis]))
-        provenance = fields["provenance"]
-        epsilon = _optional(fields["epsilon"], float)
-        details = {"iterations": _optional(fields["iterations"], int),
-                   "marginal_error": _optional(fields["marginal_error"],
-                                               float),
-                   "side": _optional(fields["side"], int),
-                   "debias": _FLAGS[fields["debias"]]}
-        digest = fields["sha256"]
-    except (UnicodeDecodeError, KeyError, IndexError, ValueError) as exc:
-        raise DomainError(f"{path}: malformed lattice header "
-                          f"({exc!r})") from exc
-    if len(shape) != dim or min(shape, default=0) < 2 \
-            or len(body) != 8 * dim * int(np.prod(shape)):
-        raise DomainError(f"{path}: a body of {len(body)} bytes disagrees "
-                          f"with shape {shape}, dim {dim}")
-    if hashlib.sha256(body).hexdigest() != digest:
-        raise DomainError(f"{path}: lattice body fails its sha256 check")
-    gm = GridMap(axes, np.frombuffer(body, dtype="<f8"))
-    details["grid_map"] = gm
-    return TransportMap(dim, provenance, gm.eval, gm.jacobian,
-                        entropic_epsilon=epsilon, details=details,
-                        check_fn=gm._check_inside)
+        with open(path, "rb") as fh:
+            data = np.load(fh, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise DomainError(f"{path}: not an npz grid map")
+            values, found, eps, digest = (
+                data[key] for key in ("values", "axes", "epsilon", "sha256"))
+    except (OSError, EOFError, KeyError, ValueError,
+            zipfile.BadZipFile) as exc:
+        raise DomainError(f"{path}: unreadable grid map ({exc!r})") from exc
+    shape = tuple(a.size for a in axes) + (len(axes),)
+    if values.shape != shape or values.dtype != np.float64:
+        raise DomainError(f"{path}: values of shape {values.shape} and dtype "
+                          f"{values.dtype}, not float64 {shape}")
+    if hashlib.sha256(values.tobytes()).hexdigest() != str(digest):
+        raise DomainError(f"{path}: values fail their sha256 check")
+    if not (np.array_equal(eps, epsilon)
+            and np.array_equal(found, np.stack(axes))):
+        raise DomainError(f"{path}: grid map was solved for another epsilon "
+                          "or grid")
+    gm = GridMap(axes, values)
+    return TransportMap(len(axes), "entropic_grid", gm.eval, gm.jacobian,
+                        entropic_epsilon=float(epsilon),
+                        details={"grid_map": gm}, check_fn=gm._check_inside)

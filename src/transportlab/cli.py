@@ -230,32 +230,19 @@ def _box_for(density, half):
 
 
 def _cache_path(cfg, schedule, stage):
-    """One stage's lattice, keyed by the scenario, the params that shape
-    the grid solve, the schedule up to that stage and the lattice format:
-    neither the command, the seed nor a param the solve does not read
-    splits the cache."""
+    """One stage's grid map, keyed by the scenario, the params that shape
+    the grid solve and the schedule up to that stage: neither the command,
+    the seed nor a param the solve does not read splits the cache."""
     shaping = {name: cfg.params[name] for name, spec
                in scenarios.PARAMS[cfg.scenario].items() if spec.shapes}
-    key = json.dumps([cfg.scenario, shaping, schedule[:stage + 1],
-                      brenier.LATTICE_VERSION], sort_keys=True)
+    key = json.dumps([cfg.scenario, shaping, schedule[:stage + 1]],
+                     sort_keys=True)
     digest = hashlib.sha256(key.encode()).hexdigest()[:20]
-    return os.path.join(cfg.cache_dir, f"gridmap-{digest}.lattice")
-
-
-def _load_stage_map(path, epsilon, axes):
-    """A cached stage map, refused (DomainError) unless its epsilon and
-    lattice axes are the requested ones."""
-    tmap = brenier.load_grid_map(path)
-    found = tmap.details["grid_map"].axes
-    if tmap.entropic_epsilon != epsilon or len(found) != len(axes) \
-            or not all(np.array_equal(a, b) for a, b in zip(found, axes)):
-        raise DomainError(f"{path}: lattice was solved for another epsilon "
-                          "or grid")
-    return tmap
+    return os.path.join(cfg.cache_dir, f"gridmap-{digest}.npz")
 
 
 def _entropic_stage_maps(cfg, mu, nu, box, box_nu=None):
-    """Schedule solve with optional on-disk reuse of each stage's lattice."""
+    """Schedule solve with optional on-disk reuse of each stage's map."""
     schedule = list(cfg.params["epsilon_schedule"])
     side = cfg.params["side"]
     if cfg.cache_dir:
@@ -263,10 +250,10 @@ def _entropic_stage_maps(cfg, mu, nu, box, box_nu=None):
         if all(os.path.exists(p) for p in paths):
             axes = box.axis_nodes(side)
             try:
-                return [_load_stage_map(p, eps, axes)
+                return [brenier.load_grid_map(p, eps, axes)
                         for p, eps in zip(paths, schedule)], schedule
             except DomainError:
-                pass    # a damaged or mismatched lattice is a miss
+                pass    # a damaged or mismatched stage file is a miss
     maps = brenier.solve_entropic_schedule(mu, nu, schedule, box=box,
                                            box_nu=box_nu, side=side,
                                            debias=cfg.params["debias"])
@@ -696,6 +683,9 @@ def _wehrl_checks(cfg, built):
     if p["solver"] == "radial" and cfg.epsilon_schedule is not None:
         raise DomainError("solver 'radial' contradicts a top-level "
                           "epsilon_schedule, which selects the grid route")
+    if cfg.command == "geodesic" and cfg.epsilon_schedule is not None:
+        raise DomainError("epsilon_schedule is read by no geodesic check: "
+                          "the geodesic runs the radial map")
     entropic = (p["solver"] == "entropic_grid"
                 or cfg.epsilon_schedule is not None)
     solve = _shared_solve(cfg, mu, nu)
@@ -714,6 +704,11 @@ def _wehrl_checks(cfg, built):
 
 
 def _coulomb_checks(cfg, built):
+    sample_route = cfg.command == "scenario" and cfg.params["sample_route"]
+    if cfg.epsilon_schedule is not None and not sample_route:
+        raise DomainError("epsilon_schedule is read by the sample route "
+                          "alone, which runs only under scenario with "
+                          "sample_route true")
     return [
         ("laplacian", ("verify", "scenario"),
          lambda: _verify_coulomb(cfg, built)),
@@ -829,7 +824,7 @@ def _parse_args(argv):
         p.add_argument("--epsilon-schedule", default=None,
                        help="comma list of decreasing epsilons")
         p.add_argument("--cache", default=None,
-                       help="directory for grid-map lattice reuse")
+                       help="directory for grid-map stage reuse")
     return parser.parse_args(argv)
 
 

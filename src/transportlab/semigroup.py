@@ -155,7 +155,7 @@ def _gh_eval(fn, x, a, s, order):
     if np.any(P <= 0):
         raise DomainError("semigroup value is not positive at a probe")
     wy = y * w[:, None]
-    G = (a / np.sqrt(s)) * vals @ wy                       # (m, n)
+    G = (a / np.sqrt(s)) * (vals @ wy)                     # (m, n)
     yy = np.einsum("ki,kj->kij", y, y) - np.eye(n)[None, :, :]
     H = (a * a / s) * np.einsum("mk,k,kij->mij", vals, w, yy)
     grad_log = G / P[:, None]

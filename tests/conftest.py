@@ -1,7 +1,8 @@
 """Shared pytest wiring: one pass/fail line per acceptance criterion, and
-the damaged grid-map lattices that the loader and the CLI cache refuse."""
+the damaged grid-map files that the loader and the CLI cache refuse."""
 
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -21,43 +22,49 @@ def pytest_terminal_summary(terminalreporter):
         tr.write_line(f"{name}: {'pass' if ok else 'FAIL'}")
 
 
+def _npz(**members):
+    buf = io.BytesIO()
+    np.savez(buf, **members)
+    return buf.getvalue()
+
+
 def _damaged_lattices(data):
-    """name -> (bytes, reason): each way a lattice file written by
-    `brenier.save_grid_map` can be wrong on disk, with a pattern of the
-    DomainError message that refuses it."""
-    head, body = data.split(b"\nvalues\n", 1)
-    lines = head.split(b"\n")
-    at = {ln.split(b" ")[0]: i for i, ln in enumerate(lines)}
-    short = lines[at[b"shape"]].split()
-    short[-1] = b"%d" % (int(short[-1]) - 1)
-    flipped = bytearray(body)
-    flipped[len(body) // 3] ^= 0x01
-    stale = b"sha256 " + hashlib.sha256(b"other").hexdigest().encode()
-    # the text format of earlier versions: one repr row per lattice node
-    dim = int(lines[at[b"dim"]].split()[1])
-    rows = np.frombuffer(body, "<f8").reshape(-1, dim)
-    v1 = [b"transportlab-gridmap 1", *lines[1:at[b"iterations"]], b"values"]
-    v1 += [" ".join(repr(float(v)) for v in row).encode() for row in rows]
+    """name -> (bytes, reason): each way a stage file written by
+    `brenier.save_grid_map` can be wrong on disk, or intact but solved for
+    another request, with a pattern of the DomainError message that
+    refuses it."""
+    with np.load(io.BytesIO(data)) as npz:
+        good = {key: npz[key] for key in npz.files}
+    values = good["values"]
 
-    def lattice(header, values=body):
-        return b"\n".join(header) + b"\nvalues\n" + values
-
-    def swap(key, line):
-        return [line if i == at[key] else ln for i, ln in enumerate(lines)]
+    def sealed(v):
+        return _npz(**{**good, "values": v,
+                       "sha256": hashlib.sha256(v.tobytes()).hexdigest()})
+    flipped = bytearray(data)
+    flipped[data.index(values.tobytes()) + values.nbytes // 3] ^= 0x01
+    npy = io.BytesIO()
+    np.save(npy, values)
+    # the lattice format of earlier versions: a text header, raw values
+    lattice = b"transportlab-gridmap 2\ndim 2\nvalues\n" + values.tobytes()
     return {
-        "no values header": (head + b"\n" + body, "missing values header"),
-        "truncated body": (lattice(lines, body[:len(body) // 2]),
-                           "a body of .* disagrees with shape"),
-        "truncated header": (b"\n".join(lines[:3]) + b"\n",
-                             "missing values header"),
-        "cut mid-value": (data[:-3], "a body of .* disagrees with shape"),
-        "shape disagrees": (lattice(swap(b"shape", b" ".join(short))),
-                            "a body of .* disagrees with shape"),
-        "flipped body byte": (lattice(lines, bytes(flipped)),
-                              "fails its sha256 check"),
-        "stale sha256": (lattice(swap(b"sha256", stale)),
-                         "fails its sha256 check"),
-        "v1 text lattice": (b"\n".join(v1) + b"\n", "not a version 2"),
+        "empty file": (b"", "EOFError"),
+        "crash mid-write": (data[:len(data) // 2], "not a zip file"),
+        "cut end record": (data[:-3], "not a zip file"),
+        "flipped values byte": (bytes(flipped), "Bad CRC-32"),
+        "bare npy": (npy.getvalue(), "not an npz"),
+        "missing member": (_npz(**{k: v for k, v in good.items()
+                                   if k != "axes"}),
+                           "axes is not a file in the archive"),
+        "values of another shape": (sealed(values[:-1]), "values of shape"),
+        "values of another dtype": (sealed(values.astype("<f4")),
+                                    "dtype float32"),
+        "stale sha256": (_npz(**{**good, "sha256": hashlib.sha256(
+            b"other").hexdigest()}), "fail their sha256 check"),
+        "lattice file": (lattice, "pickled"),
+        "another epsilon": (_npz(**{**good, "epsilon": good["epsilon"] / 2}),
+                            "another epsilon or grid"),
+        "other axes": (_npz(**{**good, "axes": good["axes"] * 1.01}),
+                       "another epsilon or grid"),
     }
 
 

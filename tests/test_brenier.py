@@ -70,6 +70,21 @@ def test_quantile_map_matches_linear_oracle():
     assert np.max(np.abs(tmap.jacobian(x).ravel() - 0.5)) < 1e-3
 
 
+def test_quantile_jacobian_matches_the_maps_own_slope_on_a_truncated_box():
+    # N(0, 4) cut to [-2, 2] holds 68% of its mass against nu's whole mass,
+    # so T = G^{-1}(ratio F) and DT = ratio f_mu / f_nu(T): 0.732 at 0,
+    # where f_mu / f_nu(T) alone reads 0.5
+    mu, nu = _pair(dim=1)
+    tmap = brenier.solve_quantile_1d(mu, nu, TruncationBox.cube(1, 2.0),
+                                     TruncationBox.cube(1, 12.0))
+    x = np.linspace(-1.8, 1.8, 19)[:, None]
+    h = 1e-5
+    slope = (tmap(x + h) - tmap(x - h)).ravel() / (2 * h)
+    assert np.allclose(tmap.jacobian(x).ravel(), slope, rtol=1e-6, atol=0.0)
+    assert tmap.jacobian(np.zeros((1, 1))).item() == pytest.approx(
+        0.7324, abs=1e-4)
+
+
 def test_radial_solver_on_husimi_pair():
     # Fock-1 state: T(r) solves pi r^2 e^{-pi r^2} mass matching against
     # the Gaussian with variance 1/(2 pi); closed form via cdf inversion
@@ -237,26 +252,23 @@ def test_grid_map_roundtrip_through_lattice_file(tmp_path):
     box = TruncationBox.cube(2, 6.0)
     tmap = brenier.solve_entropic_schedule(mu, nu, [0.3], box=box,
                                            side=48)[0]
-    path = tmp_path / "map.lattice"
+    path = tmp_path / "map.npz"
     brenier.save_grid_map(path, tmap)
-    loaded = brenier.load_grid_map(path)
+    gm = tmap.details["grid_map"]
+    loaded = brenier.load_grid_map(path, 0.3, box.axis_nodes(48))
     x = np.random.default_rng(3).normal(size=(30, 2))
     assert loaded.entropic_epsilon == 0.3
     assert loaded.provenance == tmap.provenance
-    gm, got = tmap.details["grid_map"], loaded.details["grid_map"]
+    got = loaded.details["grid_map"]
     assert np.array_equal(got.values, gm.values)
     assert all(np.array_equal(a, b) for a, b in zip(got.axes, gm.axes))
     assert np.array_equal(loaded(x), tmap(x))
     assert np.array_equal(loaded.jacobian(x), tmap.jacobian(x))
-    # the solve's metadata survives the trip
-    for key in ("iterations", "marginal_error", "side", "debias"):
-        assert loaded.details[key] == tmap.details[key]
-    assert type(loaded.details["iterations"]) is int
-    # a text header, then 8 bytes per value
-    data = path.read_bytes()
-    head, body = data.split(b"\nvalues\n", 1)
-    assert head.startswith(b"transportlab-gridmap 2\n")
-    assert len(body) == 8 * 2 * 48 * 48
+    # numpy's own container: four members, the values as 8-byte floats
+    with np.load(path) as data:
+        assert sorted(data.files) == ["axes", "epsilon", "sha256", "values"]
+        assert data["values"].dtype == np.float64
+        assert data["values"].shape == (48, 48, 2)
 
 
 def test_load_grid_map_rejects_damaged_lattices(tmp_path, damaged_lattices):
@@ -264,16 +276,23 @@ def test_load_grid_map_rejects_damaged_lattices(tmp_path, damaged_lattices):
     box = TruncationBox.cube(2, 6.0)
     tmap = brenier.solve_entropic_schedule(mu, nu, [0.5], box=box,
                                            side=12)[0]
-    path = tmp_path / "map.lattice"
+    path = tmp_path / "map.npz"
     brenier.save_grid_map(path, tmap)
-    assert [p.name for p in tmp_path.iterdir()] == ["map.lattice"]
+    assert [p.name for p in tmp_path.iterdir()] == ["map.npz"]
+    axes = box.axis_nodes(12)
+    brenier.load_grid_map(path, 0.5, axes)
     damaged = damaged_lattices(path.read_bytes())
-    assert len({data for data, _ in damaged.values()}) == len(damaged) == 8
+    assert len({data for data, _ in damaged.values()}) == len(damaged) == 12
     for name, (data, reason) in damaged.items():
-        bad = tmp_path / "bad.lattice"
+        bad = tmp_path / "bad.npz"
         bad.write_bytes(data)
         with pytest.raises(DomainError, match=reason):
-            brenier.load_grid_map(bad)
+            brenier.load_grid_map(bad, 0.5, axes)
+    # an intact file is refused for another request too
+    for epsilon, request in ((0.25, axes), (0.5, box.axis_nodes(13)),
+                             (0.5, TruncationBox.cube(2, 6.5).axis_nodes(12))):
+        with pytest.raises(DomainError):
+            brenier.load_grid_map(path, epsilon, request)
 
 
 def test_grid_map_refuses_points_off_the_lattice(tmp_path):
@@ -281,9 +300,9 @@ def test_grid_map_refuses_points_off_the_lattice(tmp_path):
     box = TruncationBox.cube(2, 6.0)
     tmap = brenier.solve_entropic_schedule(mu, nu, [0.5], box=box,
                                            side=12)[0]
-    path = tmp_path / "map.lattice"
+    path = tmp_path / "map.npz"
     brenier.save_grid_map(path, tmap)
-    loaded = brenier.load_grid_map(path)
+    loaded = brenier.load_grid_map(path, 0.5, box.axis_nodes(12))
     edge = np.array([[6.0, -6.0], [6.0 * (1 + 1e-13), 0.0]])
     for m in (tmap, loaded):
         assert np.all(np.isfinite(m(edge)))

@@ -147,13 +147,17 @@ def test_check_table_matrix():
         with pytest.raises(DomainError, match=f"has no {command} suite"):
             _selected(command, name)
     # the wehrl entropic route swaps the scenario's geodesic for the
-    # quadrature majorization; the geodesic command stays radial
+    # quadrature majorization; the geodesic command stays radial, so it
+    # refuses a top-level schedule that none of its checks would read
     for route in ({"params": {"solver": "entropic_grid"}},
                   {"epsilon_schedule": (0.5, 0.1)}):
         assert _selected("verify", "wehrl", **route) == {"bounds"}
-        assert _selected("geodesic", "wehrl", **route) == {"geodesic"}
         assert _selected("scenario", "wehrl", **route) == {
             "bounds", "majorization"}
+    assert _selected("geodesic", "wehrl", {"solver": "entropic_grid"}) == {
+        "geodesic"}
+    with pytest.raises(DomainError, match="^epsilon_schedule "):
+        _selected("geodesic", "wehrl", epsilon_schedule=(0.5, 0.1))
     # scenario runs the geodesic only when alpha <= kappa
     narrow_source = {"sigma_source": 0.5, "sigma_target": 1.0}
     assert _selected("scenario", "gaussian", narrow_source) == {"bounds"}
@@ -223,14 +227,14 @@ def test_entropic_cache_reuses_stage_maps(tmp_path):
             "--epsilon-schedule", "0.5,0.12", "--cache", str(cache)]
     rc1 = main(args + ["--out", str(tmp_path / "fresh")])
     assert rc1 == 0
-    stage_files = glob.glob(str(cache / "gridmap-*.lattice"))
+    stage_files = glob.glob(str(cache / "gridmap-*.npz"))
     assert len(stage_files) == 2
     before = {p: os.path.getmtime(p) for p in stage_files}
     rc2 = main(args + ["--out", str(tmp_path / "cached")])
     assert rc2 == 0
     after = {p: os.path.getmtime(p) for p in glob.glob(
-        str(cache / "gridmap-*.lattice"))}
-    assert before == after  # second run read the lattices instead of solving
+        str(cache / "gridmap-*.npz"))}
+    assert before == after  # second run read the stage maps instead of solving
     fresh = (tmp_path / "fresh" / "report.json").read_bytes()
     cached = (tmp_path / "cached" / "report.json").read_bytes()
     assert fresh == cached
@@ -244,47 +248,19 @@ def test_damaged_cache_lattice_is_a_miss(tmp_path, damaged_lattices):
             "--epsilon-schedule", "0.5,0.12", "--cache", str(cache)]
     assert main(args + ["--out", str(tmp_path / "fresh")]) == 0
     fresh = (tmp_path / "fresh" / "report.json").read_bytes()
-    victim = sorted(glob.glob(str(cache / "gridmap-*.lattice")))[-1]
+    victim = sorted(glob.glob(str(cache / "gridmap-*.npz")))[-1]
     with open(victim, "rb") as fh:
         good = fh.read()
-    damaged = damaged_lattices(good)
-    damaged["crash mid-write"] = (good[:len(good) // 2], None)
-    for name, (data, _) in damaged.items():
+    # damaged, or intact but solved for another epsilon or grid
+    for name, (data, _) in damaged_lattices(good).items():
         with open(victim, "wb") as fh:
             fh.write(data)
         assert main(args + ["--out", str(tmp_path / "rerun")]) == 0, name
         assert (tmp_path / "rerun" / "report.json").read_bytes() == fresh
         with open(victim, "rb") as fh:
-            assert fh.read() == good, name  # the miss rewrote the lattice
+            assert fh.read() == good, name  # the miss rewrote the file
     assert glob.glob(str(cache / "*.tmp")) == []
     assert b"fallbacks" not in fresh and b"absorptions" not in fresh
-
-
-@pytest.mark.parametrize("field, wrong", [
-    ("epsilon", b"epsilon 0.25"), ("axis0", b"axis0 -2.4 2.5"),
-    ("axis1", b"axis1 -2.5 2.4")])
-def test_cache_lattice_for_another_request_is_a_miss(tmp_path, field, wrong):
-    # a well-formed lattice at the right path, solved for another epsilon
-    # or grid, is solved again and rewritten
-    cache = tmp_path / "cache"
-    doc = _cfg(tmp_path, {"params": {"side": 32, "box_half": 2.4,
-                                     "box_half_nu": 2.4}})
-    args = ["scenario", "wehrl", "--config", doc,
-            "--epsilon-schedule", "0.5,0.12", "--cache", str(cache)]
-    assert main(args + ["--out", str(tmp_path / "fresh")]) == 0
-    fresh = (tmp_path / "fresh" / "report.json").read_bytes()
-    victim = sorted(glob.glob(str(cache / "gridmap-*.lattice")))[0]
-    with open(victim, "rb") as fh:
-        good = fh.read()
-    lines = good.split(b"\n")
-    at = [ln.split(b" ")[0] for ln in lines].index(field.encode())
-    with open(victim, "wb") as fh:
-        fh.write(b"\n".join(lines[:at] + [wrong] + lines[at + 1:]))
-    brenier.load_grid_map(victim)         # intact, but not the request
-    assert main(args + ["--out", str(tmp_path / "rerun")]) == 0
-    assert (tmp_path / "rerun" / "report.json").read_bytes() == fresh
-    with open(victim, "rb") as fh:
-        assert fh.read() == good          # the miss rewrote the lattice
 
 
 def test_commands_registry_is_complete():
@@ -464,6 +440,13 @@ def test_config_seed_and_schedule_are_typed_errors(tmp_path, capsys, doc,
     # the radial route and a schedule, which selects the grid route
     (["scenario", "wehrl", "--epsilon-schedule", "0.5,0.1"],
      {"params": {"solver": "radial"}}, "solver"),
+    # a schedule that no check of the command reads
+    (["geodesic", "wehrl", "--epsilon-schedule", "0.5,0.1"], {},
+     "epsilon_schedule"),
+    (["verify", "coulomb", "--epsilon-schedule", "0.5,0.1"], {},
+     "epsilon_schedule"),
+    (["scenario", "coulomb", "--epsilon-schedule", "0.5,0.1"],
+     {"params": {"sample_route": False}}, "epsilon_schedule"),
 ])
 def test_inadmissible_config_is_refused_before_any_check(
         tmp_path, capsys, monkeypatch, argv, doc, key):
@@ -519,12 +502,12 @@ def test_cache_key_ignores_command_and_seed(tmp_path):
     assert main(["scenario", *common, "--seed", "0",
                  "--cache", str(cache)]) == 0
     written = {p: os.path.getmtime(p)
-               for p in glob.glob(str(cache / "gridmap-*.lattice"))}
+               for p in glob.glob(str(cache / "gridmap-*.npz"))}
     assert len(written) == 2
     assert main(["verify", *common, "--seed", "1", "--cache", str(cache),
                  "--out", str(tmp_path / "cached")]) == 0
     assert {p: os.path.getmtime(p)
-            for p in glob.glob(str(cache / "gridmap-*.lattice"))} == written
+            for p in glob.glob(str(cache / "gridmap-*.npz"))} == written
     assert main(["verify", *common, "--seed", "1",
                  "--out", str(tmp_path / "fresh")]) == 0
     assert (tmp_path / "cached" / "report.json").read_bytes() == \
@@ -536,7 +519,7 @@ WEHRL_GRID = {"weights": [0.5, 0.5], "degrees": [0, 1], "side": 32}
 
 @pytest.fixture
 def grid_solves(monkeypatch):
-    """Counts the entropic grid solves and the lattices written."""
+    """Counts the entropic grid solves and the stage maps written."""
     counts = {"solves": 0, "writes": 0}
     solve, save = brenier.solve_entropic_schedule, brenier.save_grid_map
 
@@ -593,7 +576,7 @@ def test_cache_key_splits_on_every_param_the_grid_solve_reads(
     assert grid_solves["solves"] == 2                    # a miss
     # the first stage of an unchanged schedule prefix is shared
     shared = 1 if "schedule" in change else 0
-    assert len(glob.glob(str(cache / "gridmap-*.lattice"))) == 4 - shared
+    assert len(glob.glob(str(cache / "gridmap-*.npz"))) == 4 - shared
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "wehrl"])
