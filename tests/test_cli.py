@@ -263,6 +263,44 @@ def test_damaged_cache_lattice_is_a_miss(tmp_path, damaged_lattices):
     assert b"fallbacks" not in fresh and b"absorptions" not in fresh
 
 
+@pytest.mark.parametrize("field, wrong", [
+    ("epsilon", "epsilon 0.25"), ("axis0", "axis0 -2.4 2.5"),
+    ("axis1", "axis1 -2.5 2.4")])
+def test_cache_lattice_for_another_request_is_a_miss(tmp_path, field, wrong):
+    # a well-formed stage file at the right path, solved for another epsilon
+    # or grid, is solved again and rewritten
+    cache = tmp_path / "cache"
+    doc = _cfg(tmp_path, {"params": {"side": 32, "box_half": 2.4,
+                                     "box_half_nu": 2.4}})
+    args = ["scenario", "wehrl", "--config", doc,
+            "--epsilon-schedule", "0.5,0.12", "--cache", str(cache)]
+    assert main(args + ["--out", str(tmp_path / "fresh")]) == 0
+    fresh = (tmp_path / "fresh" / "report.json").read_bytes()
+    victim = sorted(glob.glob(str(cache / "gridmap-*.npz")))[0]
+    with open(victim, "rb") as fh:
+        good = fh.read()
+    with np.load(victim) as npz:
+        members = {key: npz[key] for key in npz.files}
+    epsilon, axes = members["epsilon"], list(members["axes"])
+    numbers = [float(x) for x in wrong.split()[1:]]
+    if field == "epsilon":
+        members["epsilon"] = np.float64(numbers[0])
+    else:
+        other = members["axes"].copy()
+        other[int(field[-1])] = np.linspace(*numbers, other.shape[1])
+        members["axes"] = other
+    with open(victim, "wb") as fh:
+        np.savez(fh, **members)
+    # intact, but not the request
+    brenier.load_grid_map(victim, members["epsilon"], list(members["axes"]))
+    with pytest.raises(DomainError, match="another epsilon or grid"):
+        brenier.load_grid_map(victim, epsilon, axes)
+    assert main(args + ["--out", str(tmp_path / "rerun")]) == 0
+    assert (tmp_path / "rerun" / "report.json").read_bytes() == fresh
+    with open(victim, "rb") as fh:
+        assert fh.read() == good          # the miss rewrote the file
+
+
 def test_commands_registry_is_complete():
     # one dispatcher: every command runs what the table holds for it
     assert {command for command, _ in SUITE_MATRIX} == set(cli.COMMANDS)
