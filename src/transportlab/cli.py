@@ -52,6 +52,15 @@ COMMANDS = ("verify", "geodesic", "heatflow", "scenario", "selftest")
 _DEFAULT_SCENARIO = {"verify": "gaussian", "geodesic": "wehrl",
                      "heatflow": "flow", "selftest": "selftest"}
 
+# Fixed sizes and tolerances of the checks; no config sets them.  The
+# other checks' tolerances are their library defaults.
+LP_POWER = 1.0                      # the moment bound's L^p power
+LAPLACIAN_PROBES = 1500             # Coulomb potential-Laplacian probes
+FIT_POINTS = 600                    # Coulomb sample-route affine fits
+RECORD_EVERY = 4                    # heat-flow schedule steps per frame
+CONTRACTION_ATOL = 1e-6             # heat-flow contraction integrator atol
+ENTROPIC_MAJORIZATION_ATOL = 1e-3   # wehrl grid-route majorization atol
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -324,7 +333,7 @@ def _growth_direct(cfg, built):
     return {"certificates": [cert]}
 
 
-def _bound_suite(cfg, mu, nu, solve, half, lp_power):
+def _bound_suite(cfg, mu, nu, solve, half):
     """Trace, Lipschitz, determinant and moment bounds on the exact map.
 
     The moment bound's tensor quadrature covers dim <= 2 only; above that
@@ -339,13 +348,13 @@ def _bound_suite(cfg, mu, nu, solve, half, lp_power):
                                          jacobians=J)
     if mu.dim <= 2:
         certs.append(verify.check_lp_moment_bound(tmap, alpha, kappa,
-                                                  lp_power, mu, box=box))
+                                                  LP_POWER, mu, box=box))
     return certs, tmap, probes, J
 
 
 def _verify_gaussian(cfg, mu, nu, solve):
-    certs, tmap, probes, J = _bound_suite(
-        cfg, mu, nu, solve, cfg.params["box_half"], cfg.params["lp_power"])
+    certs, tmap, probes, J = _bound_suite(cfg, mu, nu, solve,
+                                          cfg.params["box_half"])
     res = brenier.monge_ampere_residual(tmap, mu, nu, probes, jacobians=J)
     return {"certificates": certs,
             "summaries": {"monge_ampere_sup_residual": res.sup_abs}}
@@ -385,8 +394,7 @@ def _wehrl_entropic_bounds(cfg, mu, nu):
     trend = [float(calculus.map_statistics(tmap, probes).determinant.max())
              for tmap in maps]
     cert = make_certificate(
-        "determinant", (alpha / kappa) ** (mu.dim / 2.0), trend[-1],
-        cfg.params["slack"],
+        "determinant", (alpha / kappa) ** (mu.dim / 2.0), trend[-1], None,
         {"solver": "entropic_grid", "epsilon": schedule[-1],
          "schedule": schedule}, probes.shape[0],
         epsilon_trend=trend,
@@ -398,18 +406,18 @@ def _wehrl_entropic_bounds(cfg, mu, nu):
 
 def _wehrl_majorization(cfg, mu, nu):
     box = _box_for(mu, cfg.params["box_half"]["entropic"])
-    maj_atol = cfg.params["majorization_atol"]["entropic"]
-    maj = majorize.majorization_from_densities(mu, nu, box, atol=maj_atol)
+    maj = majorize.majorization_from_densities(
+        mu, nu, box, atol=ENTROPIC_MAJORIZATION_ATOL)
     return {"certificates": [make_certificate(
         "majorization", 0.0, maj.worst_margin, 0.0, {"solver": "quadrature"},
-        7, atol=maj_atol)]}
+        7, atol=maj.atol)]}
 
 
 def _verify_coulomb(cfg, built):
     inst = built["instance"]
     mu = inst.mu
     rng = np.random.default_rng(cfg.seed)
-    probes = inst.nu.sampler(rng, cfg.params["laplacian_probes"])
+    probes = inst.nu.sampler(rng, LAPLACIAN_PROBES)
     keep = ~mu.singular_tube(probes)
     lap = mu.potential_laplacian(probes[keep]) / mu.dim
     cert = make_certificate(
@@ -423,14 +431,11 @@ def _verify_coulomb(cfg, built):
             "summaries": {"exchangeability_error": swap_err}}
 
 
-def _geodesic_suite(cfg, mu, nu, solve, half, maj_atol):
+def _geodesic_suite(cfg, mu, nu, solve, half):
     times = np.linspace(0.0, 1.0, cfg.params["time_points"])
     tmap = solve()
-    geo = majorize.Geodesic(mu, nu, tmap, _box_for(mu, half),
-                            order=cfg.params["order"])
-    tol = cfg.params["monotonicity_tol"]
-    geo_report = majorize.geodesic_monotonicity_check(geo, times=times,
-                                                      tol=tol)
+    geo = majorize.Geodesic(mu, nu, tmap, _box_for(mu, half))
+    geo_report = majorize.geodesic_monotonicity_check(geo, times=times)
     worst_drop = 0.0
     scale = 1.0
     series = {}
@@ -442,15 +447,16 @@ def _geodesic_suite(cfg, mu, nu, solve, half, maj_atol):
             [float(t), float(v)] for t, v in zip(times, seq)]
     geo_cert = make_certificate(
         "geodesic_monotonicity", 0.0, worst_drop, 0.0,
-        {"solver": tmap.provenance}, times.size, atol=tol * scale,
+        {"solver": tmap.provenance}, times.size,
+        atol=geo_report.tol * scale,
         details={"per_probe_monotone": geo_report.monotone})
 
     maj = majorize.majorization_check(geo.rho_mu, geo.rho_nu, geo.weights,
-                                      geo.weights, atol=maj_atol)
+                                      geo.weights)
     maj_cert = make_certificate(
         "majorization", 0.0, maj.worst_margin, 0.0,
         {"solver": tmap.provenance},
-        len(maj.margins), atol=maj_atol,
+        len(maj.margins), atol=maj.atol,
         details={"worst_probe": maj.worst_probe, "margins": maj.margins})
 
     ent = majorize.entropy_stability_check(geo)
@@ -469,16 +475,14 @@ def _heatflow_suite(cfg, built):
     f, mu, alpha = built["weight"], built["mu"], built["alpha"]
     rng = np.random.default_rng(cfg.seed)
     particles = mu.sampler(rng, cfg.params["particles"])
-    schedule = heatflow.FlowSchedule(t_max=cfg.params["t_max"],
-                                     steps=cfg.params["steps"])
-    states = heatflow.integrate_flow(
-        f, particles, schedule=schedule,
-        record_every=cfg.params["record_every"])
+    states = heatflow.integrate_flow(f, particles,
+                                     schedule=heatflow.FlowSchedule(),
+                                     record_every=RECORD_EVERY)
     # Gaussian weights achieve the contraction bound exactly, so the
     # certificate carries the integrator tolerance explicitly
-    contraction = heatflow.check_km_contraction(
-        states, alpha, f=f, atol=cfg.params["contraction_atol"])
-    push = heatflow.km_pushforward_check(states, mu, f=f)
+    contraction = heatflow.check_km_contraction(states, alpha, f=f,
+                                                atol=CONTRACTION_ATOL)
+    push = heatflow.km_pushforward_check(states)
     certs = [contraction, push]
     series = {
         "sup_determinant_vs_t": [
@@ -493,14 +497,7 @@ def _heatflow_suite(cfg, built):
             contraction.details["terminal_sup_det"],
         "tail_error_bar": contraction.details["tail_error_bar"],
     }
-    out = {"certificates": certs, "series": series, "summaries": summaries}
-    if cfg.params["include_table"]:
-        table = heatflow.flow_table(states)
-        out["tables"] = {"flow": {
-            "columns": ["t", "particle", *[f"x{i}" for i in range(mu.dim)],
-                        "log_det"],
-            "rows": table.tolist()}}
-    return out
+    return {"certificates": certs, "series": series, "summaries": summaries}
 
 
 def _q95(values):
@@ -523,14 +520,13 @@ def _coulomb_sample_suite(cfg, built):
     inst = built["instance"]
     n = inst.mu.dim
     count = cfg.params["samples"]
-    xs, diag = inst.sample(count, seed=cfg.seed, burn=cfg.params["burn"],
-                           thin=cfg.params["thin"])
+    xs, diag = inst.sample(count, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
     ys = inst.nu.sampler(rng, count)
     schedule = list(cfg.params["epsilon_schedule"])
     tvals, _ = brenier.solve_entropic_sample(xs, ys, schedule)
     jac, ok = brenier.local_affine_jacobians(
-        xs, tvals, xs[:cfg.params["fit_points"]], 4 * n + 56)
+        xs, tvals, xs[:FIT_POINTS], 4 * n + 56)
     div = np.einsum("mii->m", jac[ok])
     q95 = float(_q95(div))
     cert = make_certificate(
@@ -665,7 +661,7 @@ def _selftest_heatflow():
 
 
 def _gaussian_checks(cfg, built):
-    mu, nu, p = built["mu"], built["nu"], cfg.params
+    mu, nu = built["mu"], built["nu"]
     alpha, kappa = _pair_constants(mu, nu)
     solve = _shared_solve(cfg, mu, nu)
     return [
@@ -674,14 +670,14 @@ def _gaussian_checks(cfg, built):
         # the full suite adds the geodesic only when the pair contracts
         ("geodesic", ("geodesic", "scenario") if alpha <= kappa
          else ("geodesic",), lambda: _geodesic_suite(
-             cfg, mu, nu, solve, p["box_half"], p["majorization_atol"])),
+             cfg, mu, nu, solve, cfg.params["box_half"])),
     ]
 
 
 def _wehrl_checks(cfg, built):
     mu, nu, p = built["mu"], built["nu"], cfg.params
     if p["solver"] == "radial" and cfg.epsilon_schedule is not None:
-        raise DomainError("solver 'radial' contradicts a top-level "
+        raise DomainError("solver 'radial' contradicts a given "
                           "epsilon_schedule, which selects the grid route")
     if cfg.command == "geodesic" and cfg.epsilon_schedule is not None:
         raise DomainError("epsilon_schedule is read by no geodesic check: "
@@ -693,11 +689,11 @@ def _wehrl_checks(cfg, built):
         ("bounds", ("verify", "scenario"),
          (lambda: _wehrl_entropic_bounds(cfg, mu, nu)) if entropic
          else lambda: {"certificates": _bound_suite(
-             cfg, mu, nu, solve, p["box_half"]["radial"], 1.0)[0]}),
+             cfg, mu, nu, solve, p["box_half"]["radial"])[0]}),
         # the geodesic command runs the radial geodesic on either route
         ("geodesic", ("geodesic",) if entropic else ("geodesic", "scenario"),
-         lambda: _geodesic_suite(cfg, mu, nu, solve, p["box_half"]["radial"],
-                                 p["majorization_atol"]["radial"])),
+         lambda: _geodesic_suite(cfg, mu, nu, solve,
+                                 p["box_half"]["radial"])),
         ("majorization", ("scenario",) if entropic else (),
          lambda: _wehrl_majorization(cfg, mu, nu)),
     ]
@@ -770,9 +766,10 @@ def run(cfg):
     holds for cfg.command; returns (RunReport, timings dict).
 
     A top-level schedule joins the raw params before they are resolved, so
-    a kind that declares no epsilon_schedule refuses it.  The checks see
-    every declared param typed and defaulted; the report keeps the config
-    as given.
+    a kind that declares no epsilon_schedule refuses it.  A schedule given
+    either way is the checks' cfg.epsilon_schedule, which selects routes;
+    a default leaves it None.  The checks see every declared param typed
+    and defaulted; the report keeps the config as given.
     """
     timings = {"checks": {}}
     t0 = time.perf_counter()
@@ -780,7 +777,10 @@ def run(cfg):
     raw = dict(cfg.params)
     if cfg.epsilon_schedule is not None:
         raw["epsilon_schedule"] = list(cfg.epsilon_schedule)
-    resolved = replace(cfg, params=scenarios.resolve_params(cfg.scenario, raw))
+    params = scenarios.resolve_params(cfg.scenario, raw)
+    given = "epsilon_schedule" in raw
+    resolved = replace(cfg, params=params, epsilon_schedule=tuple(
+        params["epsilon_schedule"]) if given else None)
     built = scenarios.SCENARIO_BUILDERS[cfg.scenario](resolved.params)
     _run_checks(_checks_for(resolved, built), report, timings)
     timings["total_s"] = time.perf_counter() - t0

@@ -317,7 +317,7 @@ def check_km_contraction(states, alpha, f, atol=0.0):
                  "alpha": float(alpha), "dim": n})
 
 
-def km_pushforward_check(states, mu, moments=2, f=None):
+def km_pushforward_check(states, moments=2):
     """Moment check of the terminal particles against the Gaussian target.
 
     Particles must be mu-distributed draws. Componentwise moments up to the
@@ -383,13 +383,3 @@ def midflow_moment_check(states, f, index):
     rel = float(np.abs(emp - ref).max() / np.abs(ref).max())
     return {"t": st.t, "empirical": emp.tolist(), "reference": ref.tolist(),
             "relative_error": rel}
-
-
-def flow_table(states):
-    """Time-indexed table (t, particle, position..., log_det) for export."""
-    rows = []
-    for st in states:
-        for i in range(st.positions.shape[0]):
-            rows.append([st.t, float(i), *st.positions[i].tolist(),
-                         float(st.log_dets[i])])
-    return np.array(rows)

@@ -161,6 +161,7 @@ class GeodesicReport:
     entropy: np.ndarray
     monotone: dict
     passed: bool
+    tol: float
 
 
 def geodesic_monotonicity_check(geodesic, times=None, tol=1e-9):
@@ -192,7 +193,8 @@ def geodesic_monotonicity_check(geodesic, times=None, tol=1e-9):
         slack = tol * max(1.0, float(np.abs(seq).max()))
         monotone[name] = bool(np.all(np.diff(seq) >= -slack))
     return GeodesicReport(times=times, values=values, entropy=entropy,
-                          monotone=monotone, passed=all(monotone.values()))
+                          monotone=monotone, passed=all(monotone.values()),
+                          tol=tol)
 
 
 # ---------------------------------------------------------------------------

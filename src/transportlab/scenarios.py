@@ -30,7 +30,6 @@ from . import measures, polyexp, quadrature
 from .errors import AccuracyError, CertificateConflictError, DomainError
 from .measures import ConvexityCertificate, Density, TruncationBox
 from .polyexp import PolyExp
-from .verify import slack_for
 
 __all__ = [
     "FockInstance", "build_fock_instance", "fock_norm",
@@ -670,11 +669,7 @@ PARAMS = {
         "solver": Param("str", "auto", "auto, closed_form, radial"),
         "r_max": Param("float", 8.0, "> 0"),
         "box_half": Param("float", 6.0, "> 0"),
-        "lp_power": Param("float", 1.0, "> 0"),
-        "majorization_atol": Param("float", 0.0, ">= 0"),
         "time_points": Param("int", 11, ">= 2"),
-        "order": Param("int", 48, ">= 1"),
-        "monotonicity_tol": Param("float", 1e-9, ">= 0"),
     },
     "anisotropic": {
         "epsilons": Param("list of float", (1.0, 0.1, 0.01), "> 0"),
@@ -693,24 +688,15 @@ PARAMS = {
         "epsilon_schedule": Param("list of float", (0.5, 0.1, 0.05), "> 0"),
         "side": Param("int", 96, ">= 2", True),
         "debias": Param("bool", True, "", True),
-        "slack": Param("float", slack_for("entropic_grid"), ">= 0"),
-        "majorization_atol": Param(
-            "float", {"radial": 0.0, "entropic": 1e-3}, ">= 0"),
         "time_points": Param("int", 11, ">= 2"),
-        "order": Param("int", 48, ">= 1"),
-        "monotonicity_tol": Param("float", 1e-9, ">= 0"),
     },
     "coulomb": {
         "particles": Param("int", 2, ">= 1"),
         "beta": Param("float", 1.0, "> 0"),
-        "laplacian_probes": Param("int", 1500, ">= 1"),
         "sample_route": Param("bool", True),
         # the sample route's affine fits take 80 neighbours at N = 3
         "samples": Param("int", 2000, ">= 80"),
-        "burn": Param("int", 1500, ">= 0"),
-        "thin": Param("int", 3, ">= 1"),
         "epsilon_schedule": Param("list of float", (0.5, 0.2, 0.1), "> 0"),
-        "fit_points": Param("int", 600, ">= 1"),
     },
     "fock": {
         "p": Param("float", 2.0, "> 0"),
@@ -729,11 +715,6 @@ PARAMS = {
         "dim": Param("int", 2, ">= 1"),
         # the pushforward check needs 100 particles per moment
         "particles": Param("int", 400, ">= 200"),
-        "t_max": Param("float", 8.0, ">= 3"),
-        "steps": Param("int", 64, ">= 64"),
-        "record_every": Param("int", 4, ">= 1"),
-        "contraction_atol": Param("float", 1e-6, ">= 0"),
-        "include_table": Param("bool", False),
     },
     # the closed-form oracle battery fixes its own instances
     "selftest": {},

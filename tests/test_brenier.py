@@ -165,7 +165,7 @@ def test_grid_refusal_is_the_one_batch_refusal():
     x[3] = [0.0, 7.0]
     x[quadrature.EVAL_ROWS + 3] = [-8.0, 0.0]
     with pytest.raises(SupportError) as one_batch:
-        tmap.details["grid_map"].eval(x)
+        tmap.details["grid_map"]._check_inside(x)
     assert "on axis 0" in str(one_batch.value)
     for evaluate in (tmap, tmap.jacobian):
         with pytest.raises(SupportError) as err:

@@ -386,27 +386,29 @@ def test_anisotropic_run_without_epsilons_is_refused(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+# rows marked "fixed" name a size or tolerance that is a constant of the
+# checks, not a param: the kind does not declare it, whatever its value
 @pytest.mark.parametrize("argv, param, value, check", [
     (["geodesic", "gaussian"], "time_points", 1, "geodesic"),
     (["scenario", "fock"], "probes", 0, "growth_direct"),
-    (["heatflow", "flow"], "record_every", 0, "contraction"),
+    (["heatflow", "flow"], "record_every", 0, "contraction"),      # fixed
     (["verify", "wehrl", "--epsilon-schedule", "0.5,0.1"], "side", 1,
      "bounds"),
     (["heatflow", "flow"], "particles", 0, "contraction"),
-    (["verify", "coulomb"], "laplacian_probes", 0, "laplacian"),
-    (["scenario", "coulomb"], "fit_points", 0, "sample_route"),
-    (["scenario", "coulomb"], "thin", 0, "sample_route"),
-    (["scenario", "coulomb"], "burn", -1, "sample_route"),
+    (["verify", "coulomb"], "laplacian_probes", 0, "laplacian"),   # fixed
+    (["scenario", "coulomb"], "fit_points", 0, "sample_route"),    # fixed
+    (["scenario", "coulomb"], "thin", 0, "sample_route"),          # fixed
+    (["scenario", "coulomb"], "burn", -1, "sample_route"),         # fixed
     # a name the kind does not declare
     (["heatflow", "flow"], "record_evry", 2, "contraction"),
-    # outside the domain: `verify` does not read `order`, `geodesic` does
-    (["verify", "gaussian"], "order", 0, "bounds"),
-    (["geodesic", "gaussian"], "order", 0, "geodesic"),
+    (["verify", "gaussian"], "order", 0, "bounds"),                # fixed
+    (["geodesic", "gaussian"], "order", 0, "geodesic"),            # fixed
     (["verify", "gaussian"], "dim", 0, "bounds"),
     # an int param refuses a fraction instead of truncating it
     (["scenario", "fock"], "probes", 2.5, "growth_direct"),
-    # a negative tolerance is refused, not turned into a fail verdict
-    (["geodesic", "gaussian"], "monotonicity_tol", -1, "geodesic"),
+    # no tolerance is a param: a config could widen a certificate's pass
+    # region with one
+    (["geodesic", "gaussian"], "monotonicity_tol", -1, "geodesic"),  # fixed
     # sizes a check inside the run would refuse: the affine fits take 80
     # neighbours at N = 3, the pushforward check 100 particles per moment
     (["scenario", "coulomb"], "samples", 79, "sample_route"),
@@ -419,6 +421,13 @@ def test_anisotropic_run_without_epsilons_is_refused(tmp_path, capsys):
     (["scenario", "lsh"], "poly", {"a,b": 1}, "growth_direct"),
     (["scenario", "lsh"], "poly", {"-2,0": 1}, "growth_direct"),
     (["scenario", "lsh"], "poly", {"2,0": "x"}, "growth_direct"),
+    # outside the domain of a declared param, where a fixed name stood
+    (["verify", "coulomb"], "particles", 0, "laplacian"),
+    (["verify", "coulomb"], "beta", 0, "laplacian"),
+    (["verify", "wehrl"], "degrees", [-1], "bounds"),
+    (["scenario", "lsh"], "beta", -1, "growth_direct"),
+    (["geodesic", "gaussian"], "box_half", 0, "geodesic"),
+    (["geodesic", "wehrl"], "r_max", 0, "geodesic"),
 ])
 def test_size_params_outside_their_domain_are_typed_errors(
         tmp_path, capsys, argv, param, value, check):
@@ -498,6 +507,45 @@ def test_inadmissible_config_is_refused_before_any_check(
     assert capsys.readouterr().err.startswith(f"error: DomainError: {key} ")
 
 
+def test_a_schedule_under_params_acts_as_the_top_level_key(tmp_path, capsys):
+    schedule = {"epsilon_schedule": [0.5, 0.1]}
+    # on wehrl it selects the grid route, with the top-level key's results
+    reports = []
+    for doc in ({"params": {"side": 32}, **schedule},
+                {"params": {"side": 32, **schedule}}):
+        out = tmp_path / f"out-{len(reports)}"
+        assert main(["verify", "wehrl", "--config", _cfg(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        reports.append(json.loads((out / "report.json").read_text()))
+    assert [c["provenance"]["solver"] for c in reports[1]["certificates"]] \
+        == ["entropic_grid"]
+    assert reports[0]["certificates"] == reports[1]["certificates"]
+    # where no check reads it, the run stops before any check
+    doc = _cfg(tmp_path, {"params": schedule})
+    for argv in (["geodesic", "wehrl"], ["verify", "coulomb"]):
+        out = tmp_path / f"out-{argv[0]}"
+        assert main([*argv, "--config", doc, "--out", str(out)]) == 3
+        assert not (out / "report.json").exists()
+        assert capsys.readouterr().err.startswith(
+            "error: DomainError: epsilon_schedule ")
+
+
+@pytest.mark.parametrize("tolerance", ["monotonicity_tol",
+                                       "majorization_atol"])
+def test_no_config_loosens_a_certificate_tolerance(tmp_path, capsys,
+                                                   tolerance):
+    # the expanding pair fails all three geodesic certificates; a huge
+    # tolerance would turn two of those fails into passes
+    expanding = {"sigma_source": 0.5, "sigma_target": 1.0}
+    out = tmp_path / "out"
+    doc = _cfg(tmp_path, {"params": {**expanding, tolerance: 1e6}})
+    assert main(["geodesic", "gaussian", "--config", doc,
+                 "--out", str(out)]) == 3
+    assert not (out / "report.json").exists()
+    assert capsys.readouterr().err.startswith(
+        f"error: DomainError: {tolerance} is not a gaussian param")
+
+
 def test_verify_gaussian_above_dim_2_keeps_the_pointwise_bounds(tmp_path):
     # the moment quadrature covers dim <= 2; its absence must not cost the
     # trace, Lipschitz and determinant certificates
@@ -574,15 +622,14 @@ def grid_solves(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("extra", [{"slack": 0.06}, {"time_points": 7}])
 def test_cache_key_ignores_params_the_grid_solve_does_not_read(
-        tmp_path, grid_solves, extra):
+        tmp_path, grid_solves):
     cache = tmp_path / "cache"
     common = ["scenario", "wehrl", "--epsilon-schedule", "0.5,0.12"]
     assert main([*common, "--config", _cfg(tmp_path, {"params": WEHRL_GRID}),
                  "--cache", str(cache)]) == 0
     assert grid_solves == {"solves": 1, "writes": 2}
-    doc = _cfg(tmp_path, {"params": {**WEHRL_GRID, **extra}})
+    doc = _cfg(tmp_path, {"params": {**WEHRL_GRID, "time_points": 7}})
     assert main([*common, "--config", doc, "--cache", str(cache),
                  "--out", str(tmp_path / "cached")]) == 0
     assert grid_solves == {"solves": 1, "writes": 2}     # a hit

@@ -7,7 +7,7 @@ from transportlab import cli, heatflow, semigroup
 from transportlab.errors import (AccuracyError, ConvexityViolationError,
                                  DomainError)
 from transportlab.heatflow import (FlowSchedule, FlowState,
-                                   check_km_contraction, flow_table,
+                                   check_km_contraction,
                                    integrate_flow, km_bound_rhs,
                                    km_pushforward_check, midflow_moment_check,
                                    tail_log_det, terminal_determinants)
@@ -111,13 +111,12 @@ def test_integrate_flow_refuses_a_record_step_below_one(record_every):
 
 def test_pushforward_moments_reach_standard_gaussian():
     states, _, _ = _sigma_half_flow(m=400)
-    f, mu, _ = flow_gaussian_weight(0.5)
-    cert = km_pushforward_check(states, mu)
+    cert = km_pushforward_check(states)
     assert cert.verdict == "pass"
     assert cert.theoretical_rhs == 3.0
     assert cert.observed < 3.0
     with pytest.raises(DomainError):
-        km_pushforward_check(states, mu, moments=5)
+        km_pushforward_check(states, moments=5)
 
 
 def test_midflow_moments_track_the_semigroup():
@@ -158,13 +157,6 @@ def test_flow_state_guards():
     with pytest.raises(DomainError):
         FlowState(t=0.5, positions=pos, jacobians=good,
                   log_dets=np.array([0.0, np.inf]))
-
-
-def test_flow_table_layout():
-    states, _, _ = _sigma_half_flow(m=3)
-    tab = flow_table(states)
-    assert tab.shape == (3 * len(states), 5)
-    assert np.allclose(np.unique(tab[:, 0]), [s.t for s in states])
 
 
 def test_rk45_matches_solve_ivp_bitwise_on_a_linear_system():

@@ -446,14 +446,14 @@ def test_resolve_params_types_defaults_and_routes():
     assert values["box_half_nu"] == values["box_half"]
     assert resolve_params("wehrl", {"box_half_nu": 3.0})["box_half_nu"] == {
         "radial": 3.0, "entropic": 3.0}
-    assert resolve_params("wehrl", {})["majorization_atol"] == {
-        "radial": 0.0, "entropic": 1e-3}
+    assert resolve_params("wehrl", {})["box_half"] == {
+        "radial": 2.25, "entropic": 2.6}
     assert values["side"] == 48 and values["debias"] is True
     assert resolve_params("lsh", {"poly": {"2,0": 1}})["poly"] == {"2,0": 1}
     assert resolve_params("wehrl", {})["box_half"] is not \
         scenarios.PARAMS["wehrl"]["box_half"].default
     for kind, raw, message in (
-            ("flow", {"include_table": 1}, "include_table must be bool"),
+            ("wehrl", {"debias": 1}, "debias must be bool"),
             ("coulomb", {"particles": True}, "particles must be int"),
             ("anisotropic", {"epsilons": [0.1, 0.0]}, "epsilons must be > 0"),
             ("anisotropic", {"epsilons": 0.1}, "epsilons must be list"),
