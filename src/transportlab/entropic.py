@@ -4,10 +4,11 @@ Conventions: cost c(x, y) = |x - y|^2 / 2, kernel exponent M = -c / eps.
 The plan is pi_ij = exp(M_ij + P_i + Q_j) where the scaled potentials P, Q
 absorb the log-weights; the true dual potentials are
 u = eps (P - log a), v = eps (Q - log b), which is how `continuation`
-carries warm starts across epsilon stages. One loop (`_Sinkhorn.run`) serves every
-kernel: P = log a - lse_q(Q), Q = log b - lse_p(P) with
-lse_q(Q)_i = LSE_j(M_ij + Q_j), lse_p(P)_j = LSE_i(M_ij + P_i), and the
-(exact) marginal identities give the convergence check.
+carries warm starts across epsilon stages. The log-domain loop
+(`_Sinkhorn.run`) serves the sample kernel and any grid stage that the
+scaling loop below hands over: P = log a - lse_q(Q), Q = log b - lse_p(P)
+with lse_q(Q)_i = LSE_j(M_ij + Q_j), lse_p(P)_j = LSE_i(M_ij + P_i), and
+the (exact) marginal identities give the convergence check.
 
 Kernels work in the scaling domain: a contraction is a BLAS product of
 exponentials less their maxima, log(exp(A - a_i) @ exp(H - h)) + a_i + h, so
@@ -18,14 +19,30 @@ log-domain contraction and counted in `fallbacks`.
 Grid route: measures live on tensor grids (the solvers take any number of
 axes; `brenier` builds them in dim <= 2). The cost separates per axis into
 side x side factors E = exp(A - a), so the full cost matrix is never
-formed. A log-sum-exp over the grid shifts H once by the maximum c of each
-axis-0 slice and takes one exp; the other axes' factors then act as BLAS
-products, last axis first, the slices are rescaled by exp(c - max c), axis
-0's factor acts last, and one log leaves the scaling domain (the separable
-kernel of Solomon et al., "Convolutional Wasserstein Distances", 2015).
-If any of its sums is below TINY or not finite, that whole log-sum-exp is
-recomputed exactly: axis by axis in the log domain, each axis with the
-per-entry fallback above.
+formed; factor entries below the smallest normal float are zeroed, since
+such a term is below 2^-1022 against a sum of at least TINY and only slows
+the BLAS product. A log-sum-exp over the grid shifts H once by the maximum
+c of each axis-0 slice and takes one exp; the other axes' factors then act
+as BLAS products, last axis first, the slices are rescaled by
+exp(c - max c), axis 0's factor acts last, and one log leaves the scaling
+domain (the separable kernel of Solomon et al., "Convolutional Wasserstein
+Distances", 2015). If any of its sums is below TINY or not finite, that
+whole log-sum-exp is recomputed exactly: axis by axis in the log domain,
+each axis with the per-entry fallback above.
+
+The grid loop (`GridSinkhorn.run`) stays in the scaling domain for a whole
+stage (the stabilized scaling iterations of Schmitzer, arXiv:1610.06519):
+from V = exp(Q - max Q) it forms U = alpha / (E_fwd V), then
+V = beta / (E_bwd U), with alpha = a exp(-fwd_shift) and
+beta = b exp(-bwd_shift), where E_fwd, E_bwd are the products of the axis
+factors and fwd_shift, bwd_shift the sums of their row maxima. Each
+iteration is four BLAS products (two in 1-D) and two divisions; P and Q
+take one log each when the stage returns. A guard keeps the log domain's
+bound on mass lost to underflow: every product E W must have all its sums
+at least TINY * max(max W, 1), and U and V must be finite and, where the
+weights are not zero, at least the smallest normal float. The first
+failure hands the stage, from its last complete iteration and with its
+iteration count and check schedule, to the log-domain loop.
 
 Sample route: uniform weights on point clouds. The stabilized kernel
 K = exp(M + P0 + Q0) lives in one m x k float64 buffer (32 MB at 2000
@@ -47,6 +64,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 TINY = np.exp(-600.0)
+NORMAL = np.finfo(float).tiny
 DRIFT = 50.0
 # rows of the sample kernel per elementwise pass: 1 MB at 2000 columns,
 # so each block stays in L2 between passes
@@ -60,6 +78,12 @@ def _lse_rows(X):
     return np.where(np.isfinite(M), R, -np.inf)
 
 
+def _log(X, on):
+    """log X, and -inf off `on` (nowhere when None) without a log of 0."""
+    return np.log(X) if on is None else \
+        np.log(X, out=np.full(X.shape, -np.inf), where=on)
+
+
 def _check_finite(S):
     if not np.isfinite(S).all():
         raise DomainError(
@@ -70,14 +94,17 @@ def _check_finite(S):
 class _Sinkhorn:
     """The Sinkhorn loop shared by every kernel."""
 
-    def run(self, P=None, Q=None, tol=1e-7, max_iter=2000, check_every=5):
-        """Returns (P, Q, marginal_error, iterations)."""
+    def run(self, P=None, Q=None, tol=1e-7, max_iter=2000, check_every=5,
+            done=0):
+        """Returns (P, Q, marginal_error, iterations). With `done`, Q is
+        the potential after that many iterations, and the count and the
+        check schedule go on from there."""
         P = self.log_a.copy() if P is None else P
         Q = self.log_b.copy() if Q is None else Q
         a, b = np.exp(self.log_a), np.exp(self.log_b)
         err = np.inf
         S = self.lse_q(Q)
-        for it in range(1, max_iter + 1):
+        for it in range(done + 1, max_iter + 1):
             _check_finite(S)
             P = self.log_a - S
             T = self.lse_p(P)
@@ -91,7 +118,10 @@ class _Sinkhorn:
                 err = max(err_a, err_b)
                 if err <= tol:
                     return P, Q, err, it
-        raise ConvergenceError(
+        raise self._unconverged(tol, max_iter, err)
+
+    def _unconverged(self, tol, max_iter, err):
+        return ConvergenceError(
             f"Sinkhorn did not reach marginal error {tol} in {max_iter} "
             f"iterations (last error {err:.3e})", residual=err,
             epsilon=self.eps, iteration=max_iter)
@@ -99,7 +129,12 @@ class _Sinkhorn:
 
 class GridSinkhorn(_Sinkhorn):
     """Sinkhorn between two measures on tensor grids of one dimension: the
-    kernel separates into one side x side factor per axis."""
+    kernel separates into one side x side factor per axis.
+
+    `fallbacks` counts exact recomputations: each entry that an axis
+    contraction recomputes in the log domain, each log-sum-exp over the
+    grid recomputed axis by axis, and each stage handed from the scaling
+    loop to the log-domain loop."""
 
     def __init__(self, axes_x, axes_y, log_a, log_b, epsilon):
         self.axes_y = [np.asarray(a, dtype=float) for a in axes_y]
@@ -119,7 +154,82 @@ class GridSinkhorn(_Sinkhorn):
     @staticmethod
     def _factor(A):
         a = A.max(axis=1)
-        return A, np.exp(A - a[:, None]), a
+        E = np.exp(A - a[:, None])
+        E[E < NORMAL] = 0.0
+        return A, E, a
+
+    # the scaling loop
+
+    def run(self, P=None, Q=None, tol=1e-7, max_iter=2000, check_every=5):
+        """Returns (P, Q, marginal_error, iterations), the iterates of
+        `_Sinkhorn.run` formed in the scaling domain; see the module
+        docstring for the guard and the handover."""
+        Q = self.log_b.copy() if Q is None else Q
+        q0 = Q.max()
+        E_fwd = [E for _, E, _ in self._fwd]
+        E_bwd = [E for _, E, _ in self._bwd]
+        on_a = None if np.isfinite(self.log_a).all() else self.log_a > -np.inf
+        on_b = None if np.isfinite(self.log_b).all() else self.log_b > -np.inf
+        e_fwd, e_bwd = np.exp(self._fwd_shift), np.exp(self._bwd_shift)
+        x = None
+        if (np.isfinite(q0) and e_fwd.min() >= NORMAL
+                and e_bwd.min() >= NORMAL):
+            V = np.exp(Q - q0)
+            x = self._guarded_product(E_fwd, V, on_b)
+        if x is None:
+            return self._hand_over(P, Q, 0, tol, max_iter, check_every)
+        a, b = np.exp(self.log_a), np.exp(self.log_b)
+        # the guard catches every overflow
+        with np.errstate(over="ignore"):
+            alpha = np.exp(self.log_a - self._fwd_shift)
+            beta = np.exp(self.log_b - self._bwd_shift)
+            err = np.inf
+            for it in range(1, max_iter + 1):
+                U = alpha / x
+                y = self._guarded_product(E_bwd, U, on_a)
+                if y is None:
+                    break
+                r = e_bwd * y
+                r *= V
+                r -= b
+                err_b = np.abs(r, out=r).sum()
+                V_next = beta / y
+                # the next iteration's product; a check reads it as well
+                x_next = self._guarded_product(E_fwd, V_next, on_b)
+                if x_next is None:
+                    break
+                V, x = V_next, x_next
+                if it % check_every == 0 or err_b <= tol:
+                    r = e_fwd * x
+                    r *= U
+                    r -= a
+                    err = max(np.abs(r, out=r).sum(), err_b)
+                    if err <= tol:
+                        P = _log(U, on_a)
+                        P -= q0
+                        Q = _log(V, on_b)
+                        Q += q0
+                        return P, Q, err, it
+            else:
+                raise self._unconverged(tol, max_iter, err)
+        Q = _log(V, on_b)
+        Q += q0
+        return self._hand_over(None, Q, it - 1, tol, max_iter, check_every)
+
+    def _hand_over(self, P, Q, done, tol, max_iter, check_every):
+        self.fallbacks += 1
+        return super().run(P, Q, tol, max_iter, check_every, done)
+
+    def _guarded_product(self, Es, W, on):
+        """Es applied to W, or None when W is not finite, is below the
+        smallest normal float somewhere on `on` (everywhere when None), or
+        the product has a sum below TINY * max(max W, 1)."""
+        w_max = W.max()
+        w_min = W.min() if on is None else W.min(where=on, initial=np.inf)
+        if not (np.isfinite(w_max) and w_min >= NORMAL):
+            return None
+        D = self._product(Es, W)
+        return D if D.min() >= TINY * max(w_max, 1.0) else None
 
     # scaling domain: one exp, one BLAS product per axis, one log
 
@@ -138,17 +248,18 @@ class GridSinkhorn(_Sinkhorn):
         return np.exp(V, out=V), np.exp(c - c_max), c_max
 
     @staticmethod
-    def _product(Es, V, s):
+    def _product(Es, V, s=None):
         """sum_j prod_ax Es[ax][i_ax, j_ax] V[j] s[j_0]: the axes are
-        contracted last first and the slices rescaled by s before axis 0,
-        so every factor stays at most 1."""
+        contracted last first and the slices rescaled by s (when given)
+        before axis 0, so every factor stays at most 1."""
         W, tail = V, 1
         for E in reversed(Es[1:]):
             n, k = E.shape
             W = (W.reshape(-1, k) @ E.T if tail == 1
                  else np.matmul(E, W.reshape(-1, k, tail)))
             tail *= n
-        D = Es[0] @ (W.reshape(s.size, tail) * s[:, None])
+        W = W.reshape(Es[0].shape[1], tail)
+        D = Es[0] @ (W if s is None else W * s[:, None])
         return D.reshape([E.shape[0] for E in Es])
 
     def _lse(self, factors, shift, H):
@@ -213,6 +324,7 @@ class GridSinkhorn(_Sinkhorn):
         return np.moveaxis(R.reshape((-1,) + Hm.shape[1:]), 0, axis)
 
     def _chain(self, factors, H, skip=None):
+        self.fallbacks += 1
         for axis in reversed(range(len(factors))):
             if axis != skip:
                 H = self._contract(factors[axis], H, axis)

@@ -218,6 +218,101 @@ def test_grid_contraction_falls_back_when_peaks_are_far_apart():
     np.testing.assert_allclose(got, expect, rtol=1e-14, atol=ATOL)
 
 
+def test_grid_contraction_recomputed_axis_by_axis_counts_as_a_fallback():
+    # Per axis no sum falls below about e^-510, so no single entry falls
+    # back; over both axes the row at (-1, -1) sums to about e^-1020.
+    ax = np.linspace(-1.0, 1.0, 21)
+    g0, g1 = np.meshgrid(ax, ax, indexing="ij")
+    Q = -500.0 * ((g0 - 0.75) ** 2 + (g1 - 0.75) ** 2)
+    solver = entropic.GridSinkhorn([ax, ax], [ax, ax], Q, Q, 3e-3)
+    got = solver.lse_q(Q)
+    assert solver.fallbacks == 1
+    expect = _RefGrid([ax, ax], [ax, ax], Q, Q, 3e-3).lse_q(Q)
+    np.testing.assert_allclose(got, expect, rtol=1e-14, atol=ATOL)
+
+
+def test_grid_factors_hold_no_subnormal_entries():
+    # at eps 0.03 on [-8, 8] the factors' exp underflows through the
+    # subnormal range, which slows every BLAS product that meets it
+    ax = np.linspace(-8.0, 8.0, 128)
+    lw = -0.5 * ax ** 2
+    solver = entropic.GridSinkhorn([ax], [ax], lw, lw, 0.03)
+    for _, E, _ in solver._fwd + solver._bwd:
+        assert (E == 0.0).any()
+        assert not ((E > 0.0) & (E < np.finfo(float).tiny)).any()
+    Q = np.random.default_rng(5).normal(size=ax.size) * 3.0
+    expect = _lse_matmul(_kernel(ax, ax, 0.03), Q[:, None])[:, 0]
+    np.testing.assert_allclose(solver.lse_q(Q), expect, rtol=1e-14,
+                               atol=ATOL)
+    assert solver.fallbacks == 0
+
+
+def _record_handovers(monkeypatch):
+    """The iteration counts at which grid stages enter the log-domain
+    loop."""
+    done = []
+    inner = entropic._Sinkhorn.run
+
+    def run(self, *args, **kwargs):
+        done.append(args[5] if len(args) > 5 else kwargs.get("done", 0))
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(entropic._Sinkhorn, "run", run)
+    return done
+
+
+def _two_peaks(axes, c, centers):
+    grids = np.meshgrid(*axes, indexing="ij")
+    lw = [-c * sum((g - m) ** 2 for g, m in zip(grids, mid))
+          for mid in centers]
+    return [w - np.log(np.exp(w).sum()) for w in lw]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_stage_hands_over_mid_stage_and_matches_reference(dim,
+                                                                monkeypatch):
+    # far-apart peaks: the scaling loop runs a few iterations before a
+    # product's sum falls below TINY (the forward product in 1-D, the
+    # backward one in 2-D), and the log-domain loop finishes the stage
+    if dim == 1:
+        axes, eps = [np.linspace(-1.0, 1.0, 41)], 3e-3
+        la, lb = _two_peaks(axes, 20.0, [(-0.75,), (0.75,)])
+    else:
+        axes, eps = [np.linspace(-1.0, 1.0, 11)] * 2, 5e-3
+        la, lb = _two_peaks(axes, 20.0, [(-0.75, -0.6), (0.75, 0.5)])
+    done = _record_handovers(monkeypatch)
+    solver = entropic.GridSinkhorn(axes, axes, la, lb, eps)
+    iters = _assert_same(solver, _RefGrid(axes, axes, la, lb, eps))
+    assert len(done) == 1 and 0 < done[0] < iters
+    assert solver.fallbacks > 0
+
+
+@pytest.mark.parametrize("case", ["far_boxes", "subnormal_weights"])
+def test_grid_stage_the_guard_refuses_runs_in_the_log_domain(case,
+                                                             monkeypatch):
+    if case == "far_boxes":
+        # the target's first axis lies about 40 away: at eps 0.5
+        # exp(-fwd_shift) overflows
+        rng = np.random.default_rng(6)
+        axes_x = [np.linspace(-1.0, 1.0, 7), np.linspace(-1.0, 1.0, 6)]
+        axes_y = [np.linspace(40.0, 42.0, 8), np.linspace(-1.0, 1.0, 5)]
+        la, lb = _log_weights(rng, (7, 6)), _log_weights(rng, (8, 5))
+    else:
+        # the target's log-weights fall to about -740, so V = exp(Q - max Q)
+        # is subnormal there and its log would lose Q's last digits
+        axes_x = axes_y = [np.linspace(-1.0, 1.0, 41)]
+        la = -0.5 * axes_x[0] ** 2
+        lb = -740.0 * ((axes_y[0] + 1.0) / 2.0) ** 2
+        la, lb = la - np.log(np.exp(la).sum()), lb - np.log(np.exp(lb).sum())
+    done = _record_handovers(monkeypatch)
+    solver = entropic.GridSinkhorn(axes_x, axes_y, la, lb, 0.5)
+    if case == "far_boxes":
+        assert -solver._fwd_shift.min() > np.log(np.finfo(float).max)
+    assert _assert_same(solver, _RefGrid(axes_x, axes_y, la, lb, 0.5))
+    assert done == [0]
+    assert solver.fallbacks >= 1
+
+
 def test_grid_solve_with_fallbacks_matches_reference():
     ax = np.linspace(-1.0, 1.0, 41)
     la = -40.0 * (ax + 0.75) ** 2
@@ -343,6 +438,21 @@ def _counting_lse_q(solver):
     return calls
 
 
+def _counting_forward_products(solver):
+    """The grid loop's products against the forward factors."""
+    calls = []
+    inner = solver._product
+    first = solver._fwd[0][1]
+
+    def product(Es, *args):
+        if Es[0] is first:
+            calls.append(1)
+        return inner(Es, *args)
+
+    solver._product = product
+    return calls
+
+
 @pytest.mark.parametrize("kind", ["grid", "sample"])
 def test_failed_check_contraction_is_reused_bitwise(kind):
     rng = np.random.default_rng(11)
@@ -366,12 +476,23 @@ def test_failed_check_contraction_is_reused_bitwise(kind):
     old_calls = _counting_lse_q(old)
     expect = _ref_run(old, **kw)
     new = make()
-    new_calls = _counting_lse_q(new)
-    got = new.run(**kw)
-    assert got[3] == expect[3]
-    assert np.array_equal(got[0], expect[0])
-    assert np.array_equal(got[1], expect[1])
-    assert got[2] == expect[2]
+    if kind == "grid":
+        # the scaling loop forms its own products, so it matches the
+        # log-domain iterates to rounding, not bitwise
+        new_calls = _counting_forward_products(new)
+        got = new.run(**kw)
+        assert got[3] == expect[3]
+        np.testing.assert_allclose(got[0], expect[0], rtol=0, atol=ATOL)
+        np.testing.assert_allclose(got[1], expect[1], rtol=0, atol=ATOL)
+        assert abs(got[2] - expect[2]) <= ATOL
+        assert new.fallbacks == 0
+    else:
+        new_calls = _counting_lse_q(new)
+        got = new.run(**kw)
+        assert got[3] == expect[3]
+        assert np.array_equal(got[0], expect[0])
+        assert np.array_equal(got[1], expect[1])
+        assert got[2] == expect[2]
     # one contraction per iteration plus the passing check's own
     assert len(new_calls) == expect[3] + 1
     assert len(old_calls) - len(new_calls) >= 2
