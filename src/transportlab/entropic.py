@@ -21,14 +21,9 @@ axes; `brenier` builds them in dim <= 2). The cost separates per axis into
 side x side factors E = exp(A - a), so the full cost matrix is never
 formed; factor entries below the smallest normal float are zeroed, since
 such a term is below 2^-1022 against a sum of at least TINY and only slows
-the BLAS product. A log-sum-exp over the grid shifts H once by the maximum
-c of each axis-0 slice and takes one exp; the other axes' factors then act
-as BLAS products, last axis first, the slices are rescaled by
-exp(c - max c), axis 0's factor acts last, and one log leaves the scaling
-domain (the separable kernel of Solomon et al., "Convolutional Wasserstein
-Distances", 2015). If any of its sums is below TINY or not finite, that
-whole log-sum-exp is recomputed exactly: axis by axis in the log domain,
-each axis with the per-entry fallback above.
+the BLAS product. A log-sum-exp over the grid contracts one axis at a time,
+last axis first, each with the per-entry fallback above (the separable
+kernel of Solomon et al., "Convolutional Wasserstein Distances", 2015).
 
 The grid loop (`GridSinkhorn.run`) stays in the scaling domain for a whole
 stage (the stabilized scaling iterations of Schmitzer, arXiv:1610.06519):
@@ -42,7 +37,9 @@ bound on mass lost to underflow: every product E W must have all its sums
 at least TINY * max(max W, 1), and U and V must be finite and, where the
 weights are not zero, at least the smallest normal float. The first
 failure hands the stage, from its last complete iteration and with its
-iteration count and check schedule, to the log-domain loop.
+iteration count and check schedule, to the log-domain loop, whose
+log-sum-exps all contract axis by axis. `barycentric` forms its products
+from V under the same guard, and contracts axis by axis where it refuses.
 
 Sample route: uniform weights on point clouds. The stabilized kernel
 K = exp(M + P0 + Q0) lives in one m x k float64 buffer (32 MB at 2000
@@ -131,14 +128,16 @@ class GridSinkhorn(_Sinkhorn):
     """Sinkhorn between two measures on tensor grids of one dimension: the
     kernel separates into one side x side factor per axis.
 
-    `fallbacks` counts exact recomputations: each entry that an axis
-    contraction recomputes in the log domain, each log-sum-exp over the
-    grid recomputed axis by axis, and each stage handed from the scaling
-    loop to the log-domain loop."""
+    `fallbacks` counts each stage handed from the scaling loop to the
+    log-domain loop, and each entry that an axis contraction recomputes
+    in the log domain."""
 
     def __init__(self, axes_x, axes_y, log_a, log_b, epsilon):
         self.axes_y = [np.asarray(a, dtype=float) for a in axes_y]
         self.log_a, self.log_b = log_a, log_b
+        # where the weights are nonzero; None where they are all nonzero
+        self._on_a = None if np.isfinite(log_a).all() else log_a > -np.inf
+        self._on_b = None if np.isfinite(log_b).all() else log_b > -np.inf
         self.eps = float(epsilon)
         self.fallbacks = 0
         Ms = [-0.5 * (np.asarray(x, dtype=float)[:, None] - y[None, :]) ** 2
@@ -168,14 +167,12 @@ class GridSinkhorn(_Sinkhorn):
         q0 = Q.max()
         E_fwd = [E for _, E, _ in self._fwd]
         E_bwd = [E for _, E, _ in self._bwd]
-        on_a = None if np.isfinite(self.log_a).all() else self.log_a > -np.inf
-        on_b = None if np.isfinite(self.log_b).all() else self.log_b > -np.inf
         e_fwd, e_bwd = np.exp(self._fwd_shift), np.exp(self._bwd_shift)
         x = None
         if (np.isfinite(q0) and e_fwd.min() >= NORMAL
                 and e_bwd.min() >= NORMAL):
             V = np.exp(Q - q0)
-            x = self._guarded_product(E_fwd, V, on_b)
+            x = self._guarded_product(E_fwd, V, self._on_b)
         if x is None:
             return self._hand_over(P, Q, 0, tol, max_iter, check_every)
         a, b = np.exp(self.log_a), np.exp(self.log_b)
@@ -186,7 +183,7 @@ class GridSinkhorn(_Sinkhorn):
             err = np.inf
             for it in range(1, max_iter + 1):
                 U = alpha / x
-                y = self._guarded_product(E_bwd, U, on_a)
+                y = self._guarded_product(E_bwd, U, self._on_a)
                 if y is None:
                     break
                 r = e_bwd * y
@@ -195,7 +192,7 @@ class GridSinkhorn(_Sinkhorn):
                 err_b = np.abs(r, out=r).sum()
                 V_next = beta / y
                 # the next iteration's product; a check reads it as well
-                x_next = self._guarded_product(E_fwd, V_next, on_b)
+                x_next = self._guarded_product(E_fwd, V_next, self._on_b)
                 if x_next is None:
                     break
                 V, x = V_next, x_next
@@ -205,14 +202,14 @@ class GridSinkhorn(_Sinkhorn):
                     r -= a
                     err = max(np.abs(r, out=r).sum(), err_b)
                     if err <= tol:
-                        P = _log(U, on_a)
+                        P = _log(U, self._on_a)
                         P -= q0
-                        Q = _log(V, on_b)
+                        Q = _log(V, self._on_b)
                         Q += q0
                         return P, Q, err, it
             else:
                 raise self._unconverged(tol, max_iter, err)
-        Q = _log(V, on_b)
+        Q = _log(V, self._on_b)
         Q += q0
         return self._hand_over(None, Q, it - 1, tol, max_iter, check_every)
 
@@ -231,70 +228,31 @@ class GridSinkhorn(_Sinkhorn):
         D = self._product(Es, W)
         return D if D.min() >= TINY * max(w_max, 1.0) else None
 
-    # scaling domain: one exp, one BLAS product per axis, one log
-
     @staticmethod
-    def _scale(H):
-        """exp(H) = V * s[j_0] * exp(c_max) over H's axis-0 slices: each
-        slice of V (flattened to one row) peaks at 1, or is all 0 where H is
-        all -inf, and s = exp(c - c_max) for the slice maxima c. Returns
-        (V, s, c_max), or None when c_max is not finite."""
-        H2 = H.reshape(H.shape[0], -1)
-        c = H2.max(axis=1)
-        c_max = c.max()
-        if not np.isfinite(c_max):
-            return None
-        V = H2 - np.where(np.isfinite(c), c, 0.0)[:, None]
-        return np.exp(V, out=V), np.exp(c - c_max), c_max
-
-    @staticmethod
-    def _product(Es, V, s=None):
-        """sum_j prod_ax Es[ax][i_ax, j_ax] V[j] s[j_0]: the axes are
-        contracted last first and the slices rescaled by s (when given)
-        before axis 0, so every factor stays at most 1."""
+    def _product(Es, V):
+        """sum_j prod_ax Es[ax][i_ax, j_ax] V[j], the axes contracted last
+        first."""
         W, tail = V, 1
         for E in reversed(Es[1:]):
             n, k = E.shape
             W = (W.reshape(-1, k) @ E.T if tail == 1
                  else np.matmul(E, W.reshape(-1, k, tail)))
             tail *= n
-        W = W.reshape(Es[0].shape[1], tail)
-        D = Es[0] @ (W if s is None else W * s[:, None])
+        D = Es[0] @ W.reshape(Es[0].shape[1], tail)
         return D.reshape([E.shape[0] for E in Es])
-
-    def _lse(self, factors, shift, H):
-        """LSE_j(sum_ax A_ax[i_ax, j_ax] + H_j) over the whole grid. A sum
-        below TINY (or not finite) may have lost its leading terms, so then
-        the per-axis log-domain chain recomputes the contraction."""
-        scaled = self._scale(H)
-        if scaled is not None:
-            V, s, c_max = scaled
-            D = self._product([E for _, E, _ in factors], V, s)
-            if (D >= TINY).all():
-                R = np.log(D, out=D)
-                R += shift
-                R += c_max
-                return R
-        return self._chain(factors, H)
-
-    def lse_q(self, Q):
-        return self._lse(self._fwd, self._fwd_shift, Q)
-
-    def lse_p(self, P):
-        return self._lse(self._bwd, self._bwd_shift, P)
 
     def barycentric(self, Q):
         """Row-normalized plan expectation of the target point, shape
         source grid + (dim,); P cancels in the normalization."""
-        scaled = self._scale(Q)
-        if scaled is not None:
-            V, s, _ = scaled
+        q0 = Q.max()
+        if np.isfinite(q0):
+            V = np.exp(Q - q0)
             Es = [E for _, E, _ in self._fwd]
-            D = self._product(Es, V, s)
-            if (D >= TINY).all():
+            D = self._guarded_product(Es, V, self._on_b)
+            if D is not None:
                 return np.stack([
                     self._product(Es[:ax] + [Es[ax] * y[None, :]]
-                                  + Es[ax + 1:], V, s) / D
+                                  + Es[ax + 1:], V) / D
                     for ax, y in enumerate(self.axes_y)], axis=-1)
         return np.stack([
             self._contract(self._fwd[ax], self._chain(self._fwd, Q, skip=ax),
@@ -302,6 +260,12 @@ class GridSinkhorn(_Sinkhorn):
             for ax in range(len(self._fwd))], axis=-1)
 
     # log domain, axis by axis: the exact route
+
+    def lse_q(self, Q):
+        return self._chain(self._fwd, Q)
+
+    def lse_p(self, P):
+        return self._chain(self._bwd, P)
 
     def _contract(self, factor, H, axis, y=None):
         """Contract `axis` of H against A: LSE_j(A_ij + H_j), or with y the
@@ -324,7 +288,6 @@ class GridSinkhorn(_Sinkhorn):
         return np.moveaxis(R.reshape((-1,) + Hm.shape[1:]), 0, axis)
 
     def _chain(self, factors, H, skip=None):
-        self.fallbacks += 1
         for axis in reversed(range(len(factors))):
             if axis != skip:
                 H = self._contract(factors[axis], H, axis)
@@ -442,9 +405,12 @@ class SampleSinkhorn(_Sinkhorn):
 
 
 def rescale_potentials(P, Q, log_a, log_b, eps_old, eps_new):
-    """Carry true dual potentials u, v to a new epsilon stage."""
+    """Carry true dual potentials u, v to a new epsilon stage; a potential
+    stays -inf where its log-weight is -inf."""
     ratio = eps_old / eps_new
-    return (log_a + (P - log_a) * ratio, log_b + (Q - log_b) * ratio)
+    return tuple(
+        np.subtract(R, w, out=np.full(R.shape, -np.inf), where=w > -np.inf)
+        * ratio + w for R, w in ((P, log_a), (Q, log_b)))
 
 
 def continuation(make_solver, stages, tol, max_iter):

@@ -218,15 +218,16 @@ def test_grid_contraction_falls_back_when_peaks_are_far_apart():
     np.testing.assert_allclose(got, expect, rtol=1e-14, atol=ATOL)
 
 
-def test_grid_contraction_recomputed_axis_by_axis_counts_as_a_fallback():
+def test_grid_contraction_is_exact_where_the_whole_grid_sum_underflows():
     # Per axis no sum falls below about e^-510, so no single entry falls
-    # back; over both axes the row at (-1, -1) sums to about e^-1020.
+    # back; over both axes the row at (-1, -1) sums to about e^-1020,
+    # which one product over the whole grid would lose.
     ax = np.linspace(-1.0, 1.0, 21)
     g0, g1 = np.meshgrid(ax, ax, indexing="ij")
     Q = -500.0 * ((g0 - 0.75) ** 2 + (g1 - 0.75) ** 2)
     solver = entropic.GridSinkhorn([ax, ax], [ax, ax], Q, Q, 3e-3)
     got = solver.lse_q(Q)
-    assert solver.fallbacks == 1
+    assert solver.fallbacks == 0
     expect = _RefGrid([ax, ax], [ax, ax], Q, Q, 3e-3).lse_q(Q)
     np.testing.assert_allclose(got, expect, rtol=1e-14, atol=ATOL)
 
@@ -249,16 +250,40 @@ def test_grid_factors_hold_no_subnormal_entries():
 
 def _record_handovers(monkeypatch):
     """The iteration counts at which grid stages enter the log-domain
-    loop."""
-    done = []
+    loop, and the whole-grid products each such stage forms there."""
+    done, products = [], []
     inner = entropic._Sinkhorn.run
 
     def run(self, *args, **kwargs):
         done.append(args[5] if len(args) > 5 else kwargs.get("done", 0))
-        return inner(self, *args, **kwargs)
+        products.append(0)
+        product = self._product
+
+        def counted(*product_args):
+            products[-1] += 1
+            return product(*product_args)
+
+        self._product = counted
+        try:
+            return inner(self, *args, **kwargs)
+        finally:
+            del self._product
 
     monkeypatch.setattr(entropic._Sinkhorn, "run", run)
-    return done
+    return done, products
+
+
+def _count_recomputed_entries(monkeypatch):
+    """The entries that axis contractions recompute in the log domain."""
+    rows = []
+    inner = entropic._lse_rows
+
+    def lse_rows(X):
+        rows.append(X.shape[0])
+        return inner(X)
+
+    monkeypatch.setattr(entropic, "_lse_rows", lse_rows)
+    return rows
 
 
 def _two_peaks(axes, c, centers):
@@ -280,7 +305,7 @@ def test_grid_stage_hands_over_mid_stage_and_matches_reference(dim,
     else:
         axes, eps = [np.linspace(-1.0, 1.0, 11)] * 2, 5e-3
         la, lb = _two_peaks(axes, 20.0, [(-0.75, -0.6), (0.75, 0.5)])
-    done = _record_handovers(monkeypatch)
+    done, _ = _record_handovers(monkeypatch)
     solver = entropic.GridSinkhorn(axes, axes, la, lb, eps)
     iters = _assert_same(solver, _RefGrid(axes, axes, la, lb, eps))
     assert len(done) == 1 and 0 < done[0] < iters
@@ -304,13 +329,16 @@ def test_grid_stage_the_guard_refuses_runs_in_the_log_domain(case,
         la = -0.5 * axes_x[0] ** 2
         lb = -740.0 * ((axes_y[0] + 1.0) / 2.0) ** 2
         la, lb = la - np.log(np.exp(la).sum()), lb - np.log(np.exp(lb).sum())
-    done = _record_handovers(monkeypatch)
+    done, products = _record_handovers(monkeypatch)
+    recomputed = _count_recomputed_entries(monkeypatch)
     solver = entropic.GridSinkhorn(axes_x, axes_y, la, lb, 0.5)
     if case == "far_boxes":
         assert -solver._fwd_shift.min() > np.log(np.finfo(float).max)
     assert _assert_same(solver, _RefGrid(axes_x, axes_y, la, lb, 0.5))
     assert done == [0]
-    assert solver.fallbacks >= 1
+    # the handed-over stage contracts axis by axis only
+    assert products == [0]
+    assert solver.fallbacks == len(done) + sum(recomputed)
 
 
 def test_grid_solve_with_fallbacks_matches_reference():
@@ -336,11 +364,9 @@ def test_grid_2d_solve_with_fallbacks_matches_reference():
     assert solver.fallbacks > 0
 
 
-# the reference's log of an all -inf row warns
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-@pytest.mark.parametrize("eps", [0.3, 0.05])
-def test_grid_2d_zero_mass_rows_and_columns_match_reference(eps):
-    # -inf log weights: whole axis-0 slices and single columns of zero mass
+def _zero_mass_instance():
+    """-inf log weights: whole axis-0 slices and single columns of zero
+    mass."""
     rng = np.random.default_rng(3)
     axes_x = [np.linspace(-1.5, 1.0, 9), np.linspace(-1.0, 2.0, 7)]
     axes_y = [np.linspace(-2.0, 1.2, 8), np.linspace(-0.5, 1.5, 6)]
@@ -348,6 +374,14 @@ def test_grid_2d_zero_mass_rows_and_columns_match_reference(eps):
     la[2, :] = la[:, 4] = -np.inf
     lb[0, :] = lb[5, :] = lb[:, 5] = -np.inf
     la, lb = la - np.log(np.exp(la).sum()), lb - np.log(np.exp(lb).sum())
+    return axes_x, axes_y, la, lb
+
+
+# the reference's log of an all -inf row warns
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.parametrize("eps", [0.3, 0.05])
+def test_grid_2d_zero_mass_rows_and_columns_match_reference(eps):
+    axes_x, axes_y, la, lb = _zero_mass_instance()
     assert _assert_same(entropic.GridSinkhorn(axes_x, axes_y, la, lb, eps),
                         _RefGrid(axes_x, axes_y, la, lb, eps))
     # the solver itself takes no log of zero and makes no NaN on the way
@@ -358,6 +392,30 @@ def test_grid_2d_zero_mass_rows_and_columns_match_reference(eps):
     assert not np.isnan(P).any() and not np.isnan(Q).any()
     assert np.isfinite(values).all()
     assert np.array_equal(np.isneginf(P), np.isneginf(la))
+
+
+# the reference's log of an all -inf row warns
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_grid_zero_mass_schedule_matches_reference_stage_by_stage():
+    # the warm start must keep -inf where a weight is zero, not make
+    # -inf - (-inf)
+    axes_x, axes_y, la, lb = _zero_mass_instance()
+    stages = (0.5, 0.1)
+    with np.errstate(invalid="raise"):
+        solved = list(entropic.continuation(
+            lambda eps: entropic.GridSinkhorn(axes_x, axes_y, la, lb, eps),
+            stages, tol=1e-7, max_iter=2000))
+    Pr = Qr = prev = None
+    for eps, (solver, Q, err, iters) in zip(stages, solved, strict=True):
+        ref = _RefGrid(axes_x, axes_y, la, lb, eps)
+        if prev is not None:
+            Pr, Qr = entropic.rescale_potentials(Pr, Qr, la, lb, prev, eps)
+        Pr, Qr, err_r, iters_r = _ref_run(ref, P=Pr, Q=Qr)
+        assert iters == iters_r
+        assert abs(err - err_r) <= ATOL
+        np.testing.assert_allclose(Q, Qr, rtol=0, atol=ATOL)
+        assert np.array_equal(np.isneginf(Q), np.isneginf(lb))
+        prev = eps
 
 
 def test_grid_3d_contractions_match_full_logsumexp():
