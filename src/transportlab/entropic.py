@@ -319,6 +319,7 @@ class SampleSinkhorn(_Sinkhorn):
         self.eps = float(epsilon)
         self.log_a = np.full(self.xs.shape[0], -np.log(self.xs.shape[0]))
         self.log_b = np.full(self.ys.shape[0], -np.log(self.ys.shape[0]))
+        self._xe = self.xs / self.eps
         self._x2 = 0.5 * np.einsum("mi,mi->m", self.xs, self.xs) / self.eps
         self._y2 = 0.5 * np.einsum("mi,mi->m", self.ys, self.ys) / self.eps
         self.fallbacks = self.absorptions = 0
@@ -337,37 +338,37 @@ class SampleSinkhorn(_Sinkhorn):
         """K = exp(M + P0 + Q0) in place, the side not given chosen so that
         each row (column) of K peaks at exactly 1.
 
-        One product fills the buffer (a product per row block can round
-        differently from the whole one); the elementwise passes then run
-        block by block while the block is in cache."""
+        With M = x.y / eps - x2 - y2 (x2 = |x|^2 / 2 eps, y2 likewise),
+        the squared norms ride in the potentials: K = exp(x.y / eps + p +
+        q) with p = P0 - x2 and q = Q0 - y2, so a missing side is
+        P0 = x2 - rowmax(x.y / eps + q) or Q0 = y2 - colmax(x.y / eps + p).
+        One product of the prescaled xs / eps fills the buffer (a product
+        per row block can round differently from the whole one); the two
+        additions, the max and the exp then run block by block while the
+        block is in cache."""
         self.absorptions += self._Q0 is not None
-        np.matmul(self.xs, self.ys.T, out=self._K)
+        np.matmul(self._xe, self.ys.T, out=self._K)
         if Q0 is None:
-            # Q0 needs every row of M + P0 before any block can finish
+            # Q0 needs every row of x.y / eps + p before any block can finish
+            p = P0 - self._x2
             colmax = np.full(self._K.shape[1], -np.inf)
             for rows, G in self._blocks():
-                self._shift(G, rows)
-                G += P0[rows, None]
+                G += p[rows, None]
                 np.maximum(colmax, G.max(axis=0), out=colmax)
-            Q0 = -colmax
+            Q0 = self._y2 - colmax
             for _, G in self._blocks():
-                G += Q0[None, :]
+                G -= colmax[None, :]
                 np.exp(G, out=G)
         else:
+            q = Q0 - self._y2
             P0 = np.empty(self._K.shape[0])
             for rows, G in self._blocks():
-                self._shift(G, rows)
-                G += Q0[None, :]
-                P0[rows] = -G.max(axis=1)
-                G += P0[rows, None]
+                G += q[None, :]
+                rowmax = G.max(axis=1)
+                P0[rows] = self._x2[rows] - rowmax
+                G -= rowmax[:, None]
                 np.exp(G, out=G)
         self._P0, self._Q0 = P0, Q0
-
-    def _shift(self, G, rows):
-        """x.y / eps - |x|^2 / 2 eps - |y|^2 / 2 eps = M on one row block."""
-        G /= self.eps
-        G -= self._x2[rows, None]
-        G -= self._y2[None, :]
 
     def _contract(self, K, dH, R0, src, dst, h, src2, y=None):
         """Rows of K = exp(M + R0 + H0) against exp(dH), dH = H - H0: the

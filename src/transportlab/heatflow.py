@@ -211,7 +211,7 @@ def integrate_flow(f, particles, schedule, record_every=1):
     def rhs(t, y):
         pos, jac, _ = _unpack(y, m, n)
         drift, dhess, dlap = _field_parts(f, t, pos)
-        djac = np.einsum("mij,mjk->mik", dhess, jac)
+        djac = dhess @ jac
         return _pack(drift, djac, dlap)
 
     rtol = 1e-8

@@ -15,9 +15,11 @@ so no inversion of the interpolated map is needed. Entropy is int rho log
 rho (the negative differential entropy), computed by quadrature for grid
 densities and by nearest-neighbor spacing estimates for samples.
 
-The symmetrized DT, each det J_t and the stability integrand |DT - Id|^2
-are formed over blocks of quadrature.EVAL_ROWS nodes; the integrals
-against the rule's weights run on the whole arrays.
+The geodesic keeps the eigenvalues lambda_i of the symmetrized DT at
+each node, one eigvalsh per node over blocks of quadrature.EVAL_ROWS
+nodes. Every det J_t = prod_i ((1-t) + t lambda_i) and the stability
+integrand |DT - Id|_F^2 = sum_i (lambda_i - 1)^2 are then elementwise;
+the integrals against the rule's weights run on the whole arrays.
 """
 
 from __future__ import annotations
@@ -124,9 +126,11 @@ class Geodesic:
     """Displacement interpolation from mu along a transport map toward nu.
 
     One tensor rule on the box carries every integral of the geodesic
-    suite: both densities and the symmetrized DT are evaluated once at its
-    nodes. The interpolant's Jacobian is J_t = (1-t) Id + t DT at the
-    source point.
+    suite: both densities and the eigenvalues `eig` (m, n) of the
+    symmetrized DT are evaluated once at its nodes. The interpolant's
+    Jacobian J_t = (1-t) Id + t DT at the source point is taken with DT
+    symmetrized (a Brenier map's DT is a Hessian), so its eigenvalues are
+    (1-t) + t lambda_i.
     """
 
     def __init__(self, mu, nu, transport_map, box, order=_BOX_ORDER):
@@ -138,14 +142,12 @@ class Geodesic:
             box, order=order, panels=_BOX_PANELS)
         self.rho_mu = mu.pdf(self.points)
         self.rho_nu = nu.pdf(self.points)
-        J = transport_map.jacobian(self.points)
-        self.J = quadrature.blockwise(
-            lambda Jb: 0.5 * (Jb + np.swapaxes(Jb, -1, -2)), J)
+        self.eig = quadrature.blockwise(
+            lambda J: np.linalg.eigvalsh(0.5 * (J + np.swapaxes(J, -1, -2))),
+            transport_map.jacobian(self.points))
 
     def _det_jt(self, t):
-        eye = (1.0 - t) * np.eye(self.dim)
-        det = quadrature.blockwise(
-            lambda Jb: np.linalg.det(eye + t * Jb), self.J)
+        det = np.prod((1.0 - t) + t * self.eig, axis=1)
         if np.any(det <= 0):
             bad = int(np.argmax(det <= 0))
             raise ConvexityViolationError(
@@ -288,9 +290,7 @@ def entropy_stability_check(geodesic):
     h_nu = float(np.dot(w, _xlogx(geodesic.rho_nu)))
     wmu = w * geodesic.rho_mu
     wmu = wmu / wmu.sum()
-    eye = np.eye(n)
-    frob = quadrature.blockwise(
-        lambda Jb: ((Jb - eye) ** 2).sum(axis=(1, 2)), geodesic.J)
+    frob = ((geodesic.eig - 1.0) ** 2).sum(axis=1)
     rhs = float(np.dot(wmu, frob)) / (2.0 * n * n)
     gap = h_nu - h_mu
     cert = make_certificate("entropy_stability", rhs=-rhs, observed=-gap,

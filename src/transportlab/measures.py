@@ -196,7 +196,7 @@ def gaussian(mean, cov):
 
     def log_density(x):
         d = x - mean
-        return const - 0.5 * np.einsum("mi,ij,mj->m", d, prec, d)
+        return const - 0.5 * np.einsum("mi,mi->m", d @ prec, d)
 
     def grad_log(x):
         return -(x - mean) @ prec

@@ -229,7 +229,7 @@ class PolyExp:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.zeros(x.shape[0])
         for t in self.terms:
-            expo = t.c + x @ t.b - 0.5 * np.einsum("mi,ij,mj->m", x, t.B, x)
+            expo = t.c + x @ t.b - 0.5 * np.einsum("mi,mi->m", x @ t.B, x)
             amp = np.exp(expo)
             if t.poly is not None:
                 amp = amp * poly_eval(t.poly, x)
@@ -308,7 +308,7 @@ class PolyExp:
                 logv = logv + np.log(np.abs(G))
                 grad = grad + (gG @ Minv) / s
                 inner = HG - np.einsum("mi,mj->mij", gG, gG)
-                hess = hess + np.einsum("ik,mkl,lj->mij", Minv, inner, Minv) / s ** 2
+                hess = hess + Minv @ inner @ Minv / s ** 2
             parts.append((logv, sign, grad, hess))
         return _combine_log_terms(parts)
 
@@ -347,7 +347,7 @@ def _poly_mul(p1, p2):
 def _term_log(t, x):
     """(log |t|, sign, q) at points x; q is the term's polynomial factor,
     None for a pure exponential."""
-    logv = t.c + x @ t.b - 0.5 * np.einsum("mi,ij,mj->m", x, t.B, x)
+    logv = t.c + x @ t.b - 0.5 * np.einsum("mi,mi->m", x @ t.B, x)
     if t.poly is None:
         return logv, np.ones(x.shape[0]), None
     q = poly_eval(t.poly, x)

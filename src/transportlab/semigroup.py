@@ -157,7 +157,8 @@ def _gh_eval(fn, x, a, s, order):
     wy = y * w[:, None]
     G = (a / np.sqrt(s)) * (vals @ wy)                     # (m, n)
     yy = np.einsum("ki,kj->kij", y, y) - np.eye(n)[None, :, :]
-    H = (a * a / s) * np.einsum("mk,k,kij->mij", vals, w, yy)
+    wyy = w[:, None] * yy.reshape(k, -1)                   # (k, n n)
+    H = (a * a / s) * (vals @ wyy).reshape(-1, n, n)
     grad_log = G / P[:, None]
     hess_log = H / P[:, None, None] - np.einsum("mi,mj->mij", grad_log, grad_log)
     return P, grad_log, hess_log

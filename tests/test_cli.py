@@ -667,26 +667,32 @@ def test_cache_key_splits_on_every_param_the_grid_solve_reads(
 @pytest.mark.parametrize("kind", ["gaussian", "wehrl"])
 def test_geodesic_suite_evaluates_jacobian_once_and_one_det_per_time(
         monkeypatch, kind):
-    jacobians, dets = [], []
-    jacobian, det = brenier.TransportMap.jacobian, np.linalg.det
+    jacobians, stacks, dets = [], [], []
+    jacobian = brenier.TransportMap.jacobian
+    eigvalsh, det = np.linalg.eigvalsh, np.linalg.det
 
     def counting_jacobian(self, x):
         jacobians.append(len(x))
         return jacobian(self, x)
 
-    def counting_det(a):
-        dets.append(np.shape(a))
-        return det(a)
+    def counting_eigvalsh(a, *args, **kwargs):
+        # the Gauss-Legendre nodes take the eigenvalues of one matrix
+        if np.ndim(a) == 3:
+            stacks.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(brenier.TransportMap, "jacobian", counting_jacobian)
-    monkeypatch.setattr(np.linalg, "det", counting_det)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(a) or det(a))
     report, _ = run(RunConfig(command="geodesic", scenario=kind,
                               params={"time_points": 7}))
     assert [c["check"] for c in report.certificates] == ["geodesic"] * 3
     assert len(jacobians) == 1
-    # one det J_t per node and time, a block of rows per call
-    assert sum(shape[0] for shape in dets) == 7 * jacobians[0]
-    assert max(shape[0] for shape in dets) <= quadrature.EVAL_ROWS
+    # one eigenvalue row per node, a block of rows per call; every det
+    # J_t is a product of those eigenvalues
+    assert sum(shape[0] for shape in stacks) == jacobians[0]
+    assert max(shape[0] for shape in stacks) <= quadrature.EVAL_ROWS
+    assert not dets
 
 
 def test_lsh_runs_at_dim_3_and_refuses_mismatched_exponent_keys(tmp_path,

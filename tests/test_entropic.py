@@ -558,7 +558,24 @@ def test_failed_check_contraction_is_reused_bitwise(kind):
 
 def _one_shot_kernel(solver, P0=None, Q0=None):
     """The kernel built in one piece over a fresh m x k array: the oracle
-    for the in-place row-block build."""
+    for the in-place row-block build, x2 and y2 carried in the potentials."""
+    G = solver._xe @ solver.ys.T
+    if Q0 is None:
+        G += (P0 - solver._x2)[:, None]
+        colmax = G.max(axis=0)
+        Q0 = solver._y2 - colmax
+        G -= colmax[None, :]
+    else:
+        G += (Q0 - solver._y2)[None, :]
+        rowmax = G.max(axis=1)
+        P0 = solver._x2 - rowmax
+        G -= rowmax[:, None]
+    return np.exp(G, out=G), P0, Q0
+
+
+def _shifted_kernel(solver, P0=None, Q0=None):
+    """The kernel from the cost matrix M = x.y / eps - x2 - y2 itself, each
+    missing potential minus the row (column) max of M plus the other."""
     G = solver.xs @ solver.ys.T
     G /= solver.eps
     G -= solver._x2[:, None]
@@ -592,6 +609,12 @@ def test_row_block_kernel_build_matches_one_shot_build_bitwise(given):
     assert np.array_equal(solver._P0, P0)
     assert np.array_equal(solver._Q0, Q0)
     assert solver.absorptions == 0
+    # the same kernel as one shifted by the cost matrix, up to rounding
+    K, P0, Q0 = _shifted_kernel(solver, **{given: potential})
+    for got, want in ((solver._K, K), (solver._P0, P0), (solver._Q0, Q0)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    # each row (column) of the kernel still peaks at exactly 1
+    assert np.all(solver._K.max(axis=1 if given == "Q0" else 0) == 1.0)
     # a rebuild reuses the buffer and counts as an absorption
     solver._absorb(**{given: potential + 1.0})
     assert solver._K is buffer and solver.absorptions == 1

@@ -107,6 +107,64 @@ def test_geodesic_detects_singular_interpolant():
         geodesic_monotonicity_check(geo, times=[0.5])
 
 
+def _sheared_geodesic(dim, order=8):
+    """A geodesic along x -> x A^T + sin(x) / 20, whose DT is not
+    symmetric and varies from node to node."""
+    rng = np.random.default_rng(dim)
+    A = np.eye(dim) + 0.2 * rng.normal(size=(dim, dim))
+    tmap = brenier.TransportMap(
+        dim, "closed_form_gaussian", lambda x: x @ A.T + 0.05 * np.sin(x),
+        lambda x: A + 0.05 * np.cos(x)[:, :, None] * np.eye(dim))
+    dens = gaussian(np.zeros(dim), np.eye(dim))
+    geo = Geodesic(dens, dens, tmap, TruncationBox.cube(dim, 3.0),
+                   order=order)
+    J = tmap.jacobian(geo.points)
+    return geo, J, 0.5 * (J + np.swapaxes(J, -1, -2))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_det_jt_and_stability_integrand_match_lu_det_and_frobenius(dim):
+    geo, J, sym = _sheared_geodesic(dim)
+    assert (dim == 1) == np.array_equal(J, sym)
+    eye = np.eye(dim)
+    for t in (0.0, 0.1, 0.5, 0.9, 1.0):
+        want = np.linalg.det((1.0 - t) * eye + t * sym)
+        np.testing.assert_allclose(geo._det_jt(t), want, rtol=1e-13, atol=0)
+    frob = ((sym - eye) ** 2).sum(axis=(1, 2))
+    np.testing.assert_allclose(((geo.eig - 1.0) ** 2).sum(axis=1), frob,
+                               rtol=1e-13, atol=0)
+    wmu = geo.weights * geo.rho_mu
+    rep = entropy_stability_check(geo)
+    assert rep.stability_rhs == pytest.approx(
+        float(np.dot(wmu / wmu.sum(), frob)) / (2.0 * dim * dim),
+        rel=1e-13, abs=0)
+
+
+def test_singular_interpolant_names_its_first_node_as_the_probe():
+    dens = gaussian(np.zeros(2), np.eye(2))
+    box = TruncationBox.cube(2, 4.0)
+    ident = brenier.TransportMap(
+        2, "closed_form_gaussian", lambda x: x,
+        lambda x: np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy())
+    points = Geodesic(dens, dens, ident, box, order=8).points
+    bad = points[[37, 90]]
+    flip = np.diag([-1.0, 1.0])
+
+    def jacobian(x):
+        J = np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy()
+        J[(x[:, None, :] == bad[None]).all(axis=2).any(axis=1)] = flip
+        return J
+
+    tmap = brenier.TransportMap(2, "closed_form_gaussian", lambda x: x,
+                                jacobian)
+    geo = Geodesic(dens, dens, tmap, box, order=8)
+    # J_t = diag(1 - 2t, 1) at the two flipped nodes and Id elsewhere
+    assert geo._det_jt(0.25).min() == 0.5
+    with pytest.raises(ConvexityViolationError) as err:
+        geo._det_jt(0.5)
+    assert np.array_equal(err.value.probe, points[37])
+
+
 def test_entropy_quadrature_gaussian_closed_form():
     for s in (0.5, 1.0, 2.0):
         dens = gaussian(np.zeros(2), s * np.eye(2))
@@ -196,8 +254,8 @@ def test_entropy_stability_on_gaussian_pair():
 
 
 def test_dim_3_geodesic_blocks_equal_one_batch():
-    # 13,824 nodes: the symmetrized DT, every det J_t and the stability
-    # integrand run over four blocks and equal their one-batch forms
+    # 13,824 nodes: the eigenvalues of the symmetrized DT run over four
+    # blocks and equal their one-batch form
     cov = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
     mu = gaussian(np.zeros(3), cov)
     nu = gaussian(np.zeros(3), np.eye(3))
@@ -205,12 +263,8 @@ def test_dim_3_geodesic_blocks_equal_one_batch():
     geo = Geodesic(mu, nu, tmap, TruncationBox.cube(3, 5.0), order=12)
     assert geo.points.shape[0] > 3 * quadrature.EVAL_ROWS
     J = tmap.jacobian(geo.points)
-    assert np.array_equal(geo.J, 0.5 * (J + np.swapaxes(J, -1, -2)))
+    sym = 0.5 * (J + np.swapaxes(J, -1, -2))
+    assert np.array_equal(geo.eig, np.linalg.eigvalsh(sym))
     for t in (0.0, 0.3, 1.0):
-        want = np.linalg.det((1.0 - t) * np.eye(3) + t * geo.J)
-        assert np.array_equal(geo._det_jt(t), want)
-    wmu = geo.weights * geo.rho_mu
-    wmu = wmu / wmu.sum()
-    frob = ((geo.J - np.eye(3)) ** 2).sum(axis=(1, 2))
-    rep = entropy_stability_check(geo)
-    assert rep.stability_rhs == float(np.dot(wmu, frob)) / 18.0
+        want = np.linalg.det((1.0 - t) * np.eye(3) + t * sym)
+        np.testing.assert_allclose(geo._det_jt(t), want, rtol=1e-13, atol=0)
