@@ -108,6 +108,7 @@ class Tally:
         self.floats = 0
         self.identical = 0
         self.worst_rel = 0.0
+        self.worst_share = 0.0      # of RTOL * |recorded| + ATOL
         self.problems = []
 
     def compare(self, old, new, where):
@@ -134,9 +135,10 @@ class Tally:
                 return
             diff = abs(new - old)
             rel = diff / abs(old) if old != 0 else math.inf
-            if not rel <= self.worst_rel:
-                self.worst_rel = rel
-            if not diff <= RTOL * abs(old) + ATOL:
+            share = diff / (RTOL * abs(old) + ATOL)
+            self.worst_rel = max(self.worst_rel, rel)
+            self.worst_share = max(self.worst_share, share)
+            if not share <= 1.0:
                 self.problems.append(f"{where}: {old!r} became {new!r}")
         elif old != new:
             self.problems.append(f"{where}: {old!r} became {new!r}")
@@ -183,7 +185,8 @@ def check(runs):
         print(problem)
     print(f"{len(runs)} runs: {same_bytes} report.json byte-identical; "
           f"{tally.identical} of {tally.floats} floats bit-identical, "
-          f"largest relative difference {tally.worst_rel:.3g}; "
+          f"largest relative difference {tally.worst_rel:.3g} "
+          f"({tally.worst_share:.3g} of the tolerance); "
           f"{len(tally.problems)} mismatches")
     return 1 if tally.problems else 0
 

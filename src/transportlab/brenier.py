@@ -349,9 +349,7 @@ class GridMap:
 def grid_measure(dens, box, side):
     """Cell masses of a density on a tensor grid, normalized on the box."""
     axes = box.axis_nodes(side)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([g.ravel() for g in mesh], axis=-1)
-    logp = dens.logpdf(nodes).reshape([side] * box.dim)
+    logp = dens.logpdf(box.grid(side)).reshape([side] * box.dim)
     log_mass = logp - _logsumexp(logp)
     return axes, log_mass
 
@@ -368,38 +366,34 @@ def _check_schedule(schedule):
     return schedule
 
 
-def _grid_solver(axes_x, axes_y, log_a, log_b):
-    """epsilon -> the grid Sinkhorn between two measures of one dimension."""
-    return lambda eps: entropic.GridSinkhorn(axes_x, axes_y, log_a, log_b,
-                                             eps)
+def _grid_solver(axes, log_a, log_b):
+    """epsilon -> the grid Sinkhorn between two measures on one lattice."""
+    return lambda eps: entropic.GridSinkhorn(axes, axes, log_a, log_b, eps)
 
 
-def solve_entropic_schedule(mu, nu, schedule, box=None, box_nu=None, side=128,
-                            debias=True):
+def solve_entropic_schedule(mu, nu, schedule, box, side=128, debias=True):
     """Entropic maps between grid-discretized densities, one per epsilon.
 
-    Densities are renormalized on their boxes. The schedule must strictly
-    decrease; each stage warm starts from the last (entropic.continuation).
-    With debias the self-transport runs along the same schedule and
-    corrects the barycentric projection:
+    Both densities are discretized on `box` and renormalized there. The
+    schedule must strictly decrease; each stage warm starts from the last
+    (entropic.continuation). With debias the self-transport runs along the
+    same schedule and corrects the barycentric projection:
     T(x) := x + (T_{mu->nu}(x) - T_{mu->mu}(x)).
     Returns the list of per-stage TransportMaps.
     """
     schedule = _check_schedule(schedule)
-    if box is None:
-        raise DomainError("an explicit box is required")
     if mu.dim not in (1, 2):
         raise DomainError("grid route is limited to dim <= 2")
     if side < 2:
         raise DomainError(f"side must be at least 2, got {side}")
     axes_x, log_a = grid_measure(mu, box, side)
-    axes_y, log_b = grid_measure(nu, box if box_nu is None else box_nu, side)
-    cross = entropic.continuation(_grid_solver(axes_x, axes_y, log_a, log_b),
+    _, log_b = grid_measure(nu, box, side)
+    cross = entropic.continuation(_grid_solver(axes_x, log_a, log_b),
                                   schedule, _GRID_TOL, _GRID_MAX_ITER)
-    own = entropic.continuation(_grid_solver(axes_x, axes_x, log_a, log_a),
+    own = entropic.continuation(_grid_solver(axes_x, log_a, log_a),
                                 schedule, _GRID_TOL, _GRID_MAX_ITER) if debias \
         else itertools.repeat(None)
-    nodes = np.stack(np.meshgrid(*axes_x, indexing="ij"), axis=-1)
+    nodes = box.grid(side).reshape([side] * mu.dim + [mu.dim])
     maps = []
     for (solver, Q, err, iters), stage in zip(cross, own):
         values = solver.barycentric(Q)

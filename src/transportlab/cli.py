@@ -209,7 +209,7 @@ def _run_checks(checks, report, timings):
             report.errors.append({"check": name, "error": err})
             continue
         for cert in out.get("certificates", ()):
-            d = cert.to_dict() if hasattr(cert, "to_dict") else dict(cert)
+            d = cert.to_dict()
             d["check"] = name
             report.certificates.append(d)
         report.tables.update(out.get("tables", {}))
@@ -221,12 +221,10 @@ def _run_checks(checks, report, timings):
 
 def _downgrade(cert, reason):
     """Weaken a passing certificate to inconclusive (sampler quality)."""
-    d = cert.to_dict() if hasattr(cert, "to_dict") else dict(cert)
-    if d["verdict"] in (PASS, PASS_WITH_SLACK):
-        d["verdict"] = INCONCLUSIVE
-        d["details"] = dict(d.get("details", {}))
-        d["details"]["downgraded"] = reason
-    return d
+    if cert.verdict not in (PASS, PASS_WITH_SLACK):
+        return cert
+    return replace(cert, verdict=INCONCLUSIVE,
+                   details={**cert.details, "downgraded": reason})
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +248,9 @@ def _cache_path(cfg, schedule, stage):
     return os.path.join(cfg.cache_dir, f"gridmap-{digest}.npz")
 
 
-def _entropic_stage_maps(cfg, mu, nu, box, box_nu=None):
-    """Schedule solve with optional on-disk reuse of each stage's map."""
+def _entropic_stage_maps(cfg, mu, nu, box):
+    """Schedule solve on `box` with optional on-disk reuse of each stage's
+    map."""
     schedule = list(cfg.params["epsilon_schedule"])
     side = cfg.params["side"]
     if cfg.cache_dir:
@@ -263,9 +262,7 @@ def _entropic_stage_maps(cfg, mu, nu, box, box_nu=None):
                         for p, eps in zip(paths, schedule)], schedule
             except DomainError:
                 pass    # a damaged or mismatched stage file is a miss
-    maps = brenier.solve_entropic_schedule(mu, nu, schedule, box=box,
-                                           box_nu=box_nu, side=side,
-                                           debias=cfg.params["debias"])
+    maps = brenier.solve_entropic_schedule(mu, nu, schedule, box, side=side)
     if cfg.cache_dir:
         os.makedirs(cfg.cache_dir, exist_ok=True)
         for path, tmap in zip(paths, maps):
@@ -282,18 +279,11 @@ def _pair_constants(mu, nu):
 
 
 def _solve_closed_or_radial(cfg, mu, nu):
-    """The closed form for a Gaussian pair, else the radial map: the
-    geodesic command runs it on the entropic wehrl route too."""
-    solver = cfg.params["solver"]
-    if solver in ("auto", "closed_form") and mu.kind == "gaussian" \
-            and nu.kind == "gaussian":
+    """The closed form for a Gaussian pair, else the radial map, which
+    refuses a pair that is not radial or not co-centred."""
+    if mu.kind == "gaussian" and nu.kind == "gaussian":
         return brenier.solve_gaussian(mu, nu)
-    if solver != "closed_form" and mu.radial_profile is not None \
-            and nu.radial_profile is not None \
-            and np.allclose(mu.center, nu.center):
-        return brenier.solve_radial(mu, nu, r_max=cfg.params["r_max"])
-    raise DomainError(f"no closed or radial route for solver={solver!r} "
-                      f"on kinds {mu.kind}/{nu.kind}")
+    return brenier.solve_radial(mu, nu, r_max=cfg.params["r_max"])
 
 
 def _shared_solve(cfg, mu, nu):
@@ -387,8 +377,7 @@ def _verify_anisotropic(cfg, built):
 def _wehrl_entropic_bounds(cfg, mu, nu):
     alpha, kappa = _pair_constants(mu, nu)
     box = _box_for(mu, cfg.params["box_half"]["entropic"])
-    box_nu = _box_for(nu, cfg.params["box_half_nu"]["entropic"])
-    maps, schedule = _entropic_stage_maps(cfg, mu, nu, box, box_nu=box_nu)
+    maps, schedule = _entropic_stage_maps(cfg, mu, nu, box)
     probes = probe_points(mu, box, grid_per_axis=13, random_count=400,
                           seed=cfg.seed)
     trend = [float(calculus.map_statistics(tmap, probes).determinant.max())
@@ -676,22 +665,18 @@ def _gaussian_checks(cfg, built):
 
 def _wehrl_checks(cfg, built):
     mu, nu, p = built["mu"], built["nu"], cfg.params
-    if p["solver"] == "radial" and cfg.epsilon_schedule is not None:
-        raise DomainError("solver 'radial' contradicts a given "
-                          "epsilon_schedule, which selects the grid route")
-    if cfg.command == "geodesic" and cfg.epsilon_schedule is not None:
+    # a given schedule selects the grid route
+    entropic = cfg.epsilon_schedule is not None
+    if cfg.command == "geodesic" and entropic:
         raise DomainError("epsilon_schedule is read by no geodesic check: "
                           "the geodesic runs the radial map")
-    entropic = (p["solver"] == "entropic_grid"
-                or cfg.epsilon_schedule is not None)
     solve = _shared_solve(cfg, mu, nu)
     return [
         ("bounds", ("verify", "scenario"),
          (lambda: _wehrl_entropic_bounds(cfg, mu, nu)) if entropic
          else lambda: {"certificates": _bound_suite(
              cfg, mu, nu, solve, p["box_half"]["radial"])[0]}),
-        # the geodesic command runs the radial geodesic on either route
-        ("geodesic", ("geodesic",) if entropic else ("geodesic", "scenario"),
+        ("geodesic", () if entropic else ("geodesic", "scenario"),
          lambda: _geodesic_suite(cfg, mu, nu, solve,
                                  p["box_half"]["radial"])),
         ("majorization", ("scenario",) if entropic else (),
@@ -700,15 +685,13 @@ def _wehrl_checks(cfg, built):
 
 
 def _coulomb_checks(cfg, built):
-    sample_route = cfg.command == "scenario" and cfg.params["sample_route"]
-    if cfg.epsilon_schedule is not None and not sample_route:
+    if cfg.epsilon_schedule is not None and cfg.command != "scenario":
         raise DomainError("epsilon_schedule is read by the sample route "
-                          "alone, which runs only under scenario with "
-                          "sample_route true")
+                          "alone, which runs only under scenario")
     return [
         ("laplacian", ("verify", "scenario"),
          lambda: _verify_coulomb(cfg, built)),
-        ("sample_route", ("scenario",) if cfg.params["sample_route"] else (),
+        ("sample_route", ("scenario",),
          lambda: _coulomb_sample_suite(cfg, built)),
     ]
 

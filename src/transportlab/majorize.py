@@ -130,7 +130,8 @@ class Geodesic:
     symmetrized DT are evaluated once at its nodes. The interpolant's
     Jacobian J_t = (1-t) Id + t DT at the source point is taken with DT
     symmetrized (a Brenier map's DT is a Hessian), so its eigenvalues are
-    (1-t) + t lambda_i.
+    (1-t) + t lambda_i. A node with some lambda_i <= 0 makes J_t singular
+    at t = 1 / (1 - lambda_i) in (0, 1], so the constructor refuses it.
     """
 
     def __init__(self, mu, nu, transport_map, box, order=_BOX_ORDER):
@@ -145,15 +146,16 @@ class Geodesic:
         self.eig = quadrature.blockwise(
             lambda J: np.linalg.eigvalsh(0.5 * (J + np.swapaxes(J, -1, -2))),
             transport_map.jacobian(self.points))
+        # eigvalsh sorts ascending: column 0 is each node's smallest
+        low = self.eig[:, 0]
+        if np.any(low <= 0):
+            bad = int(np.argmax(low <= 0))
+            raise ConvexityViolationError(
+                f"interpolant Jacobian is singular at "
+                f"t={1.0 / (1.0 - low[bad]):.6g}", probe=self.points[bad])
 
     def _det_jt(self, t):
-        det = np.prod((1.0 - t) + t * self.eig, axis=1)
-        if np.any(det <= 0):
-            bad = int(np.argmax(det <= 0))
-            raise ConvexityViolationError(
-                f"interpolant Jacobian is singular at t={t}",
-                probe=self.points[bad])
-        return det
+        return np.prod((1.0 - t) + t * self.eig, axis=1)
 
 
 @dataclass(frozen=True)

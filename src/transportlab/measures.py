@@ -81,16 +81,13 @@ class TruncationBox:
 
     def grid(self, points_per_axis):
         """Full tensor grid, shape (points_per_axis**dim, dim)."""
-        axes = self.axis_nodes(points_per_axis)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in mesh], axis=-1)
+        return quadrature.tensor_grid(self.axis_nodes(points_per_axis))
 
     def interior_grid(self, points_per_axis):
         """The tensor grid without its boundary nodes."""
-        axes = [a[1:points_per_axis - 1]
-                for a in self.axis_nodes(points_per_axis)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in mesh], axis=-1)
+        return quadrature.tensor_grid(
+            [a[1:points_per_axis - 1]
+             for a in self.axis_nodes(points_per_axis)])
 
     def sample_uniform(self, count, rng):
         return quadrature.stratified_uniform(self, count, rng)

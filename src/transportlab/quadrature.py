@@ -42,6 +42,13 @@ def blockwise(fn, x, rows=EVAL_ROWS):
     return out
 
 
+def tensor_grid(axes):
+    """Tensor product of 1-D node arrays, shape (prod of sizes, len(axes)),
+    the last axis varying fastest (meshgrid's "ij" order)."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=-1)
+
+
 def gauss_legendre_1d(a, b, order=32, panels=4):
     """Composite Gauss-Legendre nodes/weights on [a, b]."""
     x, w = leggauss(order)
@@ -62,17 +69,10 @@ def box_gauss_legendre(box, order=32, panels=4):
     """
     center = np.asarray(box.center, dtype=float)
     half = np.asarray(box.half_widths, dtype=float)
-    n = center.size
-    axes = []
-    for i in range(n):
-        xi, wi = gauss_legendre_1d(center[i] - half[i], center[i] + half[i],
-                                   order=order, panels=panels)
-        axes.append((xi, wi))
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=0), axis=0)
-    return points, weights
+    x_axes, w_axes = zip(*(gauss_legendre_1d(c - h, c + h, order=order,
+                                             panels=panels)
+                           for c, h in zip(center, half)))
+    return tensor_grid(x_axes), tensor_grid(w_axes).prod(axis=1)
 
 
 def gauss_hermite(dim, order=64):
@@ -83,13 +83,7 @@ def gauss_hermite(dim, order=64):
     """
     x, w = hermegauss(order)
     w = w / np.sqrt(2.0 * np.pi)
-    if dim == 1:
-        return x[:, None], w
-    grids = np.meshgrid(*([x] * dim), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([w] * dim), indexing="ij")
-    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=0), axis=0)
-    return points, weights
+    return tensor_grid([x] * dim), tensor_grid([w] * dim).prod(axis=1)
 
 
 class CumulativeIntegral:

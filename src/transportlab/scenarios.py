@@ -311,7 +311,6 @@ def build_wehrl_instance(state):
     weights = np.asarray(state.weights, dtype=float)
     comps = [np.asarray(c, dtype=complex) for c in state.components]
     center = np.array([state.center[0], -state.center[1]])
-    centered = bool(np.all(center == 0.0))
 
     parts = [PolyExp.poly_times_gaussian(
         2, polyexp.modulus_squared_poly(c), B=2.0 * math.pi * np.eye(2))
@@ -320,22 +319,14 @@ def build_wehrl_instance(state):
     fam = PolyExp.mixture([p for p, k in zip(parts, keep) if k],
                           (2.0 ** -0.5) * weights[keep])
 
-    if centered:
-        log_density = fam.log_value
-        grad_log = lambda x: fam.log_derivs(x)[1]
-        hess_log = lambda x: fam.log_derivs(x)[2]
-        family = fam
-    else:
-        def log_density(x):
-            return fam.log_value(x - center)
+    def log_density(x):
+        return fam.log_value(x - center)
 
-        def grad_log(x):
-            return fam.log_derivs(x - center)[1]
+    def grad_log(x):
+        return fam.log_derivs(x - center)[1]
 
-        def hess_log(x):
-            return fam.log_derivs(x - center)[2]
-
-        family = None
+    def hess_log(x):
+        return fam.log_derivs(x - center)[2]
 
     # mass and pointwise-bound probes on a box covering the state
     half = math.sqrt((state.max_degree() + 4.0) / math.pi) + 1.5
@@ -380,7 +371,9 @@ def build_wehrl_instance(state):
     mu = Density(2, log_density, grad_log=grad_log, hess_log=hess_log,
                  normalized=True, certificate=cert,
                  singular_tube=singular_tube, radial_profile=radial_profile,
-                 center=center, kind="husimi", family=family)
+                 center=center, kind="husimi",
+                 # the closed-form semigroup reads the family about 0
+                 family=fam if not np.any(center) else None)
     nu = measures.gaussian(center, np.eye(2) / (2.0 * math.pi))
     return mu, nu, cert
 
@@ -648,12 +641,11 @@ def flow_gaussian_weight(sigma, dim=2):
 class Param(NamedTuple):
     """One param of a scenario kind: its type, default and domain.
 
-    `type` is int, float, bool, str or object, a "list of" one (never
-    empty), or alternatives joined by " or ". `domain` is "> x" or ">= x"
-    for a number (each element of a list), the allowed strings for a str,
-    or "" for any. A default naming an earlier param is its value; a
-    default per route makes the value one per route. `shapes` marks what
-    the entropic grid solve reads, and so keys its cache."""
+    `type` is int, float, str or object, a "list of" one (never empty),
+    or alternatives joined by " or ". `domain` is "> x" or ">= x" for a
+    number (each element of a list), the allowed strings for a str, or ""
+    for any. A default per route makes the value one per route. `shapes`
+    marks what the entropic grid solve reads, and so keys its cache."""
 
     type: str
     default: object
@@ -666,8 +658,6 @@ PARAMS = {
         "sigma_source": Param("float", 2.0, "> 0"),
         "sigma_target": Param("float", 1.0, "> 0"),
         "dim": Param("int", 2, ">= 1"),
-        "solver": Param("str", "auto", "auto, closed_form, radial"),
-        "r_max": Param("float", 8.0, "> 0"),
         "box_half": Param("float", 6.0, "> 0"),
         "time_points": Param("int", 11, ">= 2"),
     },
@@ -679,21 +669,17 @@ PARAMS = {
         "weights": Param("list of float", (1.0,), ">= 0", True),
         "degrees": Param("list of int", (1,), ">= 0", True),
         "center": Param("list of float", (0.0, 0.0), "", True),
-        "solver": Param("str", "auto", "auto, radial, entropic_grid"),
         "r_max": Param("float", 8.0, "> 0"),
         # the radial box's corners stay inside the map's resolved radius
         "box_half": Param("float", {"radial": 2.25, "entropic": 2.6}, "> 0",
                           True),
-        "box_half_nu": Param("float", "box_half", "> 0", True),
         "epsilon_schedule": Param("list of float", (0.5, 0.1, 0.05), "> 0"),
         "side": Param("int", 96, ">= 2", True),
-        "debias": Param("bool", True, "", True),
         "time_points": Param("int", 11, ">= 2"),
     },
     "coulomb": {
         "particles": Param("int", 2, ">= 1"),
         "beta": Param("float", 1.0, "> 0"),
-        "sample_route": Param("bool", True),
         # the sample route's affine fits take 80 neighbours at N = 3
         "samples": Param("int", 2000, ">= 80"),
         "epsilon_schedule": Param("list of float", (0.5, 0.2, 0.1), "> 0"),
@@ -720,8 +706,8 @@ PARAMS = {
     "selftest": {},
 }
 
-_FORMS = {"int": int, "float": (int, float), "bool": bool, "str": str,
-          "object": dict, "null": type(None)}
+_FORMS = {"int": int, "float": (int, float), "str": str, "object": dict,
+          "null": type(None)}
 
 
 def _in_domain(domain, v):
@@ -744,8 +730,8 @@ def _typed(name, spec, value):
             items = list(value)
         else:
             continue
-        if all(isinstance(v, _FORMS[elem])
-               and isinstance(v, bool) == (elem == "bool") for v in items):
+        if all(isinstance(v, _FORMS[elem]) and not isinstance(v, bool)
+               for v in items):
             items = [float(v) if elem == "float" else v for v in items]
             if not all(_in_domain(spec.domain, v) for v in items):
                 one_of = "one of " if elem == "str" else ""
@@ -773,8 +759,6 @@ def resolve(table, raw, what):
     values = {}
     for name, spec in table.items():
         default = spec.default
-        if isinstance(default, str) and default in values:
-            default = values[default]
         value = _typed(name, spec, raw[name]) if name in raw else default
         if isinstance(default, dict):   # one value per route, a fresh dict
             value = dict(default) if name not in raw \

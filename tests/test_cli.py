@@ -11,6 +11,7 @@ from transportlab import brenier, cli, quadrature, scenarios
 from transportlab.cli import (RunConfig, RunReport, _downgrade, _parse_args,
                               _resolve_config, main, run)
 from transportlab.errors import DomainError, SupportError
+from transportlab.verify import BoundCertificate, make_certificate
 
 
 def _cfg(tmp_path, doc):
@@ -92,11 +93,21 @@ def test_exit_codes_from_verdict_mix():
 
 
 def test_downgrade_only_touches_passing_certificates():
-    out = _downgrade({"verdict": "pass", "details": {}}, "mixing")
-    assert out["verdict"] == "inconclusive"
-    assert out["details"]["downgraded"] == "mixing"
-    kept = _downgrade({"verdict": "fail", "details": {}}, "mixing")
-    assert kept["verdict"] == "fail"
+    cert = make_certificate("sample_divergence", 4.0, 3.5, None,
+                            {"solver": "entropic_sample", "epsilon": 0.1},
+                            600, details={"fit_ok_fraction": 1.0})
+    assert cert.verdict == "pass"
+    out = _downgrade(cert, "mixing")
+    assert isinstance(out, BoundCertificate)
+    # only the verdict and the `downgraded` detail change in its JSON, and
+    # the passing certificate stays as it was
+    assert out.to_dict() == {
+        **cert.to_dict(), "verdict": "inconclusive",
+        "details": {"fit_ok_fraction": 1.0, "downgraded": "mixing"}}
+    assert cert.details == {"fit_ok_fraction": 1.0}
+    failed = make_certificate("sample_divergence", 4.0, 5.0, None,
+                              {"solver": "entropic_sample"}, 600)
+    assert _downgrade(failed, "mixing") is failed
 
 
 KINDS = ("gaussian", "anisotropic", "wehrl", "coulomb", "fock", "lsh",
@@ -146,24 +157,20 @@ def test_check_table_matrix():
     for command, name in REJECTED_PAIRS:
         with pytest.raises(DomainError, match=f"has no {command} suite"):
             _selected(command, name)
-    # the wehrl entropic route swaps the scenario's geodesic for the
-    # quadrature majorization; the geodesic command stays radial, so it
-    # refuses a top-level schedule that none of its checks would read
-    for route in ({"params": {"solver": "entropic_grid"}},
-                  {"epsilon_schedule": (0.5, 0.1)}):
-        assert _selected("verify", "wehrl", **route) == {"bounds"}
-        assert _selected("scenario", "wehrl", **route) == {
-            "bounds", "majorization"}
-    assert _selected("geodesic", "wehrl", {"solver": "entropic_grid"}) == {
-        "geodesic"}
+    # a given schedule selects the wehrl grid route, which swaps the
+    # scenario's geodesic for the quadrature majorization; the geodesic
+    # command stays radial, so it refuses a schedule that none of its
+    # checks would read
+    assert _selected("verify", "wehrl", epsilon_schedule=(0.5, 0.1)) == {
+        "bounds"}
+    assert _selected("scenario", "wehrl", epsilon_schedule=(0.5, 0.1)) == {
+        "bounds", "majorization"}
     with pytest.raises(DomainError, match="^epsilon_schedule "):
         _selected("geodesic", "wehrl", epsilon_schedule=(0.5, 0.1))
     # scenario runs the geodesic only when alpha <= kappa
     narrow_source = {"sigma_source": 0.5, "sigma_target": 1.0}
     assert _selected("scenario", "gaussian", narrow_source) == {"bounds"}
     assert _selected("geodesic", "gaussian", narrow_source) == {"geodesic"}
-    assert _selected("scenario", "coulomb", {"sample_route": False}) == {
-        "laplacian"}
 
 
 def test_main_maps_usage_and_execution_errors_to_3(tmp_path, capsys):
@@ -221,8 +228,7 @@ def test_tabular_rendering_lists_verdicts():
 
 def test_entropic_cache_reuses_stage_maps(tmp_path):
     cache = tmp_path / "cache"
-    doc = _cfg(tmp_path, {"params": {"side": 48, "box_half": 2.4,
-                                     "box_half_nu": 2.4}})
+    doc = _cfg(tmp_path, {"params": {"side": 48, "box_half": 2.4}})
     args = ["scenario", "wehrl", "--config", doc,
             "--epsilon-schedule", "0.5,0.12", "--cache", str(cache)]
     rc1 = main(args + ["--out", str(tmp_path / "fresh")])
@@ -242,8 +248,7 @@ def test_entropic_cache_reuses_stage_maps(tmp_path):
 
 def test_damaged_cache_lattice_is_a_miss(tmp_path, damaged_lattices):
     cache = tmp_path / "cache"
-    doc = _cfg(tmp_path, {"params": {"side": 32, "box_half": 2.4,
-                                     "box_half_nu": 2.4}})
+    doc = _cfg(tmp_path, {"params": {"side": 32, "box_half": 2.4}})
     args = ["scenario", "wehrl", "--config", doc,
             "--epsilon-schedule", "0.5,0.12", "--cache", str(cache)]
     assert main(args + ["--out", str(tmp_path / "fresh")]) == 0
@@ -270,8 +275,7 @@ def test_cache_lattice_for_another_request_is_a_miss(tmp_path, field, wrong):
     # a well-formed stage file at the right path, solved for another epsilon
     # or grid, is solved again and rewritten
     cache = tmp_path / "cache"
-    doc = _cfg(tmp_path, {"params": {"side": 32, "box_half": 2.4,
-                                     "box_half_nu": 2.4}})
+    doc = _cfg(tmp_path, {"params": {"side": 32, "box_half": 2.4}})
     args = ["scenario", "wehrl", "--config", doc,
             "--epsilon-schedule", "0.5,0.12", "--cache", str(cache)]
     assert main(args + ["--out", str(tmp_path / "fresh")]) == 0
@@ -346,14 +350,6 @@ def test_displaced_state_takes_the_radial_route_about_its_centre(command):
         assert [c[:3] for c in got] == [c[:3] for c in centred]
         assert [c[3] for c in got] == pytest.approx(
             [c[3] for c in centred], rel=1e-9, abs=1e-12)
-
-
-def test_geodesic_on_the_entropic_wehrl_route_runs_the_radial_geodesic():
-    report, _ = run(RunConfig("geodesic", "wehrl",
-                              params={"solver": "entropic_grid"}))
-    assert report.exit_code() == 0
-    assert _observed(report) == _observed(
-        run(RunConfig("geodesic", "wehrl"))[0])
 
 
 @pytest.mark.parametrize("kind, calls", [("wehrl", 2), ("gaussian", 2)])
@@ -484,7 +480,7 @@ def test_config_seed_and_schedule_are_typed_errors(tmp_path, capsys, doc,
      "epsilon_schedule"),
     (["heatflow", "flow", "--epsilon-schedule", "0.5,0.1"], {},
      "epsilon_schedule"),
-    # the radial route and a schedule, which selects the grid route
+    # a route is not a param: the schedule alone selects the grid route
     (["scenario", "wehrl", "--epsilon-schedule", "0.5,0.1"],
      {"params": {"solver": "radial"}}, "solver"),
     # a schedule that no check of the command reads
@@ -492,8 +488,6 @@ def test_config_seed_and_schedule_are_typed_errors(tmp_path, capsys, doc,
      "epsilon_schedule"),
     (["verify", "coulomb", "--epsilon-schedule", "0.5,0.1"], {},
      "epsilon_schedule"),
-    (["scenario", "coulomb", "--epsilon-schedule", "0.5,0.1"],
-     {"params": {"sample_route": False}}, "epsilon_schedule"),
 ])
 def test_inadmissible_config_is_refused_before_any_check(
         tmp_path, capsys, monkeypatch, argv, doc, key):
@@ -505,6 +499,33 @@ def test_inadmissible_config_is_refused_before_any_check(
     assert ran == []
     assert not (out / "report.json").exists()
     assert capsys.readouterr().err.startswith(f"error: DomainError: {key} ")
+
+
+@pytest.mark.parametrize("argv, kind, param, value", [
+    # the Gaussian pair picks the closed form
+    (["verify", "gaussian"], "gaussian", "solver", "radial"),
+    (["geodesic", "gaussian"], "gaussian", "r_max", 8.0),
+    # a given schedule picks the grid route, whose map is always debiased
+    # and discretizes the target on the source's box
+    (["geodesic", "wehrl"], "wehrl", "solver", "entropic_grid"),
+    (["scenario", "wehrl", "--epsilon-schedule", "0.5,0.1,0.05"], "wehrl",
+     "box_half_nu", 2.6),
+    (["scenario", "wehrl", "--epsilon-schedule", "0.5,0.1,0.05"], "wehrl",
+     "debias", False),
+    # the scenario command picks the Coulomb sample route
+    (["scenario", "coulomb"], "coulomb", "sample_route", False),
+])
+def test_a_route_is_not_a_param(tmp_path, capsys, monkeypatch, argv, kind,
+                                param, value):
+    ran = []
+    monkeypatch.setattr(cli, "_run_checks", lambda *args: ran.append(args))
+    out = tmp_path / "out"
+    doc = _cfg(tmp_path, {"params": {param: value}})
+    assert main([*argv, "--config", doc, "--out", str(out)]) == 3
+    assert ran == []
+    assert not (out / "report.json").exists()
+    assert capsys.readouterr().err.startswith(
+        f"error: DomainError: {param} is not a {kind} param")
 
 
 def test_a_schedule_under_params_acts_as_the_top_level_key(tmp_path, capsys):
@@ -582,8 +603,7 @@ def test_scenario_checks_share_one_solve(monkeypatch, kind, solver):
 
 def test_cache_key_ignores_command_and_seed(tmp_path):
     cache = tmp_path / "cache"
-    doc = _cfg(tmp_path, {"params": {"side": 32, "box_half": 2.4,
-                                     "box_half_nu": 2.4}})
+    doc = _cfg(tmp_path, {"params": {"side": 32, "box_half": 2.4}})
     common = ["wehrl", "--config", doc, "--epsilon-schedule", "0.5,0.12"]
     assert main(["scenario", *common, "--seed", "0",
                  "--cache", str(cache)]) == 0
@@ -641,8 +661,7 @@ def test_cache_key_ignores_params_the_grid_solve_does_not_read(
 
 @pytest.mark.parametrize("change", [
     {"weights": [0.25, 0.75]}, {"degrees": [1, 0]}, {"center": [0.1, 0.0]},
-    {"box_half": 2.5}, {"box_half_nu": 2.5}, {"side": 34},
-    {"debias": False}, {"schedule": "0.5,0.13"}])
+    {"box_half": 2.5}, {"side": 34}, {"schedule": "0.5,0.13"}])
 def test_cache_key_splits_on_every_param_the_grid_solve_reads(
         tmp_path, grid_solves, change):
     # a param left out of the key would reuse a map solved for another

@@ -96,15 +96,28 @@ def test_expanding_map_breaks_monotonicity():
     assert not rep.passed
 
 
-def test_geodesic_detects_singular_interpolant():
-    A = np.array([[-1.0, 0.0], [0.0, 1.0]])  # reflection: det J_t hits 0
-    tmap = brenier.TransportMap(
+def _constant_map(A):
+    return brenier.TransportMap(
         2, "closed_form_gaussian", lambda x: x @ A.T,
         lambda x: np.broadcast_to(A, (x.shape[0], 2, 2)).copy())
+
+
+def test_geodesic_detects_singular_interpolant():
+    A = np.array([[-1.0, 0.0], [0.0, 1.0]])  # reflection: det J_t hits 0
     dens = gaussian(np.zeros(2), np.eye(2))
-    geo = Geodesic(dens, dens, tmap, TruncationBox.cube(2, 4.0))
-    with pytest.raises(ConvexityViolationError):
-        geodesic_monotonicity_check(geo, times=[0.5])
+    with pytest.raises(ConvexityViolationError, match="at t=0.5$"):
+        Geodesic(dens, dens, _constant_map(A), TruncationBox.cube(2, 4.0))
+
+
+@pytest.mark.parametrize("times", [None, [0.0, 0.3, 0.4, 1.0]])
+def test_interpolant_singular_between_the_sampled_times_is_refused(times):
+    # DT = -2 I: J_t = (1 - 3t) I is singular at t = 1/3, which neither the
+    # default 11 times nor the given ones hit
+    dens = gaussian(np.zeros(2), np.eye(2))
+    with pytest.raises(ConvexityViolationError, match="at t=0.333333$"):
+        geo = Geodesic(dens, dens, _constant_map(-2.0 * np.eye(2)),
+                       TruncationBox.cube(2, 4.0))
+        geodesic_monotonicity_check(geo, times=times)
 
 
 def _sheared_geodesic(dim, order=8):
@@ -157,11 +170,9 @@ def test_singular_interpolant_names_its_first_node_as_the_probe():
 
     tmap = brenier.TransportMap(2, "closed_form_gaussian", lambda x: x,
                                 jacobian)
-    geo = Geodesic(dens, dens, tmap, box, order=8)
     # J_t = diag(1 - 2t, 1) at the two flipped nodes and Id elsewhere
-    assert geo._det_jt(0.25).min() == 0.5
-    with pytest.raises(ConvexityViolationError) as err:
-        geo._det_jt(0.5)
+    with pytest.raises(ConvexityViolationError, match="at t=0.5$") as err:
+        Geodesic(dens, dens, tmap, box, order=8)
     assert np.array_equal(err.value.probe, points[37])
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transportlab import quadrature
+from transportlab import brenier, measures, quadrature
 from transportlab.errors import DomainError
 from transportlab.measures import TruncationBox
 from transportlab.polyexp import (PolyExp, gaussian_poly_expectations,
@@ -44,6 +44,55 @@ def test_gauss_hermite_standard_moments():
     assert abs(float(w @ (pts[:, 0] ** 2)) - 1.0) < 1e-12
     assert abs(float(w @ (pts[:, 0] ** 4)) - 3.0) < 1e-11
     assert abs(float(w @ (pts[:, 0] * pts[:, 1]))) < 1e-13
+
+
+def _meshgrid_rows(axes):
+    """The tensor grid as each site spelt it before tensor_grid."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=-1)
+
+
+def _meshgrid_weights(axes):
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.prod(np.stack([g.ravel() for g in mesh], axis=0), axis=0)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tensor_grid_sites_match_their_meshgrid_formulas_bitwise(dim):
+    box = TruncationBox(np.linspace(-0.3, 0.4, dim),
+                        np.linspace(1.1, 2.9, dim))
+    side = 7
+    axes = box.axis_nodes(side)
+    assert _same_bits(box.grid(side), _meshgrid_rows(axes))
+    assert _same_bits(box.interior_grid(side),
+                      _meshgrid_rows([a[1:side - 1] for a in axes]))
+    assert _same_bits(box.grid(side).reshape([side] * dim + [dim]),
+                      np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+
+    pts, w = quadrature.box_gauss_legendre(box, order=6, panels=3)
+    rules = [quadrature.gauss_legendre_1d(lo, hi, order=6, panels=3)
+             for lo, hi in zip(box.lower, box.upper)]
+    assert _same_bits(pts, _meshgrid_rows([x for x, _ in rules]))
+    assert _same_bits(w, _meshgrid_weights([wi for _, wi in rules]))
+
+    pts, w = quadrature.gauss_hermite(dim, order=12)
+    x, wx = np.polynomial.hermite_e.hermegauss(12)
+    wx = wx / np.sqrt(2.0 * np.pi)
+    if dim == 1:
+        assert _same_bits(pts, x[:, None]) and _same_bits(w, wx)
+    assert _same_bits(pts, _meshgrid_rows([x] * dim))
+    assert _same_bits(w, _meshgrid_weights([wx] * dim))
+
+    dens = measures.gaussian(np.full(dim, 0.2), 0.7 * np.eye(dim))
+    got_axes, log_mass = brenier.grid_measure(dens, box, side)
+    logp = dens.logpdf(_meshgrid_rows(axes)).reshape([side] * dim)
+    assert all(_same_bits(g, a) for g, a in zip(got_axes, axes))
+    assert _same_bits(log_mass, logp - brenier._logsumexp(logp))
 
 
 def test_cumulative_integral_matches_gaussian_cdf():

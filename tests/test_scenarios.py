@@ -425,13 +425,8 @@ def _readme_param_tables():
 
 
 def test_readme_param_tables_match_the_declared_table():
-    def default_cell(table, default):
-        if isinstance(default, str) and default in table:
-            return f"same as `{default}`"
-        return f"`{json.dumps(default)}`"
-
     declared = {
-        kind: [(f"`{name}`", spec.type, default_cell(table, spec.default),
+        kind: [(f"`{name}`", spec.type, f"`{json.dumps(spec.default)}`",
                 spec.domain or "any") for name, spec in table.items()]
         for kind, table in {**scenarios.PARAMS,
                             "config": cli.CONFIG}.items()}
@@ -442,23 +437,16 @@ def test_resolve_params_types_defaults_and_routes():
     values = resolve_params("wehrl", {"box_half": 2, "side": 48})
     assert values["box_half"] == {"radial": 2.0, "entropic": 2.0}
     assert isinstance(values["box_half"]["radial"], float)
-    # box_half_nu follows the resolved box_half unless set
-    assert values["box_half_nu"] == values["box_half"]
-    assert resolve_params("wehrl", {"box_half_nu": 3.0})["box_half_nu"] == {
-        "radial": 3.0, "entropic": 3.0}
     assert resolve_params("wehrl", {})["box_half"] == {
         "radial": 2.25, "entropic": 2.6}
-    assert values["side"] == 48 and values["debias"] is True
+    assert values["side"] == 48
     assert resolve_params("lsh", {"poly": {"2,0": 1}})["poly"] == {"2,0": 1}
     assert resolve_params("wehrl", {})["box_half"] is not \
         scenarios.PARAMS["wehrl"]["box_half"].default
     for kind, raw, message in (
-            ("wehrl", {"debias": 1}, "debias must be bool"),
             ("coulomb", {"particles": True}, "particles must be int"),
             ("anisotropic", {"epsilons": [0.1, 0.0]}, "epsilons must be > 0"),
             ("anisotropic", {"epsilons": 0.1}, "epsilons must be list"),
-            ("gaussian", {"solver": "entropic_grid"},
-             "solver must be one of auto, closed_form, radial"),
             ("wehrl", {"probes": 50}, "probes is not a wehrl param")):
         with pytest.raises(DomainError, match=f"^{message}"):
             resolve_params(kind, raw)

@@ -52,8 +52,7 @@ CALLERS = {
     "scenarios.LshInstance.direct_check":
         "built instances: cli._growth_direct, acceptance criterion 12",
     "scenarios.CoulombSpec.dim": "the spec a CoulombInstance keeps",
-    "verify.BoundCertificate.to_dict":
-        "check results: cli._run_checks, cli._downgrade",
+    "verify.BoundCertificate.to_dict": "check results: cli._run_checks",
 }
 
 
