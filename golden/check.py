@@ -5,10 +5,11 @@
     python3 golden/check.py --record   # rewrite the committed copies
 
 The program is imported from the checkout's ``src``.  The set is every
-(command, kind) pair of the CLI's check table plus four configs: the grid
+(command, kind) pair of the CLI's check table plus six configs: the grid
 route on a 128-side lattice, ``verify wehrl`` with a schedule, a displaced
-Wehrl state and a three-coefficient Fock polynomial.  Each runs at seeds 0
-and 1, in this process, through ``cli.main``: 42 runs.
+Wehrl state, the Fock mixture of degrees 0 and 1 through ``scenario`` and
+``geodesic`` on the radial route, and a three-coefficient Fock polynomial.
+Each runs at seeds 0 and 1, in this process, through ``cli.main``: 46 runs.
 
 Exit codes, strings (verdicts among them), booleans, ints, nulls and the
 shape of each report must match exactly.  Each float is counted as
@@ -70,6 +71,13 @@ CASES = {
         ["verify", "wehrl", "--epsilon-schedule", SCHEDULE], None),
     "scenario-wehrl-displaced": (
         ["scenario", "wehrl"], {"params": {"center": [0.5, -0.3]}}),
+    # a second radial state: the Fock mixture on the radial route
+    "scenario-wehrl-mixture": (
+        ["scenario", "wehrl"],
+        {"params": {"weights": [0.5, 0.5], "degrees": [0, 1]}}),
+    "geodesic-wehrl-mixture": (
+        ["geodesic", "wehrl"],
+        {"params": {"weights": [0.5, 0.5], "degrees": [0, 1]}}),
     # the only run through fock_norm's quadrature branch
     "scenario-fock-three": (
         ["scenario", "fock"],
