@@ -49,7 +49,9 @@ class TransportMap:
     """A map R^n -> R^n with an optional Jacobian evaluator.
 
     Both evaluators are row-wise and run over blocks of
-    quadrature.EVAL_ROWS points. `check_fn`, when given, refuses a batch
+    quadrature.EVAL_ROWS points; with `whole_batch` they take the whole
+    batch and bound their own working set (the radial route shares work
+    between rows of equal radius). `check_fn`, when given, refuses a batch
     outside the map's domain; it sees the whole batch before any block
     runs, so its error is the one batch's, wherever the offending row is.
     """
@@ -61,6 +63,7 @@ class TransportMap:
     entropic_epsilon: float | None = None
     details: dict = field(default_factory=dict)
     check_fn: object = None
+    whole_batch: bool = False
 
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
@@ -70,6 +73,8 @@ class TransportMap:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.check_fn is not None:
             self.check_fn(x)
+        if self.whole_batch:
+            return np.asarray(fn(x), dtype=float)
         return quadrature.blockwise(
             lambda b: np.asarray(fn(b), dtype=float), x)
 
@@ -170,6 +175,14 @@ def solve_radial(mu, nu, r_max):
     t(r) solves M_nu(t) = M_mu(r) for the cumulative masses with weight
     r^(n-1), on a log-spaced grid. The Jacobian has radial eigenvalue t'(r)
     and tangential eigenvalue t(r)/r.
+
+    The map takes a batch whole: after the domain check it computes every
+    point's radius and inverts M_nu once per distinct radius, since t(r)
+    depends on r alone and a tensor rule symmetric about the center repeats
+    each radius many times; values and Jacobians are then assembled per
+    point, the Jacobians in blocks of quadrature.EVAL_ROWS rows. Which
+    points share an inversion does not move a bit: M_mu and M_nu at a point
+    depend on that point alone.
     """
     if mu.dim != nu.dim:
         raise DomainError("dimension mismatch")
@@ -200,21 +213,25 @@ def solve_radial(mu, nu, r_max):
                                         order=_CDF_ORDER, log_spaced=True)
     ratio = Mnu.total / Mmu.total
     r_floor = 1e-9 * r_max
+    # radius whose mass-matching slope stands in for r <= r_floor
+    r0 = max(10 * r_floor, 1e-7 * r_max)
 
     def t_of_r(r):
         return Mnu.inverse(Mmu.value(r) * ratio)
 
     # CDF matching stops resolving once either cumulative tail drops under
     # double precision; past that radius values and slopes are meaningless,
-    # so the map refuses to evaluate there instead of returning noise.
+    # so the map refuses to evaluate there instead of returning noise. A
+    # scan point whose own tail is under it is never reliable, so only the
+    # others are inverted.
     scan = np.linspace(r_max / 4096.0, r_max, 4096)
     tail_mu = 1.0 - Mmu.value(scan) / Mmu.total
     tail_nu = 1.0 - Mnu.value(scan) / Mnu.total
     nu_ok = tail_nu > 1e-13
     t_sat = float(scan[nu_ok][-1]) if np.any(nu_ok) else r_max
+    ok = tail_mu > 1e-13
     with np.errstate(all="ignore"):
-        t_scan = t_of_r(scan)
-    ok = (tail_mu > 1e-13) & (t_scan <= t_sat)
+        ok[ok] = t_of_r(scan[ok]) <= t_sat
     r_reliable = float(scan[ok][-1]) if np.any(ok) else r_max
 
     def check_fn(x):
@@ -232,44 +249,48 @@ def solve_radial(mu, nu, r_max):
             raise DomainError("target radial profile vanished on the range")
         return ratio * num / den
 
-    def eval_fn(x):
+    def radii(x):
+        """d = x - center, r = |d| and t(r) for the whole batch, with one
+        inversion per distinct radius (r0 standing in for r <= r_floor):
+        a tensor rule symmetric about the center repeats each radius."""
         d = x - center
         r = np.linalg.norm(d, axis=1)
-        out = np.zeros_like(d)
+        distinct, row = np.unique(np.where(r > r_floor, r, r0),
+                                  return_inverse=True)
+        return d, r, t_of_r(distinct)[row]
+
+    def eval_fn(x):
+        d, r, t = radii(x)
         pos = r > r_floor
-        if np.any(pos):
-            t = t_of_r(r[pos])
-            out[pos] = d[pos] * (t / r[pos])[:, None]
-        return center + out
+        d[pos] *= (t[pos] / r[pos])[:, None]
+        d[~pos] = 0.0
+        return center + d
+
+    eye = np.eye(n)
 
     def jacobian_fn(x):
-        d = x - center
-        r = np.linalg.norm(d, axis=1)
-        m = x.shape[0]
-        J = np.zeros((m, n, n))
-        eye = np.eye(n)
-        pos = r > r_floor
-        if np.any(pos):
-            rp = r[pos]
-            t = t_of_r(rp)
-            tp = tprime(rp, t)
-            u = d[pos] / rp[:, None]
+        d, r, t = radii(x)
+
+        def block(rows):
+            rb, tb = r[rows], t[rows]
+            pos = rb > r_floor
+            rp, tp = rb[pos], tb[pos]
+            u = d[rows[pos]] / rp[:, None]
             P = np.einsum("mi,mj->mij", u, u)
-            J[pos] = (tp[:, None, None] * P
-                      + (t / rp)[:, None, None] * (eye[None, :, :] - P))
-        if np.any(~pos):
+            J = np.empty((rows.size, n, n))
+            J[pos] = (tprime(rp, tp)[:, None, None] * P
+                      + (tp / rp)[:, None, None] * (eye - P))
             # limit slope from mass matching on a tiny shell
-            r0 = max(10 * r_floor, 1e-7 * r_max)
-            t0 = t_of_r(np.array([r0]))[0]
-            J[~pos] = (t0 / r0) * eye[None, :, :]
-        return J
+            J[~pos] = (tb[~pos] / r0)[:, None, None] * eye
+            return J
+        return quadrature.blockwise(block, np.arange(len(x)))
 
     return TransportMap(n, "radial", eval_fn, jacobian_fn,
                         details={"r_max": r_max, "mass_mu": Mmu.total,
                                  "mass_nu": Mnu.total,
                                  "symmetry_error": sym,
                                  "reliable_radius": r_reliable},
-                        check_fn=check_fn)
+                        check_fn=check_fn, whole_batch=True)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,13 @@ cumulative integrals with monotone inversion, stratified uniform probes.
 
 Every integral is a deterministic rule; the probe draws take an explicit
 numpy Generator. Points are arrays of shape (m, n); weights of shape (m,).
+The 1-D Gauss-Legendre and Gauss-Hermite rules are built once per order
+and cached as read-only arrays, which every rule and check shares.
+
+A cumulative integral's value at a point depends on that point alone, not
+on the batch it sits in: its partial-panel sums run row by row, not
+through BLAS. So a map that inverts it once per distinct radius (the
+radial route) returns the bits it would return point by point.
 
 A rule can hold far more points than any one evaluation needs in memory
 (884,736 nodes for the geodesic box in dim 3). `blockwise` evaluates a
@@ -15,6 +22,8 @@ output afterwards, as they would in one batch.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
@@ -22,6 +31,15 @@ from numpy.polynomial.legendre import leggauss
 # rows per evaluation block; in dim 3 a block holds 96 KiB of points and
 # 288 KiB of Jacobians
 EVAL_ROWS = 4096
+
+
+@functools.cache
+def _rule(build, order):
+    """build(order), numpy's leggauss or hermegauss, built once per order
+    and read-only, since every caller shares the arrays."""
+    x, w = build(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def blockwise(fn, x, rows=EVAL_ROWS):
@@ -51,7 +69,7 @@ def tensor_grid(axes):
 
 def gauss_legendre_1d(a, b, order=32, panels=4):
     """Composite Gauss-Legendre nodes/weights on [a, b]."""
-    x, w = leggauss(order)
+    x, w = _rule(leggauss, order)
     edges = np.linspace(a, b, panels + 1)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -81,7 +99,7 @@ def gauss_hermite(dim, order=64):
     Returns (points (m, dim), weights (m,)) with sum(weights) == 1, so that
     sum(w * f(points)) approximates E_{N(0, Id)}[f].
     """
-    x, w = hermegauss(order)
+    x, w = _rule(hermegauss, order)
     w = w / np.sqrt(2.0 * np.pi)
     return tensor_grid([x] * dim), tensor_grid([w] * dim).prod(axis=1)
 
@@ -91,8 +109,9 @@ class CumulativeIntegral:
 
     The interval is split into panels (optionally log-spaced away from `a`,
     the first edge at 1e-8 of the span), each integrated with Gauss-Legendre;
-    queries integrate the partial panel. Assumes f >= 0 so F is
-    nondecreasing.
+    queries integrate the partial panel, each point's sum on its own row,
+    so F at a point does not depend on the rest of the batch. Assumes
+    f >= 0 so F is nondecreasing.
     """
 
     def __init__(self, fn, a, b, panels=512, order=16, log_spaced=False):
@@ -106,7 +125,7 @@ class CumulativeIntegral:
         else:
             edges = np.linspace(self.a, self.b, panels + 1)
         self.edges = edges
-        x, w = leggauss(order)
+        x, w = _rule(leggauss, order)
         self._gl_x, self._gl_w = x, w
         lo, hi = edges[:-1], edges[1:]
         half = 0.5 * (hi - lo)
@@ -130,7 +149,7 @@ class CumulativeIntegral:
         mid = lo + half
         nodes = mid[:, None] + half[:, None] * self._gl_x[None, :]
         vals = self.fn(nodes.ravel()).reshape(nodes.shape)
-        partial = half * vals.dot(self._gl_w)
+        partial = half * (vals * self._gl_w).sum(axis=1)
         out = self.cum[idx] + partial
         return float(out[0]) if scalar else out
 

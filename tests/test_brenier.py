@@ -120,14 +120,59 @@ def _radial_fock_1():
 
 def test_radial_map_blocks_equal_one_batch():
     # the moment check's rule and the geodesic's rule on the default
-    # `wehrl` box: both run through more than one block
+    # `wehrl` box, evaluated in batches of 333, 1000 and EVAL_ROWS rows:
+    # a point's value and Jacobian do not depend on the batch it sits in
     tmap = _radial_fock_1()
     for order, panels in ((32, 4), (48, 2)):
         x, _ = box_gauss_legendre(TruncationBox.cube(2, 2.25), order=order,
                                   panels=panels)
         assert x.shape[0] > 2 * quadrature.EVAL_ROWS
-        assert np.array_equal(tmap(x), tmap.eval_fn(x))
-        assert np.array_equal(tmap.jacobian(x), tmap.jacobian_fn(x))
+        values, jacobians = tmap(x), tmap.jacobian(x)
+        for rows in (333, 1000, quadrature.EVAL_ROWS):
+            starts = range(0, len(x), rows)
+            assert np.array_equal(
+                np.concatenate([tmap(x[lo:lo + rows]) for lo in starts]),
+                values)
+            assert np.array_equal(
+                np.concatenate([tmap.jacobian(x[lo:lo + rows])
+                                for lo in starts]), jacobians)
+
+
+def test_radial_map_inverts_each_distinct_radius_once(monkeypatch):
+    # the geodesic's 9,216-node rule on the default `wehrl` box is
+    # symmetric about the center: its nodes have 1,176 distinct radii
+    tmap = _radial_fock_1()
+    x, _ = box_gauss_legendre(TruncationBox.cube(2, 2.25), order=48,
+                              panels=2)
+    inverse = quadrature.CumulativeIntegral.inverse
+    inverted = []
+
+    def counting(self, q):
+        inverted.append(np.size(q))
+        return inverse(self, q)
+
+    monkeypatch.setattr(quadrature.CumulativeIntegral, "inverse", counting)
+    assert x.shape[0] == 9216
+    tmap.jacobian(x)
+    assert inverted == [1176]
+    assert np.unique(np.linalg.norm(x, axis=1)).size == 1176
+
+
+def test_radial_map_at_the_center_takes_the_shell_slope():
+    # points within r_floor = 1e-9 r_max of the center map to it, with the
+    # tangential slope t(r0)/r0 of the shell r0 = 1e-7 r_max, alone or
+    # among other points
+    tmap = _radial_fock_1()
+    r0 = 1e-7 * 8.0
+    x = np.array([[0.0, 0.0], [5e-9, 0.0], [0.5, 0.0], [0.0, -1e-9]])
+    values, J = tmap(x), tmap.jacobian(x)
+    assert np.array_equal(values[[0, 1, 3]], np.zeros((3, 2)))
+    slope = tmap(np.array([[r0, 0.0]]))[0, 0] / r0
+    for i in (0, 1, 3):
+        assert np.array_equal(J[i], tmap.jacobian(x[i:i + 1])[0])
+        assert J[i][0, 1] == J[i][1, 0] == 0.0
+        assert J[i][0, 0] == J[i][1, 1] == pytest.approx(slope, rel=1e-12)
+    assert np.array_equal(J[2], tmap.jacobian(x[2:3])[0])
 
 
 @pytest.mark.parametrize("rows", [0, 1])

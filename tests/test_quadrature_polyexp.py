@@ -165,6 +165,46 @@ def test_cumulative_inverse_stops_after_newton_converges():
     assert np.allclose(np.exp(-x), 1.0 - q, rtol=1e-12, atol=0)
 
 
+def test_cumulative_value_at_a_point_ignores_the_rest_of_the_batch():
+    # one order-16 panel, so F(x) is the partial-panel sum itself, at
+    # 12,325 random points: a row's bits are its one-row value's, for every
+    # batch size and position (a BLAS matrix-vector product gives the last
+    # rows of a batch other bits), so one inversion per distinct radius
+    # loses nothing
+    ci = quadrature.CumulativeIntegral(
+        lambda r: r * np.exp(-math.pi * r * r), 0.0, 8.0, panels=1,
+        order=16)
+    x = np.random.default_rng(3).uniform(0.0, 8.0, 12325)
+    whole = ci.value(x)
+    for m in range(1, 18):
+        batch = ci.value(x[:m])
+        assert np.array_equal(batch, whole[:m])
+        assert np.array_equal(batch, [ci.value(x[i:i + 1])[0]
+                                      for i in range(m)])
+    assert np.array_equal(whole[-17:], [ci.value(v) for v in x[-17:]])
+    pieces = [ci.value(x[lo:lo + 333]) for lo in range(0, x.size, 333)]
+    assert np.array_equal(np.concatenate(pieces), whole)
+
+
+@pytest.mark.parametrize("build", [np.polynomial.legendre.leggauss,
+                                   np.polynomial.hermite_e.hermegauss])
+def test_cached_gauss_rules_are_numpys_and_read_only(build):
+    for order in (6, 16, 48):
+        x, w = quadrature._rule(build, order)
+        want_x, want_w = build(order)
+        assert _same_bits(x, want_x) and _same_bits(w, want_w)
+        # one build per order: every caller shares the same arrays
+        again = quadrature._rule(build, order)
+        assert again[0] is x and again[1] is w
+        for a in (x, w):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+            with pytest.raises(ValueError):
+                a *= 2.0
+        assert _same_bits(x, want_x) and _same_bits(w, want_w)
+
+
 # ---------------------------------------------------------------------------
 # polynomial dictionaries
 
