@@ -33,9 +33,7 @@ import json
 import math
 import os
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -179,35 +177,25 @@ class RunReport:
 
 
 def _run_checks(checks, report, timings):
-    """Run (name, fn) pairs concurrently; assemble results by check name.
+    """Run (name, fn) pairs in table order on this thread.
 
     Each fn returns a dict with optional keys certificates / tables /
-    series / summaries.  A check that raises is recorded as an error and
-    the run continues.
+    series / summaries, merged into the report; no two checks of a suite
+    share a key.  A check that raises is recorded as an error, its
+    traceback goes to timings["errors"], and the next check still runs.
     """
-    results = {}
-
-    def wrap(name, fn):
+    for name, fn in checks:
         t0 = time.perf_counter()
         try:
             out = fn() or {}
-            return name, out, None, time.perf_counter() - t0
         except Exception as exc:
-            return (name, None, f"{type(exc).__name__}: {exc}",
-                    time.perf_counter() - t0)
-
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(checks)))) as pool:
-        futures = [pool.submit(wrap, name, fn) for name, fn in checks]
-        for fut in futures:
-            name, out, err, dt = fut.result()
-            timings["checks"][name] = dt
-            results[name] = (out, err)
-
-    for name in sorted(results):
-        out, err = results[name]
-        if err is not None:
-            report.errors.append({"check": name, "error": err})
+            import traceback    # only a failed check pays for the import
+            timings["errors"][name] = traceback.format_exc()
+            report.errors.append({"check": name,
+                                  "error": f"{type(exc).__name__}: {exc}"})
             continue
+        finally:
+            timings["checks"][name] = time.perf_counter() - t0
         for cert in out.get("certificates", ()):
             d = cert.to_dict()
             d["check"] = name
@@ -288,15 +276,13 @@ def _solve_closed_or_radial(cfg, mu, nu):
 
 def _shared_solve(cfg, mu, nu):
     """One closed or radial solve for all checks of a run: the first call
-    solves under a lock and later calls reuse the map. A failed solve is
-    not kept, so every check that asks records its own error."""
-    lock = threading.Lock()
+    solves and later calls reuse the map. A failed solve is not kept, so
+    every check that asks records its own error."""
     solved = []
 
     def solve():
-        with lock:
-            if not solved:
-                solved.append(_solve_closed_or_radial(cfg, mu, nu))
+        if not solved:
+            solved.append(_solve_closed_or_radial(cfg, mu, nu))
         return solved[0]
     return solve
 
@@ -754,7 +740,7 @@ def run(cfg):
     a default leaves it None.  The checks see every declared param typed
     and defaulted; the report keeps the config as given.
     """
-    timings = {"checks": {}}
+    timings = {"checks": {}, "errors": {}}
     t0 = time.perf_counter()
     report = RunReport(config=cfg.canonical(), config_hash=cfg.content_hash())
     raw = dict(cfg.params)

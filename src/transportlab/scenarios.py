@@ -721,7 +721,8 @@ def _in_domain(domain, v):
 
 def _typed(name, spec, value):
     """value checked against spec's type and domain; an int given for a
-    float becomes a float."""
+    float becomes a float, and a float must be finite (json reads
+    Infinity and NaN)."""
     for form in spec.type.split(" or "):
         elem = form.removeprefix("list of ")
         if elem == form:
@@ -733,6 +734,8 @@ def _typed(name, spec, value):
         if all(isinstance(v, _FORMS[elem]) and not isinstance(v, bool)
                for v in items):
             items = [float(v) if elem == "float" else v for v in items]
+            if elem == "float" and not all(map(math.isfinite, items)):
+                raise DomainError(f"{name} must be finite, got {value!r}")
             if not all(_in_domain(spec.domain, v) for v in items):
                 one_of = "one of " if elem == "str" else ""
                 raise DomainError(f"{name} must be {one_of}{spec.domain}, "
@@ -807,8 +810,10 @@ def _poly_param(raw):
         if not all(k.strip().isdecimal() for k in parts):
             raise DomainError(f"poly keys must be comma lists of ints >= 0, "
                               f"got {key!r}")
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise DomainError(f"poly values must be numbers, got {v!r}")
+        if isinstance(v, bool) or not isinstance(v, (int, float)) \
+                or not math.isfinite(v):
+            raise DomainError(f"poly values must be finite numbers, "
+                              f"got {v!r}")
         poly[tuple(int(k) for k in parts)] = float(v)
     return poly
 

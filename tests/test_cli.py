@@ -2,7 +2,9 @@
 
 import glob
 import json
+import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -330,6 +332,42 @@ def test_radial_solve_failure_is_each_checks_error(tmp_path, monkeypatch):
                 "SupportError: radial map resolved only to radius 1"
         assert report["certificates"] == []
         assert report["exit_code"] == 3
+        # the side channel keeps each failed check's traceback
+        errors = json.loads((out / "timings.json").read_text())["errors"]
+        assert sorted(errors) == failed
+        for tb in errors.values():
+            assert "brenier.solve_radial(" in tb
+            assert tb.rstrip().endswith(
+                "SupportError: radial map resolved only to radius 1")
+
+
+def test_checks_run_in_table_order_on_the_calling_thread():
+    # table order is not name order; a check that raises is its own error
+    # and the next check still runs
+    ran = []
+
+    def check(name, fails=False):
+        def fn():
+            ran.append((name, threading.get_ident()))
+            if fails:
+                raise SupportError(f"{name} failed")
+            return {"certificates": [make_certificate(
+                "trace", 1.0, 0.5, 0.0, {"solver": "x"}, 1)],
+                "summaries": {name: 1}}
+        return name, fn
+
+    checks = [check("zeta"), check("alpha", fails=True), check("mid")]
+    report = RunReport(config={}, config_hash="")
+    timings = {"checks": {}, "errors": {}}
+    cli._run_checks(checks, report, timings)
+    caller = threading.get_ident()
+    assert ran == [("zeta", caller), ("alpha", caller), ("mid", caller)]
+    assert list(timings["checks"]) == ["zeta", "alpha", "mid"]
+    assert list(timings["errors"]) == ["alpha"]
+    assert report.errors == [{"check": "alpha",
+                              "error": "SupportError: alpha failed"}]
+    assert [c["check"] for c in report.certificates] == ["mid", "zeta"]
+    assert report.summaries == {"zeta": 1, "mid": 1}
 
 
 def _observed(report):
@@ -488,6 +526,15 @@ def test_config_seed_and_schedule_are_typed_errors(tmp_path, capsys, doc,
      "epsilon_schedule"),
     (["verify", "coulomb", "--epsilon-schedule", "0.5,0.1"], {},
      "epsilon_schedule"),
+    # a non-finite float: json reads Infinity and NaN
+    (["scenario", "wehrl"], {"params": {"r_max": math.inf}}, "r_max"),
+    (["verify", "gaussian"], {"params": {"box_half": math.inf}}, "box_half"),
+    (["verify", "wehrl"], {"params": {"box_half": math.inf}}, "box_half"),
+    (["scenario", "fock"], {"params": {"coefficients": [math.nan, 1]}},
+     "coefficients"),
+    (["scenario", "wehrl", "--epsilon-schedule", "inf,0.1"], {},
+     "epsilon_schedule"),
+    (["scenario", "lsh"], {"params": {"poly": {"2,0": -math.inf}}}, "poly"),
 ])
 def test_inadmissible_config_is_refused_before_any_check(
         tmp_path, capsys, monkeypatch, argv, doc, key):
@@ -778,6 +825,22 @@ def test_cli_start_up_and_runs_need_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for name in ("a", "b"):
         assert (tmp_path / name / "report.json").exists()
+
+
+def test_cli_leaves_concurrent_futures_and_traceback_unloaded(tmp_path):
+    # the checks run on the calling thread; only a failed check needs the
+    # traceback module
+    proc = _python(tmp_path, (
+        "import sys\n"
+        "import transportlab.cli as cli\n"
+        "def loaded():\n"
+        "    return [m in sys.modules\n"
+        "            for m in ('concurrent.futures', 'traceback')]\n"
+        "print(*loaded())\n"
+        "rc = cli.main(['selftest', '--out', 'a'])\n"
+        "print(rc, *loaded())\n"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "0", "False", "False"]
 
 
 def test_growth_checks_leave_numpy_ma_unloaded(tmp_path):
