@@ -50,9 +50,17 @@ COMMANDS = ("verify", "geodesic", "heatflow", "scenario", "selftest")
 _DEFAULT_SCENARIO = {"verify": "gaussian", "geodesic": "wehrl",
                      "heatflow": "flow", "selftest": "selftest"}
 
-# Fixed sizes and tolerances of the checks; no config sets them.  The
-# other checks' tolerances are their library defaults.
+# Fixed boxes, sizes and tolerances of the checks; no config sets them.
+# The other checks' tolerances are their library defaults.
 LP_POWER = 1.0                      # the moment bound's L^p power
+GAUSSIAN_BOX_HALF = 6.0             # gaussian bounds and geodesic box
+# the radial box's corners stay inside the map's resolved radius
+WEHRL_RADIAL_BOX_HALF = 2.25        # wehrl radial-route box half-width
+WEHRL_GRID_BOX_HALF = 2.6           # wehrl grid-route box half-width
+R_MAX = 8.0                         # the radial solve's outer radius
+GROWTH_PROBES = 1000                # fock and lsh growth probes
+FLOW_PARTICLES = 400                # heat-flow particles
+CHAIN_DRAWS = 2000                  # Coulomb sample-route chain draws
 LAPLACIAN_PROBES = 1500             # Coulomb potential-Laplacian probes
 FIT_POINTS = 600                    # Coulomb sample-route affine fits
 RECORD_EVERY = 4                    # heat-flow schedule steps per frame
@@ -225,12 +233,12 @@ def _box_for(density, half):
 
 
 def _cache_path(cfg, schedule, stage):
-    """One stage's grid map, keyed by the scenario, the params that shape
-    the grid solve and the schedule up to that stage: neither the command,
-    the seed nor a param the solve does not read splits the cache."""
-    shaping = {name: cfg.params[name] for name, spec
-               in scenarios.PARAMS[cfg.scenario].items() if spec.shapes}
-    key = json.dumps([cfg.scenario, shaping, schedule[:stage + 1]],
+    """One stage's grid map, keyed by the scenario, every param but the
+    schedule and the schedule up to that stage: neither the command nor the
+    seed splits the cache."""
+    params = {name: value for name, value in cfg.params.items()
+              if name != "epsilon_schedule"}
+    key = json.dumps([cfg.scenario, params, schedule[:stage + 1]],
                      sort_keys=True)
     digest = hashlib.sha256(key.encode()).hexdigest()[:20]
     return os.path.join(cfg.cache_dir, f"gridmap-{digest}.npz")
@@ -266,15 +274,15 @@ def _pair_constants(mu, nu):
     return alpha, kappa
 
 
-def _solve_closed_or_radial(cfg, mu, nu):
+def _solve_closed_or_radial(mu, nu):
     """The closed form for a Gaussian pair, else the radial map, which
     refuses a pair that is not radial or not co-centred."""
     if mu.kind == "gaussian" and nu.kind == "gaussian":
         return brenier.solve_gaussian(mu, nu)
-    return brenier.solve_radial(mu, nu, r_max=cfg.params["r_max"])
+    return brenier.solve_radial(mu, nu, r_max=R_MAX)
 
 
-def _shared_solve(cfg, mu, nu):
+def _shared_solve(mu, nu):
     """One closed or radial solve for all checks of a run: the first call
     solves and later calls reuse the map. A failed solve is not kept, so
     every check that asks records its own error."""
@@ -282,7 +290,7 @@ def _shared_solve(cfg, mu, nu):
 
     def solve():
         if not solved:
-            solved.append(_solve_closed_or_radial(cfg, mu, nu))
+            solved.append(_solve_closed_or_radial(mu, nu))
         return solved[0]
     return solve
 
@@ -294,7 +302,7 @@ def _shared_solve(cfg, mu, nu):
 def _growth_direct(cfg, built):
     inst = built["instance"]
     rng = np.random.default_rng(cfg.seed)
-    probes = inst.nu.sampler(rng, cfg.params["probes"])
+    probes = inst.nu.sampler(rng, GROWTH_PROBES)
     margins = np.asarray(inst.direct_check(probes)["log_margins"],
                          dtype=float)
     finite = np.sort(margins[np.isfinite(margins)])
@@ -330,7 +338,7 @@ def _bound_suite(cfg, mu, nu, solve, half):
 
 def _verify_gaussian(cfg, mu, nu, solve):
     certs, tmap, probes, J = _bound_suite(cfg, mu, nu, solve,
-                                          cfg.params["box_half"])
+                                          GAUSSIAN_BOX_HALF)
     res = brenier.monge_ampere_residual(tmap, mu, nu, probes, jacobians=J)
     return {"certificates": certs,
             "summaries": {"monge_ampere_sup_residual": res.sup_abs}}
@@ -362,7 +370,7 @@ def _verify_anisotropic(cfg, built):
 
 def _wehrl_entropic_bounds(cfg, mu, nu):
     alpha, kappa = _pair_constants(mu, nu)
-    box = _box_for(mu, cfg.params["box_half"]["entropic"])
+    box = _box_for(mu, WEHRL_GRID_BOX_HALF)
     maps, schedule = _entropic_stage_maps(cfg, mu, nu, box)
     probes = probe_points(mu, box, grid_per_axis=13, random_count=400,
                           seed=cfg.seed)
@@ -380,7 +388,7 @@ def _wehrl_entropic_bounds(cfg, mu, nu):
 
 
 def _wehrl_majorization(cfg, mu, nu):
-    box = _box_for(mu, cfg.params["box_half"]["entropic"])
+    box = _box_for(mu, WEHRL_GRID_BOX_HALF)
     maj = majorize.majorization_from_densities(
         mu, nu, box, atol=ENTROPIC_MAJORIZATION_ATOL)
     return {"certificates": [make_certificate(
@@ -406,11 +414,11 @@ def _verify_coulomb(cfg, built):
             "summaries": {"exchangeability_error": swap_err}}
 
 
-def _geodesic_suite(cfg, mu, nu, solve, half):
-    times = np.linspace(0.0, 1.0, cfg.params["time_points"])
+def _geodesic_suite(mu, nu, solve, half):
     tmap = solve()
     geo = majorize.Geodesic(mu, nu, tmap, _box_for(mu, half))
-    geo_report = majorize.geodesic_monotonicity_check(geo, times=times)
+    geo_report = majorize.geodesic_monotonicity_check(geo)
+    times = geo_report.times
     worst_drop = 0.0
     scale = 1.0
     series = {}
@@ -449,7 +457,7 @@ def _geodesic_suite(cfg, mu, nu, solve, half):
 def _heatflow_suite(cfg, built):
     f, mu, alpha = built["weight"], built["mu"], built["alpha"]
     rng = np.random.default_rng(cfg.seed)
-    particles = mu.sampler(rng, cfg.params["particles"])
+    particles = mu.sampler(rng, FLOW_PARTICLES)
     states = heatflow.integrate_flow(f, particles,
                                      schedule=heatflow.FlowSchedule(),
                                      record_every=RECORD_EVERY)
@@ -494,10 +502,9 @@ def _q95(values):
 def _coulomb_sample_suite(cfg, built):
     inst = built["instance"]
     n = inst.mu.dim
-    count = cfg.params["samples"]
-    xs, diag = inst.sample(count, seed=cfg.seed)
+    xs, diag = inst.sample(CHAIN_DRAWS, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
-    ys = inst.nu.sampler(rng, count)
+    ys = inst.nu.sampler(rng, CHAIN_DRAWS)
     schedule = list(cfg.params["epsilon_schedule"])
     tvals, _ = brenier.solve_entropic_sample(xs, ys, schedule)
     jac, ok = brenier.local_affine_jacobians(
@@ -612,7 +619,7 @@ def _selftest_wehrl(seed):
     built = scenarios.SCENARIO_BUILDERS["wehrl"](
         scenarios.resolve_params("wehrl", {}))
     mu, nu = built["mu"], built["nu"]
-    tmap = brenier.solve_radial(mu, nu, r_max=8.0)
+    tmap = brenier.solve_radial(mu, nu, r_max=R_MAX)
     box = TruncationBox.cube(2, 2.2)
     probes = probe_points(mu, box, grid_per_axis=13, random_count=200,
                           seed=seed)
@@ -638,33 +645,32 @@ def _selftest_heatflow():
 def _gaussian_checks(cfg, built):
     mu, nu = built["mu"], built["nu"]
     alpha, kappa = _pair_constants(mu, nu)
-    solve = _shared_solve(cfg, mu, nu)
+    solve = _shared_solve(mu, nu)
     return [
         ("bounds", ("verify", "scenario"),
          lambda: _verify_gaussian(cfg, mu, nu, solve)),
         # the full suite adds the geodesic only when the pair contracts
         ("geodesic", ("geodesic", "scenario") if alpha <= kappa
-         else ("geodesic",), lambda: _geodesic_suite(
-             cfg, mu, nu, solve, cfg.params["box_half"])),
+         else ("geodesic",),
+         lambda: _geodesic_suite(mu, nu, solve, GAUSSIAN_BOX_HALF)),
     ]
 
 
 def _wehrl_checks(cfg, built):
-    mu, nu, p = built["mu"], built["nu"], cfg.params
+    mu, nu = built["mu"], built["nu"]
     # a given schedule selects the grid route
     entropic = cfg.epsilon_schedule is not None
     if cfg.command == "geodesic" and entropic:
         raise DomainError("epsilon_schedule is read by no geodesic check: "
                           "the geodesic runs the radial map")
-    solve = _shared_solve(cfg, mu, nu)
+    solve = _shared_solve(mu, nu)
     return [
         ("bounds", ("verify", "scenario"),
          (lambda: _wehrl_entropic_bounds(cfg, mu, nu)) if entropic
          else lambda: {"certificates": _bound_suite(
-             cfg, mu, nu, solve, p["box_half"]["radial"])[0]}),
+             cfg, mu, nu, solve, WEHRL_RADIAL_BOX_HALF)[0]}),
         ("geodesic", () if entropic else ("geodesic", "scenario"),
-         lambda: _geodesic_suite(cfg, mu, nu, solve,
-                                 p["box_half"]["radial"])),
+         lambda: _geodesic_suite(mu, nu, solve, WEHRL_RADIAL_BOX_HALF)),
         ("majorization", ("scenario",) if entropic else (),
          lambda: _wehrl_majorization(cfg, mu, nu)),
     ]
@@ -805,7 +811,6 @@ CONFIG = {
     "epsilon_schedule": scenarios.Param("list of float or null", None, "> 0"),
     "format": scenarios.Param("list of str", ("structured",),
                               ", ".join(FORMATS)),
-    # not {}: a dict default would be one value per route
     "params": scenarios.Param("object", None),
 }
 

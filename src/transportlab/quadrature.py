@@ -23,14 +23,21 @@ output afterwards, as they would in one batch.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
+from .errors import DomainError
+
 # rows per evaluation block; in dim 3 a block holds 96 KiB of points and
 # 288 KiB of Jacobians
 EVAL_ROWS = 4096
+# the most nodes a tensor grid may hold, 48 MB of points in dim 3; the
+# largest in use is the geodesic rule of `geodesic gaussian` at dim 3,
+# 96^3 = 884,736 nodes
+MAX_GRID_NODES = 2 ** 21
 
 
 @functools.cache
@@ -62,7 +69,13 @@ def blockwise(fn, x, rows=EVAL_ROWS):
 
 def tensor_grid(axes):
     """Tensor product of 1-D node arrays, shape (prod of sizes, len(axes)),
-    the last axis varying fastest (meshgrid's "ij" order)."""
+    the last axis varying fastest (meshgrid's "ij" order). A grid of
+    more than MAX_GRID_NODES nodes raises DomainError before any is
+    built."""
+    nodes = math.prod(len(a) for a in axes)
+    if nodes > MAX_GRID_NODES:
+        raise DomainError(f"a tensor grid of {nodes} nodes exceeds the "
+                          f"budget of {MAX_GRID_NODES}")
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=-1)
 

@@ -644,13 +644,11 @@ class Param(NamedTuple):
     `type` is int, float, str or object, a "list of" one (never empty),
     or alternatives joined by " or ". `domain` is "> x" or ">= x" for a
     number (each element of a list), the allowed strings for a str, or ""
-    for any. A default per route makes the value one per route. `shapes`
-    marks what the entropic grid solve reads, and so keys its cache."""
+    for any."""
 
     type: str
     default: object
     domain: str = ""
-    shapes: bool = False
 
 
 PARAMS = {
@@ -658,49 +656,36 @@ PARAMS = {
         "sigma_source": Param("float", 2.0, "> 0"),
         "sigma_target": Param("float", 1.0, "> 0"),
         "dim": Param("int", 2, ">= 1"),
-        "box_half": Param("float", 6.0, "> 0"),
-        "time_points": Param("int", 11, ">= 2"),
     },
     "anisotropic": {
         "epsilons": Param("list of float", (1.0, 0.1, 0.01), "> 0"),
         "dim": Param("int", 2, ">= 1"),
     },
     "wehrl": {
-        "weights": Param("list of float", (1.0,), ">= 0", True),
-        "degrees": Param("list of int", (1,), ">= 0", True),
-        "center": Param("list of float", (0.0, 0.0), "", True),
-        "r_max": Param("float", 8.0, "> 0"),
-        # the radial box's corners stay inside the map's resolved radius
-        "box_half": Param("float", {"radial": 2.25, "entropic": 2.6}, "> 0",
-                          True),
+        "weights": Param("list of float", (1.0,), ">= 0"),
+        "degrees": Param("list of int", (1,), ">= 0"),
+        "center": Param("list of float", (0.0, 0.0)),
         "epsilon_schedule": Param("list of float", (0.5, 0.1, 0.05), "> 0"),
-        "side": Param("int", 96, ">= 2", True),
-        "time_points": Param("int", 11, ">= 2"),
+        "side": Param("int", 96, ">= 2"),
     },
     "coulomb": {
         "particles": Param("int", 2, ">= 1"),
         "beta": Param("float", 1.0, "> 0"),
-        # the sample route's affine fits take 80 neighbours at N = 3
-        "samples": Param("int", 2000, ">= 80"),
         "epsilon_schedule": Param("list of float", (0.5, 0.2, 0.1), "> 0"),
     },
     "fock": {
         "p": Param("float", 2.0, "> 0"),
         "sigma": Param("float", 1.0, "> 0"),
         "coefficients": Param("list of float", (0.0, 1.0)),
-        "probes": Param("int", 1000, ">= 1"),
     },
     "lsh": {
         "dim": Param("int", 2, ">= 1"),
         "poly": Param("object or null", None),
         "beta": Param("float", 0.0, ">= 0"),
-        "probes": Param("int", 1000, ">= 1"),
     },
     "flow": {
         "sigma": Param("float", 0.5, "> 0"),
         "dim": Param("int", 2, ">= 1"),
-        # the pushforward check needs 100 particles per moment
-        "particles": Param("int", 400, ">= 200"),
     },
     # the closed-form oracle battery fixes its own instances
     "selftest": {},
@@ -722,7 +707,7 @@ def _in_domain(domain, v):
 def _typed(name, spec, value):
     """value checked against spec's type and domain; an int given for a
     float becomes a float, and a float must be finite (json reads
-    Infinity and NaN)."""
+    Infinity, NaN and ints beyond the float range)."""
     for form in spec.type.split(" or "):
         elem = form.removeprefix("list of ")
         if elem == form:
@@ -733,7 +718,10 @@ def _typed(name, spec, value):
             continue
         if all(isinstance(v, _FORMS[elem]) and not isinstance(v, bool)
                for v in items):
-            items = [float(v) if elem == "float" else v for v in items]
+            try:
+                items = [float(v) if elem == "float" else v for v in items]
+            except OverflowError:   # an int beyond the float range
+                items = [math.inf]
             if elem == "float" and not all(map(math.isfinite, items)):
                 raise DomainError(f"{name} must be finite, got {value!r}")
             if not all(_in_domain(spec.domain, v) for v in items):
@@ -759,15 +747,8 @@ def resolve(table, raw, what):
     if unknown:
         raise DomainError(f"{unknown[0]} is not a {what}; it takes "
                           f"{', '.join(sorted(table)) or 'none'}")
-    values = {}
-    for name, spec in table.items():
-        default = spec.default
-        value = _typed(name, spec, raw[name]) if name in raw else default
-        if isinstance(default, dict):   # one value per route, a fresh dict
-            value = dict(default) if name not in raw \
-                else dict.fromkeys(default, value)
-        values[name] = value
-    return values
+    return {name: _typed(name, spec, raw[name]) if name in raw
+            else spec.default for name, spec in table.items()}
 
 
 def _scenario_gaussian(p):
@@ -803,18 +784,15 @@ def _scenario_fock(p):
 def _poly_param(raw):
     """The lsh `poly` object, {"i,j,...": coefficient}, as
     {(i, j, ...): float}; a key that is not a comma list of ints >= 0 or a
-    value that is not a number raises DomainError naming poly."""
+    value that is not a finite number raises DomainError naming poly."""
     poly = {}
     for key, v in raw.items():
         parts = key.split(",")
         if not all(k.strip().isdecimal() for k in parts):
             raise DomainError(f"poly keys must be comma lists of ints >= 0, "
                               f"got {key!r}")
-        if isinstance(v, bool) or not isinstance(v, (int, float)) \
-                or not math.isfinite(v):
-            raise DomainError(f"poly values must be finite numbers, "
-                              f"got {v!r}")
-        poly[tuple(int(k) for k in parts)] = float(v)
+        poly[tuple(int(k) for k in parts)] = _typed(
+            "poly", Param("float", None), v)
     return poly
 
 

@@ -230,7 +230,7 @@ def test_tabular_rendering_lists_verdicts():
 
 def test_entropic_cache_reuses_stage_maps(tmp_path):
     cache = tmp_path / "cache"
-    doc = _cfg(tmp_path, {"params": {"side": 48, "box_half": 2.4}})
+    doc = _cfg(tmp_path, {"params": {"side": 48}})
     args = ["scenario", "wehrl", "--config", doc,
             "--epsilon-schedule", "0.5,0.12", "--cache", str(cache)]
     rc1 = main(args + ["--out", str(tmp_path / "fresh")])
@@ -250,7 +250,7 @@ def test_entropic_cache_reuses_stage_maps(tmp_path):
 
 def test_damaged_cache_lattice_is_a_miss(tmp_path, damaged_lattices):
     cache = tmp_path / "cache"
-    doc = _cfg(tmp_path, {"params": {"side": 32, "box_half": 2.4}})
+    doc = _cfg(tmp_path, {"params": {"side": 32}})
     args = ["scenario", "wehrl", "--config", doc,
             "--epsilon-schedule", "0.5,0.12", "--cache", str(cache)]
     assert main(args + ["--out", str(tmp_path / "fresh")]) == 0
@@ -277,7 +277,7 @@ def test_cache_lattice_for_another_request_is_a_miss(tmp_path, field, wrong):
     # a well-formed stage file at the right path, solved for another epsilon
     # or grid, is solved again and rewritten
     cache = tmp_path / "cache"
-    doc = _cfg(tmp_path, {"params": {"side": 32, "box_half": 2.4}})
+    doc = _cfg(tmp_path, {"params": {"side": 32}})
     args = ["scenario", "wehrl", "--config", doc,
             "--epsilon-schedule", "0.5,0.12", "--cache", str(cache)]
     assert main(args + ["--out", str(tmp_path / "fresh")]) == 0
@@ -420,15 +420,15 @@ def test_anisotropic_run_without_epsilons_is_refused(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
-# rows marked "fixed" name a size or tolerance that is a constant of the
-# checks, not a param: the kind does not declare it, whatever its value
+# rows marked "fixed" name a size, box or tolerance that is a constant of
+# the checks, not a param: the kind does not declare it, whatever its value
 @pytest.mark.parametrize("argv, param, value, check", [
-    (["geodesic", "gaussian"], "time_points", 1, "geodesic"),
-    (["scenario", "fock"], "probes", 0, "growth_direct"),
+    (["geodesic", "gaussian"], "time_points", 1, "geodesic"),      # fixed
+    (["scenario", "fock"], "probes", 0, "growth_direct"),          # fixed
     (["heatflow", "flow"], "record_every", 0, "contraction"),      # fixed
     (["verify", "wehrl", "--epsilon-schedule", "0.5,0.1"], "side", 1,
      "bounds"),
-    (["heatflow", "flow"], "particles", 0, "contraction"),
+    (["heatflow", "flow"], "particles", 0, "contraction"),         # fixed
     (["verify", "coulomb"], "laplacian_probes", 0, "laplacian"),   # fixed
     (["scenario", "coulomb"], "fit_points", 0, "sample_route"),    # fixed
     (["scenario", "coulomb"], "thin", 0, "sample_route"),          # fixed
@@ -438,15 +438,12 @@ def test_anisotropic_run_without_epsilons_is_refused(tmp_path, capsys):
     (["verify", "gaussian"], "order", 0, "bounds"),                # fixed
     (["geodesic", "gaussian"], "order", 0, "geodesic"),            # fixed
     (["verify", "gaussian"], "dim", 0, "bounds"),
-    # an int param refuses a fraction instead of truncating it
-    (["scenario", "fock"], "probes", 2.5, "growth_direct"),
+    (["scenario", "fock"], "probes", 2.5, "growth_direct"),        # fixed
     # no tolerance is a param: a config could widen a certificate's pass
     # region with one
     (["geodesic", "gaussian"], "monotonicity_tol", -1, "geodesic"),  # fixed
-    # sizes a check inside the run would refuse: the affine fits take 80
-    # neighbours at N = 3, the pushforward check 100 particles per moment
-    (["scenario", "coulomb"], "samples", 79, "sample_route"),
-    (["heatflow", "flow"], "particles", 199, "contraction"),
+    (["scenario", "coulomb"], "samples", 79, "sample_route"),      # fixed
+    (["heatflow", "flow"], "particles", 199, "contraction"),       # fixed
     # the gas is quadratic only and its source constant is derived, so
     # neither a law nor a constant is a param
     (["scenario", "coulomb"], "confinement", [0.5], "sample_route"),
@@ -460,8 +457,10 @@ def test_anisotropic_run_without_epsilons_is_refused(tmp_path, capsys):
     (["verify", "coulomb"], "beta", 0, "laplacian"),
     (["verify", "wehrl"], "degrees", [-1], "bounds"),
     (["scenario", "lsh"], "beta", -1, "growth_direct"),
-    (["geodesic", "gaussian"], "box_half", 0, "geodesic"),
-    (["geodesic", "wehrl"], "r_max", 0, "geodesic"),
+    (["geodesic", "gaussian"], "box_half", 0, "geodesic"),         # fixed
+    (["geodesic", "wehrl"], "r_max", 0, "geodesic"),               # fixed
+    # an int param refuses a fraction instead of truncating it
+    (["verify", "gaussian"], "dim", 2.5, "bounds"),
 ])
 def test_size_params_outside_their_domain_are_typed_errors(
         tmp_path, capsys, argv, param, value, check):
@@ -526,15 +525,29 @@ def test_config_seed_and_schedule_are_typed_errors(tmp_path, capsys, doc,
      "epsilon_schedule"),
     (["verify", "coulomb", "--epsilon-schedule", "0.5,0.1"], {},
      "epsilon_schedule"),
-    # a non-finite float: json reads Infinity and NaN
-    (["scenario", "wehrl"], {"params": {"r_max": math.inf}}, "r_max"),
-    (["verify", "gaussian"], {"params": {"box_half": math.inf}}, "box_half"),
-    (["verify", "wehrl"], {"params": {"box_half": math.inf}}, "box_half"),
+    # a non-finite float: json reads Infinity and NaN (the rows marked
+    # "fixed" name a constant of the checks, refused whatever its value)
+    (["scenario", "wehrl"], {"params": {"r_max": math.inf}},        # fixed
+     "r_max"),
+    (["verify", "gaussian"], {"params": {"box_half": math.inf}},    # fixed
+     "box_half"),
+    (["verify", "wehrl"], {"params": {"box_half": math.inf}},       # fixed
+     "box_half"),
     (["scenario", "fock"], {"params": {"coefficients": [math.nan, 1]}},
      "coefficients"),
     (["scenario", "wehrl", "--epsilon-schedule", "inf,0.1"], {},
      "epsilon_schedule"),
     (["scenario", "lsh"], {"params": {"poly": {"2,0": -math.inf}}}, "poly"),
+    (["verify", "gaussian"], {"params": {"sigma_source": math.inf}},
+     "sigma_source"),
+    (["verify", "wehrl"], {"params": {"center": [math.inf, 0.0]}}, "center"),
+    # json reads an int of any size; one beyond the float range is not
+    # finite either
+    (["verify", "gaussian"], {"params": {"sigma_source": 10 ** 400}},
+     "sigma_source"),
+    (["verify", "wehrl"], {"params": {"center": [10 ** 400, 0.0]}},
+     "center"),
+    (["scenario", "lsh"], {"params": {"poly": {"2,0": 10 ** 400}}}, "poly"),
 ])
 def test_inadmissible_config_is_refused_before_any_check(
         tmp_path, capsys, monkeypatch, argv, doc, key):
@@ -598,20 +611,60 @@ def test_a_schedule_under_params_acts_as_the_top_level_key(tmp_path, capsys):
             "error: DomainError: epsilon_schedule ")
 
 
-@pytest.mark.parametrize("tolerance", ["monotonicity_tol",
-                                       "majorization_atol"])
-def test_no_config_loosens_a_certificate_tolerance(tmp_path, capsys,
-                                                   tolerance):
-    # the expanding pair fails all three geodesic certificates; a huge
-    # tolerance would turn two of those fails into passes
-    expanding = {"sigma_source": 0.5, "sigma_target": 1.0}
+# the expanding pair fails all three geodesic certificates; a huge
+# tolerance would turn two of those fails into passes
+EXPANDING = {"sigma_source": 0.5, "sigma_target": 1.0}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    pytest.param(["geodesic", "gaussian"],
+                 {**EXPANDING, "monotonicity_tol": 1e6},
+                 id="monotonicity_tol"),
+    pytest.param(["geodesic", "gaussian"],
+                 {**EXPANDING, "majorization_atol": 1e6},
+                 id="majorization_atol"),
+    # a box, a time grid or a sample size picked where the bound holds
+    pytest.param(["geodesic", "gaussian"], {**EXPANDING, "box_half": 0.1},
+                 id="gaussian-box_half"),
+    pytest.param(["geodesic", "gaussian"], {**EXPANDING, "time_points": 2},
+                 id="gaussian-time_points"),
+    pytest.param(["verify", "wehrl"], {"r_max": 2.0}, id="wehrl-r_max"),
+    pytest.param(["verify", "wehrl"], {"box_half": 0.1},
+                 id="wehrl-box_half"),
+    pytest.param(["geodesic", "wehrl"], {"time_points": 2},
+                 id="wehrl-time_points"),
+    pytest.param(["scenario", "coulomb"], {"samples": 80},
+                 id="coulomb-samples"),
+    pytest.param(["verify", "fock"], {"probes": 1}, id="fock-probes"),
+    pytest.param(["verify", "lsh"], {"probes": 1}, id="lsh-probes"),
+    pytest.param(["heatflow", "flow"], {"particles": 200},
+                 id="flow-particles")])
+def test_no_config_loosens_a_certificate_tolerance(tmp_path, capsys, argv,
+                                                   doc):
     out = tmp_path / "out"
-    doc = _cfg(tmp_path, {"params": {**expanding, tolerance: 1e6}})
-    assert main(["geodesic", "gaussian", "--config", doc,
+    name = next(k for k in doc if k not in EXPANDING)
+    assert main([*argv, "--config", _cfg(tmp_path, {"params": doc}),
                  "--out", str(out)]) == 3
     assert not (out / "report.json").exists()
     assert capsys.readouterr().err.startswith(
-        f"error: DomainError: {tolerance} is not a gaussian param")
+        f"error: DomainError: {name} is not a {argv[1]} param")
+
+
+@pytest.mark.parametrize("argv, dim, failed", [
+    (["scenario", "gaussian"], 4, "geodesic"),
+    (["verify", "anisotropic"], 8, "lipschitz_limit")])
+def test_a_grid_beyond_the_node_budget_is_the_checks_error(tmp_path, argv,
+                                                           dim, failed):
+    # the dim-4 geodesic rule holds 96^4 nodes, the dim-8 probe grid 9^8;
+    # either would take gigabytes, so the check that builds it fails first
+    out = tmp_path / "out"
+    assert main([*argv, "--config", _cfg(tmp_path, {"params": {"dim": dim}}),
+                 "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert [e["check"] for e in report["errors"]] == [failed]
+    assert "nodes exceeds the budget" in report["errors"][0]["error"]
+    # the checks whose grids fit still run and pass
+    assert all(c["verdict"] == "pass" for c in report["certificates"])
 
 
 def test_verify_gaussian_above_dim_2_keeps_the_pointwise_bounds(tmp_path):
@@ -650,7 +703,7 @@ def test_scenario_checks_share_one_solve(monkeypatch, kind, solver):
 
 def test_cache_key_ignores_command_and_seed(tmp_path):
     cache = tmp_path / "cache"
-    doc = _cfg(tmp_path, {"params": {"side": 32, "box_half": 2.4}})
+    doc = _cfg(tmp_path, {"params": {"side": 32}})
     common = ["wehrl", "--config", doc, "--epsilon-schedule", "0.5,0.12"]
     assert main(["scenario", *common, "--seed", "0",
                  "--cache", str(cache)]) == 0
@@ -689,29 +742,11 @@ def grid_solves(monkeypatch):
     return counts
 
 
-def test_cache_key_ignores_params_the_grid_solve_does_not_read(
-        tmp_path, grid_solves):
-    cache = tmp_path / "cache"
-    common = ["scenario", "wehrl", "--epsilon-schedule", "0.5,0.12"]
-    assert main([*common, "--config", _cfg(tmp_path, {"params": WEHRL_GRID}),
-                 "--cache", str(cache)]) == 0
-    assert grid_solves == {"solves": 1, "writes": 2}
-    doc = _cfg(tmp_path, {"params": {**WEHRL_GRID, "time_points": 7}})
-    assert main([*common, "--config", doc, "--cache", str(cache),
-                 "--out", str(tmp_path / "cached")]) == 0
-    assert grid_solves == {"solves": 1, "writes": 2}     # a hit
-    assert main([*common, "--config", doc,
-                 "--out", str(tmp_path / "fresh")]) == 0
-    assert (tmp_path / "cached" / "report.json").read_bytes() == \
-        (tmp_path / "fresh" / "report.json").read_bytes()
-
-
 # explicit ids: a row keeps its name when a row before it goes
 @pytest.mark.parametrize("change", [
     pytest.param({"weights": [0.25, 0.75]}, id="change0"),
     pytest.param({"degrees": [1, 0]}, id="change1"),
     pytest.param({"center": [0.1, 0.0]}, id="change2"),
-    pytest.param({"box_half": 2.5}, id="change3"),
     pytest.param({"schedule": "0.4,0.12"}, id="change4"),
     pytest.param({"side": 34}, id="change5"),
     pytest.param({"schedule": "0.5,0.13"}, id="change7")])
@@ -760,8 +795,7 @@ def test_geodesic_suite_evaluates_jacobian_once_and_one_det_per_time(
     monkeypatch.setattr(brenier.TransportMap, "jacobian", counting_jacobian)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(a) or det(a))
-    report, _ = run(RunConfig(command="geodesic", scenario=kind,
-                              params={"time_points": 7}))
+    report, _ = run(RunConfig(command="geodesic", scenario=kind))
     assert [c["check"] for c in report.certificates] == ["geodesic"] * 3
     assert len(jacobians) == 1
     # one eigenvalue row per node, a block of rows per call; every det
@@ -811,16 +845,12 @@ def test_cli_start_up_and_runs_need_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
-    # below about 800 draws the chains' mixing statistic leaves the
-    # sample route inconclusive (exit 2), which is not what this tests
-    doc = _cfg(tmp_path, {"params": {"samples": 800}})
     proc = _python(tmp_path, (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
         "from transportlab import cli\n"
         "rc = [cli.main(['selftest', '--out', 'a']),\n"
-        f"      cli.main(['scenario', 'coulomb', '--config', {doc!r},\n"
-        "                '--out', 'b'])]\n"
+        "      cli.main(['scenario', 'coulomb', '--out', 'b'])]\n"
         "sys.exit(max(rc))\n"))
     assert proc.returncode == 0, proc.stderr
     for name in ("a", "b"):
@@ -855,12 +885,10 @@ def test_growth_checks_leave_numpy_ma_unloaded(tmp_path):
 
 
 def test_coulomb_sample_route_leaves_numpy_ma_unloaded(tmp_path):
-    doc = _cfg(tmp_path, {"params": {"samples": 800}})
     proc = _python(tmp_path, (
         "import sys\n"
         "from transportlab import cli\n"
-        f"rc = cli.main(['scenario', 'coulomb', '--config', {doc!r},\n"
-        "               '--out', 'a'])\n"
+        "rc = cli.main(['scenario', 'coulomb', '--out', 'a'])\n"
         "print(rc, 'numpy.ma' in sys.modules)\n"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]

@@ -95,6 +95,18 @@ def test_tensor_grid_sites_match_their_meshgrid_formulas_bitwise(dim):
     assert _same_bits(log_mass, logp - brenier._logsumexp(logp))
 
 
+def test_tensor_grid_refuses_more_nodes_than_its_budget():
+    # one axis of budget + 1 nodes is 16 MB; the refusal comes before
+    # meshgrid, and a grid at the budget is built
+    nodes = quadrature.MAX_GRID_NODES + 1
+    with pytest.raises(DomainError, match=f"grid of {nodes} nodes"):
+        quadrature.tensor_grid([np.zeros(nodes)])
+    with pytest.raises(DomainError, match=f"grid of {2 * nodes - 2} nodes"):
+        quadrature.tensor_grid([np.zeros(2), np.zeros(nodes - 1)])
+    grid = quadrature.tensor_grid([np.zeros(nodes - 1)])
+    assert grid.shape == (nodes - 1, 1)
+
+
 def test_cumulative_integral_matches_gaussian_cdf():
     from scipy.stats import norm
     ci = quadrature.CumulativeIntegral(

@@ -434,19 +434,21 @@ def test_readme_param_tables_match_the_declared_table():
 
 
 def test_resolve_params_types_defaults_and_routes():
-    values = resolve_params("wehrl", {"box_half": 2, "side": 48})
-    assert values["box_half"] == {"radial": 2.0, "entropic": 2.0}
-    assert isinstance(values["box_half"]["radial"], float)
-    assert resolve_params("wehrl", {})["box_half"] == {
-        "radial": 2.25, "entropic": 2.6}
+    values = resolve_params("wehrl", {"center": [1, -2], "side": 48})
+    assert values["center"] == [1.0, -2.0]
+    assert all(isinstance(c, float) for c in values["center"])
     assert values["side"] == 48
+    assert values["degrees"] == (1,)
     assert resolve_params("lsh", {"poly": {"2,0": 1}})["poly"] == {"2,0": 1}
-    assert resolve_params("wehrl", {})["box_half"] is not \
-        scenarios.PARAMS["wehrl"]["box_half"].default
+    # the kinds declare 21 settable values in all
+    assert sum(len(table) for table in scenarios.PARAMS.values()) == 21
     for kind, raw, message in (
             ("coulomb", {"particles": True}, "particles must be int"),
             ("anisotropic", {"epsilons": [0.1, 0.0]}, "epsilons must be > 0"),
             ("anisotropic", {"epsilons": 0.1}, "epsilons must be list"),
-            ("wehrl", {"probes": 50}, "probes is not a wehrl param")):
+            ("wehrl", {"probes": 50}, "probes is not a wehrl param"),
+            ("wehrl", {"box_half": 2.0}, "box_half is not a wehrl param"),
+            ("gaussian", {"sigma_source": 10 ** 400},
+             "sigma_source must be finite")):
         with pytest.raises(DomainError, match=f"^{message}"):
             resolve_params(kind, raw)
