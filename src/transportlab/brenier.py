@@ -10,6 +10,10 @@ Four routes produce a TransportMap, tagged by provenance:
 A fifth, solve_entropic_sample, runs Sinkhorn on point clouds and returns
 the debiased map's values at the source samples alone.
 
+The two entropic solves run at the BLAS thread count the command was
+entered with (blas.entry_threads); the rest of a command runs on one
+thread.
+
 Exact routes carry analytic Jacobians; grid maps differentiate their lattice
 values by stencils; sample-map Jacobians come from local affine models over
 nearest neighbors. The Monge-Ampere residual log rho_mu(x) - log rho_nu(T x)
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import entropic, quadrature
+from . import blas, entropic, quadrature
 from .errors import ConvexityViolationError, DomainError, SupportError
 
 PROVENANCES = ("closed_form_gaussian", "quantile_1d", "radial",
@@ -407,31 +411,32 @@ def solve_entropic_schedule(mu, nu, schedule, box, side=128, debias=True):
         raise DomainError("grid route is limited to dim <= 2")
     if side < 2:
         raise DomainError(f"side must be at least 2, got {side}")
-    axes_x, log_a = grid_measure(mu, box, side)
-    _, log_b = grid_measure(nu, box, side)
-    cross = entropic.continuation(_grid_solver(axes_x, log_a, log_b),
-                                  schedule, _GRID_TOL, _GRID_MAX_ITER)
-    own = entropic.continuation(_grid_solver(axes_x, log_a, log_a),
-                                schedule, _GRID_TOL, _GRID_MAX_ITER) if debias \
-        else itertools.repeat(None)
-    nodes = box.grid(side).reshape([side] * mu.dim + [mu.dim])
-    maps = []
-    for (solver, Q, err, iters), stage in zip(cross, own):
-        values = solver.barycentric(Q)
-        fallbacks = solver.fallbacks
-        if stage is not None:
-            self_solver, Qs, _, _ = stage
-            values = nodes + (values - self_solver.barycentric(Qs))
-            fallbacks += self_solver.fallbacks
-        gm = GridMap(axes_x, values)
-        maps.append(TransportMap(
-            mu.dim, "entropic_grid", gm.eval, gm.jacobian,
-            entropic_epsilon=solver.eps,
-            details={"side": side, "marginal_error": err,
-                     "iterations": iters, "debias": debias,
-                     "fallbacks": fallbacks, "box": box.to_dict(),
-                     "grid_map": gm}, check_fn=gm._check_inside))
-    return maps
+    with blas.entry_threads():
+        axes_x, log_a = grid_measure(mu, box, side)
+        _, log_b = grid_measure(nu, box, side)
+        cross = entropic.continuation(_grid_solver(axes_x, log_a, log_b),
+                                      schedule, _GRID_TOL, _GRID_MAX_ITER)
+        own = entropic.continuation(
+            _grid_solver(axes_x, log_a, log_a), schedule, _GRID_TOL,
+            _GRID_MAX_ITER) if debias else itertools.repeat(None)
+        nodes = box.grid(side).reshape([side] * mu.dim + [mu.dim])
+        maps = []
+        for (solver, Q, err, iters), stage in zip(cross, own):
+            values = solver.barycentric(Q)
+            fallbacks = solver.fallbacks
+            if stage is not None:
+                self_solver, Qs, _, _ = stage
+                values = nodes + (values - self_solver.barycentric(Qs))
+                fallbacks += self_solver.fallbacks
+            gm = GridMap(axes_x, values)
+            maps.append(TransportMap(
+                mu.dim, "entropic_grid", gm.eval, gm.jacobian,
+                entropic_epsilon=solver.eps,
+                details={"side": side, "marginal_error": err,
+                         "iterations": iters, "debias": debias,
+                         "fallbacks": fallbacks, "box": box.to_dict(),
+                         "grid_map": gm}, check_fn=gm._check_inside))
+        return maps
 
 
 # ---------------------------------------------------------------------------
@@ -528,27 +533,30 @@ def solve_entropic_sample(xs, ys, schedule):
     if xs.shape[1] != ys.shape[1]:
         raise DomainError("sample clouds disagree in dimension")
     schedule = _check_schedule(schedule)
-    counts = {"fallbacks": 0, "absorptions": 0}
-    m = xs.shape[0]
-    # room for the m x k cross kernel and the m x m self-transport kernel
-    buf = np.empty(m * max(ys.shape[0], m))
+    with blas.entry_threads():
+        counts = {"fallbacks": 0, "absorptions": 0}
+        m = xs.shape[0]
+        # room for the m x k cross kernel and the m x m self-transport
+        # kernel
+        buf = np.empty(m * max(ys.shape[0], m))
 
-    def final_map(targets, stages):
-        """Barycentric map at the last stage, read before the buffer is
-        rebuilt; every stage adds its counters."""
-        kernel = buf[:m * targets.shape[0]].reshape(m, targets.shape[0])
-        for solver, Q, err, iters in entropic.continuation(
-                lambda eps: entropic.SampleSinkhorn(xs, targets, eps, kernel),
-                stages, _SAMPLE_TOL, _SAMPLE_MAX_ITER):
-            if solver.eps == stages[-1]:
-                values = solver.barycentric(Q)
-            counts["fallbacks"] += solver.fallbacks
-            counts["absorptions"] += solver.absorptions
-        return values, err, iters
+        def final_map(targets, stages):
+            """Barycentric map at the last stage, read before the buffer is
+            rebuilt; every stage adds its counters."""
+            kernel = buf[:m * targets.shape[0]].reshape(m, targets.shape[0])
+            for solver, Q, err, iters in entropic.continuation(
+                    lambda eps: entropic.SampleSinkhorn(xs, targets, eps,
+                                                        kernel),
+                    stages, _SAMPLE_TOL, _SAMPLE_MAX_ITER):
+                if solver.eps == stages[-1]:
+                    values = solver.barycentric(Q)
+                counts["fallbacks"] += solver.fallbacks
+                counts["absorptions"] += solver.absorptions
+            return values, err, iters
 
-    raw, err, iters = final_map(ys, schedule)
-    tvals = xs + raw - final_map(xs, schedule[-1:])[0]
-    return tvals, {"marginal_error": err, "iterations": iters, **counts}
+        raw, err, iters = final_map(ys, schedule)
+        tvals = xs + raw - final_map(xs, schedule[-1:])[0]
+        return tvals, {"marginal_error": err, "iterations": iters, **counts}
 
 
 # ---------------------------------------------------------------------------

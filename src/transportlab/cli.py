@@ -22,7 +22,9 @@ override their key.  Reports are byte-stable for a fixed config and seed;
 anything time-dependent goes to a sibling timings file (or stderr).  Exit
 status: 0 all checks pass, 1 any failure, 2 inconclusive without
 failures, 3 execution error.  No interactive mode, no plot rendering
-(plotdata is the raw series), no network services.
+(plotdata is the raw series), no network services.  A command runs at
+one BLAS thread, and its entropic solves at the count it was entered with
+(`blas`).
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import (brenier, calculus, heatflow, majorize, measures, polyexp,
-               scenarios, semigroup, verify)
+from . import (blas, brenier, calculus, heatflow, majorize, measures,
+               polyexp, scenarios, semigroup, verify)
 from .errors import DomainError
 from .measures import TruncationBox
 from .verify import (FAIL, INCONCLUSIVE, PASS, PASS_WITH_SLACK,
@@ -819,7 +821,12 @@ def _resolve_config(args):
     doc = {}
     if args.config:
         with open(args.config) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            # not JSON, or an int beyond Python's 4,300-digit conversion
+            except ValueError as exc:
+                raise DomainError(f"config document {args.config} is not "
+                                  f"readable JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise DomainError("config document must be a JSON object")
     flags = {"scenario": args.name, "seed": args.seed, "format": args.format}
@@ -855,8 +862,11 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 3
     try:
         cfg = _resolve_config(args)
-        report, timings = run(cfg)
-        emit(report, timings, cfg)
+        # only the entropic solves inside get the threads the command had
+        with blas.one_thread():
+            report, timings = run(cfg)
+            timings["blas"] = blas.info()
+            emit(report, timings, cfg)
         return report.exit_code()
     except Exception as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")

@@ -21,6 +21,7 @@ Conventions fixed here:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -642,24 +643,28 @@ class Param(NamedTuple):
     """One param of a scenario kind: its type, default and domain.
 
     `type` is int, float, str or object, a "list of" one (never empty),
-    or alternatives joined by " or ". `domain` is "> x" or ">= x" for a
-    number (each element of a list), the allowed strings for a str, or ""
-    for any."""
+    or alternatives joined by " or ". `domain` is "> x" or ">= x", with
+    an optional ", <= y", for a number (each element of a list), the
+    allowed strings for a str, or "" for any."""
 
     type: str
     default: object
     domain: str = ""
 
 
+# the largest dim of any kind, so a huge one is refused before a builder
+# allocates for it (the lsh default poly alone holds dim^2 exponents)
+MAX_DIM = 64
+
 PARAMS = {
     "gaussian": {
         "sigma_source": Param("float", 2.0, "> 0"),
         "sigma_target": Param("float", 1.0, "> 0"),
-        "dim": Param("int", 2, ">= 1"),
+        "dim": Param("int", 2, f">= 1, <= {MAX_DIM}"),
     },
     "anisotropic": {
         "epsilons": Param("list of float", (1.0, 0.1, 0.01), "> 0"),
-        "dim": Param("int", 2, ">= 1"),
+        "dim": Param("int", 2, f">= 1, <= {MAX_DIM}"),
     },
     "wehrl": {
         "weights": Param("list of float", (1.0,), ">= 0"),
@@ -679,13 +684,13 @@ PARAMS = {
         "coefficients": Param("list of float", (0.0, 1.0)),
     },
     "lsh": {
-        "dim": Param("int", 2, ">= 1"),
+        "dim": Param("int", 2, f">= 1, <= {MAX_DIM}"),
         "poly": Param("object or null", None),
         "beta": Param("float", 0.0, ">= 0"),
     },
     "flow": {
         "sigma": Param("float", 0.5, "> 0"),
-        "dim": Param("int", 2, ">= 1"),
+        "dim": Param("int", 2, f">= 1, <= {MAX_DIM}"),
     },
     # the closed-form oracle battery fixes its own instances
     "selftest": {},
@@ -693,6 +698,7 @@ PARAMS = {
 
 _FORMS = {"int": int, "float": (int, float), "str": str, "object": dict,
           "null": type(None)}
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 def _in_domain(domain, v):
@@ -700,8 +706,8 @@ def _in_domain(domain, v):
         return v in domain.split(", ")
     if v is None or not domain.startswith(">"):
         return True
-    op, bound = domain.split()
-    return v > float(bound) if op == ">" else v >= float(bound)
+    return all(_BOUNDS[op](v, float(bound))
+               for op, bound in map(str.split, domain.split(", ")))
 
 
 def _typed(name, spec, value):

@@ -5,11 +5,12 @@ import json
 import math
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from transportlab import brenier, cli, quadrature, scenarios
+from transportlab import blas, brenier, cli, entropic, quadrature, scenarios
 from transportlab.cli import (RunConfig, RunReport, _downgrade, _parse_args,
                               _resolve_config, main, run)
 from transportlab.errors import DomainError, SupportError
@@ -17,8 +18,9 @@ from transportlab.verify import BoundCertificate, make_certificate
 
 
 def _cfg(tmp_path, doc):
+    """A config file holding doc, or doc itself when it is a str."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -201,7 +203,17 @@ def test_verify_gaussian_report_is_deterministic(tmp_path):
         outs.append(d)
     for name in ("report.json", "report.txt", "plotdata.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-    assert (outs[0] / "timings.json").exists()
+    # the side channel names the BLAS: library, core, the thread count the
+    # command was entered with and the one it ran at outside the solves
+    timings = json.loads((outs[0] / "timings.json").read_text())
+    entry = blas.threads()
+    assert timings["blas"]["threads_at_entry"] == entry
+    if entry is None:
+        assert set(timings["blas"].values()) == {None}
+    else:
+        assert "openblas" in timings["blas"]["library"]
+        assert timings["blas"]["core"]
+        assert timings["blas"]["threads_outside_solvers"] == 1
     doc = json.loads((outs[0] / "report.json").read_text())
     assert doc["exit_code"] == 0
     assert doc["verdicts"]["fail"] == 0
@@ -461,6 +473,11 @@ def test_anisotropic_run_without_epsilons_is_refused(tmp_path, capsys):
     (["geodesic", "wehrl"], "r_max", 0, "geodesic"),               # fixed
     # an int param refuses a fraction instead of truncating it
     (["verify", "gaussian"], "dim", 2.5, "bounds"),
+    # every dim is bounded above, so no builder starts on a huge one
+    (["verify", "gaussian"], "dim", 10 ** 30, "bounds"),
+    (["verify", "anisotropic"], "dim", 10 ** 30, "lipschitz_limit"),
+    (["verify", "lsh"], "dim", 10 ** 30, "growth_direct"),
+    (["heatflow", "flow"], "dim", 10 ** 30, "contraction"),
 ])
 def test_size_params_outside_their_domain_are_typed_errors(
         tmp_path, capsys, argv, param, value, check):
@@ -470,7 +487,9 @@ def test_size_params_outside_their_domain_are_typed_errors(
     assert check in _selected(*argv[:2], epsilon_schedule=schedule)
     out = tmp_path / "out"
     doc = _cfg(tmp_path, {"params": {param: value}})
+    t0 = time.perf_counter()
     assert main([*argv, "--config", doc, "--out", str(out)]) == 3
+    assert time.perf_counter() - t0 < 0.5
     assert not (out / "report.json").exists()
     assert capsys.readouterr().err.startswith(
         f"error: DomainError: {param} ")
@@ -548,6 +567,10 @@ def test_config_seed_and_schedule_are_typed_errors(tmp_path, capsys, doc,
     (["verify", "wehrl"], {"params": {"center": [10 ** 400, 0.0]}},
      "center"),
     (["scenario", "lsh"], {"params": {"poly": {"2,0": 10 ** 400}}}, "poly"),
+    # a document that is not JSON, or that holds an int past Python's
+    # 4,300-digit conversion limit, names the document
+    (["verify", "gaussian"], '{"seed": ', "config"),
+    (["verify", "gaussian"], '{"seed": ' + "1" * 5000 + "}", "config"),
 ])
 def test_inadmissible_config_is_refused_before_any_check(
         tmp_path, capsys, monkeypatch, argv, doc, key):
@@ -945,3 +968,85 @@ def test_flow_pushforward_moments_pass_at_seed_7():
     certs = {c["bound_name"]: c for c in report.certificates}
     push = certs["km_pushforward_moments"]
     assert push["verdict"] == "pass", push["observed"]
+
+
+# the BLAS thread policy: a command runs at one thread, its entropic solves
+# at the count it was entered with, and the count is back after it; every
+# test reads the entry count from the library, so each holds at any
+# OPENBLAS_NUM_THREADS (at 1 the entry count is 1) and without the library
+# (every count reads None)
+ONE = None if blas.threads() is None else 1
+
+
+def test_a_check_run_through_main_sees_one_thread(tmp_path, monkeypatch):
+    entry = blas.threads()
+    seen = []
+    check = cli._verify_gaussian
+
+    def recording(*args):
+        seen.append(blas.threads())
+        return check(*args)
+
+    monkeypatch.setattr(cli, "_verify_gaussian", recording)
+    assert cli.main(["verify", "gaussian", "--out", str(tmp_path)]) == 0
+    assert seen == [ONE]
+    assert blas.threads() == entry
+
+
+@pytest.mark.parametrize("argv, solver", [
+    (["scenario", "coulomb"], entropic.SampleSinkhorn),
+    (["scenario", "wehrl", "--epsilon-schedule", "0.5,0.1"],
+     entropic.GridSinkhorn),
+])
+def test_the_entropic_solves_see_the_entry_count(tmp_path, monkeypatch,
+                                                  argv, solver):
+    entry = blas.threads()
+    seen = []
+    run = solver.run
+
+    def recording(self, *args, **kwargs):
+        seen.append(blas.threads())
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "run", recording)
+    doc = {"params": {"side": 32}} if solver is entropic.GridSinkhorn else {}
+    assert cli.main([*argv, "--config", _cfg(tmp_path, doc),
+                     "--out", str(tmp_path / "out")]) in (0, 2)
+    assert seen and set(seen) == {entry}
+    assert blas.threads() == entry
+
+
+def _no_map(*args, **kwargs):
+    raise DomainError("no map")
+
+
+@pytest.mark.parametrize("doc, patch, rc", [
+    ({}, None, 0),                          # a clean run
+    ({}, "solve_gaussian", 3),              # a check that raises
+    ({"params": {"dim": 0}}, None, 3),      # a config refused inside run
+])
+def test_main_restores_the_entry_count(tmp_path, monkeypatch, doc, patch,
+                                       rc):
+    entry = blas.threads()
+    if patch:
+        monkeypatch.setattr(brenier, patch, _no_map)
+    assert cli.main(["verify", "gaussian", "--config", _cfg(tmp_path, doc),
+                     "--out", str(tmp_path / "out")]) == rc
+    assert blas.threads() == entry
+    # outside a command a solve keeps the count it finds
+    with blas.entry_threads():
+        assert blas.threads() == entry
+
+
+def test_selftest_report_is_the_same_without_the_library(tmp_path,
+                                                         monkeypatch):
+    assert cli.main(["selftest", "--out", str(tmp_path / "a")]) == 0
+    monkeypatch.setattr(blas, "_find", lambda: ())
+    monkeypatch.setattr(blas, "_lib", None)
+    assert cli.main(["selftest", "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "report.json").read_bytes() == \
+        (tmp_path / "b" / "report.json").read_bytes()
+    timings = json.loads((tmp_path / "b" / "timings.json").read_text())
+    assert timings["blas"] == {"library": None, "core": None,
+                               "threads_at_entry": None,
+                               "threads_outside_solvers": None}
