@@ -2,9 +2,12 @@
 
 A command runs at one BLAS thread (`one_thread`), and the entropic solves
 inside it (`entry_threads`) at the count the command was entered with, so
-OPENBLAS_NUM_THREADS stays the ceiling.  Only the Sinkhorn kernels and
-their products are large enough to pay for a second thread; after a
-threaded call on smaller operands the idle workers spin on their cores.
+OPENBLAS_NUM_THREADS stays the ceiling.  Only the sample solve's
+2000 x 2000 kernel is large enough to pay for a second thread inside one
+product; after a threaded call on smaller operands the idle workers spin
+on their cores.  So the grid solve, whose factors are 128 x 128, spends a
+count of 2 or more on two Python threads instead, its cross- and
+self-transports side by side at one BLAS thread each.
 
 The library is the OpenBLAS in numpy's wheel (`numpy.libs`), looked up on
 first use.  With any other BLAS, or one without these symbols, every call

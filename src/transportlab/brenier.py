@@ -12,7 +12,9 @@ the debiased map's values at the source samples alone.
 
 The two entropic solves run at the BLAS thread count the command was
 entered with (blas.entry_threads); the rest of a command runs on one
-thread.
+thread. At a count of 2 or more the grid solve runs its self-transport on
+a second Python thread beside the cross-transport, both at one BLAS
+thread; the sample solve stays serial.
 
 Exact routes carry analytic Jacobians; grid maps differentiate their lattice
 values by stencils; sample-map Jacobians come from local affine models over
@@ -26,10 +28,13 @@ it is intact and was solved for the requested epsilon and lattice axes.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import hashlib
 import itertools
 import math
 import os
+import threading
 import zipfile
 from dataclasses import dataclass, field
 
@@ -396,6 +401,58 @@ def _grid_solver(axes, log_a, log_b):
     return lambda eps: entropic.GridSinkhorn(axes, axes, log_a, log_b, eps)
 
 
+def _own_stages(axes, log_a, schedule):
+    """The self-transport's continuation: each stage's barycentric values
+    and fallbacks, its solver dropped before the next stage runs."""
+    return itertools.starmap(
+        lambda solver, Q, err, iters: (solver.barycentric(Q),
+                                       solver.fallbacks),
+        entropic.continuation(_grid_solver(axes, log_a, log_a), schedule,
+                              _GRID_TOL, _GRID_MAX_ITER))
+
+
+@contextlib.contextmanager
+def _beside(stages):
+    """Run the iterator `stages` on a worker thread, the calling thread
+    and the worker at one BLAS thread each; yields `take`, which returns
+    the next stage's item in order or raises that stage's exception.
+
+    On exit the worker stops at its next stage boundary and is joined
+    before the BLAS count is restored."""
+    handed = collections.deque()
+    ready = threading.Semaphore(0)
+    stop = threading.Event()
+
+    def work():
+        try:
+            for item in stages:
+                handed.append((item, None))
+                ready.release()
+                if stop.is_set():
+                    return
+        except BaseException as exc:
+            # `take` raises it on the calling thread; a failure left
+            # uncaught here would leave `take` waiting
+            handed.append((None, exc))
+            ready.release()
+
+    def take():
+        ready.acquire()
+        item, exc = handed.popleft()
+        if exc is not None:
+            raise exc
+        return item
+
+    with blas.one_thread():
+        worker = threading.Thread(target=work, name="self-transport")
+        worker.start()
+        try:
+            yield take
+        finally:
+            stop.set()
+            worker.join()
+
+
 def solve_entropic_schedule(mu, nu, schedule, box, side=128, debias=True):
     """Entropic maps between grid-discretized densities, one per epsilon.
 
@@ -405,6 +462,16 @@ def solve_entropic_schedule(mu, nu, schedule, box, side=128, debias=True):
     same schedule and corrects the barycentric projection:
     T(x) := x + (T_{mu->nu}(x) - T_{mu->mu}(x)).
     Returns the list of per-stage TransportMaps.
+
+    The two continuations are independent. With debias, at a BLAS count of
+    2 or more (the count the command was entered with), the self stages
+    run on a worker thread beside the cross stages, each thread at one
+    BLAS thread: at 128-side factors a second BLAS thread inside one
+    product buys nothing, and its idle worker spins. So the solve uses no
+    more cores than OPENBLAS_NUM_THREADS, and both threads run the same
+    kernels as at count 1, which keeps every value bit for bit. Otherwise
+    the self stages run inline at that count. Either way the first failure
+    in stage order (cross 1, self 1, cross 2, ...) is the one raised.
     """
     schedule = _check_schedule(schedule)
     if mu.dim not in (1, 2):
@@ -416,27 +483,29 @@ def solve_entropic_schedule(mu, nu, schedule, box, side=128, debias=True):
         _, log_b = grid_measure(nu, box, side)
         cross = entropic.continuation(_grid_solver(axes_x, log_a, log_b),
                                       schedule, _GRID_TOL, _GRID_MAX_ITER)
-        own = entropic.continuation(
-            _grid_solver(axes_x, log_a, log_a), schedule, _GRID_TOL,
-            _GRID_MAX_ITER) if debias else itertools.repeat(None)
+        own = _own_stages(axes_x, log_a, schedule) if debias else iter(())
         nodes = box.grid(side).reshape([side] * mu.dim + [mu.dim])
-        maps = []
-        for (solver, Q, err, iters), stage in zip(cross, own):
+
+        def stage_map(solver, Q, err, iters):
             values = solver.barycentric(Q)
             fallbacks = solver.fallbacks
-            if stage is not None:
-                self_solver, Qs, _, _ = stage
-                values = nodes + (values - self_solver.barycentric(Qs))
-                fallbacks += self_solver.fallbacks
+            if debias:
+                own_values, own_fallbacks = take()
+                values = nodes + (values - own_values)
+                fallbacks += own_fallbacks
             gm = GridMap(axes_x, values)
-            maps.append(TransportMap(
+            return TransportMap(
                 mu.dim, "entropic_grid", gm.eval, gm.jacobian,
                 entropic_epsilon=solver.eps,
                 details={"side": side, "marginal_error": err,
                          "iterations": iters, "debias": debias,
                          "fallbacks": fallbacks, "box": box.to_dict(),
-                         "grid_map": gm}, check_fn=gm._check_inside))
-        return maps
+                         "grid_map": gm}, check_fn=gm._check_inside)
+
+        # a stage's solver and arrays go when its map is built
+        with (_beside(own) if debias and (blas.threads() or 1) >= 2
+              else contextlib.nullcontext(own.__next__)) as take:
+            return list(itertools.starmap(stage_map, cross))
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ log-domain contraction and counted in `fallbacks`.
 Grid route: measures live on tensor grids (the solvers take any number of
 axes; `brenier` builds them in dim <= 2). The cost separates per axis into
 side x side factors E = exp(A - a), so the full cost matrix is never
-formed; factor entries below the smallest normal float are zeroed, since
-such a term is below 2^-1022 against a sum of at least TINY and only slows
-the BLAS product. A log-sum-exp over the grid contracts one axis at a time,
+formed, and an axis both grids share keeps one factor for both directions.
+Factor entries below the smallest normal float are zeroed, since such a
+term is below 2^-1022 against a sum of at least TINY and only slows the
+BLAS product. A log-sum-exp over the grid contracts one axis at a time,
 last axis first, each with the per-entry fallback above (the separable
 kernel of Solomon et al., "Convolutional Wasserstein Distances", 2015).
 
@@ -140,10 +141,16 @@ class GridSinkhorn(_Sinkhorn):
         self._on_b = None if np.isfinite(log_b).all() else log_b > -np.inf
         self.eps = float(epsilon)
         self.fallbacks = 0
-        Ms = [-0.5 * (np.asarray(x, dtype=float)[:, None] - y[None, :]) ** 2
-              / self.eps for x, y in zip(axes_x, self.axes_y)]
-        self._fwd = [self._factor(M) for M in Ms]
-        self._bwd = [self._factor(M.T) for M in Ms]
+        self._fwd, self._bwd = [], []
+        for x, y in zip(axes_x, self.axes_y):
+            x = np.asarray(x, dtype=float)
+            M = -0.5 * (x[:, None] - y[None, :]) ** 2 / self.eps
+            fwd = self._factor(M)
+            self._fwd.append(fwd)
+            # on an axis the target shares, M is symmetric bit for bit
+            # ((x_i - x_j)^2 == (x_j - x_i)^2), so one factor serves both ways
+            self._bwd.append(fwd if np.array_equal(x, y)
+                             else self._factor(M.T))
         # sum over axes of the factors' row maxima, on the output grid
         self._fwd_shift = functools.reduce(np.add.outer,
                                            [a for _, _, a in self._fwd])

@@ -671,7 +671,9 @@ PARAMS = {
         "degrees": Param("list of int", (1,), ">= 0"),
         "center": Param("list of float", (0.0, 0.0)),
         "epsilon_schedule": Param("list of float", (0.5, 0.1, 0.05), "> 0"),
-        "side": Param("int", 96, ">= 2"),
+        # a side x side grid within the tensor-grid budget (1448)
+        "side": Param("int", 96,
+                      f">= 2, <= {math.isqrt(quadrature.MAX_GRID_NODES)}"),
     },
     "coulomb": {
         "particles": Param("int", 2, ">= 1"),

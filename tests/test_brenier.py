@@ -1,13 +1,15 @@
 """Transport map solvers against closed-form and frozen numeric oracles."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from transportlab import brenier, quadrature
-from transportlab.errors import DomainError, SupportError
-from transportlab.measures import TruncationBox, gaussian
+from transportlab import blas, brenier, entropic, quadrature
+from transportlab.errors import ConvergenceError, DomainError, SupportError
+from transportlab.measures import Density, TruncationBox, gaussian
 from transportlab.quadrature import box_gauss_legendre
 from transportlab.scenarios import (WehrlState, build_wehrl_instance,
                                     fock_coefficients)
@@ -277,6 +279,137 @@ def test_entropic_schedule_discretizes_each_density_once(monkeypatch):
         mu, nu, (0.5, 0.3, 0.2), box=TruncationBox.cube(2, 6.0), side=16)
     assert [m.entropic_epsilon for m in maps] == [0.5, 0.3, 0.2]
     assert len(calls) == 2 and calls[0] is mu and calls[1] is nu
+
+
+# At a BLAS count of 2 or more a debiased grid solve runs its self stages
+# on a worker thread beside the cross stages, each thread at one BLAS
+# thread; at 1 it runs them inline. The count is forced on the library,
+# so these tests need numpy's OpenBLAS.
+needs_openblas = pytest.mark.skipif(blas.threads() is None,
+                                    reason="no OpenBLAS thread count")
+
+
+def _strip_density():
+    """N(0, 4 I) in dim 2 with zero mass where the first coordinate
+    exceeds 1.5: whole lattice slices of -inf log weight."""
+    return Density(2, lambda x: np.where(x[:, 0] <= 1.5,
+                                         -0.125 * (x ** 2).sum(axis=1),
+                                         -np.inf))
+
+
+def _recording_runs(monkeypatch):
+    """The (thread, BLAS count, self?) of every grid stage solved."""
+    seen = []
+    run = entropic.GridSinkhorn.run
+
+    def recording(self, *args, **kwargs):
+        seen.append((threading.get_ident(), blas.threads(),
+                     self.log_a is self.log_b))
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(entropic.GridSinkhorn, "run", recording)
+    return seen
+
+
+def _solve_at(count, mu, nu, debias=True):
+    """The schedule (0.5, 0.2, 0.1) solved at BLAS count `count`, which
+    the solve restores, as it leaves no thread behind."""
+    threads = threading.active_count()
+    with blas._threads_at(count):
+        try:
+            return brenier.solve_entropic_schedule(
+                mu, nu, (0.5, 0.2, 0.1), box=TruncationBox.cube(mu.dim, 4.0),
+                side=24, debias=debias)
+        finally:
+            assert blas.threads() == count
+            assert threading.active_count() == threads
+
+
+@needs_openblas
+@pytest.mark.parametrize("mu, nu", [_pair(dim=1), _pair(dim=2),
+                                    (_strip_density(), _pair()[1])],
+                         ids=["dim1", "dim2", "zero-mass"])
+def test_paired_grid_solve_matches_the_serial_one_bit_for_bit(
+        monkeypatch, mu, nu):
+    seen = _recording_runs(monkeypatch)
+    serial = _solve_at(1, mu, nu)
+    assert {thread for thread, _, _ in seen} == {threading.get_ident()}
+    del seen[:]
+    # the two threads trade the interpreter lock as often as it allows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        paired = _solve_at(2, mu, nu)
+    finally:
+        sys.setswitchinterval(interval)
+    # every self stage on the worker, every cross stage here, all at 1
+    assert {(thread == threading.get_ident(), own)
+            for thread, _, own in seen} == {(True, False), (False, True)}
+    assert {count for _, count, _ in seen} == {1}
+    assert len(seen) == 6
+    for a, b in zip(serial, paired, strict=True):
+        assert np.array_equal(a.details["grid_map"].values,
+                              b.details["grid_map"].values)
+        assert {k: v for k, v in a.details.items() if k != "grid_map"} == \
+            {k: v for k, v in b.details.items() if k != "grid_map"}
+    if mu.kind == "custom":
+        assert np.isneginf(brenier.grid_measure(
+            mu, TruncationBox.cube(2, 4.0), 24)[1]).any()
+
+
+class _StageFailure(Exception):
+    pass
+
+
+@needs_openblas
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("failing, first", [
+    ({("cross", 0.2)}, ("cross", 0.2)),
+    ({("self", 0.5)}, ("self", 0.5)),
+    # the first failure in stage order: cross 1, self 1, cross 2, ...
+    ({("self", 0.5), ("cross", 0.2)}, ("self", 0.5)),
+    ({("cross", 0.2), ("self", 0.2)}, ("cross", 0.2)),
+])
+def test_a_failing_grid_stage_raises_the_first_failure_in_stage_order(
+        monkeypatch, count, failing, first):
+    run = entropic.GridSinkhorn.run
+    # a failing cross stage 2 waits for self stage 2 to start, so the
+    # worker is inside a stage when the solve unwinds
+    self_2 = threading.Event()
+
+    def failing_run(self, *args, **kwargs):
+        stage = ("self" if self.log_a is self.log_b else "cross", self.eps)
+        if stage == ("self", 0.2):
+            self_2.set()
+        if stage == ("cross", 0.2) and count == 2:
+            assert self_2.wait(10)
+        if stage in failing:
+            kind = ConvergenceError if stage[0] == "cross" else _StageFailure
+            raise kind(f"{stage[0]} stage at {stage[1]}")
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(entropic.GridSinkhorn, "run", failing_run)
+    mu, nu = _pair()
+    with pytest.raises((ConvergenceError, _StageFailure)) as err:
+        _solve_at(count, mu, nu)
+    assert type(err.value) is (ConvergenceError if first[0] == "cross"
+                               else _StageFailure)
+    assert str(err.value) == f"{first[0]} stage at {first[1]}"
+
+
+@needs_openblas
+@pytest.mark.parametrize("count, debias", [(1, True), (2, False)])
+def test_no_thread_starts_at_one_blas_thread_or_without_debias(
+        monkeypatch, count, debias):
+    started = []
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self))
+    seen = _recording_runs(monkeypatch)
+    mu, nu = _pair()
+    maps = _solve_at(count, mu, nu, debias=debias)
+    assert not started
+    assert {count for _, count, _ in seen} == {count}
+    assert len(seen) == (6 if debias else 3) and len(maps) == 3
 
 
 @pytest.mark.parametrize("schedule", [(0.1, 0.5), (0.5, 0.5, 0.1), ()])

@@ -478,6 +478,9 @@ def test_anisotropic_run_without_epsilons_is_refused(tmp_path, capsys):
     (["verify", "anisotropic"], "dim", 10 ** 30, "lipschitz_limit"),
     (["verify", "lsh"], "dim", 10 ** 30, "growth_direct"),
     (["heatflow", "flow"], "dim", 10 ** 30, "contraction"),
+    # a side whose side x side grid exceeds the tensor-grid budget
+    (["verify", "wehrl", "--epsilon-schedule", "0.5,0.1"], "side", 5000,
+     "bounds"),
 ])
 def test_size_params_outside_their_domain_are_typed_errors(
         tmp_path, capsys, argv, param, value, check):
@@ -993,6 +996,9 @@ def test_a_check_run_through_main_sees_one_thread(tmp_path, monkeypatch):
     assert blas.threads() == entry
 
 
+# the sample solve runs serially at the entry count; at an entry count of
+# 2 or more the grid solve runs its self stages on a second thread, each
+# thread at one BLAS thread, and at 1 (or without the library) serially
 @pytest.mark.parametrize("argv, solver", [
     (["scenario", "coulomb"], entropic.SampleSinkhorn),
     (["scenario", "wehrl", "--epsilon-schedule", "0.5,0.1"],
@@ -1005,14 +1011,16 @@ def test_the_entropic_solves_see_the_entry_count(tmp_path, monkeypatch,
     run = solver.run
 
     def recording(self, *args, **kwargs):
-        seen.append(blas.threads())
+        seen.append((threading.get_ident(), blas.threads()))
         return run(self, *args, **kwargs)
 
     monkeypatch.setattr(solver, "run", recording)
     doc = {"params": {"side": 32}} if solver is entropic.GridSinkhorn else {}
     assert cli.main([*argv, "--config", _cfg(tmp_path, doc),
                      "--out", str(tmp_path / "out")]) in (0, 2)
-    assert seen and set(seen) == {entry}
+    paired = solver is entropic.GridSinkhorn and (entry or 1) >= 2
+    assert seen and {count for _, count in seen} == {ONE if paired else entry}
+    assert len({ident for ident, _ in seen}) == (2 if paired else 1)
     assert blas.threads() == entry
 
 

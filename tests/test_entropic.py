@@ -248,6 +248,27 @@ def test_grid_factors_hold_no_subnormal_entries():
     assert solver.fallbacks == 0
 
 
+def test_a_shared_axis_keeps_one_factor_with_the_unshared_bits():
+    # axis 0 is shared (a copy, equal bit for bit), axis 1 is not
+    rng = np.random.default_rng(8)
+    axes_x = [np.linspace(-2.0, 2.0, 12), np.linspace(-1.5, 1.0, 9)]
+    axes_y = [axes_x[0].copy(), np.linspace(-1.0, 2.0, 10)]
+    la, lb = _log_weights(rng, (12, 9)), _log_weights(rng, (12, 10))
+    shared = entropic.GridSinkhorn(axes_x, axes_y, la, lb, 0.05)
+    assert shared._bwd[0] is shared._fwd[0]
+    assert shared._bwd[1] is not shared._fwd[1]
+    unshared = entropic.GridSinkhorn(axes_x, axes_y, la, lb, 0.05)
+    unshared._bwd[0] = entropic.GridSinkhorn._factor(unshared._fwd[0][0].T)
+    got, expect = shared.run(), unshared.run()
+    assert got[2:] == expect[2:]
+    for a, b in zip(got[:2], expect[:2]):
+        assert np.array_equal(a, b)
+    assert np.array_equal(shared.barycentric(got[1]),
+                           unshared.barycentric(expect[1]))
+    # the log-domain chain reads the backward factors too
+    assert np.array_equal(shared.lse_p(got[0]), unshared.lse_p(expect[0]))
+
+
 def _record_handovers(monkeypatch):
     """The iteration counts at which grid stages enter the log-domain
     loop, and the whole-grid products each such stage forms there."""
