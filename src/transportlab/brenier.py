@@ -375,6 +375,14 @@ class GridMap:
             nearest.append(np.where(use_left, left, i))
         return self.jacobians[tuple(nearest)]
 
+    def transport_map(self, epsilon, **details):
+        """The entropic grid TransportMap of these values, solved at
+        `epsilon`; `details` gain the grid map itself."""
+        return TransportMap(self.dim, "entropic_grid", self.eval,
+                            self.jacobian, entropic_epsilon=epsilon,
+                            details={**details, "grid_map": self},
+                            check_fn=self._check_inside)
+
 
 def grid_measure(dens, box, side):
     """Cell masses of a density on a tensor grid, normalized on the box."""
@@ -396,19 +404,19 @@ def _check_schedule(schedule):
     return schedule
 
 
-def _grid_solver(axes, log_a, log_b):
-    """epsilon -> the grid Sinkhorn between two measures on one lattice."""
-    return lambda eps: entropic.GridSinkhorn(axes, axes, log_a, log_b, eps)
-
-
-def _own_stages(axes, log_a, schedule):
-    """The self-transport's continuation: each stage's barycentric values
-    and fallbacks, its solver dropped before the next stage runs."""
+def _stages(axes, log_a, log_b, schedule):
+    """The continuation between two measures on one lattice: each stage's
+    epsilon, barycentric values and details (the fallbacks read after the
+    barycentric values, which may add some), its solver dropped once they
+    are read."""
     return itertools.starmap(
-        lambda solver, Q, err, iters: (solver.barycentric(Q),
-                                       solver.fallbacks),
-        entropic.continuation(_grid_solver(axes, log_a, log_a), schedule,
-                              _GRID_TOL, _GRID_MAX_ITER))
+        lambda solver, Q, err, iters: (
+            solver.eps, solver.barycentric(Q),
+            {"marginal_error": err, "iterations": iters,
+             "fallbacks": solver.fallbacks}),
+        entropic.continuation(
+            lambda eps: entropic.GridSinkhorn(axes, log_a, log_b, eps),
+            schedule, _GRID_TOL, _GRID_MAX_ITER))
 
 
 @contextlib.contextmanager
@@ -479,33 +487,23 @@ def solve_entropic_schedule(mu, nu, schedule, box, side=128, debias=True):
     if side < 2:
         raise DomainError(f"side must be at least 2, got {side}")
     with blas.entry_threads():
-        axes_x, log_a = grid_measure(mu, box, side)
+        axes, log_a = grid_measure(mu, box, side)
         _, log_b = grid_measure(nu, box, side)
-        cross = entropic.continuation(_grid_solver(axes_x, log_a, log_b),
-                                      schedule, _GRID_TOL, _GRID_MAX_ITER)
-        own = _own_stages(axes_x, log_a, schedule) if debias else iter(())
+        cross = _stages(axes, log_a, log_b, schedule)
+        own = _stages(axes, log_a, log_a, schedule) if debias else iter(())
         nodes = box.grid(side).reshape([side] * mu.dim + [mu.dim])
-
-        def stage_map(solver, Q, err, iters):
-            values = solver.barycentric(Q)
-            fallbacks = solver.fallbacks
-            if debias:
-                own_values, own_fallbacks = take()
-                values = nodes + (values - own_values)
-                fallbacks += own_fallbacks
-            gm = GridMap(axes_x, values)
-            return TransportMap(
-                mu.dim, "entropic_grid", gm.eval, gm.jacobian,
-                entropic_epsilon=solver.eps,
-                details={"side": side, "marginal_error": err,
-                         "iterations": iters, "debias": debias,
-                         "fallbacks": fallbacks, "box": box.to_dict(),
-                         "grid_map": gm}, check_fn=gm._check_inside)
-
-        # a stage's solver and arrays go when its map is built
+        maps = []
         with (_beside(own) if debias and (blas.threads() or 1) >= 2
               else contextlib.nullcontext(own.__next__)) as take:
-            return list(itertools.starmap(stage_map, cross))
+            for eps, values, details in cross:
+                if debias:
+                    _, own_values, own_details = take()
+                    values = nodes + (values - own_values)
+                    details["fallbacks"] += own_details["fallbacks"]
+                maps.append(GridMap(axes, values).transport_map(
+                    eps, side=side, debias=debias, box=box.to_dict(),
+                    **details))
+        return maps
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +718,4 @@ def load_grid_map(path, epsilon, axes):
             and np.array_equal(found, np.stack(axes))):
         raise DomainError(f"{path}: grid map was solved for another epsilon "
                           "or grid")
-    gm = GridMap(axes, values)
-    return TransportMap(len(axes), "entropic_grid", gm.eval, gm.jacobian,
-                        entropic_epsilon=float(epsilon),
-                        details={"grid_map": gm}, check_fn=gm._check_inside)
+    return GridMap(axes, values).transport_map(float(epsilon))

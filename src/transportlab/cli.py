@@ -30,6 +30,7 @@ one BLAS thread, and its entropic solves at the count it was entered with
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -286,15 +287,10 @@ def _solve_closed_or_radial(mu, nu):
 
 def _shared_solve(mu, nu):
     """One closed or radial solve for all checks of a run: the first call
-    solves and later calls reuse the map. A failed solve is not kept, so
-    every check that asks records its own error."""
-    solved = []
-
-    def solve():
-        if not solved:
-            solved.append(_solve_closed_or_radial(mu, nu))
-        return solved[0]
-    return solve
+    solves and later calls reuse the map. A failed solve is not kept (the
+    cache keeps no exception), so every check that asks records its own
+    error."""
+    return functools.cache(lambda: _solve_closed_or_radial(mu, nu))
 
 
 # ---------------------------------------------------------------------------

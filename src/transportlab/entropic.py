@@ -16,31 +16,32 @@ no factor exceeds 1. Such a sum below TINY = exp(-600) may have lost its
 leading terms to underflow; each such entry is recomputed by the exact
 log-domain contraction and counted in `fallbacks`.
 
-Grid route: measures live on tensor grids (the solvers take any number of
-axes; `brenier` builds them in dim <= 2). The cost separates per axis into
-side x side factors E = exp(A - a), so the full cost matrix is never
-formed, and an axis both grids share keeps one factor for both directions.
-Factor entries below the smallest normal float are zeroed, since such a
-term is below 2^-1022 against a sum of at least TINY and only slows the
-BLAS product. A log-sum-exp over the grid contracts one axis at a time,
-last axis first, each with the per-entry fallback above (the separable
-kernel of Solomon et al., "Convolutional Wasserstein Distances", 2015).
+Grid route: both measures live on one tensor grid (the solvers take any
+number of axes; `brenier` builds them in dim <= 2). The cost separates
+per axis into a side x side factor E = exp(A), A_ij = -(x_i - x_j)^2 / 2
+eps, so the full cost matrix is never formed. A is symmetric bit for bit
+and peaks in each row at its diagonal, A_ii = 0, so E has a unit
+diagonal, no entry above 1 and needs no shift, and one factor serves both
+directions. Factor entries below the smallest normal float are zeroed,
+since such a term is below 2^-1022 against a sum of at least TINY and
+only slows the BLAS product. A log-sum-exp over the grid contracts one
+axis at a time, last axis first, each with the per-entry fallback above
+(the separable kernel of Solomon et al., "Convolutional Wasserstein
+Distances", 2015).
 
 The grid loop (`GridSinkhorn.run`) stays in the scaling domain for a whole
 stage (the stabilized scaling iterations of Schmitzer, arXiv:1610.06519):
-from V = exp(Q - max Q) it forms U = alpha / (E_fwd V), then
-V = beta / (E_bwd U), with alpha = a exp(-fwd_shift) and
-beta = b exp(-bwd_shift), where E_fwd, E_bwd are the products of the axis
-factors and fwd_shift, bwd_shift the sums of their row maxima. Each
-iteration is four BLAS products (two in 1-D) and two divisions; P and Q
-take one log each when the stage returns. A guard keeps the log domain's
-bound on mass lost to underflow: every product E W must have all its sums
-at least TINY * max(max W, 1), and U and V must be finite and, where the
-weights are not zero, at least the smallest normal float. The first
-failure hands the stage, from its last complete iteration and with its
-iteration count and check schedule, to the log-domain loop, whose
-log-sum-exps all contract axis by axis. `barycentric` forms its products
-from V under the same guard, and contracts axis by axis where it refuses.
+from V = exp(Q - max Q) it forms U = a / (E V), then V = b / (E U), where
+E is the product of the axis factors. Each iteration is four BLAS
+products (two in 1-D) and two divisions; P and Q take one log each when
+the stage returns. A guard keeps the log domain's bound on mass lost to
+underflow: every product E W must have all its sums at least
+TINY * max(max W, 1), and U and V must be finite and, where the weights
+are not zero, at least the smallest normal float. The first failure hands
+the stage, from its last complete iteration and with its iteration count
+and check schedule, to the log-domain loop, whose log-sum-exps all
+contract axis by axis. `barycentric` forms its products from V under the
+same guard, and contracts axis by axis where it refuses.
 
 Sample route: uniform weights on point clouds. The stabilized kernel
 K = exp(M + P0 + Q0) lives in one m x k float64 buffer (32 MB at 2000
@@ -54,8 +55,6 @@ same buffer, counted in `absorptions` (Schmitzer, arXiv:1610.06519).
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -126,43 +125,29 @@ class _Sinkhorn:
 
 
 class GridSinkhorn(_Sinkhorn):
-    """Sinkhorn between two measures on tensor grids of one dimension: the
-    kernel separates into one side x side factor per axis.
+    """Sinkhorn between two measures on one tensor grid: the kernel
+    separates into one symmetric side x side factor per axis, whose rows
+    peak at its unit diagonal.
 
     `fallbacks` counts each stage handed from the scaling loop to the
     log-domain loop, and each entry that an axis contraction recomputes
     in the log domain."""
 
-    def __init__(self, axes_x, axes_y, log_a, log_b, epsilon):
-        self.axes_y = [np.asarray(a, dtype=float) for a in axes_y]
+    def __init__(self, axes, log_a, log_b, epsilon):
+        self.axes = [np.asarray(x, dtype=float) for x in axes]
         self.log_a, self.log_b = log_a, log_b
         # where the weights are nonzero; None where they are all nonzero
         self._on_a = None if np.isfinite(log_a).all() else log_a > -np.inf
         self._on_b = None if np.isfinite(log_b).all() else log_b > -np.inf
         self.eps = float(epsilon)
         self.fallbacks = 0
-        self._fwd, self._bwd = [], []
-        for x, y in zip(axes_x, self.axes_y):
-            x = np.asarray(x, dtype=float)
-            M = -0.5 * (x[:, None] - y[None, :]) ** 2 / self.eps
-            fwd = self._factor(M)
-            self._fwd.append(fwd)
-            # on an axis the target shares, M is symmetric bit for bit
-            # ((x_i - x_j)^2 == (x_j - x_i)^2), so one factor serves both ways
-            self._bwd.append(fwd if np.array_equal(x, y)
-                             else self._factor(M.T))
-        # sum over axes of the factors' row maxima, on the output grid
-        self._fwd_shift = functools.reduce(np.add.outer,
-                                           [a for _, _, a in self._fwd])
-        self._bwd_shift = functools.reduce(np.add.outer,
-                                           [a for _, _, a in self._bwd])
+        self._factors = [self._factor(x) for x in self.axes]
 
-    @staticmethod
-    def _factor(A):
-        a = A.max(axis=1)
-        E = np.exp(A - a[:, None])
+    def _factor(self, x):
+        A = -0.5 * (x[:, None] - x[None, :]) ** 2 / self.eps
+        E = np.exp(A)
         E[E < NORMAL] = 0.0
-        return A, E, a
+        return A, E
 
     # the scaling loop
 
@@ -172,40 +157,33 @@ class GridSinkhorn(_Sinkhorn):
         docstring for the guard and the handover."""
         Q = self.log_b.copy() if Q is None else Q
         q0 = Q.max()
-        E_fwd = [E for _, E, _ in self._fwd]
-        E_bwd = [E for _, E, _ in self._bwd]
-        e_fwd, e_bwd = np.exp(self._fwd_shift), np.exp(self._bwd_shift)
+        Es = [E for _, E in self._factors]
         x = None
-        if (np.isfinite(q0) and e_fwd.min() >= NORMAL
-                and e_bwd.min() >= NORMAL):
+        if np.isfinite(q0):
             V = np.exp(Q - q0)
-            x = self._guarded_product(E_fwd, V, self._on_b)
+            x = self._guarded_product(Es, V, self._on_b)
         if x is None:
             return self._hand_over(P, Q, 0, tol, max_iter, check_every)
         a, b = np.exp(self.log_a), np.exp(self.log_b)
         # the guard catches every overflow
         with np.errstate(over="ignore"):
-            alpha = np.exp(self.log_a - self._fwd_shift)
-            beta = np.exp(self.log_b - self._bwd_shift)
             err = np.inf
             for it in range(1, max_iter + 1):
-                U = alpha / x
-                y = self._guarded_product(E_bwd, U, self._on_a)
+                U = a / x
+                y = self._guarded_product(Es, U, self._on_a)
                 if y is None:
                     break
-                r = e_bwd * y
-                r *= V
+                r = y * V
                 r -= b
                 err_b = np.abs(r, out=r).sum()
-                V_next = beta / y
+                V_next = b / y
                 # the next iteration's product; a check reads it as well
-                x_next = self._guarded_product(E_fwd, V_next, self._on_b)
+                x_next = self._guarded_product(Es, V_next, self._on_b)
                 if x_next is None:
                     break
                 V, x = V_next, x_next
                 if it % check_every == 0 or err_b <= tol:
-                    r = e_fwd * x
-                    r *= U
+                    r = x * U
                     r -= a
                     err = max(np.abs(r, out=r).sum(), err_b)
                     if err <= tol:
@@ -250,34 +228,33 @@ class GridSinkhorn(_Sinkhorn):
 
     def barycentric(self, Q):
         """Row-normalized plan expectation of the target point, shape
-        source grid + (dim,); P cancels in the normalization."""
+        grid + (dim,); P cancels in the normalization."""
         q0 = Q.max()
         if np.isfinite(q0):
             V = np.exp(Q - q0)
-            Es = [E for _, E, _ in self._fwd]
+            Es = [E for _, E in self._factors]
             D = self._guarded_product(Es, V, self._on_b)
             if D is not None:
                 return np.stack([
                     self._product(Es[:ax] + [Es[ax] * y[None, :]]
                                   + Es[ax + 1:], V) / D
-                    for ax, y in enumerate(self.axes_y)], axis=-1)
+                    for ax, y in enumerate(self.axes)], axis=-1)
         return np.stack([
-            self._contract(self._fwd[ax], self._chain(self._fwd, Q, skip=ax),
-                           ax, y=self.axes_y[ax])
-            for ax in range(len(self._fwd))], axis=-1)
+            self._contract(ax, self._chain(Q, skip=ax), y=y)
+            for ax, y in enumerate(self.axes)], axis=-1)
 
     # log domain, axis by axis: the exact route
 
-    def lse_q(self, Q):
-        return self._chain(self._fwd, Q)
+    def lse_q(self, H):
+        return self._chain(H)
 
-    def lse_p(self, P):
-        return self._chain(self._bwd, P)
+    # the factors are symmetric, so both directions run one chain
+    lse_p = lse_q
 
-    def _contract(self, factor, H, axis, y=None):
+    def _contract(self, axis, H, y=None):
         """Contract `axis` of H against A: LSE_j(A_ij + H_j), or with y the
         plan-weighted mean sum_j softmax_j(A_ij + H_j) y_j."""
-        A, E, a = factor
+        A, E = self._factors[axis]
         Hm = np.moveaxis(H, axis, 0)
         H2 = Hm.reshape(Hm.shape[0], -1)
         h = H2.max(axis=0)
@@ -285,7 +262,7 @@ class GridSinkhorn(_Sinkhorn):
         V = np.exp(H2 - h)
         D = E @ V
         with np.errstate(divide="ignore", invalid="ignore"):
-            R = np.log(D) + a[:, None] + h if y is None else (E * y) @ V / D
+            R = np.log(D) + h if y is None else (E * y) @ V / D
         i, r = np.nonzero(~(D >= TINY))
         if i.size:
             L = A[i] + H2[:, r].T
@@ -294,10 +271,10 @@ class GridSinkhorn(_Sinkhorn):
             self.fallbacks += i.size
         return np.moveaxis(R.reshape((-1,) + Hm.shape[1:]), 0, axis)
 
-    def _chain(self, factors, H, skip=None):
-        for axis in reversed(range(len(factors))):
+    def _chain(self, H, skip=None):
+        for axis in reversed(range(len(self._factors))):
             if axis != skip:
-                H = self._contract(factors[axis], H, axis)
+                H = self._contract(axis, H)
         return H
 
 

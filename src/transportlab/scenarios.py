@@ -676,7 +676,7 @@ PARAMS = {
                       f">= 2, <= {math.isqrt(quadrature.MAX_GRID_NODES)}"),
     },
     "coulomb": {
-        "particles": Param("int", 2, ">= 1"),
+        "particles": Param("int", 2, ">= 1, <= 3"),
         "beta": Param("float", 1.0, "> 0"),
         "epsilon_schedule": Param("list of float", (0.5, 0.2, 0.1), "> 0"),
     },

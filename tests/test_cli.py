@@ -481,6 +481,8 @@ def test_anisotropic_run_without_epsilons_is_refused(tmp_path, capsys):
     # a side whose side x side grid exceeds the tensor-grid budget
     (["verify", "wehrl", "--epsilon-schedule", "0.5,0.1"], "side", 5000,
      "bounds"),
+    # the gas is built for N <= 3 only
+    (["verify", "coulomb"], "particles", 4, "laplacian"),
 ])
 def test_size_params_outside_their_domain_are_typed_errors(
         tmp_path, capsys, argv, param, value, check):
