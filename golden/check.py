@@ -8,8 +8,9 @@ The program is imported from the checkout's ``src``.  The set is every
 (command, kind) pair of the CLI's check table plus six configs: the grid
 route on a 128-side lattice, ``verify wehrl`` with a schedule, a displaced
 Wehrl state, the Fock mixture of degrees 0 and 1 through ``scenario`` and
-``geodesic`` on the radial route, and a three-coefficient Fock polynomial.
-Each runs at seeds 0 and 1, in this process, through ``cli.main``: 46 runs.
+``geodesic`` on the radial route, a three-coefficient Fock polynomial, and
+``scenario coulomb`` at three particles and at two particles with beta 2.
+Each runs at seeds 0 and 1, in this process, through ``cli.main``: 50 runs.
 
 Exit codes, strings (verdicts among them), booleans, ints, nulls and the
 shape of each report must match exactly.  Each float is counted as
@@ -82,6 +83,11 @@ CASES = {
     "scenario-fock-three": (
         ["scenario", "fock"],
         {"params": {"coefficients": [0.3, 0.2, 0.8], "p": 4.0}}),
+    # the Coulomb chain and sample route at three particles and at beta 2
+    "scenario-coulomb-three": (
+        ["scenario", "coulomb"], {"params": {"particles": 3}}),
+    "scenario-coulomb-beta2": (
+        ["scenario", "coulomb"], {"params": {"particles": 2, "beta": 2.0}}),
 }
 
 
