@@ -66,6 +66,7 @@ FLOW_PARTICLES = 400                # heat-flow particles
 CHAIN_DRAWS = 2000                  # Coulomb sample-route chain draws
 LAPLACIAN_PROBES = 1500             # Coulomb potential-Laplacian probes
 FIT_POINTS = 600                    # Coulomb sample-route affine fits
+KNN_K = 4                           # Coulomb k-NN entropy's neighbor rank
 RECORD_EVERY = 4                    # heat-flow schedule steps per frame
 CONTRACTION_ATOL = 1e-6             # heat-flow contraction integrator atol
 ENTROPIC_MAJORIZATION_ATOL = 1e-3   # wehrl grid-route majorization atol
@@ -505,8 +506,12 @@ def _coulomb_sample_suite(cfg, built):
     ys = inst.nu.sampler(rng, CHAIN_DRAWS)
     schedule = list(cfg.params["epsilon_schedule"])
     tvals, _ = brenier.solve_entropic_sample(xs, ys, schedule)
+    # one neighbor search of the cloud serves the fits and the entropy
+    fit_k = 4 * n + 56
+    table = brenier.nearest(xs, xs, max(fit_k, 8 * (KNN_K + 1)))
     jac, ok = brenier.local_affine_jacobians(
-        xs, tvals, xs[:FIT_POINTS], 4 * n + 56)
+        xs, tvals, xs[:FIT_POINTS], fit_k,
+        neighbors=table[1][:FIT_POINTS])
     div = np.einsum("mii->m", jac[ok])
     q95 = float(_q95(div))
     cert = make_certificate(
@@ -522,7 +527,8 @@ def _coulomb_sample_suite(cfg, built):
 
     h_nu = -0.5 * n * math.log(
         2.0 * math.pi * math.e / (inst.spec.beta * inst.spec.particles))
-    h_mu, ci = majorize.entropy_knn(xs, bootstrap=24, seed=cfg.seed)
+    h_mu, ci = majorize.entropy_knn(xs, KNN_K, bootstrap=24, seed=cfg.seed,
+                                    table=table)
     return {
         "certificates": certs,
         "summaries": {

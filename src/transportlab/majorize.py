@@ -212,7 +212,7 @@ def entropy_quadrature(density, box, order=_BOX_ORDER):
     return float(np.dot(w, _xlogx(density.pdf(pts))))
 
 
-def entropy_knn(samples, k=4, bootstrap=0, seed=0):
+def entropy_knn(samples, k=4, bootstrap=0, seed=0, table=None):
     """Nearest-neighbor estimate of int rho log rho from samples.
 
     Kozachenko-Leonenko differential entropy h, returned negated to match
@@ -223,23 +223,32 @@ def entropy_knn(samples, k=4, bootstrap=0, seed=0):
     serves every subsample: a point's k-th neighbor within a subsample is
     the (k + 1)-th subsample member along its row, itself included. Rows
     that hold fewer members than that are searched again within the
-    subsample.
+    subsample. `table` is a caller's `nearest(samples, samples, w)` of any
+    width w >= min(m, 8 (k + 1)); the estimate reads its first
+    min(m, 8 (k + 1)) columns, so it returns its own search's bits.
     """
     samples = np.asarray(samples, dtype=float)
     m, n = samples.shape
     if m <= k:
         raise DomainError(f"{m} samples hold no {k}-th nearest neighbor")
-    dist, idx = nearest(samples, samples, min(m, 8 * (k + 1)))
-    vol_unit = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    width = min(m, 8 * (k + 1))
+    if table is None:
+        table = nearest(samples, samples, width)
+    elif table[1].shape[0] != m or table[1].shape[1] < width:
+        raise DomainError(f"a neighbor table of shape {table[1].shape} "
+                          f"does not cover {m} rows {width} wide")
+    dist, idx = table[0][:, :width], table[1][:, :width]
+    log_unit = np.log(math.pi ** (n / 2) / math.gamma(n / 2 + 1))
 
-    def estimate(r, cnt):
+    def estimate(r, harmonic):
         r = np.maximum(r, 1e-300)
-        # digamma(cnt) - digamma(k), a finite harmonic sum at integers
-        h = (n * np.mean(np.log(r)) + np.log(vol_unit)
-             + math.fsum(1.0 / j for j in range(k, cnt)))
-        return -h
+        return -(n * np.mean(np.log(r)) + log_unit + harmonic)
 
-    value = estimate(dist[:, k], m)
+    def harmonic(cnt):
+        # digamma(cnt) - digamma(k), a finite harmonic sum at integers
+        return math.fsum(1.0 / j for j in range(k, cnt))
+
+    value = estimate(dist[:, k], harmonic(m))
     if bootstrap <= 0:
         return value
     rng = np.random.default_rng(seed)
@@ -250,6 +259,8 @@ def entropy_knn(samples, k=4, bootstrap=0, seed=0):
     if sub > m:
         raise DomainError(f"{m} samples leave no subsample of {sub} "
                           f"for a {k}-neighbor bootstrap")
+    # every rep draws `sub` rows, so one harmonic sum serves them all
+    sub_harmonic = harmonic(sub)
     member = np.zeros(m, dtype=bool)
     reps = []
     for _ in range(bootstrap):
@@ -262,7 +273,7 @@ def entropy_knn(samples, k=4, bootstrap=0, seed=0):
         if short.any():
             r[short] = nearest(samples[pick], samples[pick[short]],
                                k + 1)[0][:, k]
-        reps.append(estimate(r, sub))
+        reps.append(estimate(r, sub_harmonic))
     half_ci = 1.96 * float(np.std(reps, ddof=1)) * math.sqrt(sub / m)
     return value, half_ci
 

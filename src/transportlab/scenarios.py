@@ -496,6 +496,12 @@ class CoulombInstance:
         state. diagnostics carry the split-chain mixing statistic and
         acceptance rate; a statistic above 1.1 sets quality_warning instead
         of raising, so downstream checks can downgrade to inconclusive.
+
+        A step runs on Python floats: with 4 chains of at most 6
+        coordinates, numpy's cost per call exceeds the arithmetic. It forms
+        `_chain_log_density`'s terms in its order and takes both logs with
+        one numpy call each per step (math.log may differ from numpy's in
+        the last bit), so the draws keep the array form's bits.
         """
         if thin < 1:
             raise DomainError(f"thin must be at least 1, got {thin}")
@@ -513,26 +519,46 @@ class CoulombInstance:
         while np.any(bad):
             state[bad] = 1.5 * scale * rng.standard_normal((int(bad.sum()), n))
             bad = self._min_pair_distance(state) < 1e-6
-        logp = self._log_density(state)
+        logp = self._log_density(state).tolist()
+        state = state.tolist()
         draws = np.empty((chains, per_chain, n))
         accepted = 0
-        total = 0
-        pairs = self._pair_indices()
+        steps = burn + per_chain * thin
+        quad, half_beta = -spec.beta * spec.particles, 0.5 * spec.beta
+        pairs = [(2 * i, 2 * j) for i, j in self._pair_indices()]
+        per = len(pairs)
         with np.errstate(divide="ignore"):
-            for it in range(burn + per_chain * thin):
-                prop = state + step * rng.standard_normal((chains, n))
-                logp_prop = self._chain_log_density(prop, pairs)
-                take = np.log(rng.random(chains)) < logp_prop - logp
-                np.copyto(state, prop, where=take[:, None])
-                np.copyto(logp, logp_prop, where=take)
-                accepted += np.count_nonzero(take)
-                total += chains
+            for it in range(steps):
+                noise = rng.standard_normal((chains, n)).tolist()
+                props = [[x + step * z for x, z in zip(row, dz)]
+                         for row, dz in zip(state, noise)]
+                r2 = [(p[a] - p[b]) * (p[a] - p[b])
+                      + (p[a + 1] - p[b + 1]) * (p[a + 1] - p[b + 1])
+                      for p in props for a, b in pairs]
+                logs = iter(np.log(r2).tolist())
+                log_u = np.log(rng.random(chains)).tolist()
+                # pairs 1e-7 apart pass the 1e-8 collision test, so a
+                # chain is tested only when some pair is closer
+                near = per and min(r2) < 1e-14
+                for c, p in enumerate(props):
+                    q = 0.5 * (p[0] * p[0] + p[1] * p[1])
+                    for a in range(2, n, 2):
+                        q += 0.5 * (p[a] * p[a] + p[a + 1] * p[a + 1])
+                    lp = quad * q
+                    for _ in pairs:
+                        lp = lp + half_beta * next(logs)
+                    if near and math.sqrt(
+                            min(r2[c * per:(c + 1) * per])) < 1e-8:
+                        lp = -math.inf
+                    if log_u[c] < lp - logp[c]:
+                        state[c], logp[c] = p, lp
+                        accepted += 1
                 if it >= burn and (it - burn) % thin == 0:
                     draws[:, (it - burn) // thin, :] = state
         rhat = split_rhat(draws)
         diagnostics = {
             "rhat": float(rhat),
-            "acceptance": int(accepted) / total,
+            "acceptance": accepted / (chains * steps),
             "chains": chains,
             "per_chain": per_chain,
             "quality_warning": bool(rhat > rhat_limit),
@@ -546,9 +572,10 @@ class CoulombInstance:
         return samples[:int(size)], diagnostics
 
     def _chain_log_density(self, prop, pairs):
-        """`_log_density` of each chain's proposal, -inf where two particles
+        """`_log_density` of each row of `prop`, -inf where two particles
         are closer than 1e-8, with the same bits: each pair's r^2 is formed
-        once from columns of `prop` and feeds both. Call it under
+        once from columns of `prop` and feeds both. `sample` forms the same
+        terms in the same order on floats. Call it under
         errstate(divide="ignore")."""
         N, beta = self.spec.particles, self.spec.beta
         pts = prop.reshape(prop.shape[0], N, 2)

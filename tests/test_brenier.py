@@ -556,6 +556,22 @@ def test_local_affine_jacobians_match_per_row_fits_bitwise():
     assert np.array_equal(jac, ref_jac)
 
 
+def test_local_affine_jacobians_on_a_wider_shared_table_keep_their_bits():
+    xs = np.random.default_rng(0).normal(size=(800, 2))
+    # chain-style repeats: duplicates tie, and may swap within a row
+    xs[::6] = xs[1::6]
+    ts = np.tanh(xs) + 0.1 * xs ** 2
+    jac, ok = brenier.local_affine_jacobians(xs, ts, xs[:100], 12)
+    _, idx = brenier.nearest(xs, xs, 64)
+    assert (idx[:100, :12] != brenier.nearest(xs, xs[:100], 12)[1]).any()
+    shared = brenier.local_affine_jacobians(xs, ts, xs[:100], 12,
+                                            neighbors=idx[:100])
+    assert np.array_equal(shared[0], jac) and np.array_equal(shared[1], ok)
+    with pytest.raises(DomainError):
+        brenier.local_affine_jacobians(xs, ts, xs[:100], 12,
+                                       neighbors=idx[:100, :11])
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 9])
 def test_nearest_matches_kdtree_bitwise(dim):
     from scipy.spatial import cKDTree

@@ -251,6 +251,50 @@ def test_entropy_knn_bootstrap_falls_back_when_the_table_runs_out(
     assert 0.0 < half_ci < np.inf
 
 
+def _clustered_sample():
+    """Tight clusters with repeated rows, as in the fallback test above."""
+    rng = np.random.default_rng(11)
+    centers = rng.normal(scale=4.0, size=(40, 2))
+    xs = centers[rng.integers(0, 40, 1200)] + rng.normal(scale=0.05,
+                                                         size=(1200, 2))
+    xs[::5] = xs[1::5]
+    return xs
+
+
+def _duplicated_sample():
+    """MCMC-style output: rejected proposals repeat the previous state."""
+    xs = np.random.default_rng(1).normal(size=(1500, 2))
+    xs[::7] = xs[1::7]
+    return xs
+
+
+@pytest.mark.parametrize("make, k, bootstrap, seed", [
+    (_clustered_sample, 1, 48, 2), (_duplicated_sample, 4, 24, 3)],
+    ids=["short_rows", "duplicate_rows"])
+def test_entropy_knn_on_a_wider_shared_table_keeps_its_bits(
+        monkeypatch, make, k, bootstrap, seed):
+    from transportlab import majorize
+
+    xs = make()
+    own = entropy_knn(xs, k=k, bootstrap=bootstrap, seed=seed)
+    table = brenier.nearest(xs, xs, 64)
+    calls = []
+
+    def counting(points, queries, kk):
+        calls.append(np.atleast_2d(queries).shape[0])
+        return brenier.nearest(points, queries, kk)
+
+    monkeypatch.setattr(majorize, "nearest", counting)
+    shared = entropy_knn(xs, k=k, bootstrap=bootstrap, seed=seed,
+                         table=table)
+    assert [repr(v) for v in shared] == [repr(v) for v in own]
+    # the short rows still take the fallback; no full search runs
+    assert (len(calls) > 0) == (k == 1)
+    assert xs.shape[0] not in calls
+    with pytest.raises(DomainError):
+        entropy_knn(xs, k=k, table=brenier.nearest(xs, xs, 8 * k + 7))
+
+
 def test_entropy_stability_on_gaussian_pair():
     mu, nu = _pair()
     tmap = brenier.solve_gaussian(mu, nu)

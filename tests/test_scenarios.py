@@ -357,6 +357,56 @@ def test_coulomb_chain_rejects_colliding_proposals():
     assert expect[0] == expect[2] == -np.inf and np.isfinite(expect[1])
 
 
+class _ScriptedGenerator:
+    """Scripted normals first, then a seeded generator's; every uniform is
+    1e-300, so every finite proposal is taken; shuffle keeps the order."""
+
+    def __init__(self, normals, rest):
+        self._normals = list(normals)
+        self._rest = rest
+
+    def standard_normal(self, shape):
+        if self._normals:
+            return self._normals.pop(0)
+        return self._rest.standard_normal(shape)
+
+    def random(self, size):
+        return np.full(size, 1e-300)
+
+    def shuffle(self, x):
+        pass
+
+
+def test_coulomb_chain_loop_rejects_colliding_proposals(monkeypatch):
+    inst = CoulombInstance(CoulombSpec(particles=3))
+    scale = 1.0 / math.sqrt(3.0)
+    step = 0.45 * scale
+    start = np.array([[0.3, -0.2, 1.0, 0.5, -0.8, 0.4],
+                      [-0.6, 0.1, 0.2, 0.9, 0.7, -0.5],
+                      [0.5, 0.5, -0.5, 0.5, 0.0, -0.7],
+                      [0.9, -0.3, -0.4, -0.6, 0.1, 0.8]])
+    state = 1.5 * scale * start
+    # the first step proposes particles 5e-9 apart in chain 0 and 5e-8
+    # apart in chain 1
+    target = np.array([[0.1, 0.2, 0.1 + 5e-9, 0.2, -0.4, 0.3],
+                       [0.1, 0.2, 0.1 + 5e-8, 0.2, -0.4, 0.3],
+                       [0.1, 0.2, 0.5, 0.2, 0.1, 0.2],
+                       [0.1, 0.2, 0.5, 0.2, -0.4, 0.3]])
+    first = (target - state) / step
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: (
+        _ScriptedGenerator([start, first], real(seed))))
+    samples, diag = inst.sample(24, seed=4, burn=0, thin=1)
+    ref, acceptance, rhat = _reference_chain(inst, 24, 4, 0, 1)
+    assert np.array_equal(samples, ref)
+    assert diag["acceptance"] == acceptance and diag["rhat"] == rhat
+    # no shuffle: chain c's first kept state is row 6 c
+    prop = state + step * first
+    assert np.array_equal(samples[0], state[0])
+    assert np.array_equal(samples[6], prop[1])
+    assert np.isfinite(inst.mu.logpdf(prop[1:2]))[0]
+
+
 def test_split_rhat_flags_stuck_chains():
     rng = np.random.default_rng(0)
     mixed = rng.normal(size=(4, 200, 2))
