@@ -240,9 +240,9 @@ def entropy_knn(samples, k=4, bootstrap=0, seed=0, table=None):
     dist, idx = table[0][:, :width], table[1][:, :width]
     log_unit = np.log(math.pi ** (n / 2) / math.gamma(n / 2 + 1))
 
-    def estimate(r, harmonic):
+    def estimate(r, digamma_gap):
         r = np.maximum(r, 1e-300)
-        return -(n * np.mean(np.log(r)) + log_unit + harmonic)
+        return -(n * np.mean(np.log(r)) + log_unit + digamma_gap)
 
     def harmonic(cnt):
         # digamma(cnt) - digamma(k), a finite harmonic sum at integers
