@@ -5,7 +5,7 @@
     python3 golden/check.py --record   # rewrite the committed copies
 
 The program is imported from the checkout's ``src``.  The set is every
-(command, kind) pair of the CLI's check table plus six configs: the grid
+(command, kind) pair of the CLI's check table plus eight configs: the grid
 route on a 128-side lattice, ``verify wehrl`` with a schedule, a displaced
 Wehrl state, the Fock mixture of degrees 0 and 1 through ``scenario`` and
 ``geodesic`` on the radial route, a three-coefficient Fock polynomial, and
