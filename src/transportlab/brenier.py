@@ -558,27 +558,24 @@ def nearest(points, queries, k):
     return dist, idx
 
 
-def local_affine_jacobians(xs, ts, queries, k, neighbors=None):
+def local_affine_jacobians(xs, ts, queries, k, neighbors):
     """Least-squares affine fits of the map over k nearest neighbors.
 
     Returns (jacobians (m, n, n), ok_mask); rank-deficient neighborhoods
     (a singular-value ratio above 1e3) are flagged instead of raising,
-    callers decide. `neighbors`, when given, holds the rows of xs nearest
-    each query as `nearest` orders them, at least k columns wide; the fits
-    read its first k columns instead of searching again.
+    callers decide. `neighbors` holds the rows of xs nearest each query as
+    `nearest` orders them, at least k columns wide; the fits read its first
+    k columns.
     """
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     n = xs.shape[1]
-    if neighbors is None:
-        _, idx = nearest(xs, queries, k)
-    elif neighbors.shape[0] != queries.shape[0] or neighbors.shape[1] < k:
+    if neighbors.shape[0] != queries.shape[0] or neighbors.shape[1] < k:
         raise DomainError(f"a neighbor table of shape {neighbors.shape} "
                           f"does not cover {queries.shape[0]} queries "
                           f"{k} wide")
-    else:
-        idx = neighbors[:, :k]
+    idx = neighbors[:, :k]
     X = xs[idx]
     Xc = X - X.mean(axis=1, keepdims=True)
     sv = np.linalg.svd(Xc, compute_uv=False)

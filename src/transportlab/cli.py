@@ -527,8 +527,8 @@ def _coulomb_sample_suite(cfg, built):
 
     h_nu = -0.5 * n * math.log(
         2.0 * math.pi * math.e / (inst.spec.beta * inst.spec.particles))
-    h_mu, ci = majorize.entropy_knn(xs, KNN_K, bootstrap=24, seed=cfg.seed,
-                                    table=table)
+    h_mu, ci = majorize.entropy_knn(xs, table, KNN_K, bootstrap=24,
+                                    seed=cfg.seed)
     return {
         "certificates": certs,
         "summaries": {

@@ -354,32 +354,3 @@ def _gaussian_moment(order_):
     for i in range(1, 2 * k, 2):
         val *= i
     return float(val)
-
-
-def midflow_moment_check(states, f, index):
-    """Second moment of mid-flow particles against P_t f gamma.
-
-    The semigroup is self-adjoint in L^2(gamma) and P_t(x_i^2) =
-    e^{-2t} x_i^2 + (1 - e^{-2t}), so the second moment of P_t f gamma is
-    e^{-2t} E_{f gamma}[x_i^2] + (1 - e^{-2t}); the source-side expectation
-    comes exactly from the polynomial-Gaussian form of f.
-    """
-    st = states[index]
-    fam = f if isinstance(f, PolyExp) else getattr(f, "family", None)
-    if fam is None:
-        raise DomainError("mid-flow moments need a polynomial-Gaussian f")
-    a, s = semigroup.kernel_params(
-        semigroup.SemigroupKind.ORNSTEIN_UHLENBECK, st.t)
-    n = st.positions.shape[1]
-    polys = [{(0,) * n: 1.0}]
-    for i in range(n):
-        e = [0] * n
-        e[i] = 2
-        polys.append({tuple(e): 1.0})
-    ex = fam.gamma_weighted_expectations(polys)
-    mass = ex[0]
-    ref = np.array([a * a * ex[1 + i] / mass + s for i in range(n)])
-    emp = (st.positions ** 2).mean(axis=0)
-    rel = float(np.abs(emp - ref).max() / np.abs(ref).max())
-    return {"t": st.t, "empirical": emp.tolist(), "reference": ref.tolist(),
-            "relative_error": rel}

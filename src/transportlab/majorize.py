@@ -212,29 +212,27 @@ def entropy_quadrature(density, box, order=_BOX_ORDER):
     return float(np.dot(w, _xlogx(density.pdf(pts))))
 
 
-def entropy_knn(samples, k=4, bootstrap=0, seed=0, table=None):
+def entropy_knn(samples, table, k=4, bootstrap=0, seed=0):
     """Nearest-neighbor estimate of int rho log rho from samples.
 
     Kozachenko-Leonenko differential entropy h, returned negated to match
     the quadrature convention. With bootstrap > 0, returns (value, half_ci)
     using resampled standard error times 1.96.
 
-    One exact neighbor table over the full sample, about 8 (k + 1) wide,
-    serves every subsample: a point's k-th neighbor within a subsample is
-    the (k + 1)-th subsample member along its row, itself included. Rows
-    that hold fewer members than that are searched again within the
-    subsample. `table` is a caller's `nearest(samples, samples, w)` of any
+    `table` is the caller's exact `nearest(samples, samples, w)` of any
     width w >= min(m, 8 (k + 1)); the estimate reads its first
-    min(m, 8 (k + 1)) columns, so it returns its own search's bits.
+    min(m, 8 (k + 1)) columns, so every such w gives the same bits. The
+    table serves every subsample: a point's k-th neighbor within a
+    subsample is the (k + 1)-th subsample member along its row, itself
+    included. Rows that hold fewer members than that are searched again
+    within the subsample.
     """
     samples = np.asarray(samples, dtype=float)
     m, n = samples.shape
     if m <= k:
         raise DomainError(f"{m} samples hold no {k}-th nearest neighbor")
     width = min(m, 8 * (k + 1))
-    if table is None:
-        table = nearest(samples, samples, width)
-    elif table[1].shape[0] != m or table[1].shape[1] < width:
+    if table[1].shape[0] != m or table[1].shape[1] < width:
         raise DomainError(f"a neighbor table of shape {table[1].shape} "
                           f"does not cover {m} rows {width} wide")
     dist, idx = table[0][:, :width], table[1][:, :width]

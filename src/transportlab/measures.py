@@ -1,16 +1,17 @@
 """Probability measures with convexity bookkeeping.
 
-A Density bundles vectorized evaluators for log rho, its gradient and
-Hessian, together with a ConvexityCertificate recording the source-side
-constant alpha (Laplacian of the potential V = -log rho bounded by alpha*n)
-and the target-side constant kappa (Hessian of V bounded below by kappa*Id).
+A Density bundles vectorized evaluators for log rho and its Hessian,
+together with a ConvexityCertificate recording the source-side constant
+alpha (Laplacian of the potential V = -log rho bounded by alpha*n) and the
+target-side constant kappa (Hessian of V bounded below by kappa*Id). Every
+check reads log rho or the Hessian, so a density carries no gradient.
 
-Evaluator contract: log_density maps (m, n) -> (m,), grad_log maps
-(m, n) -> (m, n), hess_log maps (m, n) -> (m, n, n). The derivative
-evaluators are the caller's to supply: asking a density built without one
-for its gradient or Hessian raises DomainError; there is no
-finite-difference fallback. Densities are immutable after construction;
-derived quantities are cached, never mutated.
+Evaluator contract: log_density maps (m, n) -> (m,), hess_log maps
+(m, n) -> (m, n, n); every evaluator after log_density is passed by
+keyword. The Hessian is the caller's to supply: asking a density built
+without one for it raises DomainError; there is no finite-difference
+fallback. Densities are immutable after construction; derived quantities
+are cached, never mutated.
 """
 
 from __future__ import annotations
@@ -104,13 +105,12 @@ class Density:
     sets it, with the mean and covariance that solve_gaussian reads.
     """
 
-    def __init__(self, dim, log_density, grad_log=None, hess_log=None,
-                 normalized=False, certificate=None, sampler=None,
-                 singular_tube=None, radial_profile=None, center=None,
-                 kind="custom", params=None, family=None):
+    def __init__(self, dim, log_density, *, hess_log=None, normalized=False,
+                 certificate=None, sampler=None, singular_tube=None,
+                 radial_profile=None, center=None, kind="custom",
+                 params=None, family=None):
         self.dim = int(dim)
         self._log_density = log_density
-        self._grad_log = grad_log
         self._hess_log = hess_log
         self.normalized = bool(normalized)
         self.certificate = certificate
@@ -135,12 +135,6 @@ class Density:
 
     def pdf(self, x):
         return np.exp(self.logpdf(x))
-
-    def grad_log(self, x):
-        if self._grad_log is None:
-            raise DomainError(f"{self.kind} density has no gradient evaluator")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.asarray(self._grad_log(x), dtype=float)
 
     def hess_log(self, x):
         if self._hess_log is None:
@@ -171,7 +165,7 @@ class Density:
 
 
 def gaussian(mean, cov):
-    """Gaussian density with analytic derivatives and certificate.
+    """Gaussian density with analytic Hessian and certificate.
 
     The certificate records alpha = trace(cov^-1)/n (the potential's
     Laplacian is constant) and kappa = lambda_min(cov^-1).
@@ -195,9 +189,6 @@ def gaussian(mean, cov):
         d = x - mean
         return const - 0.5 * np.einsum("mi,mi->m", d @ prec, d)
 
-    def grad_log(x):
-        return -(x - mean) @ prec
-
     def hess_log(x):
         return np.broadcast_to(-prec, (x.shape[0], n, n)).copy()
 
@@ -219,7 +210,7 @@ def gaussian(mean, cov):
             r = np.asarray(r, dtype=float)
             return np.exp(-0.5 * r ** 2 / _s) / (2.0 * np.pi * _s) ** (_n / 2.0)
 
-    return Density(n, log_density, grad_log, hess_log, normalized=True,
+    return Density(n, log_density, hess_log=hess_log, normalized=True,
                    certificate=cert, sampler=sampler,
                    radial_profile=radial, center=mean, kind="gaussian",
                    params={"mean": mean, "cov": cov}, family=family)

@@ -201,18 +201,13 @@ def build_lsh_instance(weight, beta=0.0, dim=2):
 
     log_weight, log_density = fam.log_value, family.log_value
 
-    def grad_log(x):
-        _, g, _ = family.log_derivs(x)
-        return g
-
     def hess_log(x):
         _, _, h = family.log_derivs(x)
         return h
 
     cert = ConvexityCertificate(alpha=beta + 1.0, kappa=1.0)
-    mu = Density(dim, log_density, grad_log=grad_log, hess_log=hess_log,
-                 normalized=True, certificate=cert, kind="lsh_growth",
-                 family=family)
+    mu = Density(dim, log_density, hess_log=hess_log, normalized=True,
+                 certificate=cert, kind="lsh_growth", family=family)
     nu = measures.gaussian(np.zeros(dim), np.eye(dim))
     _probe_subharmonicity(mu, beta, dim)
     return LshInstance(beta=beta, dim=dim, mu=mu, nu=nu, certificate=cert,
@@ -323,9 +318,6 @@ def build_wehrl_instance(state):
     def log_density(x):
         return fam.log_value(x - center)
 
-    def grad_log(x):
-        return fam.log_derivs(x - center)[1]
-
     def hess_log(x):
         return fam.log_derivs(x - center)[2]
 
@@ -369,10 +361,9 @@ def build_wehrl_instance(state):
         return tot <= 1e-10 * poly_scale
 
     cert = ConvexityCertificate(alpha=2.0 * math.pi, kappa=2.0 * math.pi)
-    mu = Density(2, log_density, grad_log=grad_log, hess_log=hess_log,
-                 normalized=True, certificate=cert,
-                 singular_tube=singular_tube, radial_profile=radial_profile,
-                 center=center, kind="husimi",
+    mu = Density(2, log_density, hess_log=hess_log, normalized=True,
+                 certificate=cert, singular_tube=singular_tube,
+                 radial_profile=radial_profile, center=center, kind="husimi",
                  # the closed-form semigroup reads the family about 0
                  family=fam if not np.any(center) else None)
     nu = measures.gaussian(center, np.eye(2) / (2.0 * math.pi))
@@ -407,7 +398,7 @@ class CoulombSpec:
 
 
 class CoulombInstance:
-    """Gas law pair with analytic derivatives and a chain sampler.
+    """Gas law pair with an analytic Hessian and a chain sampler.
 
     The target is the Gaussian N(0, I / (beta N)), the gas without its pair
     term. The source certificate only carries alpha: the pairwise
@@ -424,8 +415,7 @@ class CoulombInstance:
         self.certificate = ConvexityCertificate(alpha=beta * N, kappa=None)
 
         self.mu = Density(
-            n, self._log_density, grad_log=self._grad_log,
-            hess_log=self._hess_log, normalized=False,
+            n, self._log_density, hess_log=self._hess_log, normalized=False,
             certificate=self.certificate, singular_tube=self._singular_tube,
             kind="coulomb_gas")
         self.nu = measures.gaussian(np.zeros(n), np.eye(n) / (beta * N))
@@ -441,20 +431,28 @@ class CoulombInstance:
         return [(i, j) for i in range(N) for j in range(i + 1, N)]
 
     def _log_density(self, x):
+        """log rho of each row of `x`, -inf where two particles are closer
+        than 1e-8. Each pair's r^2 is formed once from columns of `x` and
+        feeds both; `sample` forms the same terms in the same order on
+        floats."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        with np.errstate(divide="ignore"):
-            return self._chain_log_density(x, self._pair_indices())
-
-    def _grad_log(self, x):
-        pts = self._split(x)
         N, beta = self.spec.particles, self.spec.beta
-        grad = -beta * N * pts
-        for i, j in self._pair_indices():
-            d = pts[:, i, :] - pts[:, j, :]
-            r2 = (d ** 2).sum(axis=1, keepdims=True)
-            grad[:, i, :] += beta * d / r2
-            grad[:, j, :] -= beta * d / r2
-        return grad.reshape(x.shape[0] if x.ndim == 2 else 1, -1)
+        pts = self._split(x)
+        out = -beta * N * (0.5 * (pts * pts).sum(axis=2)).sum(axis=1)
+        closest = np.inf
+        pairs = self._pair_indices()
+        with np.errstate(divide="ignore"):
+            for i, j in pairs:
+                dx = x[:, 2 * i] - x[:, 2 * j]
+                dy = x[:, 2 * i + 1] - x[:, 2 * j + 1]
+                r2 = dx * dx + dy * dy
+                out = out + 0.5 * beta * np.log(r2)
+                closest = np.minimum(closest, r2)
+        # pairs 1e-7 apart pass the collision test; sqrt is monotone, so
+        # the closest pair decides it for the rest
+        if pairs and closest.min() < 1e-14:
+            out = np.where(np.sqrt(closest) >= 1e-8, out, -np.inf)
+        return out
 
     def _hess_log(self, x):
         pts = self._split(x)
@@ -499,7 +497,7 @@ class CoulombInstance:
 
         A step runs on Python floats: with 4 chains of at most 6
         coordinates, numpy's cost per call exceeds the arithmetic. It forms
-        `_chain_log_density`'s terms in its order and takes both logs with
+        `_log_density`'s terms in its order and takes both logs with
         one numpy call each per step (math.log may differ from numpy's in
         the last bit), so the draws keep the array form's bits.
         """
@@ -570,28 +568,6 @@ class CoulombInstance:
         samples = draws.reshape(-1, n)
         rng.shuffle(samples)
         return samples[:int(size)], diagnostics
-
-    def _chain_log_density(self, prop, pairs):
-        """`_log_density` of each row of `prop`, -inf where two particles
-        are closer than 1e-8, with the same bits: each pair's r^2 is formed
-        once from columns of `prop` and feeds both. `sample` forms the same
-        terms in the same order on floats. Call it under
-        errstate(divide="ignore")."""
-        N, beta = self.spec.particles, self.spec.beta
-        pts = prop.reshape(prop.shape[0], N, 2)
-        out = -beta * N * (0.5 * (pts * pts).sum(axis=2)).sum(axis=1)
-        closest = np.inf
-        for i, j in pairs:
-            dx = prop[:, 2 * i] - prop[:, 2 * j]
-            dy = prop[:, 2 * i + 1] - prop[:, 2 * j + 1]
-            r2 = dx * dx + dy * dy
-            out = out + 0.5 * beta * np.log(r2)
-            closest = np.minimum(closest, r2)
-        # pairs 1e-7 apart pass the collision test; sqrt is monotone, so
-        # the closest pair decides it for the rest
-        if pairs and closest.min() < 1e-14:
-            out = np.where(np.sqrt(closest) >= 1e-8, out, -np.inf)
-        return out
 
 
 def split_rhat(draws):

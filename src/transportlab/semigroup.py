@@ -264,13 +264,6 @@ def mollify(mu, nu, alpha, kappa, k, validation_box=None, probes=64):
                 out = lam * out - t * 0.5 * alpha * np.einsum("mi,mi->m", x, x)
             return out
 
-        def grad_log(x, _d=dens):
-            ev = apply(kind, _d, t, x)
-            g = ev.grad_log
-            if mix_quadratic:
-                g = lam * g - t * alpha * x
-            return g
-
         def hess_log(x, _d=dens):
             ev = apply(kind, _d, t, x)
             h = ev.hess_log
@@ -278,17 +271,19 @@ def mollify(mu, nu, alpha, kappa, k, validation_box=None, probes=64):
                 h = lam * h - t * alpha * np.eye(x.shape[1])[None, :, :]
             return h
 
-        return log_density, grad_log, hess_log
+        return log_density, hess_log
 
-    src_fns = smooth_density(mu, True)
-    tgt_fns = smooth_density(nu, False)
+    src_log, src_hess = smooth_density(mu, True)
+    tgt_log, tgt_hess = smooth_density(nu, False)
     kappa_k = mollified_kappa(kappa, k)
     src_cert = ConvexityCertificate(alpha=alpha, kappa=None)
     tgt_cert = ConvexityCertificate(alpha=None, kappa=kappa_k)
-    source = Density(mu.dim, *src_fns, normalized=False, certificate=src_cert,
-                     center=mu.center, kind="mollified_source")
-    target = Density(nu.dim, *tgt_fns, normalized=False, certificate=tgt_cert,
-                     center=nu.center, kind="mollified_target")
+    source = Density(mu.dim, src_log, hess_log=src_hess, normalized=False,
+                     certificate=src_cert, center=mu.center,
+                     kind="mollified_source")
+    target = Density(nu.dim, tgt_log, hess_log=tgt_hess, normalized=False,
+                     certificate=tgt_cert, center=nu.center,
+                     kind="mollified_target")
     pair = MollifiedPair(k=int(k), source=source, target=target,
                          kappa_k=kappa_k, alpha=float(alpha))
     box = validation_box or TruncationBox.cube(mu.dim, 3.0)

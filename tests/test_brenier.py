@@ -517,7 +517,8 @@ def test_local_affine_jacobians_recover_exact_matrix():
     rng = np.random.default_rng(4)
     xs = rng.normal(size=(400, 2))
     ts = xs @ A.T + 0.5
-    jac, ok = brenier.local_affine_jacobians(xs, ts, xs[:50], k=12)
+    _, idx = brenier.nearest(xs, xs[:50], 12)
+    jac, ok = brenier.local_affine_jacobians(xs, ts, xs[:50], 12, idx)
     assert ok.all()
     assert np.allclose(jac, A[None], atol=1e-10)
 
@@ -549,7 +550,8 @@ def test_local_affine_jacobians_match_per_row_fits_bitwise():
     xs = np.vstack([cloud, line])
     ts = np.tanh(xs) + 0.1 * xs ** 2
     queries = np.vstack([cloud[:40], line[10:13], rng.normal(size=(5, 2))])
-    jac, ok = brenier.local_affine_jacobians(xs, ts, queries, k=12)
+    _, idx = brenier.nearest(xs, queries, 12)
+    jac, ok = brenier.local_affine_jacobians(xs, ts, queries, 12, idx)
     ref_jac, ref_ok = _per_row_affine_reference(xs, ts, queries, 12)
     assert ok.sum() == 45 and not ok[40:43].any()
     assert np.array_equal(ok, ref_ok)
@@ -561,9 +563,10 @@ def test_local_affine_jacobians_on_a_wider_shared_table_keep_their_bits():
     # chain-style repeats: duplicates tie, and may swap within a row
     xs[::6] = xs[1::6]
     ts = np.tanh(xs) + 0.1 * xs ** 2
-    jac, ok = brenier.local_affine_jacobians(xs, ts, xs[:100], 12)
+    _, own = brenier.nearest(xs, xs[:100], 12)
+    jac, ok = brenier.local_affine_jacobians(xs, ts, xs[:100], 12, own)
     _, idx = brenier.nearest(xs, xs, 64)
-    assert (idx[:100, :12] != brenier.nearest(xs, xs[:100], 12)[1]).any()
+    assert (idx[:100, :12] != own).any()
     shared = brenier.local_affine_jacobians(xs, ts, xs[:100], 12,
                                             neighbors=idx[:100])
     assert np.array_equal(shared[0], jac) and np.array_equal(shared[1], ok)
@@ -605,7 +608,8 @@ def test_nearest_refuses_more_neighbors_than_points():
     with pytest.raises(DomainError):
         brenier.nearest(xs, xs, 0)
     with pytest.raises(DomainError):
-        brenier.local_affine_jacobians(xs, xs, xs[:3], k=20)
+        brenier.local_affine_jacobians(xs, xs, xs[:3], 20,
+                                       brenier.nearest(xs, xs[:3], 10)[1])
 
 
 def test_sample_solver_shrinks_toward_half_map():

@@ -9,8 +9,8 @@ from transportlab.errors import (AccuracyError, ConvexityViolationError,
 from transportlab.heatflow import (FlowSchedule, FlowState,
                                    check_km_contraction,
                                    integrate_flow, km_bound_rhs,
-                                   km_pushforward_check, midflow_moment_check,
-                                   tail_log_det, terminal_determinants)
+                                   km_pushforward_check, tail_log_det,
+                                   terminal_determinants)
 from transportlab.polyexp import PolyExp
 from transportlab.scenarios import flow_gaussian_weight
 
@@ -117,16 +117,6 @@ def test_pushforward_moments_reach_standard_gaussian():
     assert cert.observed < 3.0
     with pytest.raises(DomainError):
         km_pushforward_check(states, moments=5)
-
-
-def test_midflow_moments_track_the_semigroup():
-    states, f, _ = _sigma_half_flow(m=400)
-    mid = len(states) // 2
-    row = midflow_moment_check(states, f, mid)
-    t = row["t"]
-    ref = np.exp(-2 * t) * 0.25 + (1 - np.exp(-2 * t))
-    assert row["reference"] == pytest.approx([ref, ref], rel=1e-12)
-    assert row["relative_error"] < 0.15
 
 
 def test_tail_log_det_quadratic_is_exact():

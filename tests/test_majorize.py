@@ -185,10 +185,15 @@ def test_entropy_quadrature_gaussian_closed_form():
                                     abs=1e-9)
 
 
+def _table(xs, k=4):
+    """The narrowest neighbor table entropy_knn reads at k."""
+    return brenier.nearest(xs, xs, min(len(xs), 8 * (k + 1)))
+
+
 def test_entropy_knn_matches_gaussian_value():
     rng = np.random.default_rng(0)
     xs = rng.normal(size=(4000, 2))
-    got = entropy_knn(xs)
+    got = entropy_knn(xs, _table(xs))
     assert abs(got - (-math.log(2 * math.pi * math.e))) < 0.06
 
 
@@ -197,7 +202,7 @@ def test_entropy_knn_bootstrap_survives_duplicate_rows():
     xs = rng.normal(size=(1500, 2))
     # MCMC-style output: rejected proposals repeat the previous state
     xs[::7] = xs[1::7]
-    value, half_ci = entropy_knn(xs, bootstrap=24, seed=3)
+    value, half_ci = entropy_knn(xs, _table(xs), bootstrap=24, seed=3)
     assert np.isfinite(value) and np.isfinite(half_ci)
     assert 0.0 < half_ci < 0.5
 
@@ -205,9 +210,9 @@ def test_entropy_knn_bootstrap_survives_duplicate_rows():
 def test_entropy_knn_refuses_a_sample_without_kth_neighbor():
     xs = np.random.default_rng(0).normal(size=(4, 2))
     with pytest.raises(DomainError):
-        entropy_knn(xs, k=4)
+        entropy_knn(xs, _table(xs), k=4)
     with pytest.raises(DomainError):
-        entropy_knn(xs[:3], k=2, bootstrap=4)
+        entropy_knn(xs[:3], _table(xs[:3], 2), k=2, bootstrap=4)
 
 
 def _bootstrap_by_brute_force(xs, k, bootstrap, seed):
@@ -238,6 +243,7 @@ def test_entropy_knn_bootstrap_falls_back_when_the_table_runs_out(
     xs = centers[rng.integers(0, 40, 1200)] + rng.normal(scale=0.05,
                                                          size=(1200, 2))
     xs[::5] = xs[1::5]
+    table = _table(xs, 1)
     calls = []
 
     def counting(points, queries, k):
@@ -245,8 +251,8 @@ def test_entropy_knn_bootstrap_falls_back_when_the_table_runs_out(
         return brenier.nearest(points, queries, k)
 
     monkeypatch.setattr(majorize, "nearest", counting)
-    value, half_ci = entropy_knn(xs, k=1, bootstrap=48, seed=2)
-    assert len(calls) > 1, "no subsample row ran out of table members"
+    value, half_ci = entropy_knn(xs, table, k=1, bootstrap=48, seed=2)
+    assert calls, "no subsample row ran out of table members"
     assert half_ci == _bootstrap_by_brute_force(xs, 1, 48, 2)
     assert 0.0 < half_ci < np.inf
 
@@ -276,7 +282,7 @@ def test_entropy_knn_on_a_wider_shared_table_keeps_its_bits(
     from transportlab import majorize
 
     xs = make()
-    own = entropy_knn(xs, k=k, bootstrap=bootstrap, seed=seed)
+    own = entropy_knn(xs, _table(xs, k), k=k, bootstrap=bootstrap, seed=seed)
     table = brenier.nearest(xs, xs, 64)
     calls = []
 
@@ -285,14 +291,13 @@ def test_entropy_knn_on_a_wider_shared_table_keeps_its_bits(
         return brenier.nearest(points, queries, kk)
 
     monkeypatch.setattr(majorize, "nearest", counting)
-    shared = entropy_knn(xs, k=k, bootstrap=bootstrap, seed=seed,
-                         table=table)
+    shared = entropy_knn(xs, table, k=k, bootstrap=bootstrap, seed=seed)
     assert [repr(v) for v in shared] == [repr(v) for v in own]
     # the short rows still take the fallback; no full search runs
     assert (len(calls) > 0) == (k == 1)
     assert xs.shape[0] not in calls
     with pytest.raises(DomainError):
-        entropy_knn(xs, k=k, table=brenier.nearest(xs, xs, 8 * k + 7))
+        entropy_knn(xs, brenier.nearest(xs, xs, 8 * k + 7), k=k)
 
 
 def test_entropy_stability_on_gaussian_pair():

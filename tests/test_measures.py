@@ -28,7 +28,6 @@ def test_gaussian_derivatives_and_certificate():
     sigma2 = 4.0
     dens = gaussian(np.zeros(2), sigma2 * np.eye(2))
     x = np.array([[1.0, -2.0]])
-    assert np.allclose(dens.grad_log(x), -x / sigma2)
     assert np.allclose(dens.hess_log(x), -np.eye(2)[None] / sigma2)
     # potential V = -log density has hessian I/sigma^2
     assert dens.certificate.alpha == pytest.approx(1.0 / sigma2)
@@ -78,8 +77,6 @@ def test_derivatives_without_evaluators_are_refused():
                    kind="bare")
     x = np.zeros((3, 2))
     assert np.allclose(dens.logpdf(x), 0.0)
-    with pytest.raises(DomainError, match="bare density has no gradient"):
-        dens.grad_log(x)
     with pytest.raises(DomainError, match="bare density has no Hessian"):
         dens.hess_log(x)
     with pytest.raises(DomainError, match="bare density has no Hessian"):
@@ -94,7 +91,7 @@ def test_check_certificate_accepts_honest_gaussian():
 
 def test_check_certificate_rejects_false_kappa():
     base = gaussian(np.zeros(2), 2.0 * np.eye(2))  # true kappa = 0.5
-    lying = Density(2, base._log_density, base._grad_log, base._hess_log,
+    lying = Density(2, base._log_density, hess_log=base._hess_log,
                     normalized=True,
                     certificate=ConvexityCertificate(None, 2.0))
     box = TruncationBox.cube(2, 3.0)
@@ -107,8 +104,7 @@ def test_polyexp_backed_density_roundtrip():
     dens = Density(
         2,
         lambda x: np.log(fam.value(x)),
-        lambda x: fam.log_derivs(x)[1],
-        lambda x: fam.log_derivs(x)[2],
+        hess_log=lambda x: fam.log_derivs(x)[2],
         normalized=True,
         certificate=ConvexityCertificate(1.0, 1.0),
         family=fam,

@@ -6,7 +6,9 @@ use of the name, as a plain name or an attribute, outside the function's
 own body; dunder methods are called by the language and are exempt.
 
 A name defined more than once (two classes' `jacobian`, a module's `run`
-and a class's `run`) counts only the uses the guard can tie to the owner:
+and a class's `run`, a method and a dataclass field or `self.<name> = ...`
+target of the same name) counts only the uses the guard can tie to the
+owner:
 `self.name`, `cls.name` or `super().name` inside the owner, a class it
 derives from or a class derived from it; `Owner.name`; `var.name` where
 `var` was bound from `Owner(...)` or `module.Owner(...)` in the same or an
@@ -26,9 +28,6 @@ EXEMPT = {
     # the console entry `transportlab = "transportlab.cli:main"` in
     # pyproject.toml; its only package use is the `__main__` guard
     "cli.main",
-    # the finite-t reference of the heat-flow moment check; the rework of
-    # `km_pushforward_moments` (ROADMAP item 2) wires it in or deletes it
-    "heatflow.midflow_moment_check",
 }
 
 # owner of a shared name -> its callers that reach it through a value the
@@ -43,6 +42,7 @@ CALLERS = {
         "brenier.solve_entropic_schedule's stage solvers",
     "entropic.SampleSinkhorn.barycentric":
         "brenier.solve_entropic_sample's stage solvers",
+    "heatflow.FlowSchedule.times": "the schedule integrate_flow gets",
     "measures.TruncationBox.dim":
         "boxes passed to brenier.grid_measure and verify.probe_points",
     "measures.TruncationBox.to_dict": "the box in a grid map's details",
@@ -143,6 +143,25 @@ def _definitions(tree):
                     yield f"{node.name}.{sub.name}", node.name, sub
 
 
+def _fields(tree):
+    """Names bound on instances: class-body annotated names (dataclass
+    fields) and `self.<name> = ...` targets."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign) \
+                        and isinstance(sub.target, ast.Name):
+                    yield sub.target.id
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Attribute) \
+                            and isinstance(sub.value, ast.Name) \
+                            and sub.value.id == "self":
+                        yield sub.attr
+
+
 def _unreferenced(trees, acceptance=None, callers=CALLERS):
     """Qualified names of the definitions in `trees` (module -> AST) that
     no other code, nor the `acceptance` AST, references."""
@@ -155,8 +174,9 @@ def _unreferenced(trees, acceptance=None, callers=CALLERS):
                  in _uses(acceptance, None, classes, set(trees))]
     defined = {}
     for tree in trees.values():
-        for _, _, node in _definitions(tree):
-            defined[node.name] = defined.get(node.name, 0) + 1
+        names = [node.name for _, _, node in _definitions(tree)]
+        for name in names + list(_fields(tree)):
+            defined[name] = defined.get(name, 0) + 1
     found = []
     for module, tree in trees.items():
         for qualified, cls, node in _definitions(tree):
@@ -215,3 +235,34 @@ def test_a_method_used_only_by_tests_cannot_hide_behind_a_namesake():
     assert _unreferenced(
         trees, callers={"b.B.scaled": "called on the boxes grow gets"}) == [
         "a.A.scaled"]
+    # a dataclass field or an instance attribute of the same name is a
+    # namesake too: reading it off a parameter does not reach the method
+    trees = {
+        "a": ast.parse("class A:\n"
+                       "    def grad(self):\n"
+                       "        return self\n"),
+        "b": ast.parse("from dataclasses import dataclass\n"
+                       "\n"
+                       "\n"
+                       "@dataclass\n"
+                       "class E:\n"
+                       "    grad: float\n"
+                       "\n"
+                       "\n"
+                       "def slope(e):\n"
+                       "    return e.grad\n"),
+        "c": ast.parse("from .b import slope\n\n\nslope(None)\n"),
+    }
+    assert _unreferenced(trees, callers={}) == ["a.A.grad"]
+    trees["b"] = ast.parse("class E:\n"
+                           "    def __init__(self):\n"
+                           "        self.grad = 0.0\n"
+                           "\n"
+                           "\n"
+                           "def slope(e):\n"
+                           "    return e.grad\n")
+    assert _unreferenced(trees, callers={}) == ["a.A.grad"]
+    # with no namesake, the use on the parameter reaches the only owner
+    trees["b"] = ast.parse("def slope(e):\n"
+                           "    return e.grad\n")
+    assert _unreferenced(trees, callers={}) == []
