@@ -588,10 +588,8 @@ def _selftest_semigroup(seed):
         2, msq, B=2.0 * math.pi * np.eye(2))
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((40, 2))
-    closed = semigroup.apply("ornstein_uhlenbeck", fam, 0.7, xs,
-                             method="closed_form")
-    quad = semigroup.apply("ornstein_uhlenbeck", fam, 0.7, xs,
-                           method="gauss_hermite")
+    closed = semigroup.apply(fam, 0.7, xs, method="closed_form")
+    quad = semigroup.apply(fam, 0.7, xs, method="gauss_hermite")
     err = float(np.abs(closed.value - quad.value).max())
     cert = make_certificate("semigroup_closed_form_error", 1e-8, err, 0.0,
                             {"solver": "gauss_hermite"}, xs.shape[0])

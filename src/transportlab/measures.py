@@ -225,15 +225,16 @@ def check_certificate(density, box, probes=128, seed=1234):
     pts = box.sample_uniform(probes, rng)
     if density.singular_tube is not None:
         pts = pts[~density.singular_tube(pts)]
-    lap = density.potential_laplacian(pts)
-    mineig = density.potential_hessian_min_eig(pts)
+    # one Hessian serves both constants: Delta V = -tr H, and the potential
+    # Hessian -H has the smallest eigenvalue kappa bounds
+    H = density.hess_log(pts)
     if cert.alpha is not None:
-        worst = float(lap.max()) / density.dim
+        worst = float((-np.trace(H, axis1=-2, axis2=-1)).max()) / density.dim
         if worst > cert.alpha * (1 + 1e-6) + 1e-12:
             raise CertificateConflictError(
                 f"probed alpha {worst} exceeds declared {cert.alpha}")
     if cert.kappa is not None:
-        worst = float(mineig.min())
+        worst = float(np.linalg.eigvalsh(-H)[:, 0].min())
         if worst < cert.kappa * (1 - 1e-6) - 1e-12:
             raise CertificateConflictError(
                 f"probed kappa {worst} is below declared {cert.kappa}")

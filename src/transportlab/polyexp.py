@@ -104,15 +104,6 @@ def gaussian_poly_expectations(polys, mean, cov):
 # complex polynomial helpers (phase-space weights |f(q+ip)|^2)
 
 
-def _complex_poly_mul(p1, p2):
-    out = {}
-    for (a1, b1), c1 in p1.items():
-        for (a2, b2), c2 in p2.items():
-            key = (a1 + a2, b1 + b2)
-            out[key] = out.get(key, 0.0 + 0.0j) + c1 * c2
-    return out
-
-
 def holomorphic_to_real_poly(coeffs):
     """Expand f(q + i p) = sum_m coeffs[m] z^m into a complex (q, p) dict."""
     out = {(0, 0): 0.0 + 0.0j}
@@ -130,7 +121,7 @@ def modulus_squared_poly(coeffs):
     """|f(q + i p)|^2 as a real dict polynomial in (q, p)."""
     p = holomorphic_to_real_poly(coeffs)
     pc = {k: np.conjugate(v) for k, v in p.items()}
-    prod = _complex_poly_mul(p, pc)
+    prod = _poly_mul(p, pc)
     out = {}
     for key, val in prod.items():
         if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):

@@ -1,11 +1,11 @@
-"""Gaussian smoothing semigroups and their convexity transfer.
+"""The Ornstein-Uhlenbeck smoothing semigroup and its curvature floor.
 
 One kernel does all the work: H_s f(x) = E_{N(x, s Id)}[f]. The
-Ornstein-Uhlenbeck action is the change of variables
+Ornstein-Uhlenbeck semigroup is the change of variables
 
-    P_t f(x) = H_{1 - e^{-2t}} f(e^{-t} x),
+    P_t f(x) = H_s f(a x),   a = e^{-t},  s = 1 - e^{-2t}.
 
-so both kinds share one implementation. Evaluation routes:
+Evaluation routes:
 
   closed_form     f is a PolyExp, or a Density with a polynomial-Gaussian
                   family; exact values and log-derivatives.
@@ -17,20 +17,16 @@ so both kinds share one implementation. Evaluation routes:
                   its rule is larger), and the rule's sums run on all
                   probes at once.
 
-Transfer facts (s = 1 - e^{-2t}, a = e^{-t} for the OU kind; s = t, a = 1
-for heat), checked for the OU kind by check_smoothing_bounds:
+Smoothing holds every positive f to one curvature floor,
 
-  unconditional   hess log P_t f >= -(a^2/s) Id
-  log_concave     hess log f <= c Id  =>  hess log P_t f <= c a^2/(1-cs) Id,
-                  valid while 1 - cs > 0 (a finite time window when c > 1)
-  log_convex      hess log f >= c Id  =>  same expression as a lower bound
-  log_subharmonic Delta log f >= c n  =>  Delta log P_t f >= c n a^2/(1-cs)
+    hess log P_t f >= -(a^2/s) Id,
+
+which check_smoothing_bounds certifies on a probe set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -45,31 +41,21 @@ CHECK_RTOL = 1e-7  # Gauss-Hermite order-doubling acceptance
 _GH_ORDER = 64     # the Gauss-Hermite order, checked against twice itself
 
 
-class SemigroupKind(str, Enum):
-    ORNSTEIN_UHLENBECK = "ornstein_uhlenbeck"
-    HEAT = "heat"
-
-
-def kernel_params(kind, t):
+def kernel_params(t):
     """(a, s) with P_t f(x) = H_s f(a x)."""
     t = float(t)
     if t < 0:
         raise DomainError("time must be nonnegative")
-    if kind == SemigroupKind.HEAT or kind == "heat":
-        return 1.0, t
-    if kind == SemigroupKind.ORNSTEIN_UHLENBECK or kind == "ornstein_uhlenbeck":
-        return float(np.exp(-t)), float(-np.expm1(-2.0 * t))
-    raise DomainError(f"unknown semigroup kind {kind!r}")
+    return float(np.exp(-t)), float(-np.expm1(-2.0 * t))
 
 
 @dataclass(frozen=True)
 class SemigroupEvaluation:
     value: np.ndarray
+    log_smoothed: np.ndarray
     grad_log: np.ndarray
     hess_log: np.ndarray
     method: str
-    kind: str
-    t: float
 
 
 def _as_callable(f):
@@ -88,15 +74,14 @@ def _family_of(f):
     return None
 
 
-def apply(kind, f, t, x, method="auto"):
-    """Evaluate P_t f (or H_t f) with log-derivatives at points x.
+def apply(f, t, x, method="auto"):
+    """Evaluate P_t f with its log and log-derivatives at points x.
 
     method "auto" takes the closed form when f has a family, else
     Gauss-Hermite, whose error estimate is the order-doubling gap.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    a, s = kernel_params(kind, t)
-    kind_str = kind.value if isinstance(kind, SemigroupKind) else str(kind)
+    a, s = kernel_params(t)
     family = _family_of(f)
 
     if method == "auto":
@@ -106,8 +91,8 @@ def apply(kind, f, t, x, method="auto"):
         if family is None:
             raise DomainError("closed form needs a polynomial-Gaussian family")
         logv, grad, hess = family.smoothed_log_derivs(a * x, s)
-        return SemigroupEvaluation(np.exp(logv), a * grad, a * a * hess,
-                                   "closed_form", kind_str, float(t))
+        return SemigroupEvaluation(np.exp(logv), logv, a * grad,
+                                   a * a * hess, "closed_form")
 
     fn = _as_callable(f)
     if s == 0.0:
@@ -127,8 +112,8 @@ def apply(kind, f, t, x, method="auto"):
         raise AccuracyError(
             f"Gauss-Hermite order-doubling check failed ({err:.2e})",
             estimate=err)
-    return SemigroupEvaluation(val2, grad2, hess2, "gauss_hermite",
-                               kind_str, float(t))
+    return SemigroupEvaluation(val2, np.log(val2), grad2, hess2,
+                               "gauss_hermite")
 
 
 def _gh_eval(fn, x, a, s, order):
@@ -165,60 +150,24 @@ def _gh_eval(fn, x, a, s, order):
 
 
 # ---------------------------------------------------------------------------
-# smoothing-bound certificates
+# the curvature-floor certificate
 
 
-def smoothing_rhs(klass, c, kind, t):
-    """Theoretical matrix/trace coefficient for the smoothing bounds."""
-    a, s = kernel_params(kind, t)
+def check_smoothing_bounds(f, t, probes):
+    """Certificate for the curvature floor hess log P_t f >= -(a^2/s) Id
+    on the probe set, recorded with both sides negated (see verify module
+    docstring)."""
+    probes = np.atleast_2d(np.asarray(probes, dtype=float))
+    a, s = kernel_params(t)
     if s == 0.0:
         raise DomainError("bounds need t > 0")
-    if klass == "unconditional":
-        return -(a * a) / s
-    if c is None:
-        raise DomainError(f"class {klass!r} needs the constant c")
-    denom = 1.0 - c * s
-    if denom <= 0:
-        raise DomainError(
-            f"the {klass} transfer is valid only while 1 - c s > 0; "
-            f"got c={c}, s={s} (finite time window for c > 1)")
-    return c * a * a / denom
-
-
-def check_smoothing_bounds(f, klass, t, probes, c=None):
-    """Certificate for one smoothing bound of the Ornstein-Uhlenbeck
-    semigroup on the probe set.
-
-    klass is one of unconditional, log_concave, log_convex,
-    log_subharmonic. Lower bounds are recorded with both sides negated
-    (see verify module docstring).
-    """
-    kind = SemigroupKind.ORNSTEIN_UHLENBECK
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    ev = apply(kind, f, t, probes)
-    rhs_coeff = smoothing_rhs(klass, c, kind, t)
+    ev = apply(f, t, probes)
     evals = np.linalg.eigvalsh(ev.hess_log)
-    prov = {"solver": f"semigroup_{ev.method}", "kind": ev.kind, "t": float(t),
-            "class": klass, "c": c}
-    if klass == "log_concave":
-        observed = float(evals[:, -1].max())
-        return make_certificate("smoothing_hessian_upper", rhs_coeff, observed,
-                                0.0, prov, probes.shape[0])
-    if klass in ("unconditional", "log_convex"):
-        observed = float((-evals[:, 0]).max())
-        name = ("smoothing_hessian_lower" if klass == "unconditional"
-                else "smoothing_hessian_lower_convex")
-        return make_certificate(name, -rhs_coeff, observed, 0.0, prov,
-                                probes.shape[0],
-                                details={"negated_lower_bound": True})
-    if klass == "log_subharmonic":
-        trace = evals.sum(axis=1)
-        observed = float((-trace).max())
-        n = probes.shape[1]
-        return make_certificate("smoothing_trace_lower", -rhs_coeff * n,
-                                observed, 0.0, prov, probes.shape[0],
-                                details={"negated_lower_bound": True})
-    raise DomainError(f"unknown smoothing class {klass!r}")
+    observed = float((-evals[:, 0]).max())
+    prov = {"solver": f"semigroup_{ev.method}", "t": float(t)}
+    return make_certificate("smoothing_hessian_lower", a * a / s, observed,
+                            0.0, prov, probes.shape[0],
+                            details={"negated_lower_bound": True})
 
 
 # ---------------------------------------------------------------------------
@@ -254,19 +203,16 @@ def mollify(mu, nu, alpha, kappa, k, validation_box=None, probes=64):
         raise DomainError("k must be at least 1")
     t = 1.0 / float(k)
     lam = 1.0 - t
-    kind = SemigroupKind.ORNSTEIN_UHLENBECK
 
     def smooth_density(dens, mix_quadratic):
         def log_density(x, _d=dens):
-            ev = apply(kind, _d, t, x)
-            out = np.log(ev.value)
+            out = apply(_d, t, x).log_smoothed
             if mix_quadratic:
                 out = lam * out - t * 0.5 * alpha * np.einsum("mi,mi->m", x, x)
             return out
 
         def hess_log(x, _d=dens):
-            ev = apply(kind, _d, t, x)
-            h = ev.hess_log
+            h = apply(_d, t, x).hess_log
             if mix_quadratic:
                 h = lam * h - t * alpha * np.eye(x.shape[1])[None, :, :]
             return h

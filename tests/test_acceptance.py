@@ -93,15 +93,14 @@ def test_criterion_04_sphere_average_limit_and_transfer_bound():
 
 
 def test_criterion_05_smoothing_hessians_match_and_obey_the_floor():
-    kind = semigroup.SemigroupKind.ORNSTEIN_UHLENBECK
     rng = np.random.default_rng(5)
     probes = rng.normal(size=(50, 2)) * 1.2
     # Gaussian weights: quadrature Hessian equals -beta a^2/(1 + beta s) Id
     for beta in (0.5, 1.0, 3.0):
         f = PolyExp.quadratic_exponent(2, beta=beta)
         for t in (0.1, 0.3, 0.7, 1.5, 3.0):
-            a, s = semigroup.kernel_params(kind, t)
-            ev = semigroup.apply(kind, f, t, probes, method="gauss_hermite")
+            a, s = semigroup.kernel_params(t)
+            ev = semigroup.apply(f, t, probes, method="gauss_hermite")
             want = -(beta * a * a / (1.0 + beta * s)) * np.eye(2)
             assert np.abs(ev.hess_log - want).max() <= 1e-8
     saddle = PolyExp.quadratic_exponent(
@@ -121,13 +120,12 @@ def test_criterion_05_smoothing_hessians_match_and_obey_the_floor():
     floor_probes = rng.normal(size=(40, 2)) * 1.2
     for f in weights:
         for t in (0.1, 0.5, 1.0):
-            cert = semigroup.check_smoothing_bounds(f, "unconditional", t,
-                                                    floor_probes)
+            cert = semigroup.check_smoothing_bounds(f, t, floor_probes)
             assert cert.verdict == "pass"
             assert cert.theoretical_rhs - cert.observed >= -1e-8
     # the saddle weight smooths to a strictly positive log-Laplacian
     for t in (0.1, 0.5, 1.0):
-        ev = semigroup.apply(kind, saddle, t, floor_probes)
+        ev = semigroup.apply(saddle, t, floor_probes)
         traces = np.trace(ev.hess_log, axis1=-2, axis2=-1)
         assert traces.min() > 0.0
 

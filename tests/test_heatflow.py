@@ -101,6 +101,25 @@ def test_flow_evaluates_the_semigroup_once_per_field_evaluation(
     assert counts["apply"] == counts["rhs"]
 
 
+def test_each_recorded_state_takes_one_determinant(monkeypatch):
+    # the positivity check, the stepper's route check and the report's
+    # route_agreement summary share one determinant per state
+    calls = []
+    own_det = np.linalg.det
+
+    def det(a):
+        calls.append(np.shape(a))
+        return own_det(a)
+
+    monkeypatch.setattr(np.linalg, "det", det)
+    report, _ = cli.run(cli.RunConfig(command="heatflow", scenario="flow",
+                                      seed=0))
+    frames = report.series["sup_determinant_vs_t"]
+    assert len(frames) > 1
+    assert len(calls) == len(frames)
+    assert "route_agreement" in report.summaries
+
+
 @pytest.mark.parametrize("record_every", [0, -1])
 def test_integrate_flow_refuses_a_record_step_below_one(record_every):
     f, _, _ = flow_gaussian_weight(0.5)
