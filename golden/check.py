@@ -5,12 +5,13 @@
     python3 golden/check.py --record   # rewrite the committed copies
 
 The program is imported from the checkout's ``src``.  The set is every
-(command, kind) pair of the CLI's check table plus eight configs: the grid
+(command, kind) pair of the CLI's check table plus nine configs: the grid
 route on a 128-side lattice, ``verify wehrl`` with a schedule, a displaced
 Wehrl state, the Fock mixture of degrees 0 and 1 through ``scenario`` and
 ``geodesic`` on the radial route, a three-coefficient Fock polynomial, and
-``scenario coulomb`` at three particles and at two particles with beta 2.
-Each runs at seeds 0 and 1, in this process, through ``cli.main``: 50 runs.
+``scenario coulomb`` at three particles, at two particles with beta 2 and
+at beta 0.5.  Each runs at seeds 0 and 1, in this process, through
+``cli.main``: 52 runs.
 
 Exit codes, strings (verdicts among them), booleans, ints, nulls and the
 shape of each report must match exactly.  Each float is counted as
@@ -88,6 +89,9 @@ CASES = {
         ["scenario", "coulomb"], {"params": {"particles": 3}}),
     "scenario-coulomb-beta2": (
         ["scenario", "coulomb"], {"params": {"particles": 2, "beta": 2.0}}),
+    # the widest cloud: the gas at beta 0.5 spreads furthest
+    "scenario-coulomb-beta-half": (
+        ["scenario", "coulomb"], {"params": {"beta": 0.5}}),
 }
 
 

@@ -563,9 +563,11 @@ def local_affine_jacobians(xs, ts, queries, k, neighbors):
 
     Returns (jacobians (m, n, n), ok_mask); rank-deficient neighborhoods
     (a singular-value ratio above 1e3) are flagged instead of raising,
-    callers decide. `neighbors` holds the rows of xs nearest each query as
-    `nearest` orders them, at least k columns wide; the fits read its first
-    k columns.
+    callers decide, and keep the identity. One batched SVD of the
+    centered neighborhoods serves both the test and every kept fit.
+    `neighbors` holds the rows of xs nearest each query as `nearest`
+    orders them, at least k columns wide; the fits read its first k
+    columns.
     """
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
@@ -578,14 +580,16 @@ def local_affine_jacobians(xs, ts, queries, k, neighbors):
     idx = neighbors[:, :k]
     X = xs[idx]
     Xc = X - X.mean(axis=1, keepdims=True)
-    sv = np.linalg.svd(Xc, compute_uv=False)
+    U, sv, Vt = np.linalg.svd(Xc, full_matrices=False)
     ok = ~((sv[:, 0] <= 0)
            | (sv[:, 0] / np.maximum(sv[:, -1], 1e-300) > 1e3))
     J = np.broadcast_to(np.eye(n), (len(idx), n, n)).copy()
-    for i in np.flatnonzero(ok):
-        Y = ts[idx[i]]
-        A, *_ = np.linalg.lstsq(Xc[i], Y - Y.mean(axis=0), rcond=None)
-        J[i] = A.T
+    Y = ts[idx[ok]]
+    Yc = Y - Y.mean(axis=1, keepdims=True)
+    # the least-squares fit Xc A = Yc is A = V diag(1 / sv) U^T Yc, and
+    # J = A^T; no singular value of a kept fit is small enough for
+    # lstsq's cutoff to drop it
+    J[ok] = (np.swapaxes(Yc, 1, 2) @ U[ok] / sv[ok, None, :]) @ Vt[ok]
     return J, ok
 
 
@@ -597,9 +601,11 @@ def solve_entropic_sample(xs, ys, schedule):
     iterations with the fallbacks and absorptions of every stage.
     The cross-transport runs the strictly decreasing epsilon schedule with
     warm starts; the self-transport used for debiasing is only solved at
-    the final epsilon. Every stage of both builds its stabilized kernel in
-    place in one buffer, so one kernel is alive at a time (32 MB at 2000
-    points).
+    the final epsilon, on the symmetric kernel exp(M) that `SampleSinkhorn`
+    builds when its two clouds are one array (no absorptions, its mat-vecs
+    on the kernel's lower triangle). Every stage of both builds its kernel
+    in place in one buffer, so one kernel is alive at a time (32 MB at
+    2000 points).
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -628,6 +634,7 @@ def solve_entropic_sample(xs, ys, schedule):
             return values, err, iters
 
         raw, err, iters = final_map(ys, schedule)
+        # targets is xs: the symmetric self-transport
         tvals = xs + raw - final_map(xs, schedule[-1:])[0]
         return tvals, {"marginal_error": err, "iterations": iters, **counts}
 

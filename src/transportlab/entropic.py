@@ -52,12 +52,22 @@ rows, each block finished while it is in cache. Contractions are mat-vecs
 with exp(Q - Q0) or exp(P - P0). A potential that drifts more than DRIFT
 from its absorbed value is absorbed into P0 / Q0 and K is rebuilt in the
 same buffer, counted in `absorptions` (Schmitzer, arXiv:1610.06519).
+
+A self-transport (ys is xs, the debiasing term) needs none of that. Its
+kernel E = exp(M) is symmetric and peaks in each row at its unit
+diagonal, so it is built once into the buffer, without P0 or Q0, its
+entries below the smallest normal float zeroed as on the grid. lse_q and
+lse_p are then one contraction, log(E exp(H - s)) + s with s = max H,
+whose sum is at least exp(H_i - s): only a potential range beyond 600
+sends an entry to the exact fallback. Its mat-vecs read E's lower
+triangle alone (`blas.symmetric_product`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import blas
 from .errors import ConvergenceError, DomainError
 
 TINY = np.exp(-600.0)
@@ -290,7 +300,8 @@ class GridSinkhorn1D(GridSinkhorn):
 
 
 class SampleSinkhorn(_Sinkhorn):
-    """Sinkhorn between uniform point clouds on a stabilized kernel.
+    """Sinkhorn between uniform point clouds on a stabilized kernel, or,
+    when `ys is xs`, on the symmetric self-transport kernel.
 
     The kernel is built in place in `kernel`, an (m, k) C-contiguous
     float64 buffer (a fresh one by default); solvers may share a buffer as
@@ -298,8 +309,9 @@ class SampleSinkhorn(_Sinkhorn):
     """
 
     def __init__(self, xs, ys, epsilon, kernel=None):
+        self.symmetric = ys is xs
         self.xs = np.asarray(xs, dtype=float)
-        self.ys = np.asarray(ys, dtype=float)
+        self.ys = self.xs if self.symmetric else np.asarray(ys, dtype=float)
         self.eps = float(epsilon)
         self.log_a = np.full(self.xs.shape[0], -np.log(self.xs.shape[0]))
         self.log_b = np.full(self.ys.shape[0], -np.log(self.ys.shape[0]))
@@ -310,6 +322,7 @@ class SampleSinkhorn(_Sinkhorn):
         self._K = (np.empty((self.xs.shape[0], self.ys.shape[0]))
                    if kernel is None else kernel)
         self._P0 = self._Q0 = None
+        self._built = False
 
     def run(self, P=None, Q=None, tol=1e-5, max_iter=1500, check_every=8):
         return super().run(P, Q, tol, max_iter, check_every)
@@ -354,16 +367,29 @@ class SampleSinkhorn(_Sinkhorn):
                 np.exp(G, out=G)
         self._P0, self._Q0 = P0, Q0
 
-    def _contract(self, K, dH, R0, src, dst, h, src2, y=None):
-        """Rows of K = exp(M + R0 + H0) against exp(dH), dH = H - H0: the
-        contraction LSE_j(M_ij + H_j), or with y the plan-weighted mean of
-        the rows of y. h = H - |dst|^2 / 2 eps feeds the exact fallback."""
+    def _build_symmetric(self):
+        """E = exp(x.x / eps - x2 - x2) in place, block by block as in
+        `_absorb`, with its entries below the smallest normal float
+        zeroed."""
+        np.matmul(self._xe, self.xs.T, out=self._K)
+        for rows, G in self._blocks():
+            G -= self._x2[rows, None]
+            G -= self._x2[None, :]
+            np.exp(G, out=G)
+            G[G < NORMAL] = 0.0
+        self._built = True
+
+    def _contract(self, product, dH, R0, src, dst, h, src2, y=None):
+        """Rows of K = exp(M + R0 + H0) against exp(dH), dH = H - H0, where
+        product(V) is K @ V: the contraction LSE_j(M_ij + H_j), or with y
+        the plan-weighted mean of the rows of y. h = H - |dst|^2 / 2 eps
+        feeds the exact fallback."""
         s = dH.max()
         v = np.exp(dH - s)
-        D = K @ v
+        D = product(v)
         with np.errstate(divide="ignore", invalid="ignore"):
             R = np.log(D) + s - R0 if y is None else \
-                K @ (v[:, None] * y) / D[:, None]
+                product(v[:, None] * y) / D[:, None]
         bad = np.flatnonzero(~(D >= TINY))
         if bad.size:
             L = h[None, :] + src[bad] @ dst.T / self.eps
@@ -374,16 +400,28 @@ class SampleSinkhorn(_Sinkhorn):
 
     def lse_q(self, Q, y=None):
         """LSE_j(M_ij + Q_j); with y, the plan-weighted mean of y's rows."""
+        if self.symmetric:
+            return self._contract_symmetric(Q, y)
         if self._Q0 is None or np.abs(Q - self._Q0).max() > DRIFT:
             self._absorb(Q0=Q)
-        return self._contract(self._K, Q - self._Q0, self._P0, self.xs,
-                              self.ys, Q - self._y2, self._x2, y)
+        return self._contract(self._K.__matmul__, Q - self._Q0, self._P0,
+                              self.xs, self.ys, Q - self._y2, self._x2, y)
 
     def lse_p(self, P):
+        if self.symmetric:
+            return self._contract_symmetric(P)
         if np.abs(P - self._P0).max() > DRIFT:
             self._absorb(P0=P)
-        return self._contract(self._K.T, P - self._P0, self._Q0, self.ys,
-                              self.xs, P - self._x2, self._y2)
+        return self._contract(self._K.T.__matmul__, P - self._P0, self._Q0,
+                              self.ys, self.xs, P - self._x2, self._y2)
+
+    def _contract_symmetric(self, H, y=None):
+        """LSE_j(M_ij + H_j) on E = exp(M), both directions at once."""
+        if not self._built:
+            self._build_symmetric()
+        return self._contract(
+            lambda V: blas.symmetric_product(self._K, V), H, 0.0, self.xs,
+            self.xs, H - self._x2, self._x2, y)
 
     def barycentric(self, Q):
         return self.lse_q(Q, y=self.ys)

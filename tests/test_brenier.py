@@ -542,7 +542,7 @@ def _per_row_affine_reference(xs, ts, queries, k, cond_limit=1e3):
     return J, ok
 
 
-def test_local_affine_jacobians_match_per_row_fits_bitwise():
+def test_local_affine_jacobians_match_per_row_fits():
     rng = np.random.default_rng(9)
     cloud = rng.normal(size=(300, 2))
     # a far collinear cluster: its neighborhoods are rank-deficient
@@ -555,7 +555,10 @@ def test_local_affine_jacobians_match_per_row_fits_bitwise():
     ref_jac, ref_ok = _per_row_affine_reference(xs, ts, queries, 12)
     assert ok.sum() == 45 and not ok[40:43].any()
     assert np.array_equal(ok, ref_ok)
-    assert np.array_equal(jac, ref_jac)
+    # one batched product against one lstsq per row: the same fits to
+    # rounding, and the refused rows keep their identity bit for bit
+    np.testing.assert_allclose(jac, ref_jac, rtol=1e-12, atol=0)
+    assert np.array_equal(jac[~ok], ref_jac[~ok])
 
 
 def test_local_affine_jacobians_on_a_wider_shared_table_keep_their_bits():

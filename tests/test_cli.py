@@ -1059,4 +1059,5 @@ def test_selftest_report_is_the_same_without_the_library(tmp_path,
     timings = json.loads((tmp_path / "b" / "timings.json").read_text())
     assert timings["blas"] == {"library": None, "core": None,
                                "threads_at_entry": None,
-                               "threads_outside_solvers": None}
+                               "threads_outside_solvers": None,
+                               "symmetric_product": None}

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transportlab import brenier, entropic
+from transportlab import blas, brenier, entropic
 from transportlab.errors import ConvergenceError
 from transportlab.measures import TruncationBox, gaussian
 
@@ -178,6 +178,20 @@ def test_sample_matches_log_domain_reference(m, k, dim, eps, seed):
                  _RefSample(xs, ys, eps),
                  {"max_iter": 400},
                  {"tol": 1e-5, "check_every": 8})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 30), st.integers(1, 3), st.floats(0.05, 2.0),
+       st.integers(0, 2**32 - 1))
+def test_sample_self_transport_matches_log_domain_reference(m, dim, eps,
+                                                            seed):
+    # ys is xs: the symmetric kernel, read through its lower triangle
+    xs = np.random.default_rng(seed).normal(size=(m, dim))
+    solver = entropic.SampleSinkhorn(xs, xs, eps)
+    assert solver.symmetric
+    _assert_same(solver, _RefSample(xs, xs, eps), {"max_iter": 400},
+                 {"tol": 1e-5, "check_every": 8})
+    assert solver.absorptions == 0
 
 
 def test_sample_warm_start_across_stages_matches_reference():
@@ -655,3 +669,71 @@ def test_sample_absorption_over_many_blocks_rebuilds_in_place():
     assert solver.absorptions > 0
     assert solver.fallbacks > 0
     assert solver._K is kernel
+
+
+def _cluster_and_outliers():
+    """A tight cluster and three points so far from it and from each other
+    that their kernel rows hold only their unit diagonal."""
+    rng = np.random.default_rng(3)
+    xs = np.vstack([rng.normal(size=(37, 2)) * 0.3,
+                    [(8.0, -8.0), (-9.0, 7.0), (10.0, 9.0)]])
+    return xs, np.arange(37, 40)
+
+
+def test_self_transport_falls_back_where_the_potential_range_passes_600():
+    # a warm start 800 lower at the outliers: each outlier's sum is its
+    # own term, exp(-800), which underflows to 0 < TINY, so only the
+    # exact fallback gives those rows a finite value, and no other row
+    # falls back
+    xs, outliers = _cluster_and_outliers()
+    eps = 0.05
+    ref = _RefSample(xs, xs, eps)
+    Q = ref.log_b.copy()
+    Q[outliers] -= 800.0
+    solver = entropic.SampleSinkhorn(xs, xs, eps)
+    np.testing.assert_allclose(solver.lse_q(Q), ref.lse_q(Q), rtol=0,
+                               atol=ATOL)
+    assert solver.fallbacks == outliers.size
+    np.testing.assert_allclose(solver.lse_p(Q), ref.lse_p(Q), rtol=0,
+                               atol=ATOL)
+    assert solver.fallbacks == 2 * outliers.size
+    # the same plan as the reference's from that warm start
+    solver = entropic.SampleSinkhorn(xs, xs, eps)
+    assert _assert_same(solver, ref, {"Q": Q}, {"tol": 1e-5,
+                                                 "check_every": 8})
+    assert solver.fallbacks > 0 and solver.absorptions == 0
+
+
+def test_self_transport_without_dsymv_matches_the_dsymv_path(monkeypatch):
+    rng = np.random.default_rng(6)
+    xs = rng.normal(size=(300, 3))
+    solver = entropic.SampleSinkhorn(xs, xs, 0.1)
+    P, Q, err, iters = solver.run()
+    values = solver.barycentric(Q)
+    # numpy's product on the whole kernel
+    monkeypatch.setattr(blas, "_find", lambda: ())
+    monkeypatch.setattr(blas, "_lib", None)
+    assert blas.info()["symmetric_product"] is None
+    plain = entropic.SampleSinkhorn(xs, xs, 0.1)
+    P2, Q2, err2, iters2 = plain.run()
+    assert iters2 == iters
+    np.testing.assert_allclose(P2, P, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(Q2, Q, rtol=0, atol=1e-13)
+    assert abs(err2 - err) <= 1e-13
+    np.testing.assert_allclose(plain.barycentric(Q2), values, rtol=0,
+                               atol=1e-13)
+
+
+@pytest.mark.skipif(not blas.info()["symmetric_product"],
+                    reason="no dsymv in numpy's OpenBLAS")
+def test_symmetric_product_reads_the_lower_triangle_alone():
+    rng = np.random.default_rng(7)
+    A = rng.normal(size=(50, 50))
+    A += A.T
+    poisoned = A.copy()
+    poisoned[np.triu_indices(50, 1)] = np.nan
+    v, B = rng.normal(size=50), rng.normal(size=(50, 3))
+    np.testing.assert_allclose(blas.symmetric_product(poisoned, v), A @ v,
+                               rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(blas.symmetric_product(poisoned, B), A @ B,
+                               rtol=1e-13, atol=1e-13)
