@@ -48,6 +48,8 @@ PROVENANCES = ("closed_form_gaussian", "quantile_1d", "radial",
 
 # panels and Gauss-Legendre order of the CDF routes' cumulative integrals
 _CDF_PANELS, _CDF_ORDER = 2048, 16
+# the radial scan's coarse step toward its resolved radius
+_BRACKET_STRIDE = 64
 # Sinkhorn marginal tolerance and iteration cap per stage, by route
 _GRID_TOL, _GRID_MAX_ITER = 1e-7, 2000
 _SAMPLE_TOL, _SAMPLE_MAX_ITER = 1e-5, 1500
@@ -177,6 +179,26 @@ def _radial_symmetry_error(dens, radii):
     return worst
 
 
+def _last_below(t_of_r, radii, t_sat):
+    """The last of the ascending radii with t(r) <= t_sat, or None.
+
+    t(r) increases along the radii, so the radii that pass form a prefix:
+    every _BRACKET_STRIDE-th radius brackets its end, and the radii up to
+    the next coarse one after the last coarse pass are searched one by
+    one. That inverts at most len / stride + stride - 1 radii instead of
+    all of them, and lands on the radius a full scan would.
+    """
+    stride = _BRACKET_STRIDE
+    with np.errstate(all="ignore"):
+        ok = np.flatnonzero(t_of_r(radii[::stride]) <= t_sat)
+        if ok.size == 0:
+            return None
+        lo = ok[-1] * stride
+        fine = radii[lo + 1:lo + stride]
+        tail = np.flatnonzero(t_of_r(fine) <= t_sat)
+    return float(radii[lo] if tail.size == 0 else fine[tail[-1]])
+
+
 def solve_radial(mu, nu, r_max):
     """Mass-matching map between co-centered radial densities.
 
@@ -231,17 +253,16 @@ def solve_radial(mu, nu, r_max):
     # CDF matching stops resolving once either cumulative tail drops under
     # double precision; past that radius values and slopes are meaningless,
     # so the map refuses to evaluate there instead of returning noise. A
-    # scan point whose own tail is under it is never reliable, so only the
-    # others are inverted.
+    # scan point whose own tail is under it is never reliable; the others
+    # are candidates, and the reliable radius is the last one with
+    # t(r) <= t_sat.
     scan = np.linspace(r_max / 4096.0, r_max, 4096)
     tail_mu = 1.0 - Mmu.value(scan) / Mmu.total
     tail_nu = 1.0 - Mnu.value(scan) / Mnu.total
     nu_ok = tail_nu > 1e-13
     t_sat = float(scan[nu_ok][-1]) if np.any(nu_ok) else r_max
-    ok = tail_mu > 1e-13
-    with np.errstate(all="ignore"):
-        ok[ok] = t_of_r(scan[ok]) <= t_sat
-    r_reliable = float(scan[ok][-1]) if np.any(ok) else r_max
+    last = _last_below(t_of_r, scan[tail_mu > 1e-13], t_sat)
+    r_reliable = r_max if last is None else last
 
     def check_fn(x):
         r = np.linalg.norm(x - center, axis=1)

@@ -11,6 +11,12 @@ and the scalar log-det route must agree with det of the matrix route at
 every recorded time; disagreement signals stepper failure, not physics.
 The one stepper is adaptive Dormand-Prince 5(4) with dense output.
 
+Each stage of the stepper evaluates the field through semigroup.apply,
+except for a weight with one quadratic-exponent term and no polynomial
+factor (every Gaussian flow): there P_t f is again Gaussian, so one n x n
+inverse per stage gives the drift and the Hessian that all particles
+share, and the Jacobians advance in one GEMM. Its bits are apply's.
+
 The flow is truncated at t_max. For a pure quadratic-exponent f the missing
 tail of the log-determinant has a closed form; otherwise the field frozen at
 t_max bounds the tail and is reported as an error bar.
@@ -18,6 +24,7 @@ t_max bounds the tail and is reported as an error bar.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +89,55 @@ def _field_parts(f, t, x):
     ev = semigroup.apply(f, t, x)
     lap = np.trace(ev.hess_log, axis1=-2, axis2=-1)
     return -ev.grad_log, -ev.hess_log, -lap
+
+
+def _semigroup_field(f, t, x, jac):
+    """(dx/dt, dJ/dt, d log det/dt) at flow time t, through apply."""
+    drift, dhess, dlap = _field_parts(f, t, x)
+    return drift, dhess @ jac, dlap
+
+
+def _gaussian_field(f, t_max):
+    """The flow field of f = exp(c + b.x - x.B x / 2) without a
+    semigroup.apply per stage, or None for any other weight.
+
+    P_t f(x) = H_s f(a x) is again a Gaussian exponent. With
+    M = B + Id/s, one inverse gives the drift
+    -a ((b + a x / s) M^{-1} - a x) / s at each particle and the Hessian
+    -a^2 (M^{-1}/s - Id) / s that all of them share, so the Jacobians
+    advance in one GEMM and the log-determinants by one trace. These are
+    the operations of PolyExp.smoothed_log_derivs and apply one for one,
+    so every bit is the one _semigroup_field gives; the unsmoothed branch
+    of s < 1e-14 (t = 0) stays with apply. The eigenvalues of M fall as s
+    grows, so M is positive definite at every stage when it is at t_max;
+    when it is not, this returns None, and apply raises its DomainError
+    at the stage where M fails.
+    """
+    term = _one_term(f)
+    if term is None or term.poly is not None:
+        return None
+    n = term.B.shape[0]
+    eye = np.eye(n)
+    _, s_max = semigroup.kernel_params(t_max)
+    if np.linalg.eigvalsh(term.B + eye / s_max).min() <= 0:
+        return None
+
+    def gaussian(t, x, jac):
+        a, s = semigroup.kernel_params(t)
+        if s < 1e-14:
+            return _semigroup_field(f, t, x, jac)
+        Minv = np.linalg.inv(term.B + eye / s)
+        loc = a * x
+        mean = (term.b[None, :] + loc / s) @ Minv
+        hess = a * a * ((Minv / s - eye) / s)
+        m = x.shape[0]
+        # the (n, m n) matrix of every J side by side, times -hess
+        djac = -hess @ jac.transpose(1, 0, 2).reshape(n, m * n)
+        return (-(a * ((mean - loc) / s)),
+                djac.reshape(n, m, n).transpose(1, 0, 2),
+                np.full(m, -np.trace(hess)))
+
+    return gaussian
 
 
 def _pack(pos, jac, logdet):
@@ -212,11 +268,12 @@ def integrate_flow(f, particles, schedule, record_every=1):
     if t_rec[-1] != schedule.t_max:
         t_rec = np.append(t_rec, schedule.t_max)
 
+    flow_field = (_gaussian_field(f, schedule.t_max)
+                  or functools.partial(_semigroup_field, f))
+
     def rhs(t, y):
         pos, jac, _ = _unpack(y, m, n)
-        drift, dhess, dlap = _field_parts(f, t, pos)
-        djac = dhess @ jac
-        return _pack(drift, djac, dlap)
+        return _pack(*flow_field(t, pos, jac))
 
     rtol = 1e-8
     ys = _rk45(rhs, schedule.t_max, y0, t_rec, rtol, 1e-9)
@@ -239,13 +296,18 @@ def integrate_flow(f, particles, schedule, record_every=1):
 # tail handling past t_max
 
 
-def _pure_quadratic_exponent(f):
-    """B from f = const * exp(c + b.x - x.B x / 2), or None."""
+def _one_term(f):
+    """The term of f's polynomial-Gaussian family when it has one, or None."""
     fam = f if isinstance(f, PolyExp) else getattr(f, "family", None)
     if fam is None or len(fam.terms) != 1:
         return None
-    term = fam.terms[0]
-    if term.poly is not None and poly_degree(term.poly) > 0:
+    return fam.terms[0]
+
+
+def _pure_quadratic_exponent(f):
+    """B from f = const * exp(c + b.x - x.B x / 2), or None."""
+    term = _one_term(f)
+    if term is None or term.poly is not None and poly_degree(term.poly) > 0:
         return None
     return term.B
 

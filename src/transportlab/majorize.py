@@ -16,10 +16,11 @@ rho (the negative differential entropy), computed by quadrature for grid
 densities and by nearest-neighbor spacing estimates for samples.
 
 The geodesic keeps the eigenvalues lambda_i of the symmetrized DT at
-each node, one eigvalsh per node over blocks of quadrature.EVAL_ROWS
-nodes. Every det J_t = prod_i ((1-t) + t lambda_i) and the stability
-integrand |DT - Id|_F^2 = sum_i (lambda_i - 1)^2 are then elementwise;
-the integrals against the rule's weights run on the whole arrays.
+each node, from calculus.symmetric_eigenvalues (a closed form in dim
+2) over blocks of quadrature.EVAL_ROWS nodes. Every
+det J_t = prod_i ((1-t) + t lambda_i) and the stability integrand
+|DT - Id|_F^2 = sum_i (lambda_i - 1)^2 are then elementwise; the
+integrals against the rule's weights run on the whole arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
+from . import calculus, quadrature
 from .brenier import nearest
 from .errors import ConvexityViolationError, DomainError
 from .verify import make_certificate
@@ -144,9 +145,10 @@ class Geodesic:
         self.rho_mu = mu.pdf(self.points)
         self.rho_nu = nu.pdf(self.points)
         self.eig = quadrature.blockwise(
-            lambda J: np.linalg.eigvalsh(0.5 * (J + np.swapaxes(J, -1, -2))),
+            lambda J: calculus.symmetric_eigenvalues(
+                0.5 * (J + np.swapaxes(J, -1, -2))),
             transport_map.jacobian(self.points))
-        # eigvalsh sorts ascending: column 0 is each node's smallest
+        # ascending rows: column 0 is each node's smallest
         low = self.eig[:, 0]
         if np.any(low <= 0):
             bad = int(np.argmax(low <= 0))

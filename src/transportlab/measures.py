@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
+from . import calculus, quadrature
 from .errors import AccuracyError, CertificateConflictError, DomainError
 
 _HESS_SYM_TOL = 1e-8
@@ -157,7 +157,7 @@ class Density:
 
     def potential_hessian_min_eig(self, x):
         H = self.hess_log(x)
-        return np.linalg.eigvalsh(-H)[:, 0]
+        return calculus.symmetric_eigenvalues(-H)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,7 @@ def check_certificate(density, box, probes=128, seed=1234):
             raise CertificateConflictError(
                 f"probed alpha {worst} exceeds declared {cert.alpha}")
     if cert.kappa is not None:
-        worst = float(np.linalg.eigvalsh(-H)[:, 0].min())
+        worst = float(calculus.symmetric_eigenvalues(-H)[:, 0].min())
         if worst < cert.kappa * (1 - 1e-6) - 1e-12:
             raise CertificateConflictError(
                 f"probed kappa {worst} is below declared {cert.kappa}")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
+from . import calculus, quadrature
 from .errors import AccuracyError, DomainError
 from .measures import (ConvexityCertificate, Density, TruncationBox,
                        check_certificate)
@@ -162,7 +162,7 @@ def check_smoothing_bounds(f, t, probes):
     if s == 0.0:
         raise DomainError("bounds need t > 0")
     ev = apply(f, t, probes)
-    evals = np.linalg.eigvalsh(ev.hess_log)
+    evals = calculus.symmetric_eigenvalues(ev.hess_log)
     observed = float((-evals[:, 0]).max())
     prov = {"solver": f"semigroup_{ev.method}", "t": float(t)}
     return make_certificate("smoothing_hessian_lower", a * a / s, observed,

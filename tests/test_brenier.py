@@ -220,6 +220,65 @@ def test_grid_refusal_is_the_one_batch_refusal():
         assert str(err.value) == str(one_batch.value)
 
 
+def _full_scan(t_of_r, radii, t_sat):
+    # the reference: invert every radius, keep the last that passes
+    with np.errstate(all="ignore"):
+        ok = t_of_r(radii) <= t_sat
+    return float(radii[ok][-1]) if ok.any() else None
+
+
+def _cli_radial_pairs():
+    pairs = []
+    for degrees, weights, center in [
+            ((1,), (1.0,), (0.0, 0.0)), ((0,), (1.0,), (0.0, 0.0)),
+            ((2,), (1.0,), (0.0, 0.0)), ((3,), (1.0,), (0.0, 0.0)),
+            ((0, 1), (0.5, 0.5), (0.0, 0.0)), ((1, 3), (0.3, 0.7), (0.0, 0.0)),
+            ((0, 1, 2, 3), (0.1, 0.2, 0.3, 0.4), (0.0, 0.0)),
+            ((1,), (1.0,), (0.4, -0.3))]:
+        state = WehrlState(weights, tuple(fock_coefficients(d)
+                                          for d in degrees), center=center)
+        mu, nu, _ = build_wehrl_instance(state)
+        pairs.append((mu, nu))
+    for s0, s1 in [(1.0, 0.5), (2.0, 1.0), (0.5, 1.0)]:
+        for dim in (1, 2, 3):
+            pairs.append(_pair(s0, s1, dim))
+    return pairs
+
+
+def test_bracketed_reliable_radius_is_the_full_scan_s(monkeypatch):
+    bracketed = [brenier.solve_radial(mu, nu, r_max=8.0)
+                 .details["reliable_radius"] for mu, nu in _cli_radial_pairs()]
+    monkeypatch.setattr(brenier, "_last_below", _full_scan)
+    full = [brenier.solve_radial(mu, nu, r_max=8.0)
+            .details["reliable_radius"] for mu, nu in _cli_radial_pairs()]
+    assert bracketed == full
+    assert all(r < 8.0 for r in full[:8])
+
+
+@pytest.mark.parametrize("size", [1, 63, 64, 65, 200, 1671])
+def test_bracket_finds_every_boundary_of_a_monotone_scan(size):
+    radii = np.linspace(0.1, 8.0, size)
+    inverted = []
+
+    def t_of_r(r):
+        inverted.append(r.size)
+        return 2.0 * r
+
+    # the boundary at the first candidate, at every later one, at the last
+    # candidate, and no candidate at all
+    for t_sat in [0.0, *(2.0 * radii), np.inf]:
+        want = _full_scan(t_of_r, radii, t_sat)
+        inverted.clear()
+        assert brenier._last_below(t_of_r, radii, t_sat) == want
+        # every k-th radius, then at most the k - 1 after the last passing
+        k = brenier._BRACKET_STRIDE
+        assert sum(inverted) <= -(-size // k) + k - 1
+    assert brenier._last_below(t_of_r, radii, 2.0 * radii[0]) == radii[0]
+    assert brenier._last_below(t_of_r, radii, np.inf) == radii[-1]
+    assert brenier._last_below(t_of_r, radii, 0.0) is None
+    assert brenier._last_below(t_of_r, radii[:0], np.inf) is None
+
+
 def test_radial_solver_rejects_asymmetric_density():
     mu = gaussian(np.zeros(2), np.diag([4.0, 1.0]))
     nu = gaussian(np.zeros(2), np.eye(2))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from transportlab.calculus import (SphereRule, delta_epsilon,
                                    delta_epsilon_bound_rhs,
-                                   delta_epsilon_limit_check, map_statistics)
+                                   delta_epsilon_limit_check, map_statistics,
+                                   symmetric_eigenvalues)
 from transportlab.errors import DomainError
 
 
@@ -118,3 +119,49 @@ def test_map_statistics_symmetrizes_and_reports_asymmetry():
     sym = 0.5 * (A + A.T)
     assert np.allclose(stats.determinant, np.linalg.det(sym))
     assert stats.asymmetry[0] > 0.1
+
+
+def _stacks_2x2(rng, size=20000):
+    """Symmetric 2 x 2 stacks: random over forty decades, diagonal,
+    repeated eigenvalues and near-singular rank-one."""
+    A = rng.standard_normal((size, 2, 2)) * np.exp(
+        rng.uniform(-20.0, 20.0, (size, 1, 1)))
+    random = 0.5 * (A + A.transpose(0, 2, 1))
+    diagonal = random * np.eye(2)
+    repeated = np.einsum("m,ij->mij", random[:, 0, 0], np.eye(2))
+    v = rng.standard_normal((size, 2))
+    singular = np.einsum("mi,mj->mij", v, v)
+    singular[:, 1, 1] += 1e-12 * rng.standard_normal(size)
+    return {"random": random, "diagonal": diagonal, "repeated": repeated,
+            "near_singular": singular}
+
+
+@pytest.mark.parametrize("kind", ["random", "diagonal", "repeated",
+                                  "near_singular"])
+def test_closed_form_2x2_eigenvalues_agree_with_lapack(kind):
+    S = _stacks_2x2(np.random.default_rng(8))[kind]
+    got, want = symmetric_eigenvalues(S), np.linalg.eigvalsh(S)
+    assert got.shape == want.shape
+    assert np.all(got[:, 0] <= got[:, 1])
+    ulp = np.spacing(np.abs(want).max(axis=1))
+    assert np.all(np.abs(got - want) <= 4 * ulp[:, None])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symmetric_eigenvalues_leave_n_other_than_2_to_lapack(monkeypatch,
+                                                              n):
+    calls = []
+    own = np.linalg.eigvalsh
+
+    def eigvalsh(a):
+        calls.append(np.shape(a))
+        return own(a)
+
+    A = np.random.default_rng(n).standard_normal((5, n, n))
+    S = A + A.transpose(0, 2, 1)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    got = symmetric_eigenvalues(S)
+    assert calls == ([] if n == 2 else [(5, n, n)])
+    assert got.shape == (5, n)
+    if n != 2:
+        assert np.array_equal(got, own(S))

@@ -72,18 +72,22 @@ def test_contraction_certificate_on_sigma_half_flow():
 @pytest.mark.parametrize("weight", ["gaussian", "polynomial"])
 def test_flow_evaluates_the_semigroup_once_per_field_evaluation(
         monkeypatch, weight):
-    # recording a frame reads the stepper's output and evaluates nothing
+    # recording a frame reads the stepper's output and evaluates nothing;
+    # a Gaussian weight's field comes from its own inverse at every t > 0,
+    # so it reaches apply only at t = 0
     if weight == "gaussian":
         f, _, _ = flow_gaussian_weight(0.5)
     else:
         f = PolyExp.poly_times_gaussian(2, {(2, 0): 1.0, (0, 0): 0.5},
                                         beta=0.7)
     counts = {"apply": 0, "rhs": 0}
+    apply_times = []
     own_apply, own_rk45 = semigroup.apply, heatflow._rk45
 
-    def apply(*args, **kwargs):
+    def apply(f, t, *args, **kwargs):
         counts["apply"] += 1
-        return own_apply(*args, **kwargs)
+        apply_times.append(t)
+        return own_apply(f, t, *args, **kwargs)
 
     def rk45(fun, *args):
         def counted(t, y):
@@ -98,7 +102,68 @@ def test_flow_evaluates_the_semigroup_once_per_field_evaluation(
                             record_every=8)
     assert len(states) == 9
     assert counts["rhs"] > 0
-    assert counts["apply"] == counts["rhs"]
+    if weight == "gaussian":
+        assert counts["rhs"] > 1
+        assert apply_times == [0.0]
+    else:
+        assert counts["apply"] == counts["rhs"]
+
+
+def _anisotropic_weight():
+    # B has a negative eigenvalue, yet B + Id/s is positive definite for
+    # every s <= 1
+    B = np.array([[0.9, 0.6], [0.6, -0.3]])
+    return PolyExp.quadratic_exponent(2, B=B, b=np.array([0.3, -0.5]),
+                                      c=0.1)
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-6, 4.0])
+def test_gaussian_field_is_apply_bit_for_bit(t):
+    f = _anisotropic_weight()
+    rng = np.random.default_rng(4)
+    x, jac = rng.normal(size=(7, 2)), rng.normal(size=(7, 2, 2))
+    drift, djac, dlap = heatflow._gaussian_field(f, 4.0)(t, x, jac)
+    ev = semigroup.apply(f, t, x)
+    assert np.array_equal(drift, -ev.grad_log)
+    assert np.array_equal(djac, -ev.hess_log @ jac)
+    assert np.array_equal(dlap, -np.trace(ev.hess_log, axis1=-2, axis2=-1))
+
+
+@pytest.mark.parametrize("weight", ["sigma_half", "anisotropic"])
+def test_flow_states_do_not_depend_on_the_gaussian_field(monkeypatch,
+                                                         weight):
+    f = (flow_gaussian_weight(0.5)[0] if weight == "sigma_half"
+         else _anisotropic_weight())
+    pts = np.random.default_rng(6).normal(scale=0.5, size=(23, 2))
+    sched = FlowSchedule(t_max=4.0)
+    fast = integrate_flow(f, pts, sched, record_every=8)
+    monkeypatch.setattr(heatflow, "_gaussian_field", lambda f, t_max: None)
+    slow = integrate_flow(f, pts, sched, record_every=8)
+    assert len(fast) == len(slow) == 9
+    for a, b in zip(fast, slow):
+        assert a.t == b.t
+        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.jacobians, b.jacobians)
+        assert np.array_equal(a.log_dets, b.log_dets)
+
+
+def test_gaussian_weight_leaving_the_cone_keeps_apply_s_errors(monkeypatch):
+    # B + Id/s is positive definite only while s < 1/2 (t < log(2)/2), so
+    # the flow keeps apply, whose DomainError refuses every stage past
+    # that time; the stepper meets the blow-up before it and stops with
+    # the AccuracyError it stops with when no Gaussian field exists
+    f = PolyExp.quadratic_exponent(2, B=np.diag([-2.0, 1.0]))
+    assert heatflow._gaussian_field(f, 4.0) is None
+    assert heatflow._gaussian_field(f, 0.3) is not None
+    pts = np.array([[0.5, 0.2], [1.0, -1.0]])
+    with pytest.raises(DomainError, match="B \\+ Id/s is not positive"):
+        semigroup.apply(f, 0.35, pts)
+    with pytest.raises(AccuracyError) as first:
+        integrate_flow(f, pts, FlowSchedule(t_max=4.0))
+    monkeypatch.setattr(heatflow, "_gaussian_field", lambda f, t_max: None)
+    with pytest.raises(AccuracyError) as again:
+        integrate_flow(f, pts, FlowSchedule(t_max=4.0))
+    assert str(first.value) == str(again.value)
 
 
 def test_each_recorded_state_takes_one_determinant(monkeypatch):
