@@ -328,24 +328,19 @@ def solve_radial(mu, nu, r_max):
 
 
 class GridMap:
-    """Map values on a tensor grid with stencil Jacobians.
+    """Map values on a tensor grid, differentiated by stencils.
 
-    `eval` and `jacobian` take points on the lattice; the TransportMap
-    around them refuses any other batch with `_check_inside` first."""
+    A map holds its lattice axes and values alone: `jacobian` forms the
+    stencil at the nodes it is asked for, so a map costs the same whether
+    it was solved or loaded. `eval` and `jacobian` take points on the
+    lattice; the TransportMap around them refuses any other batch with
+    `_check_inside` first."""
 
     def __init__(self, axes, values):
         self.axes = [np.asarray(a, dtype=float) for a in axes]
         self.dim = len(self.axes)
         shape = tuple(a.size for a in self.axes)
         self.values = np.asarray(values, dtype=float).reshape(shape + (self.dim,))
-        self.jacobians = self._stencil_jacobians()
-
-    def _stencil_jacobians(self):
-        J = np.empty(self.values.shape[:-1] + (self.dim, self.dim))
-        for axis in range(self.dim):
-            J[..., :, axis] = np.gradient(self.values[..., :],
-                                          self.axes[axis], axis=axis)
-        return J
 
     def _check_inside(self, x):
         """Refuse points off the lattice (1e-12 relative slack at the edges)
@@ -385,7 +380,8 @@ class GridMap:
         return sum(terms[1:], terms[0])
 
     def jacobian(self, x):
-        """Nearest-node stencil Jacobian."""
+        """Stencil Jacobian at the nearest node of each point, entry for
+        entry np.gradient's over the whole lattice (first-order edges)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         nearest = []
         for axis in range(self.dim):
@@ -394,7 +390,30 @@ class GridMap:
             left = np.clip(i - 1, 0, a.size - 1)
             use_left = np.abs(x[:, axis] - a[left]) <= np.abs(a[i] - x[:, axis])
             nearest.append(np.where(use_left, left, i))
-        return self.jacobians[tuple(nearest)]
+        return np.stack([self._node_derivative(nearest, axis)
+                         for axis in range(self.dim)], axis=-1)
+
+    def _node_derivative(self, nodes, axis):
+        """The values' derivative along `axis` at the nodes `nodes` (one
+        index array per axis), by np.gradient's arithmetic: central
+        differences when every step of the axis equals the first, else the
+        weights a f[i-1] + b f[i] + c f[i+1] summed left to right, and
+        one-sided differences at the two edges."""
+        i = nodes[axis]
+        last = self.axes[axis].size - 1
+        steps = np.diff(self.axes[axis])
+        lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, last)
+        f_lo, f_i, f_hi = (self.values[(*nodes[:axis], k, *nodes[axis + 1:])]
+                           for k in (lo, i, hi))
+        edge = ((i == 0) | (i == last))[:, None]
+        if (steps == steps[0]).all():
+            return (f_hi - f_lo) / np.where(edge, steps[0], 2.0 * steps[0])
+        dx1 = steps[lo][:, None]
+        dx2 = steps[np.minimum(i, last - 1)][:, None]
+        inner = (-dx2 / (dx1 * (dx1 + dx2)) * f_lo
+                 + (dx2 - dx1) / (dx1 * dx2) * f_i
+                 + dx1 / (dx2 * (dx1 + dx2)) * f_hi)
+        return np.where(edge, (f_hi - f_lo) / dx1, inner)
 
     def transport_map(self, epsilon, **details):
         """The entropic grid TransportMap of these values, solved at

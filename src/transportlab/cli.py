@@ -504,14 +504,19 @@ def _coulomb_sample_suite(cfg, built):
     xs, diag = inst.sample(CHAIN_DRAWS, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
     ys = inst.nu.sampler(rng, CHAIN_DRAWS)
-    schedule = list(cfg.params["epsilon_schedule"])
-    tvals, _ = brenier.solve_entropic_sample(xs, ys, schedule)
-    # one neighbor search of the cloud serves the fits and the entropy
+    # one neighbor search of the cloud serves the fits and the entropy; both
+    # read the draws alone, so the search and the entropy run before the
+    # solve, and only the fits' rows of the table are kept across it
     fit_k = 4 * n + 56
     table = brenier.nearest(xs, xs, max(fit_k, 8 * (KNN_K + 1)))
+    h_mu, ci = majorize.entropy_knn(xs, table, KNN_K, bootstrap=24,
+                                    seed=cfg.seed)
+    fit_rows = table[1][:FIT_POINTS].copy()
+    del table
+    schedule = list(cfg.params["epsilon_schedule"])
+    tvals, _ = brenier.solve_entropic_sample(xs, ys, schedule)
     jac, ok = brenier.local_affine_jacobians(
-        xs, tvals, xs[:FIT_POINTS], fit_k,
-        neighbors=table[1][:FIT_POINTS])
+        xs, tvals, xs[:FIT_POINTS], fit_k, neighbors=fit_rows)
     div = np.einsum("mii->m", jac[ok])
     q95 = float(_q95(div))
     cert = make_certificate(
@@ -527,8 +532,6 @@ def _coulomb_sample_suite(cfg, built):
 
     h_nu = -0.5 * n * math.log(
         2.0 * math.pi * math.e / (inst.spec.beta * inst.spec.particles))
-    h_mu, ci = majorize.entropy_knn(xs, table, KNN_K, bootstrap=24,
-                                    seed=cfg.seed)
     return {
         "certificates": certs,
         "summaries": {
@@ -787,22 +790,22 @@ def _parse_args(argv):
     parser = argparse.ArgumentParser(
         prog="transportlab",
         description="transport bound verification runner")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("name", nargs="?", default=None,
-                       help="registered scenario name")
-        p.add_argument("--config", default=None,
-                       help="JSON config document")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--format", default=None,
-                       help="comma list from structured,tabular,plotdata")
-        p.add_argument("--epsilon-schedule", default=None,
-                       help="comma list of decreasing epsilons")
-        p.add_argument("--cache", default=None,
-                       help="directory for grid-map stage reuse")
-    return parser.parse_args(argv)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("name", nargs="?", default=None,
+                        help="registered scenario name")
+    parser.add_argument("--config", default=None,
+                        help="JSON config document")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--format", default=None,
+                        help="comma list from structured,tabular,plotdata")
+    parser.add_argument("--epsilon-schedule", default=None,
+                        help="comma list of decreasing epsilons")
+    parser.add_argument("--cache", default=None,
+                        help="directory for grid-map stage reuse")
+    # intermixed, so that options may stand between the command and the
+    # scenario name (`verify --seed 1 gaussian`)
+    return parser.parse_intermixed_args(argv)
 
 
 # the config document's keys; a null scenario is the command's default

@@ -493,7 +493,9 @@ def test_grid_map_roundtrip_through_lattice_file(tmp_path):
     brenier.save_grid_map(path, tmap)
     gm = tmap.details["grid_map"]
     loaded = brenier.load_grid_map(path, 0.3, box.axis_nodes(48))
-    x = np.random.default_rng(3).normal(size=(30, 2))
+    # random points and every lattice node, edges and corners among them
+    x = np.vstack([np.random.default_rng(3).normal(size=(30, 2)),
+                   box.grid(48)])
     assert loaded.entropic_epsilon == 0.3
     assert loaded.provenance == tmap.provenance
     got = loaded.details["grid_map"]
@@ -562,6 +564,49 @@ def test_grid_map_reproduces_an_affine_lattice_in_dim_3():
     x = rng.uniform([-1.0, -0.5, 0.0], [1.0, 1.5, 2.0], size=(500, 3))
     x = np.vstack([x, nodes.reshape(-1, 3)[::7], [[1.0, 1.5, 2.0]]])
     assert np.allclose(gm.eval(x), x @ A.T + b, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("steps", ["equal", "linspace", "random"])
+@pytest.mark.parametrize("side", [2, 3, 128])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_map_node_stencil_is_np_gradient_bit_for_bit(dim, side, steps):
+    rng = np.random.default_rng(10 * side + dim)
+
+    def axis_nodes():
+        if steps == "equal":
+            return -1.0 + 0.25 * np.arange(side)
+        if steps == "linspace":
+            return np.linspace(-6.0, 6.0, side)
+        return np.cumsum(rng.uniform(0.1, 1.0, side))
+
+    # at side 128 a box's linspace axes have unequal steps in their last
+    # bits, so they take np.gradient's weighted branch like the random
+    # ones; side 2 has a single step and takes the central one
+    axes = [axis_nodes() for _ in range(dim)]
+    values = rng.normal(size=(side,) * dim + (dim,))
+    whole = np.stack([np.gradient(values, a, axis=axis)
+                      for axis, a in enumerate(axes)], axis=-1)
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    got = brenier.GridMap(axes, values).jacobian(nodes.reshape(-1, dim))
+    assert got.tobytes() == whole.reshape(-1, dim, dim).tobytes()
+
+
+def test_grid_map_allocates_no_whole_lattice_jacobians():
+    import tracemalloc
+
+    side = 128
+    axes = TruncationBox.cube(2, 6.0).axis_nodes(side)
+    values = np.random.default_rng(4).normal(size=(side, side, 2))
+    probes = np.random.default_rng(5).uniform(-6.0, 6.0, size=(569, 2))
+    tracemalloc.start()
+    try:
+        gm = brenier.GridMap(axes, values)
+        gm.jacobian(probes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a lattice of Jacobians alone would take side^2 * 4 * 8 = 512 KiB
+    assert peak < side * side * 4 * 8 / 2
 
 
 def test_save_grid_map_rejects_closed_form():

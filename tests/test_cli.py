@@ -52,6 +52,22 @@ def test_resolve_config_precedence(tmp_path):
     assert cfg.formats == ("plotdata", "structured")
 
 
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_parse_args_takes_every_flag_on_every_command(command):
+    flags = ["--config", "c.json", "--seed", "5", "--out", "o",
+             "--format", "tabular", "--epsilon-schedule", "0.5,0.1",
+             "--cache", "d"]
+    every = {"command": command, "name": "wehrl", "config": "c.json",
+             "seed": 5, "out": "o", "format": "tabular",
+             "epsilon_schedule": "0.5,0.1", "cache": "d"}
+    # the scenario name before, among and after the options
+    for argv in ([command, "wehrl", *flags], [command, *flags, "wehrl"],
+                 [command, *flags[:4], "wehrl", *flags[4:]]):
+        assert vars(_parse_args(argv)) == every
+    assert vars(_parse_args([command])) == {
+        **dict.fromkeys(every), "command": command}
+
+
 def test_resolve_config_defaults_and_rejections(tmp_path):
     assert _resolve_config(_parse_args(["verify"])).scenario == "gaussian"
     assert _resolve_config(_parse_args(["geodesic"])).scenario == "wehrl"
@@ -182,6 +198,8 @@ def test_main_maps_usage_and_execution_errors_to_3(tmp_path, capsys):
     assert main(["verify", "no_such_scenario"]) == 3
     assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 3
     assert main(["verify", "--bogus-flag"]) == 3
+    assert main(["verify", "--seed", "x"]) == 3
+    assert main(["nonsense"]) == 3
     assert main([]) == 3
     assert main(["--help"]) == 0
     capsys.readouterr()
